@@ -90,7 +90,8 @@ def _parse_indices(key: str, count: int, bound: int) -> Tuple[int, ...]:
 
 def _connection_from_spec(data: dict) -> Connection:
     n = _require_int(data, "n", 1)
-    gamma_spec = data.get("connection", {}).get("gamma", {})
+    conn_spec = data.get("connection", {})
+    gamma_spec = conn_spec.get("gamma", {}) if isinstance(conn_spec, dict) else None
     if not isinstance(gamma_spec, dict):
         raise ProblemSpecError("connection.gamma must be an object of index -> expression")
     gamma: Dict[Tuple[int, int, int], Poly] = {}
@@ -106,6 +107,13 @@ def _connection_from_spec(data: dict) -> Connection:
         gamma[(i, j, k)] = poly
         gamma[(i, k, j)] = poly
     return Connection(n, gamma)
+
+
+def _rational(raw, what: str) -> GaussianRational:
+    try:
+        return GaussianRational(Fraction(str(raw)))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ProblemSpecError(f"bad {what}: {raw!r}") from exc
 
 
 def _symplectic_spec_from_spec(data: dict) -> SymplecticConnectionSpec:
@@ -126,11 +134,7 @@ def _symplectic_spec_from_spec(data: dict) -> SymplecticConnectionSpec:
         if existing is not None and existing != poly:
             raise ProblemSpecError(f"conflicting values for symmetric symbol {key!r}")
         comps[canon] = poly
-    a_raw = data.get("a", "0")
-    try:
-        a = GaussianRational(Fraction(str(a_raw)))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ProblemSpecError(f"bad Ricci weight a={a_raw!r}") from exc
+    a = _rational(data.get("a", "0"), "Ricci weight a")
     try:
         return SymplecticConnectionSpec.from_symmetric_components(n, comps, a)
     except ValueError as exc:
@@ -174,10 +178,29 @@ def build_product(data: dict) -> StarProduct:
             raise ProblemSpecError("symplectic-truncated products are fixed at order 2")
         product = truncated_symplectic_product(_symplectic_spec_from_spec(data))
 
-    fault = data.get("fault")
-    if fault and fault.get("target", "product") == "product":
+    fault = _fault(data, "product")
+    if fault:
         product = _apply_product_fault(product, fault)
     return product
+
+
+def _fault(data: dict, target: str) -> dict | None:
+    """The spec's fault hook when it aims at `target`, else None."""
+    fault = data.get("fault")
+    if fault is not None and not isinstance(fault, dict):
+        raise ProblemSpecError("fault must be an object")
+    return fault if fault and fault.get("target", "product") == target else None
+
+
+def _fault_index(fault: dict, key: str, dim: int) -> MultiIndex:
+    exps = fault.get(key, [])
+    if (
+        not isinstance(exps, list)
+        or len(exps) > dim
+        or any(not isinstance(e, int) or e < 0 for e in exps)
+    ):
+        raise ProblemSpecError(f"fault.{key} must be a list of at most {dim} integers >= 0")
+    return MultiIndex.from_exponents(exps)
 
 
 def _apply_product_fault(product: StarProduct, fault: dict) -> StarProduct:
@@ -186,9 +209,9 @@ def _apply_product_fault(product: StarProduct, fault: dict) -> StarProduct:
     order = fault.get("order")
     if not isinstance(order, int) or not 0 <= order <= product.order:
         raise ProblemSpecError("fault.order out of range")
-    left = MultiIndex.from_exponents(fault.get("left", []))
-    right = MultiIndex.from_exponents(fault.get("right", []))
-    coeff = Poly.const(d, GaussianRational(Fraction(str(fault.get("coefficient", "1")))))
+    left = _fault_index(fault, "left", d)
+    right = _fault_index(fault, "right", d)
+    coeff = Poly.const(d, _rational(fault.get("coefficient", "1"), "fault.coefficient"))
     bump = BiDiffOp(d, {(left, right): coeff})
     C = list(product.C)
     C[order] = C[order] + bump
@@ -196,8 +219,8 @@ def _apply_product_fault(product: StarProduct, fault: dict) -> StarProduct:
 
 
 def _apply_table_fault(op: DiffOp, fault: dict) -> DiffOp:
-    deriv = MultiIndex.from_exponents(fault.get("derivative", []))
-    coeff = Poly.const(op.dim, GaussianRational(Fraction(str(fault.get("coefficient", "1")))))
+    deriv = _fault_index(fault, "derivative", op.dim)
+    coeff = Poly.const(op.dim, _rational(fault.get("coefficient", "1"), "fault.coefficient"))
     return op + DiffOp(op.dim, {deriv: coeff})
 
 
@@ -231,11 +254,20 @@ def finalize(report: dict, args, started: float, failed: bool) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _max_degree(args, data: dict) -> int:
+    """--max-degree when given, else the spec's max_degree, else 4."""
+    if args.max_degree is None:
+        return _require_int(data, "max_degree", 0) if "max_degree" in data else 4
+    if args.max_degree < 0:
+        raise ProblemSpecError("--max-degree must be >= 0")
+    return args.max_degree
+
+
 def cmd_validate(args) -> int:
     started = time.time()
     data = load_problem(args.spec)
     product = build_product(data)
-    max_degree = args.max_degree or data.get("max_degree", 4)
+    max_degree = _max_degree(args, data)
     axioms = check_axioms(product, max_degree)
     canonicity = quantum_canonicity_check(product)
     report = {
@@ -251,9 +283,11 @@ def cmd_derive(args) -> int:
     started = time.time()
     data = load_problem(args.spec)
     product = build_product(data)
-    order = args.order or product.order
+    order = product.order if args.order is None else args.order
+    if not 0 <= order <= product.order:
+        raise ProblemSpecError(f"--order must be between 0 and the product order {product.order}")
     morphism = derive_equivalence(product, order)
-    max_degree = args.max_degree or data.get("max_degree", 4)
+    max_degree = _max_degree(args, data)
     intertwining = verify_intertwining(morphism, product.truncate(order), max_degree)
     report = {
         "command": "derive",
@@ -268,14 +302,14 @@ def cmd_verify_tables(args) -> int:
     started = time.time()
     data = load_problem(args.spec)
     kind = data.get("kind")
-    fault = data.get("fault")
-    table_fault = fault if fault and fault.get("target") == "table" else None
+    table_fault = _fault(data, "table")
     comparisons = []
     failed = False
 
     if kind == "natural-cotangent":
         conn = _connection_from_spec(data)
-        order = data.get("order", 4)
+        # the order-2 table needs T_2, so order 2 is the least comparable
+        order = _require_int(data, "order", 2) if "order" in data else 4
         if order > 4:
             raise ProblemSpecError("natural-cotangent products are limited to order 4")
         product = natural_cotangent_product(conn, order)

@@ -34,7 +34,7 @@ from .errors import (
     StarqError,
 )
 from .geometry import Connection, SymplecticConnectionSpec, canonical_poisson_entries, ricci
-from .operators import DiffOp, OperatorSeries, max_op_order
+from .operators import DiffOp, OperatorSeries, _acc_poly, max_op_order
 from .poly import MultiIndex, Poly
 from .scalars import GaussianRational
 from .series import HbarSeries
@@ -174,13 +174,7 @@ def commutator_solution_direct(family: Sequence[DiffOp], verify: bool = True) ->
         for j_idx, coeff in op.terms():
             weight = GaussianRational(Fraction(1, 1 + j_idx.degree))
             target = j_idx + MultiIndex.unit(alpha)
-            scaled = coeff.scale(weight)
-            existing = acc.get(target)
-            total = scaled if existing is None else existing + scaled
-            if total.is_zero():
-                acc.pop(target, None)
-            else:
-                acc[target] = total
+            _acc_poly(acc, target, coeff.scale(weight))
     solution = DiffOp(d, acc)
     if verify:
         for alpha, op in enumerate(family):
@@ -419,14 +413,14 @@ def flat_cotangent_order2(conn: Connection) -> DiffOp:
     for i, j, k in itertools.product(range(n), repeat=3):
         sym = G(i, j, k)
         if not sym.is_zero():
-            _acc(acc, MultiIndex.of(i, n + j, n + k), sym.embed(d).scale(eighth))
+            _acc_poly(acc, MultiIndex.of(i, n + j, n + k), sym.embed(d).scale(eighth))
 
     for j, k in itertools.product(range(n), repeat=2):
         coeff = Poly.zero(n)
         for i, l in itertools.product(range(n), repeat=2):
             coeff = coeff + G(i, l, j) * G(l, i, k)
         if not coeff.is_zero():
-            _acc(acc, MultiIndex.of(n + j, n + k), coeff.embed(d).scale(eighth))
+            _acc_poly(acc, MultiIndex.of(n + j, n + k), coeff.embed(d).scale(eighth))
 
     for j, k, l in itertools.product(range(n), repeat=3):
         coeff = Poly.zero(d)
@@ -438,7 +432,7 @@ def flat_cotangent_order2(conn: Connection) -> DiffOp:
             if not inner.is_zero():
                 coeff = coeff + Poly.coordinate(d, n + i) * inner.embed(d)
         if not coeff.is_zero():
-            _acc(acc, MultiIndex.of(n + j, n + k, n + l), coeff.scale(tf))
+            _acc_poly(acc, MultiIndex.of(n + j, n + k, n + l), coeff.scale(tf))
 
     return DiffOp(d, acc)
 
@@ -590,7 +584,7 @@ def flat_cotangent_order4(conn: Connection, cycl_mode: str = "permutations") -> 
     for js in itertools.product(rng, repeat=4):
         val = sum_a(js)
         if not val.is_zero():
-            _acc(acc, MultiIndex.of(*(n + j for j in js)), val.embed(d).scale(w_a))
+            _acc_poly(acc, MultiIndex.of(*(n + j for j in js)), val.embed(d).scale(w_a))
 
     w_b = GaussianRational(Fraction(1, 384 * factorial(4)))
     for i in rng:
@@ -598,7 +592,7 @@ def flat_cotangent_order4(conn: Connection, cycl_mode: str = "permutations") -> 
         for js in itertools.product(rng, repeat=4):
             val = sum_b(js)
             if not val.is_zero():
-                _acc(
+                _acc_poly(
                     acc,
                     MultiIndex.of(i, *(n + j for j in js)),
                     val.embed(d).scale(w_b),
@@ -610,7 +604,7 @@ def flat_cotangent_order4(conn: Connection, cycl_mode: str = "permutations") -> 
         for js in itertools.product(rng, repeat=4):
             val = sum_c(js)
             if not val.is_zero():
-                _acc(
+                _acc_poly(
                     acc,
                     MultiIndex.of(i1, i2, *(n + j for j in js)),
                     val.embed(d).scale(w_c),
@@ -623,7 +617,7 @@ def flat_cotangent_order4(conn: Connection, cycl_mode: str = "permutations") -> 
         for js in itertools.product(rng, repeat=5):
             val = sum_d(js)
             if not val.is_zero():
-                _acc(
+                _acc_poly(
                     acc,
                     MultiIndex.of(*(n + j for j in js)),
                     (p_r * val.embed(d)).scale(w_d),
@@ -636,7 +630,7 @@ def flat_cotangent_order4(conn: Connection, cycl_mode: str = "permutations") -> 
         for js in itertools.product(rng, repeat=5):
             val = sum_e(js)
             if not val.is_zero():
-                _acc(
+                _acc_poly(
                     acc,
                     MultiIndex.of(i, *(n + j for j in js)),
                     (p_r * val.embed(d)).scale(w_e),
@@ -649,7 +643,7 @@ def flat_cotangent_order4(conn: Connection, cycl_mode: str = "permutations") -> 
         for js in itertools.product(rng, repeat=6):
             val = sum_f(js)
             if not val.is_zero():
-                _acc(
+                _acc_poly(
                     acc,
                     MultiIndex.of(*(n + j for j in js)),
                     (p_rs * val.embed(d)).scale(w_f),
@@ -708,7 +702,7 @@ def symplectic_order2(spec: SymplecticConnectionSpec) -> DiffOp:
         for b1, v1 in raised.get(al, ()):
             for b2, v2 in raised.get(be, ()):
                 for b3, v3 in raised.get(ga, ()):
-                    _acc(
+                    _acc_poly(
                         acc,
                         MultiIndex.of(b1, b2, b3),
                         low.scale(w3 * v1 * v2 * v3),
@@ -726,7 +720,7 @@ def symplectic_order2(spec: SymplecticConnectionSpec) -> DiffOp:
             continue
         for b1, v1 in raised.get(al, ()):
             for b2, v2 in raised.get(be, ()):
-                _acc(acc, MultiIndex.of(b1, b2), coeff.scale(w2 * v1 * v2))
+                _acc_poly(acc, MultiIndex.of(b1, b2), coeff.scale(w2 * v1 * v2))
 
     return DiffOp(d, acc)
 
@@ -755,12 +749,3 @@ def operator_diff_report(derived: DiffOp, closed: DiffOp) -> List[dict]:
                 }
             )
     return out
-
-
-def _acc(acc: Dict[MultiIndex, Poly], key: MultiIndex, poly: Poly):
-    existing = acc.get(key)
-    total = poly if existing is None else existing + poly
-    if total.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = total

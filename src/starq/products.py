@@ -4,7 +4,15 @@ Four constructors are provided: the Moyal product of a constant Poisson
 tensor, the product induced by a commuting vector-field frame, the
 natural product of a flat cotangent bundle built from iterated covariant
 derivatives, and the order-2 product of a general symplectic connection
-with a Ricci-weight parameter.  `check_axioms` and
+with a Ricci-weight parameter.  All four share one pairing,
+`_pairing_product`: C_k contracts k copies of the Poisson tensor with
+rank-k jets of both factors, and the constructors differ only in the jet
+source (partials, composed frame fields, covariant jets).  Every jet
+source is symmetric in its indices -- partials and the validated frame
+fields commute, a flat torsion-free lift has fully symmetric jets, and
+rank-2 jets of any torsion-free connection are symmetric -- so the
+pairing sums once per multiset of Poisson entries with multinomial
+weights and equals the ordered sum exactly.  `check_axioms` and
 `quantum_canonicity_check` validate any product against the defining
 conditions on a degree-bounded monomial basis, which is exact because
 all operators involved have finite order and polynomial coefficients.
@@ -15,8 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
-from typing import Dict, List, Tuple
+from math import factorial, prod
+from typing import Callable, Dict, List, Tuple
 
 from .errors import DimensionMismatch, InvalidFrame, NonFlatConnection, OrderMismatch
 from .geometry import (
@@ -265,37 +273,51 @@ class StarProduct:
         }
 
 
-def _add_scaled_tensor(acc: dict, a: DiffOp, b: DiffOp, scalar: GaussianRational):
-    """acc += scalar * (a tensor b), working on raw term maps."""
-    for li, pa in a.terms():
-        for ri, pb in b.terms():
-            _acc_poly(acc, (li, ri), (pa * pb).scale(scalar))
+def _pairing_product(
+    p: PoissonTensor,
+    jets: Callable[[int], Callable[[Tuple[int, ...]], DiffOp]],
+    order: int,
+) -> List[BiDiffOp]:
+    """Operators C_0..C_order with C_k the k-fold Poisson pairing of jets.
 
-
-def _order_factor(k: int) -> GaussianRational:
-    """(i/2)^k / k!."""
-    return (HALF_I ** k) * GaussianRational(Fraction(1, factorial(k)))
+    C_k = (i/2)^k / k! sum over ordered k-tuples of Poisson entries of
+    prod P^(mu_e nu_e) J(mu_1..mu_k) (x) J(nu_1..nu_k), where `jets(k)`
+    maps a sorted rank-k index tuple to its jet operator J.  Every jet
+    source fed here is symmetric in its indices, so all orderings of one
+    multiset of entries give the same term: the sum visits each multiset
+    once with weight (i/2)^k / prod m_e!, which is (i/2)^k / k! times its
+    k! / prod m_e! orderings, and the result is exactly the ordered sum.
+    """
+    d = p.dim
+    entries = p.constant_entries()
+    C = [BiDiffOp.multiplication(d)]
+    for k in range(1, order + 1):
+        jet = jets(k)
+        half_i_k = HALF_I ** k
+        acc: Dict[Tuple[MultiIndex, MultiIndex], Poly] = {}
+        for combo in itertools.combinations_with_replacement(entries, k):
+            repeats = prod(factorial(len(list(run))) for _, run in itertools.groupby(combo))
+            v = half_i_k * GaussianRational(Fraction(1, repeats))
+            for _, _, val in combo:
+                v = v * val
+            left = jet(tuple(sorted(mu for mu, _, _ in combo)))
+            right = jet(tuple(sorted(nu for _, nu, _ in combo)))
+            for li, pa in left.terms():
+                for ri, pb in right.terms():
+                    _acc_poly(acc, (li, ri), (pa * pb).scale(v))
+        C.append(BiDiffOp(d, acc))
+    return C
 
 
 def moyal_product(p: PoissonTensor, order: int) -> StarProduct:
     """Moyal product of a constant Poisson tensor, truncated at `order`."""
     if not p.is_constant():
         raise ValueError("the Moyal construction needs a constant Poisson tensor")
-    d = p.dim
-    entries = p.constant_entries()
-    C = [BiDiffOp.multiplication(d)]
-    for k in range(1, order + 1):
-        factor = _order_factor(k)
-        acc: Dict[Tuple[MultiIndex, MultiIndex], Poly] = {}
-        for combo in itertools.product(entries, repeat=k):
-            left = MultiIndex.of(*(mu for mu, _, _ in combo))
-            right = MultiIndex.of(*(nu for _, nu, _ in combo))
-            v = factor
-            for _, _, val in combo:
-                v = v * val
-            _acc_poly(acc, (left, right), Poly.const(d, v))
-        C.append(BiDiffOp(d, acc))
-    return StarProduct(p, C, parity=True)
+
+    def partials(idx: Tuple[int, ...]) -> DiffOp:
+        return DiffOp.derivative(p.dim, MultiIndex.of(*idx))
+
+    return StarProduct(p, _pairing_product(p, lambda k: partials, order), parity=True)
 
 
 def vector_field_product(
@@ -303,30 +325,15 @@ def vector_field_product(
 ) -> StarProduct:
     """Product generated by a commuting frame reproducing `p`."""
     frame.validate(p)
-    d = p.dim
-    entries = p.constant_entries()
     # compositions D_mu1 o ... o D_muk, memoized on the sorted index tuple
-    comp: Dict[Tuple[int, ...], DiffOp] = {(): DiffOp.identity(d)}
+    comp: Dict[Tuple[int, ...], DiffOp] = {(): DiffOp.identity(p.dim)}
 
-    def composed(idx: Tuple[int, ...]) -> DiffOp:
-        key = tuple(sorted(idx))
+    def composed(key: Tuple[int, ...]) -> DiffOp:
         if key not in comp:
             comp[key] = frame.fields[key[0]].compose(composed(key[1:]))
         return comp[key]
 
-    C = [BiDiffOp.multiplication(d)]
-    for k in range(1, order + 1):
-        factor = _order_factor(k)
-        acc: Dict[Tuple[MultiIndex, MultiIndex], Poly] = {}
-        for combo in itertools.product(entries, repeat=k):
-            v = factor
-            for _, _, val in combo:
-                v = v * val
-            left = composed(tuple(mu for mu, _, _ in combo))
-            right = composed(tuple(nu for _, nu, _ in combo))
-            _add_scaled_tensor(acc, left, right, v)
-        C.append(BiDiffOp(d, acc))
-    return StarProduct(p, C, parity=True)
+    return StarProduct(p, _pairing_product(p, lambda k: composed, order), parity=True)
 
 
 def natural_cotangent_product(conn: Connection, order: int) -> StarProduct:
@@ -339,22 +346,8 @@ def natural_cotangent_product(conn: Connection, order: int) -> StarProduct:
     if not is_flat(conn):
         raise NonFlatConnection("the natural product needs a flat base connection")
     lifted = lift_connection(conn)
-    d = lifted.dim
     p = PoissonTensor.canonical(conn.n, 0)
-    entries = p.constant_entries()
-    C = [BiDiffOp.multiplication(d)]
-    for k in range(1, order + 1):
-        jets = covariant_jet_ops(lifted, k)
-        factor = _order_factor(k)
-        acc: Dict[Tuple[MultiIndex, MultiIndex], Poly] = {}
-        for combo in itertools.product(entries, repeat=k):
-            v = factor
-            for _, _, val in combo:
-                v = v * val
-            left = jets[tuple(mu for mu, _, _ in combo)]
-            right = jets[tuple(nu for _, nu, _ in combo)]
-            _add_scaled_tensor(acc, left, right, v)
-        C.append(BiDiffOp(d, acc))
+    C = _pairing_product(p, lambda k: covariant_jet_ops(lifted, k).__getitem__, order)
     return StarProduct(p, C, parity=True)
 
 
@@ -367,29 +360,16 @@ def truncated_symplectic_product(spec: SymplecticConnectionSpec) -> StarProduct:
     """
     d = spec.dim
     p = PoissonTensor.canonical(spec.n, 0)
-    entries = p.constant_entries()
-    C1_acc: Dict[Tuple[MultiIndex, MultiIndex], Poly] = {}
-    for mu, nu, v in entries:
-        _acc_poly(
-            C1_acc,
-            (MultiIndex.unit(mu), MultiIndex.unit(nu)),
-            Poly.const(d, v * HALF_I),
-        )
-    jets = covariant_jet_ops(spec, 2)
-    ric = ricci(spec)
-    factor = _order_factor(2)
+    C = _pairing_product(p, lambda k: covariant_jet_ops(spec, k).__getitem__, 2)
+    # Ricci term -a (i/2)^2 / 2! P^(mu1 nu1) P^(mu2 nu2) R_(mu1 mu2) d_nu1 (x) d_nu2;
+    # the canonical tensor pairs each coordinate with exactly one partner
+    partner = {mu: (nu, v) for mu, nu, v in p.constant_entries()}
+    weight = -(HALF_I ** 2) * GaussianRational(Fraction(1, 2)) * spec.a
     acc: Dict[Tuple[MultiIndex, MultiIndex], Poly] = {}
-    for (mu1, nu1, v1), (mu2, nu2, v2) in itertools.product(entries, repeat=2):
-        v = factor * v1 * v2
-        _add_scaled_tensor(acc, jets[(mu1, mu2)], jets[(nu1, nu2)], v)
-        ric_comp = ric.get((mu1, mu2))
-        if ric_comp is not None:
-            _acc_poly(
-                acc,
-                (MultiIndex.unit(nu1), MultiIndex.unit(nu2)),
-                ric_comp.scale(v * spec.a).scale(-1),
-            )
-    C = [BiDiffOp.multiplication(d), BiDiffOp(d, C1_acc), BiDiffOp(d, acc)]
+    for (mu1, mu2), ric_comp in ricci(spec).items():
+        (nu1, v1), (nu2, v2) = partner[mu1], partner[mu2]
+        acc[(MultiIndex.unit(nu1), MultiIndex.unit(nu2))] = ric_comp.scale(weight * v1 * v2)
+    C[2] = C[2] + BiDiffOp(d, acc)
     return StarProduct(p, C, parity=True)
 
 

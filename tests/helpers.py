@@ -1,15 +1,21 @@
 """Independent reference implementations used as test oracles.
 
-Everything here goes through sympy's symbolic differentiation and exact
-rationals, sharing no code with the package under test.
+The sympy oracles go through symbolic differentiation and exact
+rationals, sharing no code with the package under test.  The ordered
+pairing builders at the end are the product constructions the symmetric
+pairing kernel replaced, kept to gate it on exact equality.
 """
 
+import itertools
 from fractions import Fraction
+from math import factorial
 
 import sympy as sp
 
-from starq.poly import Poly
-from starq.scalars import GaussianRational
+from starq.geometry import ricci
+from starq.operators import BiDiffOp
+from starq.poly import MultiIndex, Poly
+from starq.scalars import HALF_I, GaussianRational
 
 
 def phase_symbols(n, casimir=0):
@@ -53,8 +59,6 @@ def sympy_to_poly(expr, syms, dim=None):
             Fraction(int(sp.numer(re)), int(sp.denom(re))),
             Fraction(int(sp.numer(im)), int(sp.denom(im))),
         )
-        from starq.poly import MultiIndex
-
         poly = poly + Poly.monomial(dim, MultiIndex(exps), gr)
     return poly
 
@@ -70,8 +74,6 @@ def canonical_pairs(n):
 
 def moyal_oracle(f_expr, g_expr, syms, n, order):
     """Brute-force Moyal product, one sympy expression per order."""
-    import itertools
-
     pairs = canonical_pairs(n)
     out = []
     for k in range(order + 1):
@@ -112,3 +114,44 @@ def christoffel_oracle(targets, syms):
                     acc += inv[i, a] * sp.diff(targets[a], syms[j], syms[k])
                 gamma[(i, j, k)] = sp.expand(acc)
     return gamma
+
+
+def ordered_pairing_operators(p, jets, order):
+    """C_0..C_order as the sum over all ordered k-tuples of Poisson entries,
+
+        C_k = (i/2)^k / k! sum prod P^(mu_e nu_e) J(mu_1..mu_k) (x) J(nu_1..nu_k),
+
+    with `jets(k)` mapping an ordered rank-k index tuple to its jet operator.
+    No symmetry of the jets is assumed.
+    """
+    d = p.dim
+    entries = p.constant_entries()
+    C = [BiDiffOp.multiplication(d)]
+    for k in range(1, order + 1):
+        jet = jets(k)
+        factor = (HALF_I ** k) * GaussianRational(Fraction(1, factorial(k)))
+        acc = BiDiffOp.zero(d)
+        for combo in itertools.product(entries, repeat=k):
+            v = factor
+            for _, _, val in combo:
+                v = v * val
+            left = jet(tuple(mu for mu, _, _ in combo))
+            right = jet(tuple(nu for _, nu, _ in combo))
+            acc = acc + BiDiffOp.tensor(left, right).scale(v)
+        C.append(acc)
+    return C
+
+
+def ordered_ricci_term(spec, p):
+    """-a (i/2)^2 / 2! sum over ordered entry pairs of
+    P^(mu1 nu1) P^(mu2 nu2) R_(mu1 mu2) d_nu1 (x) d_nu2."""
+    d = spec.dim
+    ric = ricci(spec)
+    factor = (HALF_I ** 2) * GaussianRational(Fraction(1, 2))
+    acc = BiDiffOp.zero(d)
+    for (mu1, nu1, v1), (mu2, nu2, v2) in itertools.product(p.constant_entries(), repeat=2):
+        comp = ric.get((mu1, mu2))
+        if comp is not None:
+            term = {(MultiIndex.unit(nu1), MultiIndex.unit(nu2)): comp}
+            acc = acc - BiDiffOp(d, term).scale(factor * v1 * v2 * spec.a)
+    return acc

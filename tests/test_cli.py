@@ -208,6 +208,54 @@ def test_verify_tables_wrong_kind_exit_two(spec_file, capsys):
     assert main(["verify-tables", spec_file("moyal")]) == 2
 
 
+# -- unusable input ----------------------------------------------------------------
+
+MOYAL = FIXTURES["moyal"]
+NATURAL = FIXTURES["natural_q"]
+PRODUCT_FAULT = FIXTURES["fault_assoc"]["fault"]
+
+
+@pytest.mark.parametrize(
+    "command, spec, flags",
+    [
+        ("verify-tables", dict(NATURAL, order=1), []),
+        ("verify-tables", dict(NATURAL, order="4"), []),
+        ("validate", dict(MOYAL, fault=[PRODUCT_FAULT]), []),
+        ("validate", dict(MOYAL, fault="product"), []),
+        ("validate", dict(MOYAL, fault=dict(PRODUCT_FAULT, left="ab")), []),
+        ("validate", dict(MOYAL, fault=dict(PRODUCT_FAULT, coefficient="x")), []),
+        ("verify-tables", dict(FIXTURES["fault_table"], fault={"target": "table", "derivative": [0, 9, 1]}), []),
+        ("validate", dict(MOYAL, max_degree="3"), []),
+        ("validate", MOYAL, ["--max-degree", "-1"]),
+        ("validate", dict(NATURAL, connection="q1"), []),
+        ("derive", NATURAL, ["--order", "9"]),
+    ],
+    ids=[
+        "natural-order-1", "order-string", "fault-list", "fault-string",
+        "fault-left-string", "fault-coefficient", "table-fault-too-long", "max-degree-string",
+        "max-degree-flag-negative", "connection-string", "derive-order-above-product",
+    ],
+)
+def test_unusable_input_exit_two_without_traceback(command, spec, flags, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main([command, str(path), "--no-timing"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_zero_flags_are_honoured(spec_file, capsys):
+    code, report = run_cli(
+        ["derive", spec_file("natural_q"), "--order", "0", "--max-degree", "0", "--no-timing"],
+        capsys,
+    )
+    assert code == 0
+    assert report["morphism"]["order"] == 0
+    assert len(report["morphism"]["term_counts"]) == 1
+    assert report["checks"][0]["params"]["max_degree"] == "0"
+
+
 # -- apply -------------------------------------------------------------------------
 
 def test_apply_coordinate_pair(spec_file, capsys):

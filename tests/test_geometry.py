@@ -11,6 +11,7 @@ from starq.geometry import (
     SymplecticConnectionSpec,
     canonical_poisson_entries,
     covariant_jet,
+    covariant_jet_ops,
     curvature,
     f_tensors,
     flat_connection_from_diffeo,
@@ -395,6 +396,21 @@ def test_jet_symmetry_for_flat_connections():
         for idx in itertools.product(range(d), repeat=rank):
             for perm in itertools.permutations(idx):
                 assert jets[idx] == jets[perm]
+    # the operators themselves, which the symmetric pairing kernel looks up
+    # by sorted index tuple
+    for rank in (2, 3, 4):
+        ops = covariant_jet_ops(lifted, rank)
+        for idx in itertools.product(range(d), repeat=rank):
+            for perm in itertools.permutations(idx):
+                assert ops[idx] == ops[perm]
+
+
+def test_rank2_jet_symmetry_for_curved_symplectic_connection():
+    spec = _random_spec(1, random.Random(5))
+    assert ricci(spec), "the case must be curved"
+    ops = covariant_jet_ops(spec, 2)
+    for mu, nu in itertools.product(range(spec.dim), repeat=2):
+        assert ops[(mu, nu)] == ops[(nu, mu)]
 
 
 def test_jet_dimension_mismatch():

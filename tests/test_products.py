@@ -1,13 +1,17 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from starq.errors import InvalidFrame, NonFlatConnection
+from starq.exprparse import parse_phase_poly
 from starq.geometry import (
     Connection,
     SymplecticConnectionSpec,
+    covariant_jet_ops,
     flat_connection_from_diffeo,
     lift_connection,
 )
@@ -30,7 +34,15 @@ from starq.products import (
     vector_field_product,
 )
 
-from helpers import moyal_oracle, phase_symbols, poisson_bracket_oracle, poly_to_sympy, sympy_to_poly
+from helpers import (
+    moyal_oracle,
+    ordered_pairing_operators,
+    ordered_ricci_term,
+    phase_symbols,
+    poisson_bracket_oracle,
+    poly_to_sympy,
+    sympy_to_poly,
+)
 
 
 def coords(d):
@@ -423,3 +435,85 @@ def test_star_product_json(natural_q):
     assert len(data["operators"]) == 5
     restored = BiDiffOp.from_json(data["operators"][2])
     assert restored == natural_q.C[2]
+
+
+# -- symmetric pairing kernel against the ordered sum ----------------------------------------
+
+def _moyal_against_ordered(n, casimir, order):
+    p = PoissonTensor.canonical(n, casimir)
+
+    def partials(idx):
+        return DiffOp.derivative(p.dim, MultiIndex.of(*idx))
+
+    return moyal_product(p, order), ordered_pairing_operators(p, lambda k: partials, order)
+
+
+def _cubic_frame_against_ordered():
+    """Frame d_q_i, d_p_i + sum_j (d^2 phi / dp_i dp_j) d_q_j for a cubic phi(p)."""
+    n, d, order = 2, 4, 4
+    phi = parse_phase_poly("p1^3 + 2*p1^2*p2 - 3*p2^3", n)
+    rows = []
+    for i in range(d):
+        row = [Poly.const(d, 1) if j == i else Poly.zero(d) for j in range(d)]
+        if i >= n:
+            for j in range(n):
+                row[j] = phi.diff(MultiIndex.of(i, n + j))
+        rows.append(row)
+    frame = VectorFieldFrame.from_components(rows)
+    p = PoissonTensor.canonical(n)
+
+    comp = {(): DiffOp.identity(d)}
+
+    def composed(idx):  # D_idx[0] o ... o D_idx[-1], memoized on the ordered tuple
+        if idx not in comp:
+            comp[idx] = frame.fields[idx[0]].compose(composed(idx[1:]))
+        return comp[idx]
+
+    return (
+        vector_field_product(frame, p, order),
+        ordered_pairing_operators(p, lambda k: composed, order),
+    )
+
+
+def _natural_against_ordered():
+    q1, q2 = Poly.coordinate(2, 0), Poly.coordinate(2, 1)
+    conn = flat_connection_from_diffeo([q1, q2 + (q1 ** 2).scale(2) - q1 ** 3])
+    lifted = lift_connection(conn)
+    p = PoissonTensor.canonical(2)
+    jets = lambda k: covariant_jet_ops(lifted, k).__getitem__
+    return natural_cotangent_product(conn, 4), ordered_pairing_operators(p, jets, 4)
+
+
+def _demo_symplectic_against_ordered():
+    path = Path(__file__).parent.parent / "demos" / "specs" / "symplectic_truncated.json"
+    data = json.loads(path.read_text())
+    comps = {
+        tuple(int(j) - 1 for j in key.split(",")): parse_phase_poly(expr, data["n"])
+        for key, expr in data["gamma_tilde"].items()
+    }
+    spec = SymplecticConnectionSpec.from_symmetric_components(
+        data["n"], comps, GaussianRational(Fraction(data["a"]))
+    )
+    p = PoissonTensor.canonical(data["n"])
+    C = ordered_pairing_operators(p, lambda k: covariant_jet_ops(spec, k).__getitem__, 2)
+    C[2] = C[2] + ordered_ricci_term(spec, p)
+    return truncated_symplectic_product(spec), C
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _moyal_against_ordered(2, 0, 5),
+        lambda: _moyal_against_ordered(1, 1, 5),
+        _cubic_frame_against_ordered,
+        _natural_against_ordered,
+        _demo_symplectic_against_ordered,
+    ],
+    ids=["moyal-n2-o5", "moyal-n1-casimir-o5", "vector-field-cubic-n2-o4",
+         "natural-n2-o4", "symplectic-demo"],
+)
+def test_pairing_kernel_matches_ordered_sum(case):
+    product, reference = case()
+    assert len(product.C) == len(reference)
+    for k, (op, ref) in enumerate(zip(product.C, reference)):
+        assert op == ref, f"C_{k} differs from the ordered sum"
