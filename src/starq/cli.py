@@ -117,6 +117,8 @@ def _rational(raw, what: str) -> GaussianRational:
 
 
 def _symplectic_spec_from_spec(data: dict) -> SymplecticConnectionSpec:
+    if data.get("order", 2) != 2:
+        raise ProblemSpecError("symplectic-truncated products are fixed at order 2")
     n = _require_int(data, "n", 1)
     d = 2 * n
     lowered_spec = data.get("gamma_tilde", {})
@@ -173,9 +175,6 @@ def build_product(data: dict) -> StarProduct:
             raise ProblemSpecError("natural-cotangent products are limited to order 4")
         product = natural_cotangent_product(_connection_from_spec(data), order)
     else:  # symplectic-truncated
-        order = data.get("order", 2)
-        if order != 2:
-            raise ProblemSpecError("symplectic-truncated products are fixed at order 2")
         product = truncated_symplectic_product(_symplectic_spec_from_spec(data))
 
     fault = _fault(data, "product")
@@ -245,7 +244,7 @@ def finalize(report: dict, args, started: float, failed: bool) -> int:
     report["engine"] = {"name": "starq", "version": __version__}
     report["status"] = "fail" if failed else "pass"
     if not args.no_timing:
-        report["timing"] = {"seconds": round(time.time() - started, 3)}
+        report["timing"] = {"seconds": round(time.perf_counter() - started, 3)}
     emit(report, args)
     return 1 if failed else 0
 
@@ -264,7 +263,7 @@ def _max_degree(args, data: dict) -> int:
 
 
 def cmd_validate(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     data = load_problem(args.spec)
     product = build_product(data)
     max_degree = _max_degree(args, data)
@@ -280,7 +279,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     data = load_problem(args.spec)
     product = build_product(data)
     order = product.order if args.order is None else args.order
@@ -299,7 +298,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_verify_tables(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     data = load_problem(args.spec)
     kind = data.get("kind")
     table_fault = _fault(data, "table")
@@ -375,7 +374,7 @@ def _compare(name: str, derived: DiffOp, closed: DiffOp) -> dict:
 
 
 def cmd_apply(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     data = load_problem(args.spec)
     product = build_product(data)
     n = data["n"]

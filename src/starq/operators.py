@@ -6,6 +6,15 @@ structural equality of the term maps is equality of operators.  The
 derivative order of any term is capped by a configurable guard (default
 12, overridable through the STARQ_MAX_OP_ORDER environment variable) to
 catch runaway recursions early.
+
+An operator is applied from the operand's side: for each monomial x^a
+the sub-indices I <= a are enumerated and looked up among the operator's
+derivative indices (a `BiDiffOp` keeps its terms indexed by left, then
+right, multi-index, built on first use), and each hit contributes
+(a)_I x^(a-I) with the falling-factorial weight (a)_I.  Terms whose
+derivative does not divide any monomial are never visited.  Products
+are summed into one raw term map and normalised once, so the result
+does not depend on the summation order.
 """
 
 from __future__ import annotations
@@ -114,12 +123,10 @@ class DiffOp:
     def apply(self, f: Poly) -> Poly:
         if f.dim != self.dim:
             raise DimensionMismatch(f"operand dim {f.dim} != operator dim {self.dim}")
-        result = Poly.zero(self.dim)
-        for mi, coeff in self._terms.items():
-            d = f.diff(mi)
-            if not d.is_zero():
-                result = result + coeff * d
-        return result
+        acc: Dict[MultiIndex, GaussianRational] = {}
+        for mi, df in _derivatives(f, self._terms).items():
+            _acc_product(acc, self._terms[mi]._terms, df)
+        return Poly(self.dim, acc)
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Normal form of self applied after `other` (generalized Leibniz)."""
@@ -252,7 +259,9 @@ class DiffOp:
 class BiDiffOp:
     """Bidifferential operator sum_(I,J) coeff_(I,J)(x) d^I (x) d^J."""
 
-    __slots__ = ("dim", "_terms")
+    # _index is derived from _terms on first apply (see _lookup); equality
+    # and serialization read _terms only.
+    __slots__ = ("dim", "_terms", "_index")
 
     def __init__(
         self,
@@ -274,6 +283,7 @@ class BiDiffOp:
                 clean[(li, ri)] = poly
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("BiDiffOp is immutable")
@@ -328,16 +338,29 @@ class BiDiffOp:
     def apply(self, f: Poly, g: Poly) -> Poly:
         if f.dim != self.dim or g.dim != self.dim:
             raise DimensionMismatch("operand dimension mismatch")
-        result = Poly.zero(self.dim)
-        for (li, ri), coeff in self._terms.items():
-            df = f.diff(li)
-            if df.is_zero():
-                continue
-            dg = g.diff(ri)
-            if dg.is_zero():
-                continue
-            result = result + coeff * df * dg
-        return result
+        by_left, rights = self._lookup()
+        left = _derivatives(f, by_left)
+        right = _derivatives(g, rights) if left else {}
+        acc: Dict[MultiIndex, GaussianRational] = {}
+        for li, df in left.items():
+            for ri, coeff in by_left[li].items():
+                dg = right.get(ri)
+                if dg is not None:
+                    dfg: Dict[MultiIndex, GaussianRational] = {}
+                    _acc_product(dfg, df, dg)
+                    _acc_product(acc, coeff._terms, dfg)
+        return Poly(self.dim, acc)
+
+    def _lookup(self):
+        """(left index -> right index -> coefficient, set of right indices)."""
+        index = self._index
+        if index is None:
+            by_left: Dict[MultiIndex, Dict[MultiIndex, Poly]] = {}
+            for (li, ri), coeff in self._terms.items():
+                by_left.setdefault(li, {})[ri] = coeff
+            index = (by_left, frozenset(ri for _, ri in self._terms))
+            object.__setattr__(self, "_index", index)
+        return index
 
     def slot_fix(self, coord: int, side: str = "left") -> DiffOp:
         """Freeze one slot at the coordinate function x^coord.
@@ -476,6 +499,31 @@ class OperatorSeries:
         if not isinstance(other, OperatorSeries):
             return NotImplemented
         return self.orders == other.orders
+
+
+def _derivatives(f: Poly, wanted) -> Dict[MultiIndex, Dict[MultiIndex, GaussianRational]]:
+    """Raw term maps of d^I f for every I in `wanted` below a monomial of f.
+
+    A monomial c x^a gives c (a)_I x^(a-I) to d^I f for each sub-index
+    I <= a; for a fixed I distinct monomials give distinct x^(a-I), so
+    nothing cancels and every stored coefficient is nonzero.
+    """
+    out: Dict[MultiIndex, Dict[MultiIndex, GaussianRational]] = {}
+    for a, c in f._terms.items():
+        for sub in a.sub_indices():
+            if sub in wanted:
+                weight = a.falling(sub)
+                out.setdefault(sub, {})[a.subtract(sub)] = c if weight == 1 else c * weight
+    return out
+
+
+def _acc_product(acc: dict, left: dict, right: dict):
+    """Add the product of two raw term maps into `acc` (zeros left in place)."""
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            m = m1 + m2
+            c = c1 * c2
+            acc[m] = acc[m] + c if m in acc else c
 
 
 def _acc_poly(acc: dict, key, poly: Poly):

@@ -10,6 +10,7 @@ graded lexicographic, leading term first.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Tuple
 
@@ -56,6 +57,16 @@ class MultiIndex:
     def from_exponents(cls, exps: Iterable[int]) -> "MultiIndex":
         return cls({c: e for c, e in enumerate(exps) if e})
 
+    @classmethod
+    def _from_sorted(cls, pairs: Tuple[Tuple[int, int], ...]) -> "MultiIndex":
+        """Unchecked constructor for pairs already sorted by coordinate
+        with positive exponents."""
+        mi = object.__new__(cls)
+        object.__setattr__(mi, "_pairs", pairs)
+        object.__setattr__(mi, "_degree", sum(e for _, e in pairs))
+        object.__setattr__(mi, "_hash", hash(pairs))
+        return mi
+
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -91,6 +102,10 @@ class MultiIndex:
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
+        if not other._pairs:
+            return self
+        if not self._pairs:
+            return other
         counts = dict(self._pairs)
         for c, e in other._pairs:
             counts[c] = counts.get(c, 0) + e
@@ -116,30 +131,24 @@ class MultiIndex:
     def sub_indices(self) -> Iterator["MultiIndex"]:
         """All K with K <= self componentwise (includes 0 and self)."""
         pairs = self._pairs
-        if not pairs:
-            yield MultiIndex()
-            return
-
-        def rec(i, acc):
-            if i == len(pairs):
-                yield MultiIndex(tuple(acc))
-                return
-            c, e = pairs[i]
-            for k in range(e + 1):
-                if k:
-                    acc.append((c, k))
-                    yield from rec(i + 1, acc)
-                    acc.pop()
-                else:
-                    yield from rec(i + 1, acc)
-
-        yield from rec(0, [])
+        for exps in itertools.product(*(range(e + 1) for _, e in pairs)):
+            yield MultiIndex._from_sorted(tuple((c, k) for (c, _), k in zip(pairs, exps) if k))
 
     def binomial(self, sub: "MultiIndex") -> int:
         """Product of per-coordinate binomial coefficients C(self_c, sub_c)."""
         result = 1
         for c, k in sub._pairs:
             result *= _binom(self.exponent(c), k)
+        return result
+
+    def falling(self, sub: "MultiIndex") -> int:
+        """Product of per-coordinate falling factorials (self_c)_(sub_c).
+
+        d^sub x^self = self.falling(sub) * x^(self - sub) when sub <= self.
+        """
+        result = 1
+        for c, k in sub._pairs:
+            result *= _falling(self.exponent(c), k)
         return result
 
     def grlex_key(self, dim: int) -> Tuple:

@@ -2,8 +2,11 @@
 
 The sympy oracles go through symbolic differentiation and exact
 rationals, sharing no code with the package under test.  The ordered
-pairing builders at the end are the product constructions the symmetric
-pairing kernel replaced, kept to gate it on exact equality.
+pairing builders are the product constructions the symmetric pairing
+kernel replaced, and the term-scan functions at the end are the operator
+application and associativity loop that the sub-index application and
+the monomial-pair table of `check_axioms` replaced; both are kept to gate
+the new code on exact equality.
 """
 
 import itertools
@@ -15,7 +18,8 @@ import sympy as sp
 from starq.geometry import ricci
 from starq.operators import BiDiffOp
 from starq.poly import MultiIndex, Poly
-from starq.scalars import HALF_I, GaussianRational
+from starq.products import CheckEntry, CheckReport, monomials_up_to
+from starq.scalars import HALF_I, I as IMAG, GaussianRational
 
 
 def phase_symbols(n, casimir=0):
@@ -155,3 +159,104 @@ def ordered_ricci_term(spec, p):
             term = {(MultiIndex.unit(nu1), MultiIndex.unit(nu2)): comp}
             acc = acc - BiDiffOp(d, term).scale(factor * v1 * v2 * spec.a)
     return acc
+
+
+def term_scan_apply(op, f):
+    """sum_I coeff_I d^I f, differentiating f once per operator term."""
+    result = Poly.zero(op.dim)
+    for mi, coeff in op.terms():
+        d = f.diff(mi)
+        if not d.is_zero():
+            result = result + coeff * d
+    return result
+
+
+def term_scan_bi_apply(op, f, g):
+    """sum_(I,J) coeff_(I,J) d^I f d^J g, scanning every operator term."""
+    result = Poly.zero(op.dim)
+    for (li, ri), coeff in op.terms():
+        df = f.diff(li)
+        if df.is_zero():
+            continue
+        dg = g.diff(ri)
+        if dg.is_zero():
+            continue
+        result = result + coeff * df * dg
+    return result
+
+
+def term_scan_check_axioms(s, max_degree=4):
+    """check_axioms with every associator product evaluated directly by
+    term scan on each triple, with no table."""
+    d = s.dim
+    entries = [
+        CheckEntry(
+            "bidifferential",
+            True,
+            f"{s.order + 1} operators of bounded order with polynomial coefficients",
+        ),
+        CheckEntry(
+            "order0-multiplication",
+            s.C[0] == BiDiffOp.multiplication(d),
+            "order-0 operator must be pointwise multiplication",
+        ),
+    ]
+    lhs = s.C[1] - s.C[1].swap() if s.order >= 1 else None
+    ok = lhs == s.poisson.as_bidiff().scale(IMAG) if lhs is not None else False
+    entries.append(
+        CheckEntry(
+            "bracket-leading-term",
+            ok,
+            "antisymmetric part of the order-1 operator must be i times the Poisson bivector",
+        )
+    )
+
+    basis = monomials_up_to(d, max_degree)
+    detail = f"monomial triples of total degree <= {max_degree}, orders <= {s.order}"
+    assoc_ok = True
+    triples = (
+        (fm, gm, hm)
+        for fm in basis
+        for gm in basis
+        if fm.degree + gm.degree <= max_degree
+        for hm in basis
+        if fm.degree + gm.degree + hm.degree <= max_degree
+    )
+    for fm, gm, hm in triples:
+        fp, gp, hp = (Poly.monomial(d, m) for m in (fm, gm, hm))
+        for k in range(s.order + 1):
+            acc = Poly.zero(d)
+            for l in range(k + 1):
+                acc = acc + term_scan_bi_apply(s.C[l], term_scan_bi_apply(s.C[k - l], fp, gp), hp)
+                acc = acc - term_scan_bi_apply(s.C[l], fp, term_scan_bi_apply(s.C[k - l], gp, hp))
+            if not acc.is_zero():
+                assoc_ok = False
+                detail = f"failed at order {k} on ({fp}, {gp}, {hp}): residual {acc}"
+                break
+        if not assoc_ok:
+            break
+    entries.append(CheckEntry("associativity", assoc_ok, detail))
+
+    entries.append(
+        CheckEntry(
+            "unit-annihilation",
+            all(s.C[k].vanishes_on_constants() for k in range(1, s.order + 1)),
+            "every positive-order operator must differentiate both slots",
+        )
+    )
+    if s.parity:
+        entries.append(
+            CheckEntry(
+                "parity",
+                all(
+                    s.C[k].swap() == s.C[k].scale(GaussianRational((-1) ** k))
+                    for k in range(s.order + 1)
+                ),
+                "slot swap must rescale order k by (-1)^k",
+            )
+        )
+    return CheckReport(
+        "star-product-axioms",
+        tuple(entries),
+        {"max_degree": max_degree, "order": s.order, "dim": d},
+    )

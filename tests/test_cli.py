@@ -229,11 +229,13 @@ PRODUCT_FAULT = FIXTURES["fault_assoc"]["fault"]
         ("validate", MOYAL, ["--max-degree", "-1"]),
         ("validate", dict(NATURAL, connection="q1"), []),
         ("derive", NATURAL, ["--order", "9"]),
+        ("verify-tables", dict(FIXTURES["symplectic"], order=5), []),
     ],
     ids=[
         "natural-order-1", "order-string", "fault-list", "fault-string",
         "fault-left-string", "fault-coefficient", "table-fault-too-long", "max-degree-string",
         "max-degree-flag-negative", "connection-string", "derive-order-above-product",
+        "symplectic-order-tables",
     ],
 )
 def test_unusable_input_exit_two_without_traceback(command, spec, flags, tmp_path, capsys):

@@ -7,7 +7,8 @@ from starq.operators import BiDiffOp, DiffOp, OperatorSeries, set_max_op_order
 from starq.poly import EMPTY_INDEX, MultiIndex, Poly
 from starq.scalars import gr
 
-from test_poly import multiindices, polys
+from helpers import term_scan_apply, term_scan_bi_apply
+from test_poly import multiindices, polys, scalars
 
 
 def diffops(dim, max_order=2, max_terms=3):
@@ -20,6 +21,27 @@ def diffops(dim, max_order=2, max_terms=3):
         return acc
 
     return st.lists(term, max_size=max_terms).map(build)
+
+
+def coefficients(dim):
+    """Polynomial coefficients carrying at least one coordinate factor."""
+    return st.tuples(polys(dim, 2, 2), st.integers(0, dim - 1)).map(
+        lambda t: t[0] + Poly.coordinate(dim, t[1])
+    )
+
+
+def bidiffops(dim, max_order=2, max_terms=4):
+    term = st.tuples(multiindices(dim, max_order), multiindices(dim, max_order), coefficients(dim))
+    return st.lists(term, min_size=1, max_size=max_terms).map(
+        lambda ts: sum((BiDiffOp(dim, {(li, ri): p}) for li, ri, p in ts), BiDiffOp.zero(dim))
+    )
+
+
+def multi_term_polys(dim):
+    term = st.tuples(multiindices(dim, 4), scalars.filter(bool))
+    return st.lists(term, min_size=2, max_size=5, unique_by=lambda t: t[0]).map(
+        lambda ts: sum((Poly.monomial(dim, mi, c) for mi, c in ts), Poly.zero(dim))
+    )
 
 
 # -- apply -------------------------------------------------------------------
@@ -38,6 +60,19 @@ def test_euler_operator():
 def test_apply_to_zero():
     op = DiffOp(2, {MultiIndex.of(0, 1): Poly.coordinate(2, 0)})
     assert op.apply(Poly.zero(2)).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(multiindices(2, 3), coefficients(2)), min_size=1, max_size=4).map(
+        lambda ts: sum((DiffOp(2, {mi: p}) for mi, p in ts), DiffOp.zero(2))
+    ),
+    multi_term_polys(2),
+    polys(2, 0, 2),
+)
+def test_apply_matches_term_scan(op, f, c):
+    for operand in (f, c, Poly.zero(2)):
+        assert op.apply(operand) == term_scan_apply(op, operand)
 
 
 # -- compose -----------------------------------------------------------------
@@ -127,6 +162,16 @@ def test_bidiff_apply_single_term():
     q = Poly.coordinate(2, 0)
     p = Poly.coordinate(2, 1)
     assert C.apply(q, p) == Poly.const(2, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bidiffops(2), multi_term_polys(2), multi_term_polys(2), polys(2, 0, 2))
+def test_bidiff_apply_matches_term_scan(op, f, g, c):
+    zero = Poly.zero(2)
+    for a, b in ((f, g), (g, f), (f, c), (c, g), (c, c), (f, zero), (zero, g)):
+        assert op.apply(a, b) == term_scan_bi_apply(op, a, b)
+    # the lazily built index leaves equality and serialization alone
+    assert op == BiDiffOp.from_json(op.to_json())
 
 
 def test_vanishing_on_constants():

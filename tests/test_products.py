@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from starq.cli import build_product
 from starq.errors import InvalidFrame, NonFlatConnection
 from starq.exprparse import parse_phase_poly
 from starq.geometry import (
@@ -42,7 +43,12 @@ from helpers import (
     poisson_bracket_oracle,
     poly_to_sympy,
     sympy_to_poly,
+    term_scan_check_axioms,
 )
+from test_cli import FIXTURES
+
+
+DEMOS = Path(__file__).parent.parent / "demos" / "specs"
 
 
 def coords(d):
@@ -59,14 +65,15 @@ def natural_q():
     return natural_cotangent_product(Connection.one_dim(Poly.coordinate(1, 0)), 4)
 
 
-def corrupted(product, left, right, antisym=False):
-    """Fault-injection helper: perturb the order-2 operator."""
+def corrupted(product, left, right, antisym=False, order=2, coeff=None):
+    """Fault-injection helper: add coeff (default 1) d^left (x) d^right to
+    one operator (order 2 by default)."""
     d = product.dim
-    bump = BiDiffOp(d, {(left, right): Poly.const(d, 1)})
+    bump = BiDiffOp(d, {(left, right): Poly.const(d, 1) if coeff is None else coeff})
     if antisym:
         bump = bump - bump.swap()
     C = list(product.C)
-    C[2] = C[2] + bump
+    C[order] = C[order] + bump
     return StarProduct(product.poisson, C, parity=False)
 
 
@@ -421,6 +428,41 @@ def test_corrupted_product_fails_canonicity(moyal_n1):
     assert not report.passed
 
 
+def _moyal_bump(left, right, order):
+    moyal = moyal_product(PoissonTensor.canonical(1), 4)
+    bump = MultiIndex.from_exponents(left), MultiIndex.from_exponents(right)
+    return corrupted(moyal, *bump, order=order), 4
+
+
+def _natural_n2_bump():
+    product = build_product(json.loads((DEMOS / "natural_cotangent_n2.json").read_text()))
+    x = coords(product.dim)
+    return corrupted(product, MultiIndex.of(0, 0), MultiIndex.unit(2), order=3, coeff=x[0] + x[3]), 3
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _moyal_bump((1, 0), (1, 0), 2),
+        lambda: _moyal_bump((0, 1), (1, 0), 3),
+        lambda: _moyal_bump((2, 0), (0, 1), 1),
+        lambda: _moyal_bump((1, 1), (0, 2), 4),
+        lambda: _moyal_bump((0, 0), (1, 0), 2),
+        lambda: (build_product(FIXTURES["fault_assoc"]), FIXTURES["fault_assoc"]["max_degree"]),
+        _natural_n2_bump,
+    ],
+    ids=[
+        "moyal-o2-dq-dq", "moyal-o3-dp-dq", "moyal-o1-dq2-dp", "moyal-o4-dqdp-dp2",
+        "moyal-o2-1-dq", "cli-fault-assoc", "natural-n2-o3",
+    ],
+)
+def test_check_axioms_matches_term_scan(case):
+    bad, degree = case()
+    report = check_axioms(bad, degree)
+    assert "associativity" in [e.name for e in report.failures()]
+    assert report.to_json() == term_scan_check_axioms(bad, degree).to_json()
+
+
 def test_check_reports_are_deterministic(moyal_n1):
     a = check_axioms(moyal_n1, 4).to_json()
     b = check_axioms(moyal_n1, 4).to_json()
@@ -485,7 +527,7 @@ def _natural_against_ordered():
 
 
 def _demo_symplectic_against_ordered():
-    path = Path(__file__).parent.parent / "demos" / "specs" / "symplectic_truncated.json"
+    path = DEMOS / "symplectic_truncated.json"
     data = json.loads(path.read_text())
     comps = {
         tuple(int(j) - 1 for j in key.split(",")): parse_phase_poly(expr, data["n"])
