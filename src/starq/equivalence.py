@@ -451,6 +451,13 @@ def flat_cotangent_order4(conn: Connection, cycl_mode: str = "permutations") -> 
     reading is the one that reproduces the recursively derived operator,
     with the factorials in the printed denominators matching the
     permutation counts.
+
+    The derivative slot of a coefficient sees only the multiset M of its
+    r momentum indices, and summed over the orderings of M the
+    permutation reading counts every ordering r! times and the rotation
+    reading r times (each rotation is a bijection on the orderings).  So
+    each ordered bracket is evaluated once, summed per multiset, and
+    scaled by r! or r; the readings themselves are unchanged.
     """
     if cycl_mode not in ("rotations", "permutations"):
         raise ValueError("cycl_mode must be 'rotations' or 'permutations'")
@@ -462,26 +469,19 @@ def flat_cotangent_order4(conn: Connection, cycl_mode: str = "permutations") -> 
     def D(p: Poly, *coords: int) -> Poly:
         return p.diff(MultiIndex.of(*coords))
 
-    def make_cycl_sum(bracket):
-        # every ordered tuple recurs across the outer index sum, once per
-        # group element, so bracket values are cached per tuple
-        cache: Dict[Tuple[int, ...], Poly] = {}
+    def multiset_sums(bracket, k: int) -> Dict[Tuple[int, ...], Poly]:
+        # bracket evaluated once per ordered k-tuple and summed over the
+        # orderings of each multiset, keyed by the sorted tuple
+        sums: Dict[Tuple[int, ...], Poly] = {}
+        for js in itertools.product(rng, repeat=k):
+            _acc_poly(sums, tuple(sorted(js)), bracket(*js))
+        return sums
 
-        def cycl_sum(js: Tuple[int, ...]) -> Poly:
-            total = Poly.zero(n)
-            if cycl_mode == "rotations":
-                variants = [js[r:] + js[:r] for r in range(len(js))]
-            else:
-                variants = itertools.permutations(js)
-            for var in variants:
-                val = cache.get(var)
-                if val is None:
-                    val = bracket(*var)
-                    cache[var] = val
-                total = total + val
-            return total
-
-        return cycl_sum
+    def weight(denominator: int, k: int) -> GaussianRational:
+        # the rearrangement sum over all orderings of one multiset counts
+        # each ordering k! times (permutations) or k times (rotations)
+        count = factorial(k) if cycl_mode == "permutations" else k
+        return GaussianRational(Fraction(count, denominator * factorial(k)))
 
     def tensor_a(j1, j2, j3, j4) -> Poly:
         acc = Poly.zero(n)
@@ -582,75 +582,53 @@ def flat_cotangent_order4(conn: Connection, cycl_mode: str = "permutations") -> 
 
     acc: Dict[MultiIndex, Poly] = {}
 
-    w_a = GaussianRational(Fraction(1, 384 * factorial(4)))
-    sum_a = make_cycl_sum(tensor_a)
-    for js in itertools.product(rng, repeat=4):
-        val = sum_a(js)
-        if not val.is_zero():
-            _acc_poly(acc, MultiIndex.of(*(n + j for j in js)), val.embed(d).scale(w_a))
+    w_a = weight(384, 4)
+    for js, val in multiset_sums(tensor_a, 4).items():
+        _acc_poly(acc, MultiIndex.of(*(n + j for j in js)), val.embed(d).scale(w_a))
 
-    w_b = GaussianRational(Fraction(1, 384 * factorial(4)))
+    w_b = weight(384, 4)
     for i in rng:
-        sum_b = make_cycl_sum(tensor_b(i))
-        for js in itertools.product(rng, repeat=4):
-            val = sum_b(js)
-            if not val.is_zero():
-                _acc_poly(
-                    acc,
-                    MultiIndex.of(i, *(n + j for j in js)),
-                    val.embed(d).scale(w_b),
-                )
+        for js, val in multiset_sums(tensor_b(i), 4).items():
+            _acc_poly(acc, MultiIndex.of(i, *(n + j for j in js)), val.embed(d).scale(w_b))
 
-    w_c = GaussianRational(Fraction(1, 128 * factorial(4)))
+    w_c = weight(128, 4)
     for i1, i2 in itertools.product(rng, repeat=2):
-        sum_c = make_cycl_sum(tensor_c(i1, i2))
-        for js in itertools.product(rng, repeat=4):
-            val = sum_c(js)
-            if not val.is_zero():
-                _acc_poly(
-                    acc,
-                    MultiIndex.of(i1, i2, *(n + j for j in js)),
-                    val.embed(d).scale(w_c),
-                )
+        for js, val in multiset_sums(tensor_c(i1, i2), 4).items():
+            _acc_poly(
+                acc,
+                MultiIndex.of(i1, i2, *(n + j for j in js)),
+                val.embed(d).scale(w_c),
+            )
 
-    w_d = GaussianRational(Fraction(1, 1920 * factorial(5)))
+    w_d = weight(1920, 5)
     for r in rng:
         p_r = Poly.coordinate(d, n + r)
-        sum_d = make_cycl_sum(tensor_d(r))
-        for js in itertools.product(rng, repeat=5):
-            val = sum_d(js)
-            if not val.is_zero():
-                _acc_poly(
-                    acc,
-                    MultiIndex.of(*(n + j for j in js)),
-                    (p_r * val.embed(d)).scale(w_d),
-                )
+        for js, val in multiset_sums(tensor_d(r), 5).items():
+            _acc_poly(
+                acc,
+                MultiIndex.of(*(n + j for j in js)),
+                (p_r * val.embed(d)).scale(w_d),
+            )
 
-    w_e = GaussianRational(Fraction(1, 192 * factorial(5)))
+    w_e = weight(192, 5)
     for r, i in itertools.product(rng, repeat=2):
         p_r = Poly.coordinate(d, n + r)
-        sum_e = make_cycl_sum(tensor_e(r, i))
-        for js in itertools.product(rng, repeat=5):
-            val = sum_e(js)
-            if not val.is_zero():
-                _acc_poly(
-                    acc,
-                    MultiIndex.of(i, *(n + j for j in js)),
-                    (p_r * val.embed(d)).scale(w_e),
-                )
+        for js, val in multiset_sums(tensor_e(r, i), 5).items():
+            _acc_poly(
+                acc,
+                MultiIndex.of(i, *(n + j for j in js)),
+                (p_r * val.embed(d)).scale(w_e),
+            )
 
-    w_f = GaussianRational(Fraction(1, 1152 * factorial(6)))
+    w_f = weight(1152, 6)
     for r, s in itertools.product(rng, repeat=2):
         p_rs = Poly.coordinate(d, n + r) * Poly.coordinate(d, n + s)
-        sum_f = make_cycl_sum(tensor_f(r, s))
-        for js in itertools.product(rng, repeat=6):
-            val = sum_f(js)
-            if not val.is_zero():
-                _acc_poly(
-                    acc,
-                    MultiIndex.of(*(n + j for j in js)),
-                    (p_rs * val.embed(d)).scale(w_f),
-                )
+        for js, val in multiset_sums(tensor_f(r, s), 6).items():
+            _acc_poly(
+                acc,
+                MultiIndex.of(*(n + j for j in js)),
+                (p_rs * val.embed(d)).scale(w_f),
+            )
 
     return DiffOp(d, acc)
 

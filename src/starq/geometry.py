@@ -402,6 +402,40 @@ def covariant_jet_ops(conn, rank: int) -> Dict[Tuple[int, ...], DiffOp]:
     return jets
 
 
+def symmetric_jet_ops(conn, order: int) -> Dict[Tuple[int, ...], DiffOp]:
+    """Jet operators of ranks 0..order in one table keyed by sorted index
+    tuples.
+
+    Precondition: the jets of `conn` are symmetric in their indices up to
+    rank `order`.  That holds at every rank for a flat torsion-free
+    connection (a flat lift), and up to rank 2 for any torsion-free one.
+    Under it the entry for a sorted tuple t equals
+    `covariant_jet_ops(conn, len(t))[t]`: the recursion of
+    `covariant_jet_ops` is run with mu0 = t[0] on idx = t[1:], and every
+    replaced index tuple is looked up by its sorted form.  Without the
+    precondition the table is not the covariant jet.
+    """
+    from .operators import max_op_order
+
+    if order > max_op_order():
+        raise OperatorOrderExceeded(f"jet rank {order} exceeds the operator-order guard")
+    d = conn.dim
+    jets: Dict[Tuple[int, ...], DiffOp] = {(): DiffOp.identity(d)}
+    for rank in range(1, order + 1):
+        for t in itertools.combinations_with_replacement(range(d), rank):
+            mu0, idx = t[0], t[1:]
+            new = DiffOp.partial(d, mu0).compose(jets[idx])
+            for s, mus in enumerate(idx):
+                for lam in range(d):
+                    sym = conn.christoffel(lam, mu0, mus)
+                    if sym.is_zero():
+                        continue
+                    replaced = tuple(sorted(idx[:s] + (lam,) + idx[s + 1:]))
+                    new = new - jets[replaced].premultiply(sym)
+            jets[t] = new
+    return jets
+
+
 def covariant_jet(conn, rank: int, f: Poly) -> Dict[Tuple[int, ...], Poly]:
     """Components of the rank-k iterated covariant derivative of f."""
     if f.dim != conn.dim:

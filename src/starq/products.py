@@ -7,12 +7,13 @@ derivatives, and the order-2 product of a general symplectic connection
 with a Ricci-weight parameter.  All four share one pairing,
 `_pairing_product`: C_k contracts k copies of the Poisson tensor with
 rank-k jets of both factors, and the constructors differ only in the jet
-source (partials, composed frame fields, covariant jets).  Every jet
-source is symmetric in its indices -- partials and the validated frame
-fields commute, a flat torsion-free lift has fully symmetric jets, and
-rank-2 jets of any torsion-free connection are symmetric -- so the
-pairing sums once per multiset of Poisson entries with multinomial
-weights and equals the ordered sum exactly.  `check_axioms` and
+source (partials, composed frame fields, a sorted-index table of
+covariant jets).  Every jet source is symmetric in its indices --
+partials and the validated frame fields commute, a flat torsion-free
+lift has fully symmetric jets, and rank-2 jets of any torsion-free
+connection are symmetric -- so the pairing sums once per multiset of
+Poisson entries with multinomial weights and equals the ordered sum
+exactly.  `check_axioms` and
 `quantum_canonicity_check` validate any product against the defining
 conditions on a degree-bounded monomial basis, which is exact because
 all operators involved have finite order and polynomial coefficients.
@@ -36,6 +37,7 @@ from .geometry import (
     is_flat,
     lift_connection,
     ricci,
+    symmetric_jet_ops,
 )
 from .operators import BiDiffOp, DiffOp, _acc_poly, _acc_product
 from .poly import EMPTY_INDEX, MultiIndex, Poly
@@ -275,24 +277,24 @@ class StarProduct:
 
 def _pairing_product(
     p: PoissonTensor,
-    jets: Callable[[int], Callable[[Tuple[int, ...]], DiffOp]],
+    jet: Callable[[Tuple[int, ...]], DiffOp],
     order: int,
 ) -> List[BiDiffOp]:
     """Operators C_0..C_order with C_k the k-fold Poisson pairing of jets.
 
     C_k = (i/2)^k / k! sum over ordered k-tuples of Poisson entries of
-    prod P^(mu_e nu_e) J(mu_1..mu_k) (x) J(nu_1..nu_k), where `jets(k)`
-    maps a sorted rank-k index tuple to its jet operator J.  Every jet
-    source fed here is symmetric in its indices, so all orderings of one
-    multiset of entries give the same term: the sum visits each multiset
-    once with weight (i/2)^k / prod m_e!, which is (i/2)^k / k! times its
-    k! / prod m_e! orderings, and the result is exactly the ordered sum.
+    prod P^(mu_e nu_e) J(mu_1..mu_k) (x) J(nu_1..nu_k), where the one
+    lookup `jet` maps a sorted index tuple of any rank 1..order to its
+    jet operator J.  Every jet source fed here is symmetric in its
+    indices, so all orderings of one multiset of entries give the same
+    term: the sum visits each multiset once with weight
+    (i/2)^k / prod m_e!, which is (i/2)^k / k! times its k! / prod m_e!
+    orderings, and the result is exactly the ordered sum.
     """
     d = p.dim
     entries = p.constant_entries()
     C = [BiDiffOp.multiplication(d)]
     for k in range(1, order + 1):
-        jet = jets(k)
         half_i_k = HALF_I ** k
         acc: Dict[Tuple[MultiIndex, MultiIndex], Poly] = {}
         for combo in itertools.combinations_with_replacement(entries, k):
@@ -317,7 +319,7 @@ def moyal_product(p: PoissonTensor, order: int) -> StarProduct:
     def partials(idx: Tuple[int, ...]) -> DiffOp:
         return DiffOp.derivative(p.dim, MultiIndex.of(*idx))
 
-    return StarProduct(p, _pairing_product(p, lambda k: partials, order), parity=True)
+    return StarProduct(p, _pairing_product(p, partials, order), parity=True)
 
 
 def vector_field_product(
@@ -333,7 +335,7 @@ def vector_field_product(
             comp[key] = frame.fields[key[0]].compose(composed(key[1:]))
         return comp[key]
 
-    return StarProduct(p, _pairing_product(p, lambda k: composed, order), parity=True)
+    return StarProduct(p, _pairing_product(p, composed, order), parity=True)
 
 
 def natural_cotangent_product(conn: Connection, order: int) -> StarProduct:
@@ -347,7 +349,7 @@ def natural_cotangent_product(conn: Connection, order: int) -> StarProduct:
         raise NonFlatConnection("the natural product needs a flat base connection")
     lifted = lift_connection(conn)
     p = PoissonTensor.canonical(conn.n, 0)
-    C = _pairing_product(p, lambda k: covariant_jet_ops(lifted, k).__getitem__, order)
+    C = _pairing_product(p, symmetric_jet_ops(lifted, order).__getitem__, order)
     return StarProduct(p, C, parity=True)
 
 
@@ -360,7 +362,7 @@ def truncated_symplectic_product(spec: SymplecticConnectionSpec) -> StarProduct:
     """
     d = spec.dim
     p = PoissonTensor.canonical(spec.n, 0)
-    C = _pairing_product(p, lambda k: covariant_jet_ops(spec, k).__getitem__, 2)
+    C = _pairing_product(p, symmetric_jet_ops(spec, 2).__getitem__, 2)
     # Ricci term -a (i/2)^2 / 2! P^(mu1 nu1) P^(mu2 nu2) R_(mu1 mu2) d_nu1 (x) d_nu2;
     # the canonical tensor pairs each coordinate with exactly one partner
     partner = {mu: (nu, v) for mu, nu, v in p.constant_entries()}

@@ -3,20 +3,23 @@
 The sympy oracles go through symbolic differentiation and exact
 rationals, sharing no code with the package under test.  The ordered
 pairing builders are the product constructions the symmetric pairing
-kernel replaced, and the term-scan functions at the end are the operator
-application and associativity loop that the sub-index application and
-the monomial-pair table of `check_axioms` replaced; both are kept to gate
-the new code on exact equality.
+kernel replaced, the term-scan functions are the operator application
+and associativity loop that the sub-index application and the
+monomial-pair table of `check_axioms` replaced, and
+`rearrangement_loop_order4` is the order-4 closed form before its
+rearrangement sums were folded into one sum per index multiset; all are
+kept to gate the new code on exact equality.
 """
 
 import itertools
 from fractions import Fraction
 from math import factorial
+from typing import Dict, Tuple
 
 import sympy as sp
 
 from starq.geometry import ricci
-from starq.operators import BiDiffOp
+from starq.operators import BiDiffOp, DiffOp, _acc_poly
 from starq.poly import MultiIndex, Poly
 from starq.products import CheckEntry, CheckReport, monomials_up_to
 from starq.scalars import HALF_I, I as IMAG, GaussianRational
@@ -260,3 +263,210 @@ def term_scan_check_axioms(s, max_degree=4):
         tuple(entries),
         {"max_degree": max_degree, "order": s.order, "dim": d},
     )
+
+
+def rearrangement_loop_order4(conn, cycl_mode="permutations"):
+    """flat_cotangent_order4 as the per-tuple rearrangement loop: every
+    ordered tuple of momentum indices adds the bracket of each of its
+    permutations (or rotations), with the printed weights unscaled."""
+    if cycl_mode not in ("rotations", "permutations"):
+        raise ValueError("cycl_mode must be 'rotations' or 'permutations'")
+    n = conn.n
+    d = 2 * n
+    G = conn.christoffel
+    rng = range(n)
+
+    def D(p: Poly, *coords: int) -> Poly:
+        return p.diff(MultiIndex.of(*coords))
+
+    def make_cycl_sum(bracket):
+        # every ordered tuple recurs across the outer index sum, once per
+        # group element, so bracket values are cached per tuple
+        cache: Dict[Tuple[int, ...], Poly] = {}
+
+        def cycl_sum(js: Tuple[int, ...]) -> Poly:
+            total = Poly.zero(n)
+            if cycl_mode == "rotations":
+                variants = [js[r:] + js[:r] for r in range(len(js))]
+            else:
+                variants = itertools.permutations(js)
+            for var in variants:
+                val = cache.get(var)
+                if val is None:
+                    val = bracket(*var)
+                    cache[var] = val
+                total = total + val
+            return total
+
+        return cycl_sum
+
+    def tensor_a(j1, j2, j3, j4) -> Poly:
+        acc = Poly.zero(n)
+        for k, l in itertools.product(rng, repeat=2):
+            acc = acc - (G(k, j1, l) * D(G(l, j2, j3), j4, k)).scale(3)
+            acc = acc - G(k, j1, l) * D(G(l, k, j2), j3, j4)
+            for m in rng:
+                acc = acc - G(k, m, j1) * G(l, j2, j3) * D(G(m, k, l), j4)
+                acc = acc - (G(k, l, m) * G(l, k, j1) * D(G(m, j2, j3), j4)).scale(3)
+                acc = acc + (G(k, m, j1) * G(l, k, j2) * D(G(m, l, j3), j4)).scale(3)
+                acc = acc + (G(k, m, j1) * G(l, k, j2) * D(G(m, j3, j4), l)).scale(3)
+                acc = acc + (G(k, m, j1) * G(l, j2, j3) * D(G(m, l, j4), k)).scale(3)
+                acc = acc + (G(k, m, j1) * G(l, j2, j3) * D(G(m, k, j4), l)).scale(7)
+                for m2 in rng:
+                    acc = acc + (
+                        G(k, m, j1) * G(l, m2, j2) * G(m, k, l) * G(m2, j3, j4)
+                    ).scale(3)
+                    acc = acc + (
+                        G(k, l, j1) * G(l, k, j2) * G(m, m2, j3) * G(m2, m, j4)
+                    ).scale(3)
+                    acc = acc - G(k, m, j1) * G(l, k, j2) * G(m, m2, j3) * G(m2, l, j4)
+        return acc
+
+    def tensor_b(i):
+        def bracket(j1, j2, j3, j4) -> Poly:
+            acc = -D(G(i, j1, j2), j3, j4)
+            for k in rng:
+                acc = acc + (G(k, j1, j2) * D(G(i, j3, j4), k)).scale(4)
+                acc = acc + G(k, j1, j2) * D(G(i, k, j3), j4)
+                acc = acc - (G(i, k, j1) * D(G(k, j2, j3), j4)).scale(2)
+                for l in rng:
+                    acc = acc + (G(k, l, j1) * G(l, k, j2) * G(i, j3, j4)).scale(6)
+                    acc = acc + G(k, l, j1) * G(l, j2, j3) * G(i, k, j4)
+                    acc = acc + G(k, j1, j2) * G(l, j3, j4) * G(i, k, l)
+            return acc
+
+        return bracket
+
+    def tensor_c(i1, i2):
+        def bracket(j1, j2, j3, j4) -> Poly:
+            return G(i1, j1, j2) * G(i2, j3, j4)
+
+        return bracket
+
+    def tensor_d(r):
+        def bracket(j1, j2, j3, j4, j5) -> Poly:
+            acc = D(G(r, j1, j2), j3, j4, j5)
+            for k in rng:
+                acc = acc - (G(k, j1, j2) * D(G(r, j3, j4), j5, k)).scale(7)
+                acc = acc - (G(k, j1, j2) * D(G(r, k, j3), j4, j5)).scale(2)
+                acc = acc - (G(r, k, j1) * D(G(k, j2, j3), j4, j5)).scale(2)
+                acc = acc + (D(G(r, k, j1), j2) * D(G(k, j3, j4), j5)).scale(2)
+                acc = acc + D(G(r, j1, j2), k) * D(G(k, j3, j4), j5)
+                for l in rng:
+                    acc = acc - (G(r, k, j1) * G(k, l, j2) * D(G(l, j3, j4), j5)).scale(8)
+                    acc = acc - (G(r, k, l) * G(k, j1, j2) * D(G(l, j3, j4), j5)).scale(6)
+                    acc = acc + (G(r, l, j1) * G(k, j2, j3) * D(G(l, j4, j5), k)).scale(10)
+                    acc = acc + (G(r, l, j1) * G(k, j2, j3) * D(G(l, k, j4), j5)).scale(4)
+                    acc = acc - (G(k, l, j1) * G(l, k, j2) * D(G(r, j3, j4), j5)).scale(10)
+                    acc = acc - (G(k, l, j1) * G(l, j2, j3) * D(G(r, j4, j5), k)).scale(2)
+                    acc = acc - (G(k, j1, j2) * G(l, j3, j4) * D(G(r, k, l), j5)).scale(2)
+                    acc = acc + (G(k, j1, j2) * G(l, j3, j4) * D(G(r, k, j5), l)).scale(10)
+                    for m in rng:
+                        acc = acc + (
+                            G(r, k, j1) * G(k, j2, j3) * G(l, m, j4) * G(m, l, j5)
+                        ).scale(20)
+                        acc = acc + (
+                            G(r, k, m) * G(k, j1, j2) * G(l, j3, j4) * G(m, l, j5)
+                        ).scale(8)
+                        acc = acc + (
+                            G(r, k, j1) * G(k, m, j2) * G(l, j3, j4) * G(m, l, j5)
+                        ).scale(8)
+            return acc
+
+        return bracket
+
+    def tensor_e(r, i):
+        def bracket(j1, j2, j3, j4, j5) -> Poly:
+            acc = -(G(i, j1, j2) * D(G(r, j3, j4), j5))
+            for k in rng:
+                acc = acc + (G(r, k, j1) * G(k, j2, j3) * G(i, j4, j5)).scale(2)
+            return acc
+
+        return bracket
+
+    def tensor_f(r, s):
+        def bracket(j1, j2, j3, j4, j5, j6) -> Poly:
+            acc = D(G(r, j1, j2), j3) * D(G(s, j4, j5), j6)
+            for k in rng:
+                acc = acc - (G(r, k, j1) * G(k, j2, j3) * D(G(s, j4, j5), j6)).scale(4)
+                for l in rng:
+                    acc = acc + (
+                        G(r, k, j1) * G(s, l, j2) * G(k, j3, j4) * G(l, j5, j6)
+                    ).scale(4)
+            return acc
+
+        return bracket
+
+    acc: Dict[MultiIndex, Poly] = {}
+
+    w_a = GaussianRational(Fraction(1, 384 * factorial(4)))
+    sum_a = make_cycl_sum(tensor_a)
+    for js in itertools.product(rng, repeat=4):
+        val = sum_a(js)
+        if not val.is_zero():
+            _acc_poly(acc, MultiIndex.of(*(n + j for j in js)), val.embed(d).scale(w_a))
+
+    w_b = GaussianRational(Fraction(1, 384 * factorial(4)))
+    for i in rng:
+        sum_b = make_cycl_sum(tensor_b(i))
+        for js in itertools.product(rng, repeat=4):
+            val = sum_b(js)
+            if not val.is_zero():
+                _acc_poly(
+                    acc,
+                    MultiIndex.of(i, *(n + j for j in js)),
+                    val.embed(d).scale(w_b),
+                )
+
+    w_c = GaussianRational(Fraction(1, 128 * factorial(4)))
+    for i1, i2 in itertools.product(rng, repeat=2):
+        sum_c = make_cycl_sum(tensor_c(i1, i2))
+        for js in itertools.product(rng, repeat=4):
+            val = sum_c(js)
+            if not val.is_zero():
+                _acc_poly(
+                    acc,
+                    MultiIndex.of(i1, i2, *(n + j for j in js)),
+                    val.embed(d).scale(w_c),
+                )
+
+    w_d = GaussianRational(Fraction(1, 1920 * factorial(5)))
+    for r in rng:
+        p_r = Poly.coordinate(d, n + r)
+        sum_d = make_cycl_sum(tensor_d(r))
+        for js in itertools.product(rng, repeat=5):
+            val = sum_d(js)
+            if not val.is_zero():
+                _acc_poly(
+                    acc,
+                    MultiIndex.of(*(n + j for j in js)),
+                    (p_r * val.embed(d)).scale(w_d),
+                )
+
+    w_e = GaussianRational(Fraction(1, 192 * factorial(5)))
+    for r, i in itertools.product(rng, repeat=2):
+        p_r = Poly.coordinate(d, n + r)
+        sum_e = make_cycl_sum(tensor_e(r, i))
+        for js in itertools.product(rng, repeat=5):
+            val = sum_e(js)
+            if not val.is_zero():
+                _acc_poly(
+                    acc,
+                    MultiIndex.of(i, *(n + j for j in js)),
+                    (p_r * val.embed(d)).scale(w_e),
+                )
+
+    w_f = GaussianRational(Fraction(1, 1152 * factorial(6)))
+    for r, s in itertools.product(rng, repeat=2):
+        p_rs = Poly.coordinate(d, n + r) * Poly.coordinate(d, n + s)
+        sum_f = make_cycl_sum(tensor_f(r, s))
+        for js in itertools.product(rng, repeat=6):
+            val = sum_f(js)
+            if not val.is_zero():
+                _acc_poly(
+                    acc,
+                    MultiIndex.of(*(n + j for j in js)),
+                    (p_rs * val.embed(d)).scale(w_f),
+                )
+
+    return DiffOp(d, acc)

@@ -1,9 +1,11 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from starq.cli import _connection_from_spec
 from starq.errors import CanonicityFailure, IncompatibleFamily
 from starq.geometry import (
     Connection,
@@ -41,7 +43,9 @@ from starq.equivalence import (
     verify_intertwining,
 )
 
-from test_products import momentum_shear_frame
+from helpers import rearrangement_loop_order4
+from test_geometry import random_flat_connection
+from test_products import DEMOS, momentum_shear_frame
 
 
 def gamma_q():
@@ -347,6 +351,38 @@ def test_order4_rotation_reading_differs_by_per_tensor_factorials():
     # the d_q^2 d_p^4 family has four summed indices: ratio 3! = 6
     key = MultiIndex.of(0, 0, 1, 1, 1, 1)
     assert perm.coefficient(key) == rot.coefficient(key).scale(6)
+
+
+def demo_n2_connection():
+    data = json.loads((DEMOS / "natural_cotangent_n2.json").read_text())
+    return _connection_from_spec(data)
+
+
+def diffeo_n2_connection():
+    # cubic and quartic terms give a quadratic symbol, unlike the demo's
+    x0, x1 = (Poly.coordinate(2, j) for j in range(2))
+    return flat_connection_from_diffeo([x0, x1 + (x0 ** 2).scale(2) - x0 ** 3 + x0 ** 4])
+
+
+def random_cubic_n2_connection():
+    conn = random_flat_connection(2, random.Random(2), cubic=True)
+    assert not conn.is_zero()
+    return conn
+
+
+@pytest.mark.parametrize("cycl_mode", ["permutations", "rotations"])
+@pytest.mark.parametrize(
+    "conn_factory",
+    [gamma_q, demo_n2_connection, diffeo_n2_connection, random_cubic_n2_connection],
+    ids=["gamma=q", "demo-n2", "n2-diffeo-quartic", "random-flat-n2"],
+)
+def test_order4_multiset_sum_matches_rearrangement_loop(conn_factory, cycl_mode):
+    # one bracket per ordered tuple, summed per multiset and scaled by k!
+    # or k, against the loop that re-adds every rearrangement per tuple
+    conn = conn_factory()
+    closed = flat_cotangent_order4(conn, cycl_mode)
+    reference = rearrangement_loop_order4(conn, cycl_mode)
+    assert closed == reference, operator_diff_report(closed, reference)
 
 
 def test_order4_closed_form_equals_slot_composition_route(natural_q_morphism):

@@ -18,6 +18,7 @@ from starq.geometry import (
     is_flat,
     lift_connection,
     ricci,
+    symmetric_jet_ops,
     symplectic_form_entries,
 )
 from starq.poly import MultiIndex, Poly
@@ -411,6 +412,30 @@ def test_rank2_jet_symmetry_for_curved_symplectic_connection():
     ops = covariant_jet_ops(spec, 2)
     for mu, nu in itertools.product(range(spec.dim), repeat=2):
         assert ops[(mu, nu)] == ops[(nu, mu)]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (lift_connection(Connection.one_dim(Poly.const(1, 1) + q_poly(1, 0) ** 2)), 6),
+        lambda: (lift_connection(random_flat_connection(2, random.Random(6), cubic=True)), 4),
+        lambda: (_random_spec(1, random.Random(5)), 2),
+    ],
+    ids=["flat-lift-n1-rank6", "flat-lift-n2-rank4", "curved-spec-rank2"],
+)
+def test_symmetric_jet_table_matches_ordered_recursion(case):
+    conn, order = case()
+    table = symmetric_jet_ops(conn, order)
+    keys = [
+        t
+        for rank in range(order + 1)
+        for t in itertools.combinations_with_replacement(range(conn.dim), rank)
+    ]
+    assert sorted(table) == sorted(keys)
+    for rank in range(order + 1):
+        ordered = covariant_jet_ops(conn, rank)
+        for t in itertools.combinations_with_replacement(range(conn.dim), rank):
+            assert table[t] == ordered[t], f"jet {t} differs from the ordered recursion"
 
 
 def test_jet_dimension_mismatch():

@@ -526,6 +526,14 @@ def _natural_against_ordered():
     return natural_cotangent_product(conn, 4), ordered_pairing_operators(p, jets, 4)
 
 
+def _natural_n1_order6_against_ordered():
+    conn = Connection.one_dim(Poly.const(1, 1) + Poly.coordinate(1, 0) ** 2)
+    lifted = lift_connection(conn)
+    p = PoissonTensor.canonical(1)
+    jets = lambda k: covariant_jet_ops(lifted, k).__getitem__
+    return natural_cotangent_product(conn, 6), ordered_pairing_operators(p, jets, 6)
+
+
 def _demo_symplectic_against_ordered():
     path = DEMOS / "symplectic_truncated.json"
     data = json.loads(path.read_text())
@@ -549,10 +557,11 @@ def _demo_symplectic_against_ordered():
         lambda: _moyal_against_ordered(1, 1, 5),
         _cubic_frame_against_ordered,
         _natural_against_ordered,
+        _natural_n1_order6_against_ordered,
         _demo_symplectic_against_ordered,
     ],
     ids=["moyal-n2-o5", "moyal-n1-casimir-o5", "vector-field-cubic-n2-o4",
-         "natural-n2-o4", "symplectic-demo"],
+         "natural-n2-o4", "natural-n1-o6", "symplectic-demo"],
 )
 def test_pairing_kernel_matches_ordered_sum(case):
     product, reference = case()
