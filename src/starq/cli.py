@@ -7,6 +7,7 @@ verifications, emit a deterministic JSON report.
     starq apply         spec.json --f expr [--g expr]
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 unusable input.
+Every spec field is checked by `parse_spec` before any engine work.
 Reports are byte-identical across runs for the same input when --no-timing
 is given.  See docs/problem-spec-schema.json for the input format.
 """
@@ -17,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -32,7 +34,7 @@ from .equivalence import (
 from .errors import ExprParseError, ProblemSpecError, StarqError
 from .exprparse import coordinate_names, parse_base_poly, parse_phase_poly
 from .geometry import Connection, SymplecticConnectionSpec
-from .operators import BiDiffOp, DiffOp
+from .operators import BiDiffOp, DiffOp, max_op_order
 from .poly import MultiIndex, Poly
 from .products import (
     PoissonTensor,
@@ -68,9 +70,36 @@ def load_problem(path: str) -> dict:
     return data
 
 
-def _require_int(data: dict, key: str, minimum: int = 0) -> int:
-    value = data.get(key)
-    if not isinstance(value, int) or value < minimum:
+@dataclass(frozen=True)
+class ProblemSpec:
+    """A problem spec whose every field has been type- and range-checked.
+
+    `data` is the raw JSON object, echoed as the report's "input".
+    `geometry` is the vector-field frame, the base connection or the
+    symplectic connection of the kind, and None for Moyal.  A fault is
+    kept as the term it adds: `product_fault` as (order, bidifferential
+    bump) and `table_fault` as the operator added to each closed form.
+    """
+
+    data: dict
+    kind: str
+    n: int
+    casimir: int
+    order: int
+    max_degree: int
+    geometry: VectorFieldFrame | Connection | SymplecticConnectionSpec | None
+    product_fault: Tuple[int, BiDiffOp] | None
+    table_fault: DiffOp | None
+
+
+def _is_count(value, minimum: int = 0) -> bool:
+    """An integer >= minimum; JSON booleans are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def _require_int(data: dict, key: str, minimum: int = 0, default: int | None = None) -> int:
+    value = data.get(key, default)
+    if not _is_count(value, minimum):
         raise ProblemSpecError(f"field {key!r} must be an integer >= {minimum}")
     return value
 
@@ -88,25 +117,11 @@ def _parse_indices(key: str, count: int, bound: int) -> Tuple[int, ...]:
     return idx
 
 
-def _connection_from_spec(data: dict) -> Connection:
-    n = _require_int(data, "n", 1)
-    conn_spec = data.get("connection", {})
-    gamma_spec = conn_spec.get("gamma", {}) if isinstance(conn_spec, dict) else None
-    if not isinstance(gamma_spec, dict):
-        raise ProblemSpecError("connection.gamma must be an object of index -> expression")
-    gamma: Dict[Tuple[int, int, int], Poly] = {}
-    for key, expr in gamma_spec.items():
-        i, j, k = _parse_indices(key, 3, n)
-        try:
-            poly = parse_base_poly(expr, n)
-        except ExprParseError as exc:
-            raise ProblemSpecError(f"connection.gamma[{key!r}]: {exc}") from exc
-        existing = gamma.get((i, j, k))
-        if existing is not None and existing != poly:
-            raise ProblemSpecError(f"conflicting values for symbol {key!r}")
-        gamma[(i, j, k)] = poly
-        gamma[(i, k, j)] = poly
-    return Connection(n, gamma)
+def _parse_expr(where: str, parse, expr, *args) -> Poly:
+    try:
+        return parse(expr, *args)
+    except ExprParseError as exc:
+        raise ProblemSpecError(f"{where}: {exc}") from exc
 
 
 def _rational(raw, what: str) -> GaussianRational:
@@ -116,22 +131,44 @@ def _rational(raw, what: str) -> GaussianRational:
         raise ProblemSpecError(f"bad {what}: {raw!r}") from exc
 
 
-def _symplectic_spec_from_spec(data: dict) -> SymplecticConnectionSpec:
-    if data.get("order", 2) != 2:
-        raise ProblemSpecError("symplectic-truncated products are fixed at order 2")
-    n = _require_int(data, "n", 1)
-    d = 2 * n
+def _frame_from_spec(data: dict, n: int, casimir: int) -> VectorFieldFrame:
+    frame_spec = data.get("frame")
+    d = 2 * n + casimir
+    if not isinstance(frame_spec, list) or len(frame_spec) != d:
+        raise ProblemSpecError(f"frame must be a list of {d} component rows")
+    rows: List[List[Poly]] = []
+    for row in frame_spec:
+        if not isinstance(row, list) or len(row) != d:
+            raise ProblemSpecError(f"each frame row must have {d} expressions")
+        rows.append([_parse_expr("frame entry", parse_phase_poly, e, n, casimir) for e in row])
+    return VectorFieldFrame.from_components(rows)
+
+
+def _connection_from_spec(data: dict, n: int) -> Connection:
+    conn_spec = data.get("connection", {})
+    gamma_spec = conn_spec.get("gamma", {}) if isinstance(conn_spec, dict) else None
+    if not isinstance(gamma_spec, dict):
+        raise ProblemSpecError("connection.gamma must be an object of index -> expression")
+    gamma: Dict[Tuple[int, int, int], Poly] = {}
+    for key, expr in gamma_spec.items():
+        i, j, k = _parse_indices(key, 3, n)
+        poly = _parse_expr(f"connection.gamma[{key!r}]", parse_base_poly, expr, n)
+        existing = gamma.get((i, j, k))
+        if existing is not None and existing != poly:
+            raise ProblemSpecError(f"conflicting values for symbol {key!r}")
+        gamma[(i, j, k)] = poly
+        gamma[(i, k, j)] = poly
+    return Connection(n, gamma)
+
+
+def _symplectic_spec_from_spec(data: dict, n: int) -> SymplecticConnectionSpec:
     lowered_spec = data.get("gamma_tilde", {})
     if not isinstance(lowered_spec, dict):
         raise ProblemSpecError("gamma_tilde must be an object of index -> expression")
     comps: Dict[Tuple[int, int, int], Poly] = {}
     for key, expr in lowered_spec.items():
-        idx = _parse_indices(key, 3, d)
-        try:
-            poly = parse_phase_poly(expr, n)
-        except ExprParseError as exc:
-            raise ProblemSpecError(f"gamma_tilde[{key!r}]: {exc}") from exc
-        canon = tuple(sorted(idx))
+        canon = tuple(sorted(_parse_indices(key, 3, 2 * n)))
+        poly = _parse_expr(f"gamma_tilde[{key!r}]", parse_phase_poly, expr, n)
         existing = comps.get(canon)
         if existing is not None and existing != poly:
             raise ProblemSpecError(f"conflicting values for symmetric symbol {key!r}")
@@ -143,84 +180,84 @@ def _symplectic_spec_from_spec(data: dict) -> SymplecticConnectionSpec:
         raise ProblemSpecError(str(exc)) from exc
 
 
-def build_product(data: dict) -> StarProduct:
+def _fault_index(fault: dict, key: str, dim: int) -> MultiIndex:
+    exps = fault.get(key, [])
+    guard = max_op_order()
+    if (
+        not isinstance(exps, list)
+        or len(exps) > dim
+        or not all(_is_count(e) for e in exps)
+        or sum(exps) > guard
+    ):
+        raise ProblemSpecError(
+            f"fault.{key} must be a list of at most {dim} integers >= 0 summing to <= {guard}"
+        )
+    return MultiIndex.from_exponents(exps)
+
+
+def _fault_from_spec(data: dict, order: int, dim: int) -> tuple:
+    """The spec's fault hook as (product_fault, table_fault), at most one set."""
+    if "fault" not in data:
+        return None, None
+    fault = data["fault"]
+    if not isinstance(fault, dict):
+        raise ProblemSpecError("fault must be an object")
+    target = fault.get("target", "product")
+    if target not in ("product", "table"):
+        raise ProblemSpecError('fault.target must be "product" or "table"')
+    coeff = Poly.const(dim, _rational(fault.get("coefficient", "1"), "fault.coefficient"))
+    if target == "table":
+        return None, DiffOp(dim, {_fault_index(fault, "derivative", dim): coeff})
+    at = fault.get("order")
+    if not _is_count(at) or at > order:
+        raise ProblemSpecError("fault.order out of range")
+    left, right = _fault_index(fault, "left", dim), _fault_index(fault, "right", dim)
+    return (at, BiDiffOp(dim, {(left, right): coeff})), None
+
+
+def parse_spec(data: dict) -> ProblemSpec:
+    """Check every field of a loaded spec; the only reader of spec fields."""
     kind = data.get("kind")
     if kind not in KINDS:
         raise ProblemSpecError(f"kind must be one of {KINDS}")
     n = _require_int(data, "n", 1)
-    if kind == "moyal":
-        casimir = _require_int(data, "casimir", 0) if "casimir" in data else 0
-        order = _require_int(data, "order", 0) if "order" in data else 4
-        product = moyal_product(PoissonTensor.canonical(n, casimir), order)
-    elif kind == "vector-field":
-        casimir = _require_int(data, "casimir", 0) if "casimir" in data else 0
-        order = _require_int(data, "order", 0) if "order" in data else 4
-        frame_spec = data.get("frame")
-        d = 2 * n + casimir
-        if not isinstance(frame_spec, list) or len(frame_spec) != d:
-            raise ProblemSpecError(f"frame must be a list of {d} component rows")
-        rows: List[List[Poly]] = []
-        for row in frame_spec:
-            if not isinstance(row, list) or len(row) != d:
-                raise ProblemSpecError(f"each frame row must have {d} expressions")
-            try:
-                rows.append([parse_phase_poly(expr, n, casimir) for expr in row])
-            except ExprParseError as exc:
-                raise ProblemSpecError(f"frame entry: {exc}") from exc
-        frame = VectorFieldFrame.from_components(rows)
-        product = vector_field_product(frame, PoissonTensor.canonical(n, casimir), order)
+    casimir = _require_int(data, "casimir", 0, 0) if kind in ("moyal", "vector-field") else 0
+    order = _require_int(data, "order", 0, 2 if kind == "symplectic-truncated" else 4)
+    if kind == "symplectic-truncated" and order != 2:
+        raise ProblemSpecError("symplectic-truncated products are fixed at order 2")
+    limit = 4 if kind == "natural-cotangent" else max_op_order()
+    if order > limit:
+        raise ProblemSpecError(f"{kind} products are limited to order {limit}")
+    max_degree = _require_int(data, "max_degree", 0, 4)
+    if kind == "vector-field":
+        geometry = _frame_from_spec(data, n, casimir)
     elif kind == "natural-cotangent":
-        order = _require_int(data, "order", 0) if "order" in data else 4
-        if order > 4:
-            raise ProblemSpecError("natural-cotangent products are limited to order 4")
-        product = natural_cotangent_product(_connection_from_spec(data), order)
+        geometry = _connection_from_spec(data, n)
+    elif kind == "symplectic-truncated":
+        geometry = _symplectic_spec_from_spec(data, n)
+    else:
+        geometry = None
+    return ProblemSpec(data, kind, n, casimir, order, max_degree, geometry,
+                       *_fault_from_spec(data, order, 2 * n + casimir))
+
+
+def build_product(spec: ProblemSpec) -> StarProduct:
+    poisson = PoissonTensor.canonical(spec.n, spec.casimir)
+    if spec.kind == "moyal":
+        product = moyal_product(poisson, spec.order)
+    elif spec.kind == "vector-field":
+        product = vector_field_product(spec.geometry, poisson, spec.order)
+    elif spec.kind == "natural-cotangent":
+        product = natural_cotangent_product(spec.geometry, spec.order)
     else:  # symplectic-truncated
-        product = truncated_symplectic_product(_symplectic_spec_from_spec(data))
-
-    fault = _fault(data, "product")
-    if fault:
-        product = _apply_product_fault(product, fault)
+        product = truncated_symplectic_product(spec.geometry)
+    if spec.product_fault:
+        # test hook: add a derivative (x) derivative term to one operator
+        at, bump = spec.product_fault
+        C = list(product.C)
+        C[at] = C[at] + bump
+        product = StarProduct(product.poisson, C, product.parity)
     return product
-
-
-def _fault(data: dict, target: str) -> dict | None:
-    """The spec's fault hook when it aims at `target`, else None."""
-    fault = data.get("fault")
-    if fault is not None and not isinstance(fault, dict):
-        raise ProblemSpecError("fault must be an object")
-    return fault if fault and fault.get("target", "product") == target else None
-
-
-def _fault_index(fault: dict, key: str, dim: int) -> MultiIndex:
-    exps = fault.get(key, [])
-    if (
-        not isinstance(exps, list)
-        or len(exps) > dim
-        or any(not isinstance(e, int) or e < 0 for e in exps)
-    ):
-        raise ProblemSpecError(f"fault.{key} must be a list of at most {dim} integers >= 0")
-    return MultiIndex.from_exponents(exps)
-
-
-def _apply_product_fault(product: StarProduct, fault: dict) -> StarProduct:
-    """Test hook: add a derivative (x) derivative term to one operator."""
-    d = product.dim
-    order = fault.get("order")
-    if not isinstance(order, int) or not 0 <= order <= product.order:
-        raise ProblemSpecError("fault.order out of range")
-    left = _fault_index(fault, "left", d)
-    right = _fault_index(fault, "right", d)
-    coeff = Poly.const(d, _rational(fault.get("coefficient", "1"), "fault.coefficient"))
-    bump = BiDiffOp(d, {(left, right): coeff})
-    C = list(product.C)
-    C[order] = C[order] + bump
-    return StarProduct(product.poisson, C, product.parity)
-
-
-def _apply_table_fault(op: DiffOp, fault: dict) -> DiffOp:
-    deriv = _fault_index(fault, "derivative", op.dim)
-    coeff = Poly.const(op.dim, _rational(fault.get("coefficient", "1"), "fault.coefficient"))
-    return op + DiffOp(op.dim, {deriv: coeff})
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +277,9 @@ def emit(report: dict, args) -> None:
         print(text)
 
 
-def finalize(report: dict, args, started: float, failed: bool) -> int:
-    report["engine"] = {"name": "starq", "version": __version__}
-    report["status"] = "fail" if failed else "pass"
+def finalize(report: dict, args, spec: ProblemSpec, started: float, failed: bool) -> int:
+    report.update(command=args.command, input=spec.data, status="fail" if failed else "pass",
+                  engine={"name": "starq", "version": __version__})
     if not args.no_timing:
         report["timing"] = {"seconds": round(time.perf_counter() - started, 3)}
     emit(report, args)
@@ -250,119 +287,79 @@ def finalize(report: dict, args, started: float, failed: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes (args, spec), checks its own flags before any
+# engine work and returns (report body, failed)
 # ---------------------------------------------------------------------------
 
-def _max_degree(args, data: dict) -> int:
-    """--max-degree when given, else the spec's max_degree, else 4."""
+def _max_degree(args, spec: ProblemSpec) -> int:
+    """--max-degree when given, else the spec's max_degree."""
     if args.max_degree is None:
-        return _require_int(data, "max_degree", 0) if "max_degree" in data else 4
+        return spec.max_degree
     if args.max_degree < 0:
         raise ProblemSpecError("--max-degree must be >= 0")
     return args.max_degree
 
 
-def cmd_validate(args) -> int:
-    started = time.perf_counter()
-    data = load_problem(args.spec)
-    product = build_product(data)
-    max_degree = _max_degree(args, data)
+def cmd_validate(args, spec: ProblemSpec) -> Tuple[dict, bool]:
+    max_degree = _max_degree(args, spec)
+    product = build_product(spec)
     axioms = check_axioms(product, max_degree)
     canonicity = quantum_canonicity_check(product)
-    report = {
-        "command": "validate",
-        "input": data,
-        "checks": [axioms.to_json(), canonicity.to_json()],
-        "product": product.to_json(),
-    }
-    return finalize(report, args, started, not (axioms.passed and canonicity.passed))
+    report = {"checks": [axioms.to_json(), canonicity.to_json()], "product": product.to_json()}
+    return report, not (axioms.passed and canonicity.passed)
 
 
-def cmd_derive(args) -> int:
-    started = time.perf_counter()
-    data = load_problem(args.spec)
-    product = build_product(data)
-    order = product.order if args.order is None else args.order
-    if not 0 <= order <= product.order:
-        raise ProblemSpecError(f"--order must be between 0 and the product order {product.order}")
+def cmd_derive(args, spec: ProblemSpec) -> Tuple[dict, bool]:
+    order = spec.order if args.order is None else args.order
+    if not 0 <= order <= spec.order:
+        raise ProblemSpecError(f"--order must be between 0 and the product order {spec.order}")
+    max_degree = _max_degree(args, spec)
+    product = build_product(spec)
     morphism = derive_equivalence(product, order)
-    max_degree = _max_degree(args, data)
     intertwining = verify_intertwining(morphism, product.truncate(order), max_degree)
-    report = {
-        "command": "derive",
-        "input": data,
-        "morphism": morphism.to_json(),
-        "checks": [intertwining.to_json()],
-    }
-    return finalize(report, args, started, not intertwining.passed)
+    report = {"morphism": morphism.to_json(), "checks": [intertwining.to_json()]}
+    return report, not intertwining.passed
 
 
-def cmd_verify_tables(args) -> int:
-    started = time.perf_counter()
-    data = load_problem(args.spec)
-    kind = data.get("kind")
-    table_fault = _fault(data, "table")
-    comparisons = []
-    failed = False
-
-    if kind == "natural-cotangent":
-        conn = _connection_from_spec(data)
-        # the order-2 table needs T_2, so order 2 is the least comparable
-        order = _require_int(data, "order", 2) if "order" in data else 4
-        if order > 4:
-            raise ProblemSpecError("natural-cotangent products are limited to order 4")
-        product = natural_cotangent_product(conn, order)
-        morphism = derive_equivalence(product, order)
-        closed2 = flat_cotangent_order2(conn)
-        if table_fault:
-            closed2 = _apply_table_fault(closed2, table_fault)
-        comparisons.append(_compare("order-2", morphism.operator(2), closed2))
-        if order >= 4:
-            derived4 = morphism.operator(4)
-            for mode in ("permutations", "rotations"):
-                closed4 = flat_cotangent_order4(conn, mode)
-                if table_fault:
-                    closed4 = _apply_table_fault(closed4, table_fault)
-                cmp4 = _compare(f"order-4-{mode}", derived4, closed4)
-                comparisons.append(cmp4)
-                if cmp4["match"]:
-                    break
-            order4_matched = any(
-                c["match"] for c in comparisons if c["name"].startswith("order-4")
-            )
-            failed = failed or not order4_matched
-        failed = failed or not comparisons[0]["match"]
-    elif kind == "symplectic-truncated":
-        spec = _symplectic_spec_from_spec(data)
-        product = truncated_symplectic_product(spec)
-        morphism = derive_equivalence(product, 2)
-        closed = symplectic_order2(spec)
-        if table_fault:
-            closed = _apply_table_fault(closed, table_fault)
-        comparisons.append(_compare("order-2", morphism.operator(2), closed))
-        commutator_entries = []
-        for alpha in range(product.dim):
-            lhs = closed.commutator_with_coordinate(alpha)
-            rhs = product.C[2].slot_fix(alpha, "left")
-            ok = lhs == rhs
-            commutator_entries.append({"coordinate": alpha, "match": ok})
-            failed = failed or not ok
-        comparisons.append(
-            {"name": "coordinate-commutators", "match": all(e["match"] for e in commutator_entries),
-             "entries": commutator_entries}
-        )
-        failed = failed or not comparisons[0]["match"]
-    else:
+def cmd_verify_tables(args, spec: ProblemSpec) -> Tuple[dict, bool]:
+    if spec.kind not in ("natural-cotangent", "symplectic-truncated"):
         raise ProblemSpecError(
             "verify-tables needs kind natural-cotangent or symplectic-truncated"
         )
+    if spec.order < 2:
+        raise ProblemSpecError("verify-tables needs order >= 2: its first table is T_2")
+    product = build_product(spec)
+    morphism = derive_equivalence(product, spec.order)
 
-    report = {
-        "command": "verify-tables",
-        "input": data,
-        "comparisons": comparisons,
-    }
-    return finalize(report, args, started, failed)
+    def closed_form(op: DiffOp) -> DiffOp:
+        return op + spec.table_fault if spec.table_fault else op
+
+    if spec.kind == "natural-cotangent":
+        closed = closed_form(flat_cotangent_order2(spec.geometry))
+    else:
+        closed = closed_form(symplectic_order2(spec.geometry))
+    comparisons = [_compare("order-2", morphism.operator(2), closed)]
+    failed = not comparisons[0]["match"]
+    if spec.kind == "symplectic-truncated":
+        c2 = product.C[2]
+        entries = [
+            {"coordinate": alpha,
+             "match": closed.commutator_with_coordinate(alpha) == c2.slot_fix(alpha, "left")}
+            for alpha in range(product.dim)
+        ]
+        comparisons.append(
+            {"name": "coordinate-commutators", "match": all(e["match"] for e in entries),
+             "entries": entries}
+        )
+    elif spec.order >= 4:
+        # the first reading of the rearrangement sum that matches ends the search
+        for mode in ("permutations", "rotations"):
+            closed4 = closed_form(flat_cotangent_order4(spec.geometry, mode))
+            comparisons.append(_compare(f"order-4-{mode}", morphism.operator(4), closed4))
+            if comparisons[-1]["match"]:
+                break
+    failed = failed or not comparisons[-1]["match"]
+    return {"comparisons": comparisons}, failed
 
 
 def _compare(name: str, derived: DiffOp, closed: DiffOp) -> dict:
@@ -373,26 +370,21 @@ def _compare(name: str, derived: DiffOp, closed: DiffOp) -> dict:
     return entry
 
 
-def cmd_apply(args) -> int:
-    started = time.perf_counter()
-    data = load_problem(args.spec)
-    product = build_product(data)
-    n = data["n"]
-    casimir = data.get("casimir", 0) if data.get("kind") in ("moyal", "vector-field") else 0
-    names = coordinate_names(n, casimir)
+def cmd_apply(args, spec: ProblemSpec) -> Tuple[dict, bool]:
     if not args.f:
         raise ProblemSpecError("apply needs --f")
-    f = parse_phase_poly(args.f, n, casimir)
-    payload: Dict[str, object] = {"f": f.to_json(), "coordinates": names}
-    if args.g:
-        g = parse_phase_poly(args.g, n, casimir)
+    f = parse_phase_poly(args.f, spec.n, spec.casimir)
+    g = parse_phase_poly(args.g, spec.n, spec.casimir) if args.g else None
+    product = build_product(spec)
+    payload: Dict[str, object] = {
+        "f": f.to_json(), "coordinates": coordinate_names(spec.n, spec.casimir)
+    }
+    if g is not None:
         payload["g"] = g.to_json()
         payload["star"] = _series_json(product.apply(f, g))
         payload["bracket"] = _series_json(star_bracket(product, f, g))
-    morphism = derive_equivalence(product)
-    payload["morphism_of_f"] = _series_json(morphism.apply(f))
-    report = {"command": "apply", "input": data, "result": payload}
-    return finalize(report, args, started, False)
+    payload["morphism_of_f"] = _series_json(derive_equivalence(product).apply(f))
+    return {"result": payload}, False
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +419,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: List[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.fn(args)
+        spec = parse_spec(load_problem(args.spec))
+        report, failed = args.fn(args, spec)
+        return finalize(report, args, spec, started, failed)
     except (ProblemSpecError, ExprParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

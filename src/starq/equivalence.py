@@ -252,15 +252,13 @@ def _permutation_count(prefix: Tuple[int, ...]) -> int:
 # the derivation
 # ---------------------------------------------------------------------------
 
-def derive_equivalence(
-    s: StarProduct, order: int | None = None, cross_check: bool = True
-) -> EquivalenceMorphism:
+def derive_equivalence(s: StarProduct, order: int | None = None) -> EquivalenceMorphism:
     """Derive the morphism orders 1..order for a quantum-canonical product.
 
     For parity products the odd right-hand sides are computed from the
     general formula and asserted to vanish, and the even orders use the
-    reduced single-sided sum.  With `cross_check` both solvers run on
-    every right-hand side and must agree.
+    reduced single-sided sum.  Both solvers run on every right-hand side
+    and must agree.
     """
     if order is None:
         order = s.order
@@ -288,12 +286,8 @@ def derive_equivalence(
         else:
             family = coordinate_rhs(s, ops, k)
         solution = commutator_solution_direct(family)
-        if cross_check:
-            alt = commutator_solution_nested(family)
-            if alt != solution:
-                raise StarqError(
-                    f"solver disagreement at order {k}: unique solution violated"
-                )
+        if commutator_solution_nested(family) != solution:
+            raise StarqError(f"solver disagreement at order {k}: unique solution violated")
         if not solution.apply(one).is_zero():
             raise StarqError(f"order-{k} operator does not kill constants")
         for alpha, x in enumerate(coords):

@@ -138,6 +138,8 @@ class _Parser:
 
 def parse_poly(text: str, names: List[str], dim: int | None = None) -> Poly:
     """Parse an expression over the given coordinate names."""
+    if not isinstance(text, str):
+        raise ExprParseError(f"expected an expression string, got {text!r}")
     if dim is None:
         dim = len(names)
     tokens = _tokenize(text)

@@ -1,8 +1,12 @@
+import copy
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from starq.cli import main
 
@@ -213,6 +217,7 @@ def test_verify_tables_wrong_kind_exit_two(spec_file, capsys):
 MOYAL = FIXTURES["moyal"]
 NATURAL = FIXTURES["natural_q"]
 PRODUCT_FAULT = FIXTURES["fault_assoc"]["fault"]
+TABLE_FAULT = FIXTURES["fault_table"]["fault"]
 
 
 @pytest.mark.parametrize(
@@ -230,12 +235,29 @@ PRODUCT_FAULT = FIXTURES["fault_assoc"]["fault"]
         ("validate", dict(NATURAL, connection="q1"), []),
         ("derive", NATURAL, ["--order", "9"]),
         ("verify-tables", dict(FIXTURES["symplectic"], order=5), []),
+        ("validate", dict(MOYAL, order=True), []),
+        ("validate", dict(MOYAL, n=True), []),
+        ("validate", dict(MOYAL, casimir=True), []),
+        ("validate", dict(MOYAL, max_degree=True), []),
+        ("validate", dict(MOYAL, fault=dict(PRODUCT_FAULT, order=True)), []),
+        ("validate", dict(MOYAL, fault=dict(PRODUCT_FAULT, left=[True, 0])), []),
+        ("validate", dict(NATURAL, connection={"gamma": {"1,1,1": 3}}), []),
+        ("validate", dict(FIXTURES["vf_shear"], frame=[[1, 0], [0, 1]]), []),
+        ("verify-tables", dict(FIXTURES["symplectic"], gamma_tilde={"1,1,1": 2}), []),
+        ("validate", dict(MOYAL, order=13), []),
+        ("validate", dict(FIXTURES["vf_shear"], order=13), []),
+        ("verify-tables", dict(FIXTURES["fault_table"], fault=dict(TABLE_FAULT, derivative=[13])), []),
+        ("validate", dict(MOYAL, fault=dict(PRODUCT_FAULT, target="tabel")), []),
+        ("validate", dict(MOYAL, fault=dict(PRODUCT_FAULT, target=["table"])), []),
     ],
     ids=[
         "natural-order-1", "order-string", "fault-list", "fault-string",
         "fault-left-string", "fault-coefficient", "table-fault-too-long", "max-degree-string",
         "max-degree-flag-negative", "connection-string", "derive-order-above-product",
-        "symplectic-order-tables",
+        "symplectic-order-tables", "order-bool", "n-bool", "casimir-bool", "max-degree-bool",
+        "fault-order-bool", "fault-left-bool", "gamma-not-string", "frame-not-string",
+        "gamma-tilde-not-string", "moyal-order-above-guard", "vector-field-order-above-guard",
+        "table-fault-above-guard", "fault-target-typo", "fault-target-list",
     ],
 )
 def test_unusable_input_exit_two_without_traceback(command, spec, flags, tmp_path, capsys):
@@ -245,6 +267,107 @@ def test_unusable_input_exit_two_without_traceback(command, spec, flags, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+DEMOS = Path(__file__).parent.parent / "demos" / "specs"
+NATURAL_N2 = json.loads((DEMOS / "natural_cotangent_n2.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "field",
+    [{"fault": {"target": "product", "order": 2, "left": "ab"}}, {"max_degree": "3"}],
+    ids=["malformed-fault", "max-degree-string"],
+)
+def test_input_errors_are_reported_before_the_product_is_built(
+    field, tmp_path, monkeypatch, capsys
+):
+    def refuse(*args):
+        raise AssertionError("the product was built before the spec was checked")
+
+    monkeypatch.setattr("starq.cli.natural_cotangent_product", refuse)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(NATURAL_N2, **field)))
+    for command, flags in (("validate", []), ("derive", []), ("verify-tables", []),
+                           ("apply", ["--f", "q1"])):
+        assert main([command, str(path), "--no-timing"] + flags) == 2, command
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_tables_applies_product_fault(tmp_path, capsys):
+    # left != right breaks the parity axiom, so the coordinates are not canonical
+    fault = dict(PRODUCT_FAULT, left=[1, 0], right=[0, 1])
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(NATURAL, fault=fault)))
+    assert main(["verify-tables", str(path), "--no-timing"]) == 1
+    assert "coordinates are not quantum canonical" in capsys.readouterr().err
+
+
+# -- mutated demo specs --------------------------------------------------------------
+
+N1_DEMOS = {
+    stem: json.loads((DEMOS / f"{stem}.json").read_text())
+    for stem in ("moyal", "natural_cotangent", "symplectic_truncated", "vector_field")
+}
+DELETE = object()
+MUTANTS = (DELETE, None, True, -1, "4", 2.5, [], {}, 13)
+REQUIRED = {"kind", "n", "frame"}  # "frame" only occurs in the vector-field spec
+
+
+def _key_paths(node, path=()):
+    """The path of every field and nested entry below `node`."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield path + (key,)
+            yield from _key_paths(child, path + (key,))
+
+
+def _must_be_unusable(path, old, new) -> bool:
+    """Mutations that no spec field tolerates: exit 2 for every command."""
+    if new is DELETE:
+        return len(path) == 1 and path[0] in REQUIRED
+    if path == ("kind",) or (path == ("order",) and new == 13):
+        return True
+    if path[-1] == "a":  # a rational: a string or a JSON number
+        return isinstance(new, bool) or not isinstance(new, (str, int, float))
+    # a JSON type change (bool is not int), or a negative count
+    return type(old) is not type(new) or (isinstance(new, int) and new < 0)
+
+
+MUTATIONS = [
+    (stem, path, new)
+    for stem, spec in sorted(N1_DEMOS.items())
+    for path in _key_paths(spec)
+    for new in MUTANTS
+    # n = 13 is a usable but large phase space (d = 26): slow, not malformed
+    if not (path == ("n",) and new == 13)
+]
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(mutation=st.sampled_from(MUTATIONS))
+def test_mutated_demo_specs_keep_the_exit_code_contract(mutation, tmp_path):
+    stem, path, new = mutation
+    spec = copy.deepcopy(N1_DEMOS[stem])
+    parent = spec
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    if new is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    spec_path, out = tmp_path / "spec.json", tmp_path / "report.json"
+    spec_path.write_text(json.dumps(spec))
+    unusable = _must_be_unusable(path, old, new)
+    for command, flags in (("validate", []), ("derive", []), ("verify-tables", []),
+                           ("apply", ["--f", "q1", "--g", "p1"])):
+        argv = [command, str(spec_path), "--max-degree", "1", "--no-timing", "--out", str(out)]
+        code = main(argv + flags)
+        assert code in (0, 1, 2), command
+        if unusable:
+            assert code == 2, command
 
 
 def test_zero_flags_are_honoured(spec_file, capsys):

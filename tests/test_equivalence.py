@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from starq.cli import _connection_from_spec
+from starq.cli import parse_spec
 from starq.errors import CanonicityFailure, IncompatibleFamily
 from starq.geometry import (
     Connection,
@@ -355,7 +355,7 @@ def test_order4_rotation_reading_differs_by_per_tensor_factorials():
 
 def demo_n2_connection():
     data = json.loads((DEMOS / "natural_cotangent_n2.json").read_text())
-    return _connection_from_spec(data)
+    return parse_spec(data).geometry
 
 
 def diffeo_n2_connection():

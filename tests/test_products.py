@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from starq.cli import build_product
+from starq.cli import build_product, parse_spec
 from starq.errors import InvalidFrame, NonFlatConnection
 from starq.exprparse import parse_phase_poly
 from starq.geometry import (
@@ -435,7 +435,8 @@ def _moyal_bump(left, right, order):
 
 
 def _natural_n2_bump():
-    product = build_product(json.loads((DEMOS / "natural_cotangent_n2.json").read_text()))
+    data = json.loads((DEMOS / "natural_cotangent_n2.json").read_text())
+    product = build_product(parse_spec(data))
     x = coords(product.dim)
     return corrupted(product, MultiIndex.of(0, 0), MultiIndex.unit(2), order=3, coeff=x[0] + x[3]), 3
 
@@ -448,7 +449,7 @@ def _natural_n2_bump():
         lambda: _moyal_bump((2, 0), (0, 1), 1),
         lambda: _moyal_bump((1, 1), (0, 2), 4),
         lambda: _moyal_bump((0, 0), (1, 0), 2),
-        lambda: (build_product(FIXTURES["fault_assoc"]), FIXTURES["fault_assoc"]["max_degree"]),
+        lambda: (build_product(parse_spec(FIXTURES["fault_assoc"])), FIXTURES["fault_assoc"]["max_degree"]),
         _natural_n2_bump,
     ],
     ids=[
