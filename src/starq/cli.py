@@ -7,7 +7,9 @@ verifications, emit a deterministic JSON report.
     starq apply         spec.json --f expr [--g expr]
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 unusable input.
-Every spec field is checked by `parse_spec` before any engine work.
+Every spec field, the --out directory and STARQ_MAX_OP_ORDER are checked
+before any engine work; a frame or connection the engine rejects
+(InvalidFrame, NonFlatConnection) is unusable input too.
 Reports are byte-identical across runs for the same input when --no-timing
 is given.  See docs/problem-spec-schema.json for the input format.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -31,7 +34,9 @@ from .equivalence import (
     symplectic_order2,
     verify_intertwining,
 )
-from .errors import ExprParseError, ProblemSpecError, StarqError
+from .errors import (
+    ExprParseError, InvalidFrame, NonFlatConnection, ProblemSpecError, StarqError
+)
 from .exprparse import coordinate_names, parse_base_poly, parse_phase_poly
 from .geometry import Connection, SymplecticConnectionSpec
 from .operators import BiDiffOp, DiffOp, max_op_order
@@ -271,8 +276,11 @@ def _series_json(series) -> list:
 def emit(report: dict, args) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ProblemSpecError(f"cannot write {args.out}: {exc}") from exc
     else:
         print(text)
 
@@ -417,14 +425,27 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_environment(args) -> None:
+    """Reject a malformed STARQ_MAX_OP_ORDER and an --out path that is a
+    directory or lies in a missing one, before any engine work."""
+    try:
+        max_op_order()
+    except ValueError as exc:
+        raise ProblemSpecError(str(exc)) from exc
+    out = args.out and os.path.abspath(args.out)
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out))):
+        raise ProblemSpecError(f"--out must be a file in an existing directory: {args.out}")
+
+
 def main(argv: List[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        _check_environment(args)
         spec = parse_spec(load_problem(args.spec))
         report, failed = args.fn(args, spec)
         return finalize(report, args, spec, started, failed)
-    except (ProblemSpecError, ExprParseError) as exc:
+    except (ProblemSpecError, ExprParseError, InvalidFrame, NonFlatConnection) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StarqError as exc:

@@ -17,6 +17,16 @@ The module also carries closed-form expressions for the order-2/order-4
 operators over a flat cotangent bundle and for the order-2 operator of a
 general symplectic connection, so the recursively derived operators can
 be compared term by term against those formulas.
+
+The flat-cotangent closed forms are tables.  A family is (denominator,
+configuration-derivative labels, momentum-derivative labels, terms); a
+term is an integer times factors `G(a,b,c|J)` = d^J G^a_(bc), with the
+derivative labels J after the bar, and `p(r)` = p_r.  Labels are indices
+in 0..n-1; each ordered assignment of them adds the term's value to the
+coefficient of d_(q^i) for each configuration label i and d_(p_a) for
+each momentum label a, with family weight count / (denominator * k!)
+for k momentum labels: the rearrangement sum counts each ordering k!
+times (all permutations) or k times (cyclic rotations only).
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from .errors import (
     StarqError,
 )
 from .geometry import Connection, SymplecticConnectionSpec, canonical_poisson_entries, ricci
-from .operators import DiffOp, OperatorSeries, _acc_poly, max_op_order
+from .operators import DiffOp, OperatorSeries, _acc_poly, _acc_product, max_op_order
 from .poly import MultiIndex, Poly
 from .scalars import GaussianRational
 from .series import HbarSeries
@@ -222,29 +232,18 @@ def commutator_solution_nested(family: Sequence[DiffOp]) -> DiffOp:
                 bumped = op.commutator_with_coordinate(a0).scale(-1)
                 if bumped.is_zero():
                     continue
-                key = (tuple(sorted(prefix + (a0,))), am)
-                existing = nxt.get(key)
-                if existing is None:
-                    nxt[key] = bumped
                 # symmetric in the prefix: any arrival order gives the same op
+                nxt.setdefault((tuple(sorted(prefix + (a0,))), am), bumped)
         level = nxt
         m += 1
     return total
 
 
 def _permutation_count(prefix: Tuple[int, ...]) -> int:
-    """Number of distinct orderings of a sorted index tuple."""
-    if not prefix:
-        return 1
+    """Number of distinct orderings of an index tuple."""
     count = factorial(len(prefix))
-    run = 1
-    for a, b in zip(prefix, prefix[1:]):
-        if a == b:
-            run += 1
-        else:
-            count //= factorial(run)
-            run = 1
-    count //= factorial(run)
+    for _, e in MultiIndex.of(*prefix).pairs:
+        count //= factorial(e)
     return count
 
 
@@ -397,234 +396,144 @@ def verify_intertwining(
 # closed forms: flat cotangent bundle
 # ---------------------------------------------------------------------------
 
+# The closed-form term tables; the notation is in the module docstring.
+_ORDER2 = (
+    (8, "i", "ab", [(1, "G(i,a,b)")]),
+    (8, "", "ab", [(1, "G(i,l,a) G(l,i,b)")]),
+    (24, "", "abc", [(2, "G(i,m,c) G(m,a,b) p(i)"), (-1, "G(i,a,b|c) p(i)")]),
+)
+
+_ORDER4 = (
+    (384, "", "abcd", [  # A
+        (-3, "G(k,a,l) G(l,b,c|d,k)"),
+        (-1, "G(k,a,l) G(l,k,b|c,d)"),
+        (-1, "G(k,m,a) G(l,b,c) G(m,k,l|d)"),
+        (-3, "G(k,l,m) G(l,k,a) G(m,b,c|d)"),
+        (3, "G(k,m,a) G(l,k,b) G(m,l,c|d)"),
+        (3, "G(k,m,a) G(l,k,b) G(m,c,d|l)"),
+        (3, "G(k,m,a) G(l,b,c) G(m,l,d|k)"),
+        (7, "G(k,m,a) G(l,b,c) G(m,k,d|l)"),
+        (3, "G(k,m,a) G(l,t,b) G(m,k,l) G(t,c,d)"),
+        (3, "G(k,l,a) G(l,k,b) G(m,t,c) G(t,m,d)"),
+        (-1, "G(k,m,a) G(l,k,b) G(m,t,c) G(t,l,d)"),
+    ]),
+    (384, "i", "abcd", [  # B
+        (-1, "G(i,a,b|c,d)"),
+        (4, "G(k,a,b) G(i,c,d|k)"),
+        (1, "G(k,a,b) G(i,k,c|d)"),
+        (-2, "G(i,k,a) G(k,b,c|d)"),
+        (6, "G(k,l,a) G(l,k,b) G(i,c,d)"),
+        (1, "G(k,l,a) G(l,b,c) G(i,k,d)"),
+        (1, "G(k,a,b) G(l,c,d) G(i,k,l)"),
+    ]),
+    (128, "ij", "abcd", [(1, "G(i,a,b) G(j,c,d)")]),  # C
+    (1920, "", "abcde", [  # D
+        (1, "G(r,a,b|c,d,e) p(r)"),
+        (-7, "G(k,a,b) G(r,c,d|e,k) p(r)"),
+        (-2, "G(k,a,b) G(r,k,c|d,e) p(r)"),
+        (-2, "G(r,k,a) G(k,b,c|d,e) p(r)"),
+        (2, "G(r,k,a|b) G(k,c,d|e) p(r)"),
+        (1, "G(r,a,b|k) G(k,c,d|e) p(r)"),
+        (-8, "G(r,k,a) G(k,l,b) G(l,c,d|e) p(r)"),
+        (-6, "G(r,k,l) G(k,a,b) G(l,c,d|e) p(r)"),
+        (10, "G(r,l,a) G(k,b,c) G(l,d,e|k) p(r)"),
+        (4, "G(r,l,a) G(k,b,c) G(l,k,d|e) p(r)"),
+        (-10, "G(k,l,a) G(l,k,b) G(r,c,d|e) p(r)"),
+        (-2, "G(k,l,a) G(l,b,c) G(r,d,e|k) p(r)"),
+        (-2, "G(k,a,b) G(l,c,d) G(r,k,l|e) p(r)"),
+        (10, "G(k,a,b) G(l,c,d) G(r,k,e|l) p(r)"),
+        (20, "G(r,k,a) G(k,b,c) G(l,m,d) G(m,l,e) p(r)"),
+        (8, "G(r,k,m) G(k,a,b) G(l,c,d) G(m,l,e) p(r)"),
+        (8, "G(r,k,a) G(k,m,b) G(l,c,d) G(m,l,e) p(r)"),
+    ]),
+    (192, "i", "abcde", [  # E
+        (-1, "G(i,a,b) G(r,c,d|e) p(r)"),
+        (2, "G(r,k,a) G(k,b,c) G(i,d,e) p(r)"),
+    ]),
+    (1152, "", "abcdef", [  # F
+        (1, "G(r,a,b|c) G(s,d,e|f) p(r) p(s)"),
+        (-4, "G(r,k,a) G(k,b,c) G(s,d,e|f) p(r) p(s)"),
+        (4, "G(r,k,a) G(s,l,b) G(k,c,d) G(l,e,f) p(r) p(s)"),
+    ]),
+)
+
+
+def _contract(conn: Connection, families, cycl_mode: str) -> DiffOp:
+    """Sum a term table over every index assignment of nonzero symbols.
+
+    The G factors of a term are joined in order, each looked up by the
+    labels that earlier factors bound in one sparse table of the nonzero
+    d^J G^a_(bc) at the ranks |J| the table uses, so no zero product is
+    formed; each assignment adds into the coefficient of its derivative.
+    """
+    n = conn.n
+    terms = []
+    for denominator, config, momenta, table in families:
+        k = len(momenta)
+        count = factorial(k) if cycl_mode == "permutations" else k
+        for coeff, text in table:
+            weight = GaussianRational(Fraction(coeff * count, denominator * factorial(k)))
+            symbols, shifts, bound = [], [], set()
+            for factor in text.split():  # "G(a,b,c|J)" or "p(r)"
+                if factor.startswith("p("):
+                    shifts.append(factor[2:-1])
+                    continue
+                labels = tuple(factor[2:-1].replace("|", ",").split(","))
+                key = tuple(pos for pos, label in enumerate(labels) if label in bound)
+                symbols.append((labels, key))
+                bound.update(labels)
+            terms.append((weight, config, momenta, shifts, symbols))
+
+    lookups = {(len(labels), key): {} for *_, symbols in terms for labels, key in symbols}
+    ranks = {size - 3 for size, _ in lookups}
+    jets: Dict[Tuple[int, ...], Poly] = {}
+    for upper_lower, symbol in conn.components().items():
+        for js in (js for rank in ranks for js in itertools.product(range(n), repeat=rank)):
+            jet = symbol.diff(MultiIndex.of(*js))
+            if not jet.is_zero():
+                jets[upper_lower + js] = jet
+    for (size, key), lookup in lookups.items():
+        for vals, jet in jets.items():
+            if len(vals) == size:
+                lookup.setdefault(tuple(vals[pos] for pos in key), []).append((vals, jet))
+
+    out: Dict[MultiIndex, Dict[MultiIndex, GaussianRational]] = {}
+
+    def join(term, env: Dict[str, int], depth: int, prod: Poly | None):
+        weight, config, momenta, shifts, symbols = term
+        if depth < len(symbols):
+            labels, key = symbols[depth]
+            lookup = lookups[(len(labels), key)]
+            for vals, jet in lookup.get(tuple(env[labels[pos]] for pos in key), ()):
+                env.update(zip(labels, vals))
+                join(term, env, depth + 1, jet if prod is None else prod * jet)
+            return
+        deriv = MultiIndex.of(*(env[c] for c in config), *(n + env[m] for m in momenta))
+        shift = MultiIndex.of(*(n + env[r] for r in shifts))
+        _acc_product(out.setdefault(deriv, {}), prod._terms, {shift: weight})
+
+    for term in terms:
+        join(term, {}, 0, None)
+    d = 2 * n
+    return DiffOp(d, {deriv: Poly(d, acc) for deriv, acc in out.items()})
+
+
 def flat_cotangent_order2(conn: Connection) -> DiffOp:
     """Closed form of the order-2 morphism term over a flat base."""
-    n = conn.n
-    d = 2 * n
-    G = conn.christoffel
-    acc: Dict[MultiIndex, Poly] = {}
-
-    eighth = GaussianRational(Fraction(1, 8))
-    tf = GaussianRational(Fraction(1, 24))
-
-    for i, j, k in itertools.product(range(n), repeat=3):
-        sym = G(i, j, k)
-        if not sym.is_zero():
-            _acc_poly(acc, MultiIndex.of(i, n + j, n + k), sym.embed(d).scale(eighth))
-
-    for j, k in itertools.product(range(n), repeat=2):
-        coeff = Poly.zero(n)
-        for i, l in itertools.product(range(n), repeat=2):
-            coeff = coeff + G(i, l, j) * G(l, i, k)
-        if not coeff.is_zero():
-            _acc_poly(acc, MultiIndex.of(n + j, n + k), coeff.embed(d).scale(eighth))
-
-    for j, k, l in itertools.product(range(n), repeat=3):
-        coeff = Poly.zero(d)
-        for i in range(n):
-            inner = Poly.zero(n)
-            for m in range(n):
-                inner = inner + (G(i, m, l) * G(m, j, k)).scale(2)
-            inner = inner - G(i, j, k).diff_coord(l)
-            if not inner.is_zero():
-                coeff = coeff + Poly.coordinate(d, n + i) * inner.embed(d)
-        if not coeff.is_zero():
-            _acc_poly(acc, MultiIndex.of(n + j, n + k, n + l), coeff.scale(tf))
-
-    return DiffOp(d, acc)
+    return _contract(conn, _ORDER2, "permutations")
 
 
 def flat_cotangent_order4(conn: Connection, cycl_mode: str = "permutations") -> DiffOp:
     """Closed form of the order-4 morphism term over a flat base.
 
-    Each coefficient tensor is a bracket of symbol contractions summed
-    over rearrangements of its momentum indices: all permutations by
-    default, or only the cyclic rotations with `cycl_mode="rotations"`.
-    Because the derivative slots symmetrize those indices, the two
-    readings differ per tensor by the factor (r-1)!; the permutation
-    reading is the one that reproduces the recursively derived operator,
-    with the factorials in the printed denominators matching the
-    permutation counts.
-
-    The derivative slot of a coefficient sees only the multiset M of its
-    r momentum indices, and summed over the orderings of M the
-    permutation reading counts every ordering r! times and the rotation
-    reading r times (each rotation is a bijection on the orderings).  So
-    each ordered bracket is evaluated once, summed per multiset, and
-    scaled by r! or r; the readings themselves are unchanged.
+    Each tensor is summed over rearrangements of its k momentum indices:
+    all permutations by default, or only the cyclic rotations with
+    `cycl_mode="rotations"`.  The readings differ per tensor by (k-1)!;
+    the permutation reading reproduces the recursively derived operator.
     """
     if cycl_mode not in ("rotations", "permutations"):
         raise ValueError("cycl_mode must be 'rotations' or 'permutations'")
-    n = conn.n
-    d = 2 * n
-    G = conn.christoffel
-    rng = range(n)
-
-    def D(p: Poly, *coords: int) -> Poly:
-        return p.diff(MultiIndex.of(*coords))
-
-    def multiset_sums(bracket, k: int) -> Dict[Tuple[int, ...], Poly]:
-        # bracket evaluated once per ordered k-tuple and summed over the
-        # orderings of each multiset, keyed by the sorted tuple
-        sums: Dict[Tuple[int, ...], Poly] = {}
-        for js in itertools.product(rng, repeat=k):
-            _acc_poly(sums, tuple(sorted(js)), bracket(*js))
-        return sums
-
-    def weight(denominator: int, k: int) -> GaussianRational:
-        # the rearrangement sum over all orderings of one multiset counts
-        # each ordering k! times (permutations) or k times (rotations)
-        count = factorial(k) if cycl_mode == "permutations" else k
-        return GaussianRational(Fraction(count, denominator * factorial(k)))
-
-    def tensor_a(j1, j2, j3, j4) -> Poly:
-        acc = Poly.zero(n)
-        for k, l in itertools.product(rng, repeat=2):
-            acc = acc - (G(k, j1, l) * D(G(l, j2, j3), j4, k)).scale(3)
-            acc = acc - G(k, j1, l) * D(G(l, k, j2), j3, j4)
-            for m in rng:
-                acc = acc - G(k, m, j1) * G(l, j2, j3) * D(G(m, k, l), j4)
-                acc = acc - (G(k, l, m) * G(l, k, j1) * D(G(m, j2, j3), j4)).scale(3)
-                acc = acc + (G(k, m, j1) * G(l, k, j2) * D(G(m, l, j3), j4)).scale(3)
-                acc = acc + (G(k, m, j1) * G(l, k, j2) * D(G(m, j3, j4), l)).scale(3)
-                acc = acc + (G(k, m, j1) * G(l, j2, j3) * D(G(m, l, j4), k)).scale(3)
-                acc = acc + (G(k, m, j1) * G(l, j2, j3) * D(G(m, k, j4), l)).scale(7)
-                for m2 in rng:
-                    acc = acc + (
-                        G(k, m, j1) * G(l, m2, j2) * G(m, k, l) * G(m2, j3, j4)
-                    ).scale(3)
-                    acc = acc + (
-                        G(k, l, j1) * G(l, k, j2) * G(m, m2, j3) * G(m2, m, j4)
-                    ).scale(3)
-                    acc = acc - G(k, m, j1) * G(l, k, j2) * G(m, m2, j3) * G(m2, l, j4)
-        return acc
-
-    def tensor_b(i):
-        def bracket(j1, j2, j3, j4) -> Poly:
-            acc = -D(G(i, j1, j2), j3, j4)
-            for k in rng:
-                acc = acc + (G(k, j1, j2) * D(G(i, j3, j4), k)).scale(4)
-                acc = acc + G(k, j1, j2) * D(G(i, k, j3), j4)
-                acc = acc - (G(i, k, j1) * D(G(k, j2, j3), j4)).scale(2)
-                for l in rng:
-                    acc = acc + (G(k, l, j1) * G(l, k, j2) * G(i, j3, j4)).scale(6)
-                    acc = acc + G(k, l, j1) * G(l, j2, j3) * G(i, k, j4)
-                    acc = acc + G(k, j1, j2) * G(l, j3, j4) * G(i, k, l)
-            return acc
-
-        return bracket
-
-    def tensor_c(i1, i2):
-        def bracket(j1, j2, j3, j4) -> Poly:
-            return G(i1, j1, j2) * G(i2, j3, j4)
-
-        return bracket
-
-    def tensor_d(r):
-        def bracket(j1, j2, j3, j4, j5) -> Poly:
-            acc = D(G(r, j1, j2), j3, j4, j5)
-            for k in rng:
-                acc = acc - (G(k, j1, j2) * D(G(r, j3, j4), j5, k)).scale(7)
-                acc = acc - (G(k, j1, j2) * D(G(r, k, j3), j4, j5)).scale(2)
-                acc = acc - (G(r, k, j1) * D(G(k, j2, j3), j4, j5)).scale(2)
-                acc = acc + (D(G(r, k, j1), j2) * D(G(k, j3, j4), j5)).scale(2)
-                acc = acc + D(G(r, j1, j2), k) * D(G(k, j3, j4), j5)
-                for l in rng:
-                    acc = acc - (G(r, k, j1) * G(k, l, j2) * D(G(l, j3, j4), j5)).scale(8)
-                    acc = acc - (G(r, k, l) * G(k, j1, j2) * D(G(l, j3, j4), j5)).scale(6)
-                    acc = acc + (G(r, l, j1) * G(k, j2, j3) * D(G(l, j4, j5), k)).scale(10)
-                    acc = acc + (G(r, l, j1) * G(k, j2, j3) * D(G(l, k, j4), j5)).scale(4)
-                    acc = acc - (G(k, l, j1) * G(l, k, j2) * D(G(r, j3, j4), j5)).scale(10)
-                    acc = acc - (G(k, l, j1) * G(l, j2, j3) * D(G(r, j4, j5), k)).scale(2)
-                    acc = acc - (G(k, j1, j2) * G(l, j3, j4) * D(G(r, k, l), j5)).scale(2)
-                    acc = acc + (G(k, j1, j2) * G(l, j3, j4) * D(G(r, k, j5), l)).scale(10)
-                    for m in rng:
-                        acc = acc + (
-                            G(r, k, j1) * G(k, j2, j3) * G(l, m, j4) * G(m, l, j5)
-                        ).scale(20)
-                        acc = acc + (
-                            G(r, k, m) * G(k, j1, j2) * G(l, j3, j4) * G(m, l, j5)
-                        ).scale(8)
-                        acc = acc + (
-                            G(r, k, j1) * G(k, m, j2) * G(l, j3, j4) * G(m, l, j5)
-                        ).scale(8)
-            return acc
-
-        return bracket
-
-    def tensor_e(r, i):
-        def bracket(j1, j2, j3, j4, j5) -> Poly:
-            acc = -(G(i, j1, j2) * D(G(r, j3, j4), j5))
-            for k in rng:
-                acc = acc + (G(r, k, j1) * G(k, j2, j3) * G(i, j4, j5)).scale(2)
-            return acc
-
-        return bracket
-
-    def tensor_f(r, s):
-        def bracket(j1, j2, j3, j4, j5, j6) -> Poly:
-            acc = D(G(r, j1, j2), j3) * D(G(s, j4, j5), j6)
-            for k in rng:
-                acc = acc - (G(r, k, j1) * G(k, j2, j3) * D(G(s, j4, j5), j6)).scale(4)
-                for l in rng:
-                    acc = acc + (
-                        G(r, k, j1) * G(s, l, j2) * G(k, j3, j4) * G(l, j5, j6)
-                    ).scale(4)
-            return acc
-
-        return bracket
-
-    acc: Dict[MultiIndex, Poly] = {}
-
-    w_a = weight(384, 4)
-    for js, val in multiset_sums(tensor_a, 4).items():
-        _acc_poly(acc, MultiIndex.of(*(n + j for j in js)), val.embed(d).scale(w_a))
-
-    w_b = weight(384, 4)
-    for i in rng:
-        for js, val in multiset_sums(tensor_b(i), 4).items():
-            _acc_poly(acc, MultiIndex.of(i, *(n + j for j in js)), val.embed(d).scale(w_b))
-
-    w_c = weight(128, 4)
-    for i1, i2 in itertools.product(rng, repeat=2):
-        for js, val in multiset_sums(tensor_c(i1, i2), 4).items():
-            _acc_poly(
-                acc,
-                MultiIndex.of(i1, i2, *(n + j for j in js)),
-                val.embed(d).scale(w_c),
-            )
-
-    w_d = weight(1920, 5)
-    for r in rng:
-        p_r = Poly.coordinate(d, n + r)
-        for js, val in multiset_sums(tensor_d(r), 5).items():
-            _acc_poly(
-                acc,
-                MultiIndex.of(*(n + j for j in js)),
-                (p_r * val.embed(d)).scale(w_d),
-            )
-
-    w_e = weight(192, 5)
-    for r, i in itertools.product(rng, repeat=2):
-        p_r = Poly.coordinate(d, n + r)
-        for js, val in multiset_sums(tensor_e(r, i), 5).items():
-            _acc_poly(
-                acc,
-                MultiIndex.of(i, *(n + j for j in js)),
-                (p_r * val.embed(d)).scale(w_e),
-            )
-
-    w_f = weight(1152, 6)
-    for r, s in itertools.product(rng, repeat=2):
-        p_rs = Poly.coordinate(d, n + r) * Poly.coordinate(d, n + s)
-        for js, val in multiset_sums(tensor_f(r, s), 6).items():
-            _acc_poly(
-                acc,
-                MultiIndex.of(*(n + j for j in js)),
-                (p_rs * val.embed(d)).scale(w_f),
-            )
-
-    return DiffOp(d, acc)
+    return _contract(conn, _ORDER4, cycl_mode)
 
 
 def flat_cotangent_morphism(conn: Connection, order: int = 4) -> EquivalenceMorphism:
@@ -635,15 +544,10 @@ def flat_cotangent_morphism(conn: Connection, order: int = 4) -> EquivalenceMorp
     if order > 4:
         raise ValueError("closed forms are available up to order 4")
     d = 2 * conn.n
-    ops = [DiffOp.identity(d)]
-    if order >= 1:
-        ops.append(DiffOp.zero(d))
-    if order >= 2:
-        ops.append(flat_cotangent_order2(conn))
-    if order >= 3:
-        ops.append(DiffOp.zero(d))
-    if order >= 4:
-        ops.append(flat_cotangent_order4(conn))
+    closed = {2: flat_cotangent_order2, 4: flat_cotangent_order4}
+    ops = [DiffOp.identity(d)] + [
+        closed[k](conn) if k in closed else DiffOp.zero(d) for k in range(1, order + 1)
+    ]
     return EquivalenceMorphism(OperatorSeries(ops), provenance="closed-form")
 
 
@@ -707,11 +611,7 @@ def symplectic_order2(spec: SymplecticConnectionSpec) -> DiffOp:
 def operator_diff_report(derived: DiffOp, closed: DiffOp) -> List[dict]:
     """Term-level discrepancies between two operators in normal form."""
     out: List[dict] = []
-    indices = set()
-    for mi, _ in derived.terms():
-        indices.add(mi)
-    for mi, _ in closed.terms():
-        indices.add(mi)
+    indices = {mi for mi, _ in derived.terms()} | {mi for mi, _ in closed.terms()}
     for mi in sorted(indices, key=lambda m: m.grlex_key(derived.dim), reverse=True):
         a = derived.coefficient(mi)
         b = closed.coefficient(mi)

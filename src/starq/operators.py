@@ -33,9 +33,16 @@ _max_order_override: int | None = None
 
 
 def max_op_order() -> int:
+    """The guard: the override, else STARQ_MAX_OP_ORDER (read on every call),
+    else 12.  A variable that is not an integer >= 0 raises ValueError."""
     if _max_order_override is not None:
         return _max_order_override
-    return int(os.environ.get("STARQ_MAX_OP_ORDER", _DEFAULT_MAX_ORDER))
+    raw = os.environ.get("STARQ_MAX_OP_ORDER")
+    if raw is None:
+        return _DEFAULT_MAX_ORDER
+    if not raw.strip().isdecimal():
+        raise ValueError(f"STARQ_MAX_OP_ORDER must be an integer >= 0, got {raw!r}")
+    return int(raw)
 
 
 def set_max_op_order(value: int | None):

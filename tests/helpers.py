@@ -6,9 +6,10 @@ pairing builders are the product constructions the symmetric pairing
 kernel replaced, the term-scan functions are the operator application
 and associativity loop that the sub-index application and the
 monomial-pair table of `check_axioms` replaced, and
-`rearrangement_loop_order4` is the order-4 closed form before its
-rearrangement sums were folded into one sum per index multiset; all are
-kept to gate the new code on exact equality.
+`rearrangement_loop_order4` and `index_loop_order2` are the
+flat-cotangent closed forms written as nested index loops (order 4 before
+its rearrangement sums were folded into one sum per index multiset); all
+are kept to gate the new code on exact equality.
 """
 
 import itertools
@@ -263,6 +264,43 @@ def term_scan_check_axioms(s, max_degree=4):
         tuple(entries),
         {"max_degree": max_degree, "order": s.order, "dim": d},
     )
+
+
+def index_loop_order2(conn):
+    """flat_cotangent_order2 as nested loops over every index."""
+    n = conn.n
+    d = 2 * n
+    G = conn.christoffel
+    acc: Dict[MultiIndex, Poly] = {}
+
+    eighth = GaussianRational(Fraction(1, 8))
+    tf = GaussianRational(Fraction(1, 24))
+
+    for i, j, k in itertools.product(range(n), repeat=3):
+        sym = G(i, j, k)
+        if not sym.is_zero():
+            _acc_poly(acc, MultiIndex.of(i, n + j, n + k), sym.embed(d).scale(eighth))
+
+    for j, k in itertools.product(range(n), repeat=2):
+        coeff = Poly.zero(n)
+        for i, l in itertools.product(range(n), repeat=2):
+            coeff = coeff + G(i, l, j) * G(l, i, k)
+        if not coeff.is_zero():
+            _acc_poly(acc, MultiIndex.of(n + j, n + k), coeff.embed(d).scale(eighth))
+
+    for j, k, l in itertools.product(range(n), repeat=3):
+        coeff = Poly.zero(d)
+        for i in range(n):
+            inner = Poly.zero(n)
+            for m in range(n):
+                inner = inner + (G(i, m, l) * G(m, j, k)).scale(2)
+            inner = inner - G(i, j, k).diff_coord(l)
+            if not inner.is_zero():
+                coeff = coeff + Poly.coordinate(d, n + i) * inner.embed(d)
+        if not coeff.is_zero():
+            _acc_poly(acc, MultiIndex.of(n + j, n + k, n + l), coeff.scale(tf))
+
+    return DiffOp(d, acc)
 
 
 def rearrangement_loop_order4(conn, cycl_mode="permutations"):

@@ -249,6 +249,10 @@ TABLE_FAULT = FIXTURES["fault_table"]["fault"]
         ("verify-tables", dict(FIXTURES["fault_table"], fault=dict(TABLE_FAULT, derivative=[13])), []),
         ("validate", dict(MOYAL, fault=dict(PRODUCT_FAULT, target="tabel")), []),
         ("validate", dict(MOYAL, fault=dict(PRODUCT_FAULT, target=["table"])), []),
+        ("validate", MOYAL, ["--out", "{tmp}/missing/report.json"]),
+        ("validate", MOYAL, ["--out", "{tmp}"]),
+        ("validate", dict(FIXTURES["vf_shear"], frame=[["0", "0"], ["0", "1"]]), []),
+        ("validate", dict(FIXTURES["natural_n2"], connection={"gamma": {"1,2,2": "q1"}}), []),
     ],
     ids=[
         "natural-order-1", "order-string", "fault-list", "fault-string",
@@ -258,14 +262,31 @@ TABLE_FAULT = FIXTURES["fault_table"]["fault"]
         "fault-order-bool", "fault-left-bool", "gamma-not-string", "frame-not-string",
         "gamma-tilde-not-string", "moyal-order-above-guard", "vector-field-order-above-guard",
         "table-fault-above-guard", "fault-target-typo", "fault-target-list",
+        "out-missing-dir", "out-is-directory", "frame-zero-row", "curved-connection",
     ],
 )
 def test_unusable_input_exit_two_without_traceback(command, spec, flags, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
+    flags = [flag.format(tmp=tmp_path) for flag in flags]
     assert main([command, str(path), "--no-timing"] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5", ""])
+def test_malformed_guard_variable_exit_two_before_engine_work(
+    value, spec_file, monkeypatch, capsys
+):
+    def refuse(*args):
+        raise AssertionError("the product was built before the guard was checked")
+
+    monkeypatch.setattr("starq.cli.build_product", refuse)
+    monkeypatch.setenv("STARQ_MAX_OP_ORDER", value)
+    assert main(["validate", spec_file("moyal"), "--no-timing"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: STARQ_MAX_OP_ORDER must be an integer >= 0")
     assert "Traceback" not in err
 
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 from starq.cli import parse_spec
 from starq.errors import CanonicityFailure, IncompatibleFamily
@@ -43,7 +44,12 @@ from starq.equivalence import (
     verify_intertwining,
 )
 
-from helpers import rearrangement_loop_order4
+from helpers import (
+    christoffel_oracle,
+    index_loop_order2,
+    rearrangement_loop_order4,
+    sympy_to_poly,
+)
 from test_geometry import random_flat_connection
 from test_products import DEMOS, momentum_shear_frame
 
@@ -62,6 +68,15 @@ def n2_connection(rich=False):
     if rich:
         target = target + x0 * x0 * x0
     return flat_connection_from_diffeo([x0, target])
+
+
+def nontriangular_n2_connection():
+    # no triangular map gives this pull-back: its symbol matrices are not
+    # simultaneously nilpotent, so trace terms such as G(i,l,a) G(l,i,b)
+    # contribute at n = 2
+    q1, q2 = sp.symbols("q1 q2")
+    gamma = christoffel_oracle([q1 + (q2 + q1 ** 2) ** 2, q2 + q1 ** 2], [q1, q2])
+    return Connection(2, {key: sympy_to_poly(expr, [q1, q2]) for key, expr in gamma.items()})
 
 
 @pytest.fixture(scope="module")
@@ -329,8 +344,8 @@ def test_order2_table_matches_derivation(conn_factory):
 
 @pytest.mark.parametrize(
     "conn_factory",
-    [gamma_q, gamma_one_plus_q2, n2_connection],
-    ids=["gamma=q", "gamma=1+q2", "n2-quadratic"],
+    [gamma_q, gamma_one_plus_q2, n2_connection, nontriangular_n2_connection],
+    ids=["gamma=q", "gamma=1+q2", "n2-quadratic", "n2-nontriangular"],
 )
 def test_order4_table_matches_derivation_under_permutation_reading(conn_factory):
     conn = conn_factory()
@@ -364,6 +379,13 @@ def diffeo_n2_connection():
     return flat_connection_from_diffeo([x0, x1 + (x0 ** 2).scale(2) - x0 ** 3 + x0 ** 4])
 
 
+def gamma_cubic():
+    # every symbol derivative up to rank 3 is nonzero, so every term of
+    # both closed-form tables contributes
+    q = Poly.coordinate(1, 0)
+    return Connection.one_dim(Poly.const(1, 1) + q + q ** 2 + q ** 3)
+
+
 def random_cubic_n2_connection():
     conn = random_flat_connection(2, random.Random(2), cubic=True)
     assert not conn.is_zero()
@@ -373,16 +395,32 @@ def random_cubic_n2_connection():
 @pytest.mark.parametrize("cycl_mode", ["permutations", "rotations"])
 @pytest.mark.parametrize(
     "conn_factory",
-    [gamma_q, demo_n2_connection, diffeo_n2_connection, random_cubic_n2_connection],
-    ids=["gamma=q", "demo-n2", "n2-diffeo-quartic", "random-flat-n2"],
+    [gamma_q, gamma_cubic, demo_n2_connection, diffeo_n2_connection,
+     nontriangular_n2_connection, random_cubic_n2_connection],
+    ids=["gamma=q", "gamma=cubic", "demo-n2", "n2-diffeo-quartic", "n2-nontriangular",
+         "random-flat-n2"],
 )
 def test_order4_multiset_sum_matches_rearrangement_loop(conn_factory, cycl_mode):
-    # one bracket per ordered tuple, summed per multiset and scaled by k!
-    # or k, against the loop that re-adds every rearrangement per tuple
+    # the term tables summed over ordered index assignments with weight
+    # k!/k, against the nested loops that re-add every rearrangement per tuple
     conn = conn_factory()
     closed = flat_cotangent_order4(conn, cycl_mode)
     reference = rearrangement_loop_order4(conn, cycl_mode)
     assert closed == reference, operator_diff_report(closed, reference)
+    closed, reference = flat_cotangent_order2(conn), index_loop_order2(conn)
+    assert closed == reference, operator_diff_report(closed, reference)
+
+
+def n3_triangular_connection():
+    x0, x1, x2 = (Poly.coordinate(3, j) for j in range(3))
+    return flat_connection_from_diffeo([x0, x1 + x0 ** 2, x2 + x1 ** 2 + x0 ** 3])
+
+
+def test_closed_forms_match_derivation_at_n3():
+    conn = n3_triangular_connection()
+    morphism = derive_equivalence(natural_cotangent_product(conn, 4))
+    for k, closed in ((2, flat_cotangent_order2(conn)), (4, flat_cotangent_order4(conn))):
+        assert morphism.operator(k) == closed, operator_diff_report(morphism.operator(k), closed)
 
 
 def test_order4_closed_form_equals_slot_composition_route(natural_q_morphism):

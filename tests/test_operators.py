@@ -11,18 +11,6 @@ from helpers import term_scan_apply, term_scan_bi_apply
 from test_poly import multiindices, polys, scalars
 
 
-def diffops(dim, max_order=2, max_terms=3):
-    term = st.tuples(multiindices(dim, max_order), polys(dim, 2, 2))
-
-    def build(ts):
-        acc = DiffOp.zero(dim)
-        for mi, p in ts:
-            acc = acc + DiffOp(dim, {mi: p})
-        return acc
-
-    return st.lists(term, max_size=max_terms).map(build)
-
-
 def nonzero_diffops(dim, max_order=2, max_terms=3):
     """At least one term, every coefficient a nonzero polynomial."""
     coeff = st.lists(
@@ -145,7 +133,7 @@ def test_multiplication_operators_commute():
 
 
 @settings(max_examples=25, deadline=None)
-@given(diffops(2))
+@given(nonzero_diffops(2))
 def test_commutator_equals_composition_difference(op):
     for coord in range(2):
         x = DiffOp.multiplication(Poly.coordinate(2, coord))
@@ -153,7 +141,7 @@ def test_commutator_equals_composition_difference(op):
 
 
 @settings(max_examples=25, deadline=None)
-@given(diffops(2))
+@given(nonzero_diffops(2))
 def test_repeated_commutation_terminates(op):
     current = op
     steps = 0
@@ -254,6 +242,10 @@ def test_order_guard_env_override(monkeypatch):
     assert max_op_order() == 5
     with pytest.raises(OperatorOrderExceeded):
         DiffOp.derivative(1, MultiIndex({0: 6}))
+    for bad in ("abc", "-1", "2.5", ""):
+        monkeypatch.setenv("STARQ_MAX_OP_ORDER", bad)
+        with pytest.raises(ValueError, match="STARQ_MAX_OP_ORDER"):
+            max_op_order()
 
 
 def test_jet_rank_guard():
