@@ -329,7 +329,9 @@ def verify_intertwining(
     relations that drive the recurrence.  Every pair is still checked
     exactly; the morphism's image of each basis monomial is computed
     once per call and shared by every check that needs it, so the
-    first failure reported is unchanged.
+    first failure reported is unchanged.  A failing entry names its
+    first failing product, the lowest order where the two sides differ
+    and the residual T(f *_Moyal g) - T(f) * T(g) there.
     """
     d = s.dim
     if morphism.dim != d:
@@ -339,7 +341,7 @@ def verify_intertwining(
 
     basis = monomials_up_to(d, max_degree)
     images = {fm: morphism.apply(Poly.monomial(d, fm)) for fm in basis}
-    coord_failures = []
+    coord_failure = None
     checked = 0
     for alpha in range(d):
         x = Poly.coordinate(d, alpha)
@@ -348,23 +350,23 @@ def verify_intertwining(
             left = morphism.apply_series(ref.apply(x, f))
             right = s.apply(x, images[fm])
             checked += 1
-            if left != right:
-                coord_failures.append(f"coordinate {alpha} on {f}")
+            if coord_failure is None and left != right:
+                coord_failure = f"coordinate {alpha} on {f}" + _residual(left, right)
             left = morphism.apply_series(ref.apply(f, x))
             right = s.apply(images[fm], x)
             checked += 1
-            if left != right:
-                coord_failures.append(f"{f} on coordinate {alpha}")
+            if coord_failure is None and left != right:
+                coord_failure = f"{f} on coordinate {alpha}" + _residual(left, right)
     entries.append(
         CheckEntry(
             "coordinate-slots",
-            not coord_failures,
+            coord_failure is None,
             f"{checked} one-sided products checked"
-            + ("" if not coord_failures else f"; first failure: {coord_failures[0]}"),
+            + ("" if coord_failure is None else f"; first failure: {coord_failure}"),
         )
     )
 
-    pair_failures = []
+    pair_failure = None
     checked = 0
     for fm in basis:
         f = Poly.monomial(d, fm)
@@ -375,14 +377,14 @@ def verify_intertwining(
             left = morphism.apply_series(ref.apply(f, g))
             right = s.apply(images[fm], images[gm])
             checked += 1
-            if left != right:
-                pair_failures.append(f"({f}, {g})")
+            if pair_failure is None and left != right:
+                pair_failure = f"({f}, {g})" + _residual(left, right)
     entries.append(
         CheckEntry(
             "monomial-pairs",
-            not pair_failures,
+            pair_failure is None,
             f"{checked} pairs checked"
-            + ("" if not pair_failures else f"; first failure: {pair_failures[0]}"),
+            + ("" if pair_failure is None else f"; first failure: {pair_failure}"),
         )
     )
     return CheckReport(
@@ -390,6 +392,12 @@ def verify_intertwining(
         tuple(entries),
         {"max_degree": max_degree, "order": s.order, "dim": d},
     )
+
+
+def _residual(left: HbarSeries, right: HbarSeries) -> str:
+    """The lowest order where two unequal series differ, and the residual."""
+    k = next(k for k in range(left.order + 1) if left[k] != right[k])
+    return f" at order {k}: residual {left[k] - right[k]}"
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ An operator is applied from the operand's side: for each monomial x^a
 the sub-indices I <= a are enumerated and looked up among the operator's
 derivative indices (a `BiDiffOp` keeps its terms indexed by left, then
 right, multi-index, built on first use), and each hit contributes
-(a)_I x^(a-I) with the falling-factorial weight (a)_I.  Terms whose
-derivative does not divide any monomial are never visited.  Products
-are summed into one raw term map and normalised once, so the result
-does not depend on the summation order.
+(a)_I x^(a-I) with the falling-factorial weight (a)_I.  Each operator
+keeps the hits of every monomial it has met, so a monomial's sub-indices
+are enumerated once per operator; the memo lives and dies with the
+operator.  Terms whose derivative does not divide any monomial are never
+visited.  Products are summed into one raw term map and normalised once,
+so the result does not depend on the summation order.
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ def set_max_op_order(value: int | None):
 class DiffOp:
     """Differential operator sum_I coeff_I(x) d^I in normal form."""
 
-    __slots__ = ("dim", "_terms")
+    # _memo is filled by apply (see _derivatives); equality, hashing and
+    # serialization read _terms only.
+    __slots__ = ("dim", "_terms", "_memo")
 
     def __init__(self, dim: int, terms: Dict[MultiIndex, Poly] | None = None):
         clean: Dict[MultiIndex, Poly] = {}
@@ -72,6 +76,7 @@ class DiffOp:
                 clean[mi] = poly
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_memo", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffOp is immutable")
@@ -130,8 +135,12 @@ class DiffOp:
     def apply(self, f: Poly) -> Poly:
         if f.dim != self.dim:
             raise DimensionMismatch(f"operand dim {f.dim} != operator dim {self.dim}")
+        memo = self._memo
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_memo", memo)
         acc: Dict[MultiIndex, GaussianRational] = {}
-        for mi, df in _derivatives(f, self._terms).items():
+        for mi, df in _derivatives(f, self._terms, memo).items():
             _acc_product(acc, self._terms[mi]._terms, df)
         return Poly(self.dim, acc)
 
@@ -266,8 +275,9 @@ class DiffOp:
 class BiDiffOp:
     """Bidifferential operator sum_(I,J) coeff_(I,J)(x) d^I (x) d^J."""
 
-    # _index is derived from _terms on first apply (see _lookup); equality
-    # and serialization read _terms only.
+    # _index is derived from _terms on first apply and then holds the
+    # derivative memos of both slots (see _lookup); equality and
+    # serialization read _terms only.
     __slots__ = ("dim", "_terms", "_index")
 
     def __init__(
@@ -345,9 +355,9 @@ class BiDiffOp:
     def apply(self, f: Poly, g: Poly) -> Poly:
         if f.dim != self.dim or g.dim != self.dim:
             raise DimensionMismatch("operand dimension mismatch")
-        by_left, rights = self._lookup()
-        left = _derivatives(f, by_left)
-        right = _derivatives(g, rights) if left else {}
+        by_left, rights, left_memo, right_memo = self._lookup()
+        left = _derivatives(f, by_left, left_memo)
+        right = _derivatives(g, rights, right_memo) if left else {}
         acc: Dict[MultiIndex, GaussianRational] = {}
         for li, df in left.items():
             for ri, coeff in by_left[li].items():
@@ -359,13 +369,14 @@ class BiDiffOp:
         return Poly(self.dim, acc)
 
     def _lookup(self):
-        """(left index -> right index -> coefficient, set of right indices)."""
+        """(left index -> right index -> coefficient, set of right indices,
+        left-slot derivative memo, right-slot derivative memo)."""
         index = self._index
         if index is None:
             by_left: Dict[MultiIndex, Dict[MultiIndex, Poly]] = {}
             for (li, ri), coeff in self._terms.items():
                 by_left.setdefault(li, {})[ri] = coeff
-            index = (by_left, frozenset(ri for _, ri in self._terms))
+            index = (by_left, frozenset(ri for _, ri in self._terms), {}, {})
             object.__setattr__(self, "_index", index)
         return index
 
@@ -508,19 +519,27 @@ class OperatorSeries:
         return self.orders == other.orders
 
 
-def _derivatives(f: Poly, wanted) -> Dict[MultiIndex, Dict[MultiIndex, GaussianRational]]:
+def _derivatives(
+    f: Poly, wanted, memo: dict
+) -> Dict[MultiIndex, Dict[MultiIndex, GaussianRational]]:
     """Raw term maps of d^I f for every I in `wanted` below a monomial of f.
 
     A monomial c x^a gives c (a)_I x^(a-I) to d^I f for each sub-index
     I <= a; for a fixed I distinct monomials give distinct x^(a-I), so
-    nothing cancels and every stored coefficient is nonzero.
+    nothing cancels and every stored coefficient is nonzero.  `memo`
+    belongs to the operator whose derivative indices `wanted` holds: it
+    maps each monomial a already seen to its hits (I, a - I, (a)_I), so
+    the sub-indices of a are enumerated once per operator.
     """
     out: Dict[MultiIndex, Dict[MultiIndex, GaussianRational]] = {}
     for a, c in f._terms.items():
-        for sub in a.sub_indices():
-            if sub in wanted:
-                weight = a.falling(sub)
-                out.setdefault(sub, {})[a.subtract(sub)] = c if weight == 1 else c * weight
+        hits = memo.get(a)
+        if hits is None:
+            hits = memo[a] = tuple(
+                (sub, a.subtract(sub), a.falling(sub)) for sub in a.sub_indices() if sub in wanted
+            )
+        for sub, rest, weight in hits:
+            out.setdefault(sub, {})[rest] = c if weight == 1 else c * weight
     return out
 
 

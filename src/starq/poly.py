@@ -210,6 +210,16 @@ class Poly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _normal(cls, dim: int, terms: Dict[MultiIndex, GaussianRational]) -> "Poly":
+        """Unchecked constructor for a term map that is already in normal
+        form: no zero coefficient and every monomial in range for `dim`.
+        The map is taken over, not copied."""
+        p = _new(cls)
+        _set_dim(p, dim)
+        _set_terms(p, terms)
+        return p
+
+    @classmethod
     def zero(cls, dim: int) -> "Poly":
         return cls(dim)
 
@@ -278,12 +288,12 @@ class Poly:
                 terms[mi] = s
             elif acc is not None:
                 del terms[mi]
-        return Poly(self.dim, terms)
+        return Poly._normal(self.dim, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.dim, {mi: -c for mi, c in self._terms.items()})
+        return Poly._normal(self.dim, {mi: -c for mi, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -312,7 +322,7 @@ class Poly:
                     terms[m] = s
                 elif acc is not None:
                     del terms[m]
-        return Poly(self.dim, terms)
+        return Poly._normal(self.dim, terms)
 
     __rmul__ = __mul__
 
@@ -320,7 +330,8 @@ class Poly:
         factor = _as_scalar(factor)
         if not factor:
             return Poly(self.dim)
-        return Poly(self.dim, {mi: c * factor for mi, c in self._terms.items()})
+        # a nonzero factor times a nonzero coefficient is nonzero
+        return Poly._normal(self.dim, {mi: c * factor for mi, c in self._terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
@@ -437,6 +448,11 @@ class Poly:
                 raise ValueError(f"duplicate monomial {entry['exps']}")
             terms[mi] = c
         return cls(dim, terms)
+
+
+_new = object.__new__
+_set_dim = Poly.dim.__set__
+_set_terms = Poly._terms.__set__
 
 
 def _as_scalar(value) -> GaussianRational:

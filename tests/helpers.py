@@ -19,7 +19,7 @@ from typing import Dict, Tuple
 
 import sympy as sp
 
-from starq.geometry import ricci
+from starq.geometry import Connection, ricci
 from starq.operators import BiDiffOp, DiffOp, _acc_poly
 from starq.poly import MultiIndex, Poly
 from starq.products import CheckEntry, CheckReport, monomials_up_to
@@ -122,6 +122,15 @@ def christoffel_oracle(targets, syms):
                     acc += inv[i, a] * sp.diff(targets[a], syms[j], syms[k])
                 gamma[(i, j, k)] = sp.expand(acc)
     return gamma
+
+
+def nontriangular_n2_connection():
+    """A flat n = 2 connection that no triangular map pulls back: its
+    symbol matrices are not simultaneously nilpotent, so trace terms such
+    as G(i,l,a) G(l,i,b) contribute."""
+    q1, q2 = sp.symbols("q1 q2")
+    gamma = christoffel_oracle([q1 + (q2 + q1 ** 2) ** 2, q2 + q1 ** 2], [q1, q2])
+    return Connection(2, {key: sympy_to_poly(expr, [q1, q2]) for key, expr in gamma.items()})
 
 
 def ordered_pairing_operators(p, jets, order):

@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 
 import pytest
-import sympy as sp
 
 from starq.cli import parse_spec
 from starq.errors import CanonicityFailure, IncompatibleFamily
@@ -44,12 +43,7 @@ from starq.equivalence import (
     verify_intertwining,
 )
 
-from helpers import (
-    christoffel_oracle,
-    index_loop_order2,
-    rearrangement_loop_order4,
-    sympy_to_poly,
-)
+from helpers import index_loop_order2, nontriangular_n2_connection, rearrangement_loop_order4
 from test_geometry import random_flat_connection
 from test_products import DEMOS, momentum_shear_frame
 
@@ -68,15 +62,6 @@ def n2_connection(rich=False):
     if rich:
         target = target + x0 * x0 * x0
     return flat_connection_from_diffeo([x0, target])
-
-
-def nontriangular_n2_connection():
-    # no triangular map gives this pull-back: its symbol matrices are not
-    # simultaneously nilpotent, so trace terms such as G(i,l,a) G(l,i,b)
-    # contribute at n = 2
-    q1, q2 = sp.symbols("q1 q2")
-    gamma = christoffel_oracle([q1 + (q2 + q1 ** 2) ** 2, q2 + q1 ** 2], [q1, q2])
-    return Connection(2, {key: sympy_to_poly(expr, [q1, q2]) for key, expr in gamma.items()})
 
 
 @pytest.fixture(scope="module")
@@ -315,6 +300,32 @@ def test_perturbed_morphism_fails_with_location(natural_q_product, natural_q_mor
     assert not report.passed
     failing = [e for e in report.entries if not e.passed]
     assert any("first failure" in e.detail for e in failing)
+
+
+@pytest.mark.parametrize(
+    "order, index, coeff, pair, residual",
+    [
+        # T_k + c d^I breaks the order-k relation by c (d^I(fg) - d^I f g - f d^I g)
+        (2, MultiIndex.of(1, 1), gr("1/7"), "(x1, x1)", "2/7"),
+        (2, MultiIndex.of(1, 1), Poly.coordinate(2, 0).scale(gr("1/7")), "(x1, x1)", "2/7*x0"),
+        (3, MultiIndex.of(0, 0, 0), gr(0, "1/5"), "(x0, x0^2)", "(6/5*i)"),
+    ],
+)
+def test_intertwining_failure_names_order_and_residual(
+    natural_q_product, natural_q_morphism, order, index, coeff, pair, residual
+):
+    orders = list(natural_q_morphism.series.orders)
+    bump = coeff if isinstance(coeff, Poly) else Poly.const(2, coeff)
+    orders[order] = orders[order] + DiffOp(2, {index: bump})
+    bad = EquivalenceMorphism(OperatorSeries(orders), "recursion")
+    report = verify_intertwining(bad, natural_q_product, 3)
+    pairs = next(e for e in report.entries if e.name == "monomial-pairs")
+    assert not pairs.passed
+    assert pairs.detail.endswith(
+        f"first failure: {pair} at order {order}: residual {residual}"
+    )
+    slots = next(e for e in report.entries if e.name == "coordinate-slots")
+    assert f"at order {order}: residual" in slots.detail
 
 
 # -- closed forms: flat cotangent ----------------------------------------------------------

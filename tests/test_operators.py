@@ -1,10 +1,15 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starq.equivalence import derive_equivalence
 from starq.errors import DimensionMismatch, OperatorOrderExceeded
+from starq.geometry import Connection
 from starq.operators import BiDiffOp, DiffOp, OperatorSeries, set_max_op_order
 from starq.poly import EMPTY_INDEX, MultiIndex, Poly
+from starq.products import monomials_up_to, natural_cotangent_product
 from starq.scalars import gr
 
 from helpers import term_scan_apply, term_scan_bi_apply
@@ -172,6 +177,61 @@ def test_bidiff_apply_matches_term_scan(op, f, g, c):
         assert op.apply(a, b) == term_scan_bi_apply(op, a, b)
     # the lazily built index leaves equality and serialization alone
     assert op == BiDiffOp.from_json(op.to_json())
+
+
+# -- the per-operator derivative memo ---------------------------------------------
+#
+# An operator memoizes the derivative hits of every operand monomial it
+# has met; these tests apply one operator object to many operands that
+# share monomials, so most lookups hit a filled memo.
+
+def _sharing_operands(fs):
+    """The operands, again in reverse, and two sums of them."""
+    return fs + fs[::-1] + [fs[0] + fs[-1], sum(fs, Poly.zero(2))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(nonzero_diffops(2, 3, 4), st.lists(multi_term_polys(2), min_size=2, max_size=3))
+def test_one_diffop_many_operands_matches_term_scan(op, fs):
+    fresh = DiffOp.from_json(op.to_json())
+    for f in _sharing_operands(fs):
+        assert op.apply(f) == term_scan_apply(op, f)
+    assert op._memo
+    assert op == fresh and fresh == op
+    assert hash(op) == hash(fresh)
+    assert op.to_json() == fresh.to_json()
+
+
+@settings(max_examples=25, deadline=None)
+@given(bidiffops(2), st.lists(multi_term_polys(2), min_size=2, max_size=3))
+def test_one_bidiffop_many_operands_matches_term_scan(op, fs):
+    fresh = BiDiffOp.from_json(op.to_json())
+    operands = _sharing_operands(fs)
+    for a, b in itertools.product(operands, repeat=2):
+        assert op.apply(a, b) == term_scan_bi_apply(op, a, b)
+    assert op == fresh and fresh == op
+    assert op.to_json() == fresh.to_json()
+
+
+def test_product_and_morphism_operators_over_a_monomial_basis():
+    """Every C_k and T_k of a natural product and its morphism, each one
+    object applied to the whole basis (and C_k to every pair)."""
+    product = natural_cotangent_product(Connection.one_dim(Poly.coordinate(1, 0)), 4)
+    morphism = derive_equivalence(product)
+    basis = [Poly.monomial(2, mi) for mi in monomials_up_to(2, 4)]
+    mixed = [basis[i] + basis[-1 - i].scale(gr("-2/3", 1)) for i in range(len(basis))]
+    for op in morphism.series.orders:
+        fresh = DiffOp.from_json(op.to_json())
+        for f in basis + mixed:
+            assert op.apply(f) == term_scan_apply(op, f)
+        assert op == fresh and hash(op) == hash(fresh) and op.to_json() == fresh.to_json()
+    for op in product.C:
+        fresh = BiDiffOp.from_json(op.to_json())
+        for f in basis + mixed[:4]:
+            for g in basis:
+                if f.degree + g.degree <= 4:
+                    assert op.apply(f, g) == term_scan_bi_apply(op, f, g)
+        assert op == fresh and op.to_json() == fresh.to_json()
 
 
 def test_vanishing_on_constants():

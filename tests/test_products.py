@@ -37,6 +37,7 @@ from starq.products import (
 
 from helpers import (
     moyal_oracle,
+    nontriangular_n2_connection,
     ordered_pairing_operators,
     ordered_ricci_term,
     phase_symbols,
@@ -434,6 +435,14 @@ def _moyal_bump(left, right, order):
     return corrupted(moyal, *bump, order=order), 4
 
 
+def _nontriangular_n2_bump():
+    # a non-triangular pull-back, so trace terms of the symbols and their
+    # cancellations enter the exact arithmetic of both checks
+    product = natural_cotangent_product(nontriangular_n2_connection(), 3)
+    x = coords(product.dim)
+    return corrupted(product, MultiIndex.unit(1), MultiIndex.of(2, 3), order=3, coeff=x[1]), 3
+
+
 def _natural_n2_bump():
     data = json.loads((DEMOS / "natural_cotangent_n2.json").read_text())
     product = build_product(parse_spec(data))
@@ -451,10 +460,11 @@ def _natural_n2_bump():
         lambda: _moyal_bump((0, 0), (1, 0), 2),
         lambda: (build_product(parse_spec(FIXTURES["fault_assoc"])), FIXTURES["fault_assoc"]["max_degree"]),
         _natural_n2_bump,
+        _nontriangular_n2_bump,
     ],
     ids=[
         "moyal-o2-dq-dq", "moyal-o3-dp-dq", "moyal-o1-dq2-dp", "moyal-o4-dqdp-dp2",
-        "moyal-o2-1-dq", "cli-fault-assoc", "natural-n2-o3",
+        "moyal-o2-1-dq", "cli-fault-assoc", "natural-n2-o3", "natural-n2-nontriangular-o3",
     ],
 )
 def test_check_axioms_matches_term_scan(case):
@@ -518,13 +528,16 @@ def _cubic_frame_against_ordered():
     )
 
 
-def _natural_against_ordered():
-    q1, q2 = Poly.coordinate(2, 0), Poly.coordinate(2, 1)
-    conn = flat_connection_from_diffeo([q1, q2 + (q1 ** 2).scale(2) - q1 ** 3])
+def _natural_against_ordered(conn):
     lifted = lift_connection(conn)
     p = PoissonTensor.canonical(2)
     jets = lambda k: covariant_jet_ops(lifted, k).__getitem__
     return natural_cotangent_product(conn, 4), ordered_pairing_operators(p, jets, 4)
+
+
+def _cubic_pullback_n2():
+    q1, q2 = Poly.coordinate(2, 0), Poly.coordinate(2, 1)
+    return flat_connection_from_diffeo([q1, q2 + (q1 ** 2).scale(2) - q1 ** 3])
 
 
 def _natural_n1_order6_against_ordered():
@@ -557,12 +570,13 @@ def _demo_symplectic_against_ordered():
         lambda: _moyal_against_ordered(2, 0, 5),
         lambda: _moyal_against_ordered(1, 1, 5),
         _cubic_frame_against_ordered,
-        _natural_against_ordered,
+        lambda: _natural_against_ordered(_cubic_pullback_n2()),
+        lambda: _natural_against_ordered(nontriangular_n2_connection()),
         _natural_n1_order6_against_ordered,
         _demo_symplectic_against_ordered,
     ],
     ids=["moyal-n2-o5", "moyal-n1-casimir-o5", "vector-field-cubic-n2-o4",
-         "natural-n2-o4", "natural-n1-o6", "symplectic-demo"],
+         "natural-n2-o4", "natural-n2-nontriangular-o4", "natural-n1-o6", "symplectic-demo"],
 )
 def test_pairing_kernel_matches_ordered_sum(case):
     product, reference = case()

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starq.scalars import GaussianRational, I, ONE, ZERO, gr
@@ -58,3 +58,136 @@ def test_conjugation(a):
     prod = a * a.conjugate()
     assert prod.im == 0
     assert prod.re >= 0
+
+
+# -- reference: plain (Fraction, Fraction) pairs -------------------------------------
+#
+# The scalar keeps an integral part as an int and skips products with a
+# zero factor; every operation must still agree with naive pair
+# arithmetic, on part shapes well outside the small `rationals` above.
+
+parts = st.one_of(
+    st.just(0),
+    st.integers(-20, 20),
+    st.integers(-20, 20).map(Fraction),
+    rationals,
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(10 ** 11, 10 ** 12)),
+)
+pairs = st.one_of(
+    st.tuples(parts, st.just(0)),
+    st.tuples(st.just(0), parts),
+    st.tuples(parts, parts),
+)
+
+
+def ref(pair):
+    return Fraction(pair[0]), Fraction(pair[1])
+
+
+def ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def ref_str(x):
+    re, im = x
+    if not re and not im:
+        return "0"
+    out = []
+    if re:
+        out.append(str(re))
+    if im:
+        out.append("i" if im == 1 else "-i" if im == -1 else f"{im}*i")
+    return "+".join(out).replace("+-", "-")
+
+
+def assert_matches(value, x):
+    """`value` equals the reference pair x, with parts in normal form."""
+    for part, want in ((value.re, x[0]), (value.im, x[1])):
+        assert type(part) in (int, Fraction)
+        assert type(part) is int or part.denominator != 1
+        assert part == want
+    assert value == GaussianRational(*x)
+    assert hash(value) == hash(x)
+    assert str(value) == ref_str(x)
+    assert value.to_json() == {"re": str(x[0]), "im": str(x[1])}
+
+
+@settings(max_examples=300)
+@given(pairs, pairs, st.integers(0, 5))
+def test_arithmetic_matches_fraction_pairs(p, q, n):
+    a, b = GaussianRational(*p), GaussianRational(*q)
+    x, y = ref(p), ref(q)
+    assert_matches(a, x)
+    assert_matches(a + b, (x[0] + y[0], x[1] + y[1]))
+    assert_matches(a - b, (x[0] - y[0], x[1] - y[1]))
+    assert_matches(a * b, ref_mul(x, y))
+    assert_matches(-a, (-x[0], -x[1]))
+    assert_matches(a.conjugate(), (x[0], -x[1]))
+    power = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        power = ref_mul(power, x)
+    assert_matches(a ** n, power)
+    norm = y[0] * y[0] + y[1] * y[1]
+    if norm:
+        assert_matches(a / b, ((x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm))
+    assert (a == b) == (x == y)
+    assert_matches(GaussianRational.from_json(a.to_json()), x)
+
+
+@given(pairs, st.integers(-30, 30))
+def test_int_operands_match_fraction_pairs(p, k):
+    a, x = GaussianRational(*p), ref(p)
+    assert_matches(a * k, (x[0] * k, x[1] * k))
+    assert_matches(k * a, (x[0] * k, x[1] * k))
+    assert_matches(a + k, (x[0] + k, x[1]))
+    assert_matches(k - a, (k - x[0], -x[1]))
+    if k:
+        assert_matches(a / k, (x[0] / k, x[1] / k))
+    if a:
+        norm = x[0] * x[0] + x[1] * x[1]
+        assert_matches(k / a, (k * x[0] / norm, -k * x[1] / norm))
+
+
+@pytest.mark.parametrize(
+    "three",
+    [3, Fraction(3), "3", "6/2", Fraction(6, 2), gr(6) / gr(2), gr("9/2") / gr("3/2"),
+     gr(3, 4) * gr(3, -4) / gr(25, 0) * gr(3)],
+    ids=["int", "Fraction", "str", "str-6/2", "Fraction-6/2", "int-quotient",
+         "fraction-quotient", "complex-quotient"],
+)
+def test_integral_value_spellings_agree(three):
+    value = three if isinstance(three, GaussianRational) else gr(three, three)
+    want = gr(3) if isinstance(three, GaussianRational) else gr(3, 3)
+    assert value == want
+    assert hash(value) == hash(want)
+    assert str(value) == str(want)
+    assert value.to_json() == want.to_json()
+    assert type(value.re) is int
+    assert type(value.im) is int
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gr(1) / gr(2),
+        lambda: gr(1, 1) / gr(0, 2),
+        lambda: gr(7) / gr(7),
+        lambda: gr("1/2", 3) ** 3,
+        lambda: gr("-5/10", "4/2") ** 2,
+        lambda: GaussianRational.from_json({"re": "4/6", "im": "-8/4"}),
+        lambda: gr("0.25", "10/5"),
+        lambda: gr(Fraction(3, 1), True),
+    ],
+)
+def test_parts_are_never_floats(make):
+    value = make()
+    for part in (value.re, value.im):
+        assert type(part) in (int, Fraction)
+        assert type(part) is int or part.denominator != 1
+
+
+def test_floats_are_rejected():
+    with pytest.raises(TypeError):
+        gr(0.5)
+    assert GaussianRational(1).__mul__(0.5) is NotImplemented
