@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .scalars import GaussianRational, gr
 from .poly import MultiIndex, Poly
 from .series import HbarSeries
-from .operators import BiDiffOp, DiffOp, OperatorSeries
+from .operators import BiDiffOp, DiffOp
 from .geometry import (
     Connection,
     LiftedConnection,
@@ -55,7 +55,6 @@ __all__ = [
     "HbarSeries",
     "BiDiffOp",
     "DiffOp",
-    "OperatorSeries",
     "Connection",
     "LiftedConnection",
     "SymplecticConnectionSpec",

@@ -44,7 +44,7 @@ from .errors import (
     StarqError,
 )
 from .geometry import Connection, SymplecticConnectionSpec, canonical_poisson_entries, ricci
-from .operators import DiffOp, OperatorSeries, _acc_poly, _acc_product, max_op_order
+from .operators import DiffOp, _acc_poly, _acc_product, max_op_order
 from .poly import MultiIndex, Poly
 from .scalars import GaussianRational
 from .series import HbarSeries
@@ -61,46 +61,57 @@ HALF = GaussianRational(Fraction(1, 2))
 
 
 class EquivalenceMorphism:
-    """Truncated morphism series together with how it was obtained."""
+    """id + sum_k hbar^k T_k, truncated, together with how it was obtained."""
 
-    __slots__ = ("series", "provenance")
+    __slots__ = ("dim", "orders", "provenance")
 
-    def __init__(self, series: OperatorSeries, provenance: str):
-        object.__setattr__(self, "series", series)
+    def __init__(self, orders: Sequence[DiffOp], provenance: str):
+        if not orders:
+            raise ValueError("a morphism needs at least the order-0 operator")
+        dim = orders[0].dim
+        if orders[0] != DiffOp.identity(dim):
+            raise ValueError("the order-0 operator must be the identity")
+        if any(op.dim != dim for op in orders):
+            raise DimensionMismatch("mixed dimensions in morphism orders")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "orders", tuple(orders))
         object.__setattr__(self, "provenance", provenance)
 
     def __setattr__(self, name, value):
         raise AttributeError("EquivalenceMorphism is immutable")
 
     @property
-    def dim(self) -> int:
-        return self.series.dim
-
-    @property
     def order(self) -> int:
-        return self.series.order
+        return len(self.orders) - 1
 
     def operator(self, k: int) -> DiffOp:
-        return self.series[k]
+        return self.orders[k]
 
     def apply(self, f: Poly) -> HbarSeries:
-        return self.series.apply(f)
+        return HbarSeries([op.apply(f) for op in self.orders])
 
     def apply_series(self, h: HbarSeries) -> HbarSeries:
-        return self.series.apply_series(h)
+        """Action on a coefficient series, truncated at the series order."""
+        out = []
+        for m in range(h.order + 1):
+            acc = Poly.zero(self.dim)
+            for j in range(min(m, self.order) + 1):
+                acc = acc + self.orders[j].apply(h[m - j])
+            out.append(acc)
+        return HbarSeries(out)
 
     def __eq__(self, other):
         if not isinstance(other, EquivalenceMorphism):
             return NotImplemented
-        return self.series == other.series
+        return self.orders == other.orders
 
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
             "order": self.order,
             "provenance": self.provenance,
-            "term_counts": [op.term_count() for op in self.series.orders],
-            "operators": [op.to_json() for op in self.series.orders[1:]],
+            "term_counts": [op.term_count() for op in self.orders],
+            "operators": [op.to_json() for op in self.orders[1:]],
         }
 
 
@@ -293,7 +304,7 @@ def derive_equivalence(s: StarProduct, order: int | None = None) -> EquivalenceM
             if not solution.apply(x).is_zero():
                 raise StarqError(f"order-{k} operator does not kill coordinate {alpha}")
         ops.append(solution)
-    return EquivalenceMorphism(OperatorSeries(ops), provenance="recursion")
+    return EquivalenceMorphism(ops, provenance="recursion")
 
 
 def symmetrized_star_power(s: StarProduct, indices: Sequence[int]) -> HbarSeries:
@@ -556,7 +567,7 @@ def flat_cotangent_morphism(conn: Connection, order: int = 4) -> EquivalenceMorp
     ops = [DiffOp.identity(d)] + [
         closed[k](conn) if k in closed else DiffOp.zero(d) for k in range(1, order + 1)
     ]
-    return EquivalenceMorphism(OperatorSeries(ops), provenance="closed-form")
+    return EquivalenceMorphism(ops, provenance="closed-form")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Normal-form differential and bidifferential operators.
 
-Operators are stored with coefficient polynomials to the left of
-derivative monomials and terms keyed by the derivative multi-index, so
-structural equality of the term maps is equality of operators.  The
-derivative order of any term is capped by a configurable guard (default
-12, overridable through the STARQ_MAX_OP_ORDER environment variable) to
-catch runaway recursions early.
+`DiffOp` and `BiDiffOp` share one normal form, a private base class: a
+map from derivative keys (one multi-index per slot: the bare index, or
+the pair (left, right)) to nonzero coefficient polynomials standing to
+the left of the derivatives, so structural equality of the term maps is
+equality of operators.  The base owns the one constructor that checks
+every slot of every key against the dimension and against a
+configurable derivative-order guard (default 12, overridable through
+the STARQ_MAX_OP_ORDER environment variable) that catches runaway
+recursions early, and the arithmetic, equality, hashing and JSON codec
+of the term map.  The subclasses add only the action of their terms.
 
 An operator is applied from the operand's side: for each monomial x^a
 the sub-indices I <= a are enumerated and looked up among the operator's
@@ -23,13 +27,14 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Iterator, List, Tuple
 
 from .errors import DimensionMismatch, OperatorOrderExceeded
 from .poly import EMPTY_INDEX, MultiIndex, Poly
 from .scalars import GaussianRational, ONE
-from .series import HbarSeries
 
+_set = object.__setattr__
 _DEFAULT_MAX_ORDER = 12
 _max_order_override: int | None = None
 
@@ -53,39 +58,131 @@ def set_max_op_order(value: int | None):
     _max_order_override = value
 
 
-class DiffOp:
-    """Differential operator sum_I coeff_I(x) d^I in normal form."""
+class _NormalForm:
+    """A map from derivative keys to nonzero coefficient polynomials.
 
-    # _memo is filled by apply (see _derivatives); equality, hashing and
-    # serialization read _terms only.
+    A key holds one derivative multi-index per slot: the bare index for
+    a `DiffOp`, the pair (left, right) for a `BiDiffOp`.  A subclass
+    names the slots in JSON (`_SLOTS`), gives the grlex sort key of a key
+    (`_grlex`) and adds the action of its terms.
+    """
+
+    # _memo is filled on first apply (see DiffOp.apply and
+    # BiDiffOp._lookup); equality, hashing and serialization read _terms
+    # only.
     __slots__ = ("dim", "_terms", "_memo")
+    _SLOTS: Tuple[str, ...] = ()
 
-    def __init__(self, dim: int, terms: Dict[MultiIndex, Poly] | None = None):
-        clean: Dict[MultiIndex, Poly] = {}
-        guard = max_op_order()
-        for mi, poly in (terms or {}).items():
-            if poly.dim != dim:
-                raise DimensionMismatch(f"coefficient dim {poly.dim} != operator dim {dim}")
-            if mi.max_coord() >= dim:
-                raise DimensionMismatch(f"derivative index {mi!r} out of range for dim {dim}")
-            if mi.degree > guard:
-                raise OperatorOrderExceeded(
-                    f"derivative order {mi.degree} exceeds guard {guard}"
-                )
-            if not poly.is_zero():
-                clean[mi] = poly
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_memo", None)
+    def __init__(self, dim: int, terms: dict | None = None):
+        clean = {}
+        if terms:
+            for key, poly in terms.items():
+                if poly.dim != dim:
+                    raise DimensionMismatch(f"coefficient dim {poly.dim} != operator dim {dim}")
+                if poly._terms:
+                    clean[key] = poly
+            guard = max_op_order()
+            for mi in terms if len(self._SLOTS) == 1 else chain.from_iterable(terms):
+                if mi.max_coord() >= dim:
+                    raise DimensionMismatch(f"derivative index {mi!r} out of range for dim {dim}")
+                if mi.degree > guard:
+                    raise OperatorOrderExceeded(
+                        f"derivative order {mi.degree} exceeds guard {guard}"
+                    )
+        _set(self, "dim", dim)
+        _set(self, "_terms", clean)
+        _set(self, "_memo", None)
 
     def __setattr__(self, name, value):
-        raise AttributeError("DiffOp is immutable")
-
-    # -- constructors ---------------------------------------------------------
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls, dim: int) -> "DiffOp":
+    def zero(cls, dim: int):
         return cls(dim)
+
+    # -- accessors ----------------------------------------------------------------
+
+    def terms(self) -> Iterator[tuple]:
+        """(key, coefficient) pairs, keys descending in grlex slot by slot."""
+        dim, grlex = self.dim, self._grlex
+        for key in sorted(self._terms, key=lambda key: grlex(key, dim), reverse=True):
+            yield key, self._terms[key]
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def term_count(self) -> int:
+        return len(self._terms)
+
+    # -- arithmetic ---------------------------------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if other.dim != self.dim:
+            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
+        acc = dict(self._terms)
+        for key, poly in other._terms.items():
+            _acc_poly(acc, key, poly)
+        return type(self)(self.dim, acc)
+
+    def __neg__(self):
+        return type(self)(self.dim, {key: -p for key, p in self._terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, factor):
+        return type(self)(self.dim, {key: p.scale(factor) for key, p in self._terms.items()})
+
+    # -- dunder -----------------------------------------------------------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.dim == other.dim and self._terms == other._terms
+
+    def __hash__(self):
+        return hash((self.dim, frozenset(self._terms.items())))
+
+    # -- serialization ---------------------------------------------------------------------
+
+    def to_json(self) -> dict:
+        dim, slots = self.dim, self._SLOTS
+        terms = []
+        for key, p in self.terms():
+            indices = (key,) if len(slots) == 1 else key
+            entry = {s: list(mi.dense(dim)) for s, mi in zip(slots, indices)}
+            entry["coefficient"] = p.to_json()
+            terms.append(entry)
+        return {"dim": dim, "terms": terms}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        dim = data["dim"]
+        terms: Dict[object, Poly] = {}
+        for entry in data["terms"]:
+            key = tuple(MultiIndex.from_exponents(entry[s]) for s in cls._SLOTS)
+            if len(key) == 1:
+                key = key[0]
+            if key in terms:
+                raise ValueError("duplicate derivative index in serialized operator")
+            terms[key] = Poly.from_json(dim, entry["coefficient"])
+        return cls(dim, terms)
+
+
+class DiffOp(_NormalForm):
+    """Differential operator sum_I coeff_I(x) d^I in normal form."""
+
+    # _memo holds the derivative hits of every operand monomial met (see
+    # _derivatives).
+    __slots__ = ()
+    _SLOTS = ("derivative",)
+    _grlex = staticmethod(MultiIndex.grlex_key)
+
+    # -- constructors ---------------------------------------------------------
 
     @classmethod
     def identity(cls, dim: int) -> "DiffOp":
@@ -106,22 +203,12 @@ class DiffOp:
 
     # -- accessors --------------------------------------------------------------
 
-    def terms(self) -> Iterator[Tuple[MultiIndex, Poly]]:
-        for mi in sorted(self._terms, key=lambda m: m.grlex_key(self.dim), reverse=True):
-            yield mi, self._terms[mi]
-
     def coefficient(self, index: MultiIndex) -> Poly:
         return self._terms.get(index, Poly.zero(self.dim))
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     @property
     def order(self) -> int:
         return max((mi.degree for mi in self._terms), default=0)
-
-    def term_count(self) -> int:
-        return len(self._terms)
 
     def annihilates_constants(self) -> bool:
         """True when there is no pure multiplication term."""
@@ -138,11 +225,11 @@ class DiffOp:
         memo = self._memo
         if memo is None:
             memo = {}
-            object.__setattr__(self, "_memo", memo)
+            _set(self, "_memo", memo)
         acc: Dict[MultiIndex, GaussianRational] = {}
         for mi, df in _derivatives(f, self._terms, memo).items():
             _acc_product(acc, self._terms[mi]._terms, df)
-        return Poly(self.dim, acc)
+        return _nonzero_poly(self.dim, acc)
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Normal form of self applied after `other` (generalized Leibniz)."""
@@ -181,27 +268,6 @@ class DiffOp:
 
     # -- arithmetic ---------------------------------------------------------------------
 
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-        acc = dict(self._terms)
-        for mi, poly in other._terms.items():
-            _acc_poly(acc, mi, poly)
-        return DiffOp(self.dim, acc)
-
-    def __neg__(self) -> "DiffOp":
-        return DiffOp(self.dim, {mi: -p for mi, p in self._terms.items()})
-
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, factor) -> "DiffOp":
-        return DiffOp(self.dim, {mi: p.scale(factor) for mi, p in self._terms.items()})
-
     def __mul__(self, other):
         """Composition for operators, left coefficient product for Poly/scalars."""
         if isinstance(other, DiffOp):
@@ -214,15 +280,7 @@ class DiffOp:
         """Multiply every coefficient by `poly` on the left."""
         return DiffOp(self.dim, {mi: poly * p for mi, p in self._terms.items()})
 
-    # -- dunder -----------------------------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self.dim == other.dim and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.dim, frozenset((mi, p) for mi, p in self._terms.items())))
+    # -- display ------------------------------------------------------------------------------
 
     def __repr__(self):
         return f"DiffOp({self.dim}, {self.format()!r})"
@@ -249,67 +307,20 @@ class DiffOp:
                 chunks.append(f"({cs})")
         return " + ".join(chunks)
 
-    # -- serialization ---------------------------------------------------------------------
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "terms": [
-                {"derivative": list(mi.dense(self.dim)), "coefficient": p.to_json()}
-                for mi, p in self.terms()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DiffOp":
-        dim = data["dim"]
-        terms: Dict[MultiIndex, Poly] = {}
-        for entry in data["terms"]:
-            mi = MultiIndex.from_exponents(entry["derivative"])
-            if mi in terms:
-                raise ValueError("duplicate derivative index in serialized operator")
-            terms[mi] = Poly.from_json(dim, entry["coefficient"])
-        return cls(dim, terms)
-
-
-class BiDiffOp:
+class BiDiffOp(_NormalForm):
     """Bidifferential operator sum_(I,J) coeff_(I,J)(x) d^I (x) d^J."""
 
-    # _index is derived from _terms on first apply and then holds the
-    # derivative memos of both slots (see _lookup); equality and
-    # serialization read _terms only.
-    __slots__ = ("dim", "_terms", "_index")
+    # _memo is the index _lookup derives from _terms on first apply; it
+    # then holds the derivative memos of both slots.
+    __slots__ = ()
+    _SLOTS = ("left", "right")
 
-    def __init__(
-        self,
-        dim: int,
-        terms: Dict[Tuple[MultiIndex, MultiIndex], Poly] | None = None,
-    ):
-        clean: Dict[Tuple[MultiIndex, MultiIndex], Poly] = {}
-        guard = max_op_order()
-        for (li, ri), poly in (terms or {}).items():
-            if poly.dim != dim:
-                raise DimensionMismatch(f"coefficient dim {poly.dim} != operator dim {dim}")
-            if li.max_coord() >= dim or ri.max_coord() >= dim:
-                raise DimensionMismatch("derivative index out of range")
-            if li.degree > guard or ri.degree > guard:
-                raise OperatorOrderExceeded(
-                    f"derivative order exceeds guard {guard}"
-                )
-            if not poly.is_zero():
-                clean[(li, ri)] = poly
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_index", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiDiffOp is immutable")
+    @staticmethod
+    def _grlex(key, dim: int):
+        return (key[0].grlex_key(dim), key[1].grlex_key(dim))
 
     # -- constructors ----------------------------------------------------------
-
-    @classmethod
-    def zero(cls, dim: int) -> "BiDiffOp":
-        return cls(dim)
 
     @classmethod
     def multiplication(cls, dim: int) -> "BiDiffOp":
@@ -329,22 +340,8 @@ class BiDiffOp:
 
     # -- accessors ----------------------------------------------------------------
 
-    def terms(self) -> Iterator[Tuple[Tuple[MultiIndex, MultiIndex], Poly]]:
-        def key(pair):
-            li, ri = pair
-            return (li.grlex_key(self.dim), ri.grlex_key(self.dim))
-
-        for pair in sorted(self._terms, key=key, reverse=True):
-            yield pair, self._terms[pair]
-
     def coefficient(self, li: MultiIndex, ri: MultiIndex) -> Poly:
         return self._terms.get((li, ri), Poly.zero(self.dim))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def term_count(self) -> int:
-        return len(self._terms)
 
     def vanishes_on_constants(self) -> bool:
         """No term differentiates zero times in either slot."""
@@ -366,18 +363,18 @@ class BiDiffOp:
                     dfg: Dict[MultiIndex, GaussianRational] = {}
                     _acc_product(dfg, df, dg)
                     _acc_product(acc, coeff._terms, dfg)
-        return Poly(self.dim, acc)
+        return _nonzero_poly(self.dim, acc)
 
     def _lookup(self):
         """(left index -> right index -> coefficient, set of right indices,
         left-slot derivative memo, right-slot derivative memo)."""
-        index = self._index
+        index = self._memo
         if index is None:
             by_left: Dict[MultiIndex, Dict[MultiIndex, Poly]] = {}
             for (li, ri), coeff in self._terms.items():
                 by_left.setdefault(li, {})[ri] = coeff
             index = (by_left, frozenset(ri for _, ri in self._terms), {}, {})
-            object.__setattr__(self, "_index", index)
+            _set(self, "_memo", index)
         return index
 
     def slot_fix(self, coord: int, side: str = "left") -> DiffOp:
@@ -410,113 +407,8 @@ class BiDiffOp:
             _acc_poly(acc, (ri, li), coeff)
         return BiDiffOp(self.dim, acc)
 
-    # -- arithmetic ----------------------------------------------------------------------
-
-    def __add__(self, other: "BiDiffOp") -> "BiDiffOp":
-        if not isinstance(other, BiDiffOp):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-        acc = dict(self._terms)
-        for pair, poly in other._terms.items():
-            _acc_poly(acc, pair, poly)
-        return BiDiffOp(self.dim, acc)
-
-    def __neg__(self) -> "BiDiffOp":
-        return BiDiffOp(self.dim, {pair: -p for pair, p in self._terms.items()})
-
-    def __sub__(self, other: "BiDiffOp") -> "BiDiffOp":
-        if not isinstance(other, BiDiffOp):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, factor) -> "BiDiffOp":
-        return BiDiffOp(self.dim, {pair: p.scale(factor) for pair, p in self._terms.items()})
-
-    # -- dunder -------------------------------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, BiDiffOp):
-            return NotImplemented
-        return self.dim == other.dim and self._terms == other._terms
-
     def __repr__(self):
         return f"BiDiffOp(dim={self.dim}, terms={self.term_count()})"
-
-    # -- serialization ---------------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "terms": [
-                {
-                    "left": list(li.dense(self.dim)),
-                    "right": list(ri.dense(self.dim)),
-                    "coefficient": p.to_json(),
-                }
-                for (li, ri), p in self.terms()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BiDiffOp":
-        dim = data["dim"]
-        terms: Dict[Tuple[MultiIndex, MultiIndex], Poly] = {}
-        for entry in data["terms"]:
-            key = (
-                MultiIndex.from_exponents(entry["left"]),
-                MultiIndex.from_exponents(entry["right"]),
-            )
-            if key in terms:
-                raise ValueError("duplicate derivative pair in serialized operator")
-            terms[key] = Poly.from_json(dim, entry["coefficient"])
-        return cls(dim, terms)
-
-
-class OperatorSeries:
-    """id + sum_k hbar^k T_k as a plain list of operators, T_0 = id."""
-
-    __slots__ = ("dim", "orders")
-
-    def __init__(self, orders: List[DiffOp]):
-        if not orders:
-            raise ValueError("an operator series needs at least the order-0 term")
-        dim = orders[0].dim
-        if orders[0] != DiffOp.identity(dim):
-            raise ValueError("the order-0 operator must be the identity")
-        for op in orders:
-            if op.dim != dim:
-                raise DimensionMismatch("mixed dimensions in operator series")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "orders", list(orders))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperatorSeries is immutable")
-
-    @property
-    def order(self) -> int:
-        return len(self.orders) - 1
-
-    def __getitem__(self, k: int) -> DiffOp:
-        return self.orders[k]
-
-    def apply(self, f: Poly) -> HbarSeries:
-        return HbarSeries([op.apply(f) for op in self.orders])
-
-    def apply_series(self, h: HbarSeries) -> HbarSeries:
-        """Action on a coefficient series, truncated at the series order."""
-        out = []
-        for m in range(h.order + 1):
-            acc = Poly.zero(self.dim)
-            for j in range(min(m, self.order) + 1):
-                acc = acc + self.orders[j].apply(h[m - j])
-            out.append(acc)
-        return HbarSeries(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, OperatorSeries):
-            return NotImplemented
-        return self.orders == other.orders
 
 
 def _derivatives(
@@ -559,3 +451,13 @@ def _acc_poly(acc: dict, key, poly: Poly):
         acc.pop(key, None)
     else:
         acc[key] = total
+
+
+def _nonzero_poly(dim: int, acc: dict) -> Poly:
+    """The polynomial of a raw term map whose monomials are all in range
+    for `dim`, with its zero sums dropped."""
+    terms = {}
+    for m, c in acc.items():
+        if c:
+            terms[m] = c
+    return Poly._normal(dim, terms)

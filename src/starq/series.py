@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Callable, List, Sequence
 
 from .errors import OrderMismatch
-from .poly import Poly
 
 
 class HbarSeries:
@@ -105,7 +104,3 @@ class HbarSeries:
     def __str__(self):
         return " , ".join(f"h^{k}: {c}" for k, c in enumerate(self.coeffs))
 
-
-def poly_series(poly: Poly, order: int) -> HbarSeries:
-    """Embed a polynomial as an order-`order` series."""
-    return HbarSeries.from_constant(poly, order)

@@ -3,9 +3,10 @@
 The sympy oracles go through symbolic differentiation and exact
 rationals, sharing no code with the package under test.  The ordered
 pairing builders are the product constructions the symmetric pairing
-kernel replaced, the term-scan functions are the operator application
-and associativity loop that the sub-index application and the
-monomial-pair table of `check_axioms` replaced, and
+kernel replaced, the term-scan functions are the operator application,
+associativity loop and intertwining check that the sub-index
+application, the monomial-pair table of `check_axioms` and the shared
+morphism images of `verify_intertwining` replaced, and
 `rearrangement_loop_order4` and `index_loop_order2` are the
 flat-cotangent closed forms written as nested index loops (order 4 before
 its rearrangement sums were folded into one sum per index multiset); all
@@ -22,7 +23,7 @@ import sympy as sp
 from starq.geometry import Connection, ricci
 from starq.operators import BiDiffOp, DiffOp, _acc_poly
 from starq.poly import MultiIndex, Poly
-from starq.products import CheckEntry, CheckReport, monomials_up_to
+from starq.products import CheckEntry, CheckReport, monomials_up_to, moyal_product
 from starq.scalars import HALF_I, I as IMAG, GaussianRational
 
 
@@ -274,6 +275,97 @@ def term_scan_check_axioms(s, max_degree=4):
         {"max_degree": max_degree, "order": s.order, "dim": d},
     )
 
+
+
+def term_scan_verify_intertwining(morphism, s, max_degree=4):
+    """verify_intertwining with both sides of every product evaluated
+    directly by term scan on each pair: T(f *_Moyal g) and T(f) *_s T(g),
+    with no morphism image shared between checks."""
+    d = s.dim
+    N = s.order
+    moyal = moyal_product(s.poisson, N)
+    T = morphism.orders
+
+    def morph(h):
+        """T applied to the coefficient list h, truncated at order N."""
+        out = []
+        for m in range(N + 1):
+            acc = Poly.zero(d)
+            for j in range(min(m, len(T) - 1) + 1):
+                acc = acc + term_scan_apply(T[j], h[m - j])
+            out.append(acc)
+        return out
+
+    def star(product, f, g):
+        """Coefficient lists f and g multiplied by the product, to order N."""
+        out = []
+        for m in range(N + 1):
+            acc = Poly.zero(d)
+            for l in range(m + 1):
+                for a in range(m - l + 1):
+                    acc = acc + term_scan_bi_apply(product.C[l], f[a], g[m - l - a])
+            out.append(acc)
+        return out
+
+    def series(f):
+        return [f] + [Poly.zero(d)] * N
+
+    def images(f):
+        return [term_scan_apply(op, f) for op in T]
+
+    def failure(f, g, fi, gi):
+        """None when T(f *_Moyal g) == T(f) *_s T(g), else the residual text."""
+        left = morph(star(moyal, series(f), series(g)))
+        right = star(s, fi, gi)
+        for k in range(N + 1):
+            if left[k] != right[k]:
+                return f" at order {k}: residual {left[k] - right[k]}"
+        return None
+
+    basis = monomials_up_to(d, max_degree)
+    coord_failure = None
+    checked = 0
+    for alpha in range(d):
+        x = Poly.coordinate(d, alpha)
+        for fm in basis:
+            f = Poly.monomial(d, fm)
+            for label, a, b, ai, bi in (
+                (f"coordinate {alpha} on {f}", x, f, series(x), images(f)),
+                (f"{f} on coordinate {alpha}", f, x, images(f), series(x)),
+            ):
+                checked += 1
+                residual = failure(a, b, ai, bi)
+                if coord_failure is None and residual is not None:
+                    coord_failure = label + residual
+    entries = [
+        CheckEntry(
+            "coordinate-slots",
+            coord_failure is None,
+            f"{checked} one-sided products checked"
+            + ("" if coord_failure is None else f"; first failure: {coord_failure}"),
+        )
+    ]
+    pair_failure = None
+    checked = 0
+    for fm, gm in itertools.product(basis, repeat=2):
+        if fm.degree + gm.degree > max_degree:
+            continue
+        f, g = Poly.monomial(d, fm), Poly.monomial(d, gm)
+        checked += 1
+        residual = failure(f, g, images(f), images(g))
+        if pair_failure is None and residual is not None:
+            pair_failure = f"({f}, {g})" + residual
+    entries.append(
+        CheckEntry(
+            "monomial-pairs",
+            pair_failure is None,
+            f"{checked} pairs checked"
+            + ("" if pair_failure is None else f"; first failure: {pair_failure}"),
+        )
+    )
+    return CheckReport(
+        "intertwining", tuple(entries), {"max_degree": max_degree, "order": N, "dim": d}
+    )
 
 def index_loop_order2(conn):
     """flat_cotangent_order2 as nested loops over every index."""

@@ -14,7 +14,7 @@ from starq.geometry import (
     flat_connection_from_diffeo,
     ricci,
 )
-from starq.operators import BiDiffOp, DiffOp, OperatorSeries
+from starq.operators import BiDiffOp, DiffOp
 from starq.poly import MultiIndex, Poly
 from starq.scalars import GaussianRational, gr
 from starq.series import HbarSeries
@@ -43,7 +43,12 @@ from starq.equivalence import (
     verify_intertwining,
 )
 
-from helpers import index_loop_order2, nontriangular_n2_connection, rearrangement_loop_order4
+from helpers import (
+    index_loop_order2,
+    nontriangular_n2_connection,
+    rearrangement_loop_order4,
+    term_scan_verify_intertwining,
+)
 from test_geometry import random_flat_connection
 from test_products import DEMOS, momentum_shear_frame
 
@@ -281,9 +286,7 @@ def test_symmetrized_power_matches_applied_morphism(
 
 def test_identity_morphism_intertwines_moyal():
     M = moyal_product(PoissonTensor.canonical(1), 4)
-    ident = EquivalenceMorphism(
-        OperatorSeries([DiffOp.identity(2)] + [DiffOp.zero(2)] * 4), "recursion"
-    )
+    ident = EquivalenceMorphism([DiffOp.identity(2)] + [DiffOp.zero(2)] * 4, "recursion")
     assert verify_intertwining(ident, M, 4).passed
 
 
@@ -293,13 +296,26 @@ def test_derived_morphism_intertwines(natural_q_product, natural_q_morphism):
 
 
 def test_perturbed_morphism_fails_with_location(natural_q_product, natural_q_morphism):
-    orders = list(natural_q_morphism.series.orders)
+    orders = list(natural_q_morphism.orders)
     orders[2] = orders[2] + DiffOp.derivative(2, MultiIndex.of(1, 1), gr("1/7"))
-    bad = EquivalenceMorphism(OperatorSeries(orders), "recursion")
+    bad = EquivalenceMorphism(orders, "recursion")
     report = verify_intertwining(bad, natural_q_product, 4)
     assert not report.passed
     failing = [e for e in report.entries if not e.passed]
     assert any("first failure" in e.detail for e in failing)
+
+
+@pytest.mark.parametrize("bumped", [False, True], ids=["derived", "T2-bumped"])
+def test_verify_intertwining_matches_term_scan(natural_q_product, natural_q_morphism, bumped):
+    morphism = natural_q_morphism
+    if bumped:
+        orders = list(morphism.orders)
+        orders[2] = orders[2] + DiffOp.derivative(2, MultiIndex.of(1, 1), gr("1/7"))
+        morphism = EquivalenceMorphism(orders, "recursion")
+    report = verify_intertwining(morphism, natural_q_product, 4)
+    assert report.passed != bumped
+    oracle = term_scan_verify_intertwining(morphism, natural_q_product, 4)
+    assert report.to_json() == oracle.to_json()
 
 
 @pytest.mark.parametrize(
@@ -314,10 +330,10 @@ def test_perturbed_morphism_fails_with_location(natural_q_product, natural_q_mor
 def test_intertwining_failure_names_order_and_residual(
     natural_q_product, natural_q_morphism, order, index, coeff, pair, residual
 ):
-    orders = list(natural_q_morphism.series.orders)
+    orders = list(natural_q_morphism.orders)
     bump = coeff if isinstance(coeff, Poly) else Poly.const(2, coeff)
     orders[order] = orders[order] + DiffOp(2, {index: bump})
-    bad = EquivalenceMorphism(OperatorSeries(orders), "recursion")
+    bad = EquivalenceMorphism(orders, "recursion")
     report = verify_intertwining(bad, natural_q_product, 3)
     pairs = next(e for e in report.entries if e.name == "monomial-pairs")
     assert not pairs.passed

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starq.equivalence import derive_equivalence
+from starq.equivalence import EquivalenceMorphism, derive_equivalence
 from starq.errors import DimensionMismatch, OperatorOrderExceeded
 from starq.geometry import Connection
-from starq.operators import BiDiffOp, DiffOp, OperatorSeries, set_max_op_order
+from starq.operators import BiDiffOp, DiffOp, set_max_op_order
 from starq.poly import EMPTY_INDEX, MultiIndex, Poly
 from starq.products import monomials_up_to, natural_cotangent_product
 from starq.scalars import gr
@@ -220,7 +220,7 @@ def test_product_and_morphism_operators_over_a_monomial_basis():
     morphism = derive_equivalence(product)
     basis = [Poly.monomial(2, mi) for mi in monomials_up_to(2, 4)]
     mixed = [basis[i] + basis[-1 - i].scale(gr("-2/3", 1)) for i in range(len(basis))]
-    for op in morphism.series.orders:
+    for op in morphism.orders:
         fresh = DiffOp.from_json(op.to_json())
         for f in basis + mixed:
             assert op.apply(f) == term_scan_apply(op, f)
@@ -366,12 +366,68 @@ def test_bidiffop_json_round_trip():
     assert BiDiffOp.from_json(op.to_json()) == op
 
 
-# -- operator series -----------------------------------------------------------------
+# -- the shared normal form ------------------------------------------------------------
+#
+# DiffOp and BiDiffOp share one constructor, arithmetic and JSON codec;
+# each case puts the index under test into one slot of a key.
+
+NORMAL_FORM_SLOTS = [
+    (DiffOp, lambda mi: mi, ("derivative",)),
+    (BiDiffOp, lambda mi: (mi, MultiIndex.of(1)), ("left", "right")),
+    (BiDiffOp, lambda mi: (MultiIndex.of(1), mi), ("left", "right")),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, key, fields", NORMAL_FORM_SLOTS, ids=["diff", "bidiff-left", "bidiff-right"]
+)
+def test_shared_normal_form_constructor(cls, key, fields):
+    q = Poly.coordinate(2, 0)
+    with pytest.raises(DimensionMismatch, match="coefficient dim 3 != operator dim 2"):
+        cls(2, {key(MultiIndex.of(0)): Poly.coordinate(3, 0)})
+    with pytest.raises(DimensionMismatch, match="out of range for dim 2"):
+        cls(2, {key(MultiIndex.of(0, 2)): q})
+    set_max_op_order(3)
+    try:
+        with pytest.raises(OperatorOrderExceeded, match="order 4 exceeds guard 3"):
+            cls(2, {key(MultiIndex.of(0, 0, 1, 1)): q})
+        assert cls(2, {key(MultiIndex.of(0, 0, 1)): q}).term_count() == 1
+    finally:
+        set_max_op_order(None)
+
+    op = cls(
+        2,
+        {
+            key(MultiIndex.of(0, 1)): q.scale(gr("1/3", -2)),
+            key(EMPTY_INDEX): Poly.zero(2),
+            key(MultiIndex.of(1, 1)): Poly.const(2, 5),
+        },
+    )
+    assert op.term_count() == 2  # the zero coefficient is pruned
+    data = op.to_json()
+    assert [list(entry) for entry in data["terms"]] == [[*fields, "coefficient"]] * 2
+    fresh = cls.from_json(data)
+    assert fresh == op and hash(fresh) == hash(op) and fresh.to_json() == data
+    assert op - fresh == cls.zero(2) and op + op == op.scale(2) and -op == op.scale(-1)
+    with pytest.raises(ValueError, match="duplicate derivative index"):
+        cls.from_json(dict(data, terms=data["terms"] + data["terms"][:1]))
+    for name in ("dim", "_terms", "_memo"):
+        with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+            setattr(op, name, None)
+
+
+# -- the morphism as an operator series ------------------------------------------
 
 def test_operator_series_identity_head():
     with pytest.raises(ValueError):
-        OperatorSeries([DiffOp.zero(2)])
-    series = OperatorSeries([DiffOp.identity(2), DiffOp.partial(2, 0)])
+        EquivalenceMorphism([], "recursion")
+    with pytest.raises(ValueError):
+        EquivalenceMorphism([DiffOp.zero(2)], "recursion")
+    with pytest.raises(DimensionMismatch):
+        EquivalenceMorphism([DiffOp.identity(2), DiffOp.partial(3, 0)], "recursion")
+    series = EquivalenceMorphism([DiffOp.identity(2), DiffOp.partial(2, 0)], "recursion")
+    assert series.dim == 2 and series.order == 1
+    assert series.operator(1) == DiffOp.partial(2, 0)
     f = Poly.coordinate(2, 0) ** 2
     out = series.apply(f)
     assert out[0] == f

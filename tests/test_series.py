@@ -2,7 +2,7 @@ import pytest
 
 from starq.errors import OrderMismatch
 from starq.poly import Poly
-from starq.series import HbarSeries, poly_series
+from starq.series import HbarSeries
 
 
 def consts(dim, *values):
@@ -66,10 +66,3 @@ def test_truncate_and_scale():
     with pytest.raises(OrderMismatch):
         s.truncate(5)
 
-
-def test_poly_series_helper():
-    q = Poly.coordinate(2, 0)
-    s = poly_series(q, 3)
-    assert s.order == 3
-    assert s[0] == q
-    assert all(s[k].is_zero() for k in range(1, 4))
