@@ -41,17 +41,19 @@ from .errors import (
     DimensionMismatch,
     IncompatibleFamily,
     OperatorOrderExceeded,
+    OrderMismatch,
     StarqError,
 )
 from .geometry import Connection, SymplecticConnectionSpec, canonical_poisson_entries, ricci
-from .operators import DiffOp, _acc_poly, _acc_product, max_op_order
+from .operators import DiffOp, _acc_poly, _acc_product, _acc_scaled, max_op_order
 from .poly import MultiIndex, Poly
-from .scalars import GaussianRational
+from .scalars import GaussianRational, ONE
 from .series import HbarSeries
 from .products import (
     CheckEntry,
     CheckReport,
     StarProduct,
+    _PairTable,
     monomials_up_to,
     moyal_product,
     quantum_canonicity_check,
@@ -89,16 +91,6 @@ class EquivalenceMorphism:
 
     def apply(self, f: Poly) -> HbarSeries:
         return HbarSeries([op.apply(f) for op in self.orders])
-
-    def apply_series(self, h: HbarSeries) -> HbarSeries:
-        """Action on a coefficient series, truncated at the series order."""
-        out = []
-        for m in range(h.order + 1):
-            acc = Poly.zero(self.dim)
-            for j in range(min(m, self.order) + 1):
-                acc = acc + self.orders[j].apply(h[m - j])
-            out.append(acc)
-        return HbarSeries(out)
 
     def __eq__(self, other):
         if not isinstance(other, EquivalenceMorphism):
@@ -337,59 +329,97 @@ def verify_intertwining(
 
     Covers every monomial pair of total degree <= max_degree at every
     order of the deformation parameter, plus the one-sided coordinate
-    relations that drive the recurrence.  Every pair is still checked
-    exactly; the morphism's image of each basis monomial is computed
-    once per call and shared by every check that needs it, so the
-    first failure reported is unchanged.  A failing entry names its
-    first failing product, the lowest order where the two sides differ
-    and the residual T(f *_Moyal g) - T(f) * T(g) there.
+    relations x *_s T(f) = T(x *_Moyal f) that drive the recurrence, with
+    the coordinate left bare on the s side.  Both sides are expanded
+    bilinearly over monomials: T(f *_Moyal g) over one `_PairTable` of
+    the Moyal product and the raw images T_k(x^w), and T(f) *_s T(g)
+    over one `_PairTable` of s; both tables and the images live for this
+    call only.  The two sides are compared per order as term maps, in
+    the visiting order of a direct evaluation, so the first failure
+    reported is unchanged.  A failing entry names its first failing
+    product, the lowest order where the two sides differ and the
+    residual T(f *_Moyal g) - T(f) * T(g) there.
     """
     d = s.dim
     if morphism.dim != d:
         raise DimensionMismatch("morphism and product dimensions differ")
-    ref = moyal_product(s.poisson, s.order)
-    entries: List[CheckEntry] = []
+    N = s.order
+    if morphism.order != N:
+        raise OrderMismatch(f"morphism order {morphism.order} differs from product order {N}")
+    star = _PairTable(s)
+    moyal = _PairTable(moyal_product(s.poisson, N))
+    orders = morphism.orders[1:]
+    images: Dict[MultiIndex, List[dict]] = {}
+
+    def image(w: MultiIndex) -> List[dict]:
+        """T_0(x^w), ..., T_N(x^w) as raw term maps."""
+        out = images.get(w)
+        if out is None:
+            x = Poly._normal(d, {w: ONE})
+            out = images[w] = [{w: ONE}] + [op.apply(x)._terms for op in orders]
+        return out
+
+    def bare(w: MultiIndex) -> List[dict]:
+        return [{w: ONE}] + [{}] * N
+
+    def mismatch(u: MultiIndex, v: MultiIndex, fu: List[dict], gv: List[dict]) -> str | None:
+        """None when T(x^u *_Moyal x^v) equals fu *_s gv, else the lowest
+        order where they differ and the residual there."""
+        left, right = [], []
+        for m in range(N + 1):
+            acc: Dict[MultiIndex, GaussianRational] = {}
+            for l in range(m + 1):
+                for w, c in moyal.terms(l, u, v).items():
+                    _acc_scaled(acc, image(w)[m - l], c)
+            left.append({w: c for w, c in acc.items() if c})
+            acc = {}
+            for l in range(m + 1):
+                for a in range(m - l + 1):
+                    for fw, fc in fu[a].items():
+                        for gw, gc in gv[m - l - a].items():
+                            _acc_scaled(acc, star.terms(l, fw, gw), fc * gc)
+            right.append({w: c for w, c in acc.items() if c})
+        if left == right:
+            return None
+        return _residual(*(HbarSeries([Poly._normal(d, t) for t in side]) for side in (left, right)))
 
     basis = monomials_up_to(d, max_degree)
-    images = {fm: morphism.apply(Poly.monomial(d, fm)) for fm in basis}
     coord_failure = None
     checked = 0
     for alpha in range(d):
-        x = Poly.coordinate(d, alpha)
+        e = MultiIndex.unit(alpha)
         for fm in basis:
-            f = Poly.monomial(d, fm)
-            left = morphism.apply_series(ref.apply(x, f))
-            right = s.apply(x, images[fm])
-            checked += 1
-            if coord_failure is None and left != right:
-                coord_failure = f"coordinate {alpha} on {f}" + _residual(left, right)
-            left = morphism.apply_series(ref.apply(f, x))
-            right = s.apply(images[fm], x)
-            checked += 1
-            if coord_failure is None and left != right:
-                coord_failure = f"{f} on coordinate {alpha}" + _residual(left, right)
-    entries.append(
+            checked += 2
+            if coord_failure is not None:
+                continue
+            residual = mismatch(e, fm, bare(e), image(fm))
+            if residual is not None:
+                coord_failure = f"coordinate {alpha} on {Poly.monomial(d, fm)}" + residual
+                continue
+            residual = mismatch(fm, e, image(fm), bare(e))
+            if residual is not None:
+                coord_failure = f"{Poly.monomial(d, fm)} on coordinate {alpha}" + residual
+    entries: List[CheckEntry] = [
         CheckEntry(
             "coordinate-slots",
             coord_failure is None,
             f"{checked} one-sided products checked"
             + ("" if coord_failure is None else f"; first failure: {coord_failure}"),
         )
-    )
+    ]
 
     pair_failure = None
     checked = 0
     for fm in basis:
-        f = Poly.monomial(d, fm)
         for gm in basis:
             if fm.degree + gm.degree > max_degree:
                 break
-            g = Poly.monomial(d, gm)
-            left = morphism.apply_series(ref.apply(f, g))
-            right = s.apply(images[fm], images[gm])
             checked += 1
-            if pair_failure is None and left != right:
-                pair_failure = f"({f}, {g})" + _residual(left, right)
+            if pair_failure is None:
+                residual = mismatch(fm, gm, image(fm), image(gm))
+                if residual is not None:
+                    f, g = Poly.monomial(d, fm), Poly.monomial(d, gm)
+                    pair_failure = f"({f}, {g})" + residual
     entries.append(
         CheckEntry(
             "monomial-pairs",

@@ -444,6 +444,18 @@ def _acc_product(acc: dict, left: dict, right: dict):
             acc[m] = acc[m] + c if m in acc else c
 
 
+def _acc_scaled(acc: dict, terms: dict, c=None):
+    """Add c times a raw term map into `acc`, or the map itself when c is
+    None (zeros left in place)."""
+    if c is None:
+        for m, t in terms.items():
+            acc[m] = acc[m] + t if m in acc else t
+    else:
+        for m, t in terms.items():
+            v = t * c
+            acc[m] = acc[m] + v if m in acc else v
+
+
 def _acc_poly(acc: dict, key, poly: Poly):
     existing = acc.get(key)
     total = poly if existing is None else existing + poly

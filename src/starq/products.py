@@ -39,9 +39,9 @@ from .geometry import (
     ricci,
     symmetric_jet_ops,
 )
-from .operators import BiDiffOp, DiffOp, _acc_poly, _acc_product
-from .poly import EMPTY_INDEX, MultiIndex, Poly
-from .scalars import GaussianRational, HALF_I, I as IMAG
+from .operators import BiDiffOp, DiffOp, _acc_poly, _acc_scaled, _nonzero_poly
+from .poly import MultiIndex, Poly
+from .scalars import GaussianRational, HALF_I, I as IMAG, ONE
 from .series import HbarSeries
 
 
@@ -237,7 +237,7 @@ class StarProduct:
             raise OrderMismatch("series order must match the product order")
         out = []
         for m in range(N + 1):
-            acc = Poly.zero(self.dim)
+            acc: Dict[MultiIndex, GaussianRational] = {}
             for l in range(m + 1):
                 for a in range(m - l + 1):
                     fa = f[a]
@@ -246,8 +246,8 @@ class StarProduct:
                     gb = g[m - l - a]
                     if gb.is_zero():
                         continue
-                    acc = acc + self.C[l].apply(fa, gb)
-            out.append(acc)
+                    _acc_scaled(acc, self.C[l].apply(fa, gb)._terms)
+            out.append(_nonzero_poly(self.dim, acc))
         return HbarSeries(out)
 
     def truncate(self, order: int) -> "StarProduct":
@@ -304,8 +304,8 @@ def _pairing_product(
                 v = v * val
             left = jet(tuple(sorted(mu for mu, _, _ in combo)))
             right = jet(tuple(sorted(nu for _, nu, _ in combo)))
-            for li, pa in left.terms():
-                for ri, pb in right.terms():
+            for li, pa in left._terms.items():
+                for ri, pb in right._terms.items():
                     _acc_poly(acc, (li, ri), (pa * pb).scale(v))
         C.append(BiDiffOp(d, acc))
     return C
@@ -522,16 +522,47 @@ class CheckReport:
         }
 
 
+class _PairTable:
+    """C_j(x^a, x^b) of one product as raw term maps, for one check call.
+
+    Each (j, a, b) entry is computed on first request and kept while the
+    table lives; the exhaustive checks expand every product of
+    polynomials bilinearly over it.  C_0(x^a, x^b) is read off as x^(a+b)
+    when C_0 is pointwise multiplication.  The maps are shared: callers
+    only read them.
+    """
+
+    __slots__ = ("_dim", "_C", "_mult", "_entries")
+
+    def __init__(self, s: StarProduct):
+        self._dim = s.dim
+        self._C = s.C
+        self._mult = s.C[0] == BiDiffOp.multiplication(s.dim)
+        self._entries: Dict[tuple, Dict[MultiIndex, GaussianRational]] = {}
+
+    def terms(self, j: int, a: MultiIndex, b: MultiIndex) -> Dict[MultiIndex, GaussianRational]:
+        key = (j, a, b)
+        out = self._entries.get(key)
+        if out is None:
+            if j == 0 and self._mult:
+                out = {a + b: ONE}
+            else:
+                d = self._dim
+                out = self._C[j].apply(Poly._normal(d, {a: ONE}), Poly._normal(d, {b: ONE}))._terms
+            self._entries[key] = out
+        return out
+
+
 def check_axioms(s: StarProduct, max_degree: int = 4) -> CheckReport:
     """Validate the defining conditions of a star product.
 
     Associativity is verified exactly on every monomial triple of total
     degree <= max_degree, separately at each order of the deformation
-    parameter; the remaining conditions are structural.  C_j is memoized
-    on monomial pairs for the duration of one call and every product in
-    an associator is expanded bilinearly over that table; the triples
-    and orders are visited in the same order as a direct evaluation, so
-    the first failure reported (order, triple, residual) is unchanged.
+    parameter; the remaining conditions are structural.  Every product
+    in an associator is expanded bilinearly over one `_PairTable` of
+    this call; the triples and orders are visited in the same order as a
+    direct evaluation, so the first failure reported (order, triple,
+    residual) is unchanged.
     """
     d = s.dim
     entries: List[CheckEntry] = []
@@ -563,18 +594,7 @@ def check_axioms(s: StarProduct, max_degree: int = 4) -> CheckReport:
         )
     )
 
-    # C_j(x^a, x^b) as a raw term map, computed once per (j, a, b) for
-    # this call; every product below is expanded bilinearly over it.
-    table: Dict[Tuple[int, MultiIndex, MultiIndex], Dict[MultiIndex, GaussianRational]] = {}
-
-    def c_terms(j: int, a: MultiIndex, b: MultiIndex) -> Dict[MultiIndex, GaussianRational]:
-        key = (j, a, b)
-        terms = table.get(key)
-        if terms is None:
-            terms = s.C[j].apply(Poly.monomial(d, a), Poly.monomial(d, b))._terms
-            table[key] = terms
-        return terms
-
+    c_terms = _PairTable(s).terms
     basis = monomials_up_to(d, max_degree)
     assoc_ok = True
     assoc_detail = f"monomial triples of total degree <= {max_degree}, orders <= {s.order}"
@@ -592,10 +612,10 @@ def check_axioms(s: StarProduct, max_degree: int = 4) -> CheckReport:
                     acc: Dict[MultiIndex, GaussianRational] = {}
                     for l in range(k + 1):
                         for m, c in c_terms(k - l, fm, gm).items():
-                            _acc_product(acc, {EMPTY_INDEX: c}, c_terms(l, m, hm))
+                            _acc_scaled(acc, c_terms(l, m, hm), c)
                         for m, c in c_terms(k - l, gm, hm).items():
-                            _acc_product(acc, {EMPTY_INDEX: -c}, c_terms(l, fm, m))
-                    residual = Poly(d, acc)
+                            _acc_scaled(acc, c_terms(l, fm, m), -c)
+                    residual = _nonzero_poly(d, acc)
                     if not residual.is_zero():
                         assoc_ok = False
                         fp, gp, hp = (Poly.monomial(d, m) for m in (fm, gm, hm))

@@ -5,12 +5,12 @@ rationals, sharing no code with the package under test.  The ordered
 pairing builders are the product constructions the symmetric pairing
 kernel replaced, the term-scan functions are the operator application,
 associativity loop and intertwining check that the sub-index
-application, the monomial-pair table of `check_axioms` and the shared
-morphism images of `verify_intertwining` replaced, and
-`rearrangement_loop_order4` and `index_loop_order2` are the
-flat-cotangent closed forms written as nested index loops (order 4 before
-its rearrangement sums were folded into one sum per index multiset); all
-are kept to gate the new code on exact equality.
+application and the bilinear expansions of `check_axioms` and
+`verify_intertwining` over one monomial-pair table per call replaced,
+and `rearrangement_loop_order4` and `index_loop_order2` are the
+flat-cotangent closed forms written as nested index loops (order 4
+before its rearrangement sums were folded into one sum per index
+multiset); all are kept to gate the new code on exact equality.
 """
 
 import itertools

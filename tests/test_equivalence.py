@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from starq.cli import parse_spec
-from starq.errors import CanonicityFailure, IncompatibleFamily
+from starq.errors import CanonicityFailure, IncompatibleFamily, OrderMismatch
 from starq.geometry import (
     Connection,
     SymplecticConnectionSpec,
@@ -305,17 +305,51 @@ def test_perturbed_morphism_fails_with_location(natural_q_product, natural_q_mor
     assert any("first failure" in e.detail for e in failing)
 
 
-@pytest.mark.parametrize("bumped", [False, True], ids=["derived", "T2-bumped"])
-def test_verify_intertwining_matches_term_scan(natural_q_product, natural_q_morphism, bumped):
-    morphism = natural_q_morphism
-    if bumped:
-        orders = list(morphism.orders)
-        orders[2] = orders[2] + DiffOp.derivative(2, MultiIndex.of(1, 1), gr("1/7"))
-        morphism = EquivalenceMorphism(orders, "recursion")
+def bumped_morphism(morphism, order, index, coeff):
+    """The morphism with coeff * d^index added to its order-`order` operator."""
+    orders = list(morphism.orders)
+    orders[order] = orders[order] + DiffOp.derivative(morphism.dim, index, coeff)
+    return EquivalenceMorphism(orders, "recursion")
+
+
+# T_2 + (1/7) d^2/dx1^2 kills coordinates; T_4 + d/dx0 does not, so only
+# it tells the bare coordinate x *_s T(f) of the coordinate slots from
+# T(x) *_s T(f)
+@pytest.mark.parametrize(
+    "bump",
+    [None, (2, MultiIndex.of(1, 1), gr("1/7")), (4, MultiIndex.of(0), gr(1))],
+    ids=["derived", "T2-bumped", "T4-d0-bumped"],
+)
+def test_verify_intertwining_matches_term_scan(natural_q_product, natural_q_morphism, bump):
+    morphism = natural_q_morphism if bump is None else bumped_morphism(natural_q_morphism, *bump)
     report = verify_intertwining(morphism, natural_q_product, 4)
-    assert report.passed != bumped
+    assert report.passed == (bump is None)
     oracle = term_scan_verify_intertwining(morphism, natural_q_product, 4)
     assert report.to_json() == oracle.to_json()
+
+
+@pytest.mark.parametrize("bump", [None, (4, MultiIndex.of(0), gr(1))], ids=["derived", "T4-d0-bumped"])
+def test_verify_intertwining_at_degree_zero(natural_q_product, natural_q_morphism, bump):
+    # the basis is {1}: only x *_s 1, 1 *_s x and 1 *_s 1 are checked
+    morphism = natural_q_morphism if bump is None else bumped_morphism(natural_q_morphism, *bump)
+    report = verify_intertwining(morphism, natural_q_product, 0)
+    assert report.to_json() == term_scan_verify_intertwining(morphism, natural_q_product, 0).to_json()
+    slots, pairs = report.entries
+    assert slots.detail.startswith("4 one-sided products checked")
+    assert pairs.detail == "1 pairs checked"
+    if bump is None:
+        assert report.passed
+    else:
+        assert slots.detail.endswith("first failure: coordinate 0 on 1 at order 4: residual 1")
+
+
+def test_verify_intertwining_rejects_order_mismatch(natural_q_product, natural_q_morphism):
+    short = EquivalenceMorphism(natural_q_morphism.orders[:3], "recursion")
+    with pytest.raises(OrderMismatch):
+        verify_intertwining(short, natural_q_product, 2)
+    with pytest.raises(OrderMismatch):
+        verify_intertwining(natural_q_morphism, natural_q_product.truncate(2), 2)
+    assert verify_intertwining(short, natural_q_product.truncate(2), 2).passed
 
 
 @pytest.mark.parametrize(
