@@ -12,22 +12,27 @@ recursions early, and the arithmetic, equality, hashing and JSON codec
 of the term map.  The subclasses add only the action of their terms.
 
 An operator is applied from the operand's side: for each monomial x^a
-the sub-indices I <= a are enumerated and looked up among the operator's
-derivative indices (a `BiDiffOp` keeps its terms indexed by left, then
-right, multi-index, built on first use), and each hit contributes
-(a)_I x^(a-I) with the falling-factorial weight (a)_I.  Each operator
-keeps the hits of every monomial it has met, so a monomial's sub-indices
-are enumerated once per operator; the memo lives and dies with the
-operator.  Terms whose derivative does not divide any monomial are never
-visited.  Products are summed into one raw term map and normalised once,
-so the result does not depend on the summation order.
+it finds its derivative indices I <= a (a `BiDiffOp` keeps its terms
+indexed by left, then right, multi-index, built on first use), walking
+the sub-indices of a or the derivative indices of degree <= |a|,
+whichever are fewer, and each hit contributes (a)_I x^(a-I) with the
+falling-factorial weight (a)_I.  Each operator keeps the hits of every
+monomial it has met, so a monomial is searched once per operator; the
+memo lives and dies with the operator.  Terms whose derivative does not
+divide any monomial are never visited.  Products are summed into one raw
+term map and normalised once, so the result does not depend on the
+summation order.  `BiDiffOp.apply_monomials` reads the hits of two
+monomials straight into a raw term map, for callers that expand
+polynomials over monomial pairs.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain
+from math import prod
 from typing import Dict, Iterator, List, Tuple
 
 from .errors import DimensionMismatch, OperatorOrderExceeded
@@ -176,8 +181,8 @@ class _NormalForm:
 class DiffOp(_NormalForm):
     """Differential operator sum_I coeff_I(x) d^I in normal form."""
 
-    # _memo holds the derivative hits of every operand monomial met (see
-    # _derivatives).
+    # _memo holds the derivative hits of every operand monomial met (a
+    # _Hits).
     __slots__ = ()
     _SLOTS = ("derivative",)
     _grlex = staticmethod(MultiIndex.grlex_key)
@@ -222,12 +227,12 @@ class DiffOp(_NormalForm):
     def apply(self, f: Poly) -> Poly:
         if f.dim != self.dim:
             raise DimensionMismatch(f"operand dim {f.dim} != operator dim {self.dim}")
-        memo = self._memo
-        if memo is None:
-            memo = {}
-            _set(self, "_memo", memo)
+        hits = self._memo
+        if hits is None:
+            hits = _Hits(self._terms)
+            _set(self, "_memo", hits)
         acc: Dict[MultiIndex, GaussianRational] = {}
-        for mi, df in _derivatives(f, self._terms, memo).items():
+        for mi, df in _derivatives(f, hits).items():
             _acc_product(acc, self._terms[mi]._terms, df)
         return _nonzero_poly(self.dim, acc)
 
@@ -352,9 +357,9 @@ class BiDiffOp(_NormalForm):
     def apply(self, f: Poly, g: Poly) -> Poly:
         if f.dim != self.dim or g.dim != self.dim:
             raise DimensionMismatch("operand dimension mismatch")
-        by_left, rights, left_memo, right_memo = self._lookup()
-        left = _derivatives(f, by_left, left_memo)
-        right = _derivatives(g, rights, right_memo) if left else {}
+        by_left, left_hits, right_hits = self._lookup()
+        left = _derivatives(f, left_hits)
+        right = _derivatives(g, right_hits) if left else {}
         acc: Dict[MultiIndex, GaussianRational] = {}
         for li, df in left.items():
             for ri, coeff in by_left[li].items():
@@ -365,15 +370,43 @@ class BiDiffOp(_NormalForm):
                     _acc_product(acc, coeff._terms, dfg)
         return _nonzero_poly(self.dim, acc)
 
+    def apply_monomials(self, a: MultiIndex, b: MultiIndex) -> Dict[MultiIndex, GaussianRational]:
+        """Raw term map of self(x^a, x^b), with no zero coefficient.
+
+        Each hit (I, a - I, (a)_I) of the left slot and (J, b - J, (b)_J)
+        of the right slot with a term coeff d^I (x) d^J adds
+        coeff (a)_I (b)_J x^(a-I+b-J), read straight off the slot memos.
+        """
+        by_left, left_hits, right_hits = self._lookup()
+        acc: Dict[MultiIndex, GaussianRational] = {}
+        hits = left_hits[a]
+        if not hits:
+            return acc
+        rights = right_hits[b]
+        for li, rest_a, wa in hits:
+            row = by_left[li]
+            for ri, rest_b, wb in rights:
+                coeff = row.get(ri)
+                if coeff is None:
+                    continue
+                rest = rest_a + rest_b
+                w = wa * wb
+                for m, c in coeff._terms.items():
+                    key = m + rest
+                    if w != 1:
+                        c = c * w
+                    acc[key] = acc[key] + c if key in acc else c
+        return {m: c for m, c in acc.items() if c}
+
     def _lookup(self):
-        """(left index -> right index -> coefficient, set of right indices,
-        left-slot derivative memo, right-slot derivative memo)."""
+        """(left index -> right index -> coefficient, left-slot hits,
+        right-slot hits)."""
         index = self._memo
         if index is None:
             by_left: Dict[MultiIndex, Dict[MultiIndex, Poly]] = {}
             for (li, ri), coeff in self._terms.items():
                 by_left.setdefault(li, {})[ri] = coeff
-            index = (by_left, frozenset(ri for _, ri in self._terms), {}, {})
+            index = (by_left, _Hits(by_left), _Hits(frozenset(ri for _, ri in self._terms)))
             _set(self, "_memo", index)
         return index
 
@@ -411,26 +444,45 @@ class BiDiffOp(_NormalForm):
         return f"BiDiffOp(dim={self.dim}, terms={self.term_count()})"
 
 
-def _derivatives(
-    f: Poly, wanted, memo: dict
-) -> Dict[MultiIndex, Dict[MultiIndex, GaussianRational]]:
-    """Raw term maps of d^I f for every I in `wanted` below a monomial of f.
+class _Hits(dict):
+    """Monomial a -> its derivative hits (I, a - I, (a)_I) for one operator
+    slot, I ranging over the slot's derivative indices `wanted` with I <= a.
 
-    A monomial c x^a gives c (a)_I x^(a-I) to d^I f for each sub-index
-    I <= a; for a fixed I distinct monomials give distinct x^(a-I), so
-    nothing cancels and every stored coefficient is nonzero.  `memo`
-    belongs to the operator whose derivative indices `wanted` holds: it
-    maps each monomial a already seen to its hits (I, a - I, (a)_I), so
-    the sub-indices of a are enumerated once per operator.
+    A monomial's hits are found on its first lookup and kept while the
+    operator lives, walking whichever set is smaller: the sub-indices of
+    a, or the wanted indices of degree <= |a| filtered by divisibility.
+    """
+
+    __slots__ = ("_wanted", "_by_degree", "_degrees")
+
+    def __init__(self, wanted):
+        super().__init__()
+        self._wanted = wanted
+        self._by_degree = sorted(wanted, key=MultiIndex.degree.fget)
+        self._degrees = [mi.degree for mi in self._by_degree]
+
+    def __missing__(self, a: MultiIndex):
+        below = bisect_right(self._degrees, a.degree)
+        if below < prod(e + 1 for _, e in a.pairs):
+            subs = [sub for sub in self._by_degree[:below] if sub.divides(a)]
+        else:
+            wanted = self._wanted
+            subs = [sub for sub in a.sub_indices() if sub in wanted]
+        hits = self[a] = tuple((sub, a.subtract(sub), a.falling(sub)) for sub in subs)
+        return hits
+
+
+def _derivatives(f: Poly, hits: _Hits) -> Dict[MultiIndex, Dict[MultiIndex, GaussianRational]]:
+    """Raw term maps of d^I f for every derivative index I of the slot
+    whose `hits` are given, below a monomial of f.
+
+    A monomial c x^a gives c (a)_I x^(a-I) to d^I f for each hit; for a
+    fixed I distinct monomials give distinct x^(a-I), so nothing cancels
+    and every stored coefficient is nonzero.
     """
     out: Dict[MultiIndex, Dict[MultiIndex, GaussianRational]] = {}
     for a, c in f._terms.items():
-        hits = memo.get(a)
-        if hits is None:
-            hits = memo[a] = tuple(
-                (sub, a.subtract(sub), a.falling(sub)) for sub in a.sub_indices() if sub in wanted
-            )
-        for sub, rest, weight in hits:
+        for sub, rest, weight in hits[a]:
             out.setdefault(sub, {})[rest] = c if weight == 1 else c * weight
     return out
 

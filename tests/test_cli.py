@@ -323,6 +323,31 @@ def test_verify_tables_applies_product_fault(tmp_path, capsys):
     assert "coordinates are not quantum canonical" in capsys.readouterr().err
 
 
+ORDER0_FAULT = dict(PRODUCT_FAULT, order=0, left=[1, 0], right=[0, 1], coefficient="1/3")
+
+
+def test_order0_product_fault_fails_canonicity_without_traceback(tmp_path, capsys):
+    # C_0 + (1/3) d_q (x) d_p is not symmetric: q * p - p * q = 1/3 at
+    # order 0, so there is no deformed bracket to divide out
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(MOYAL, fault=ORDER0_FAULT)))
+    code, report = run_cli(["validate", str(path), "--no-timing"], capsys)
+    assert code == 1
+    canonicity = report["checks"][1]
+    assert canonicity["title"] == "quantum-canonicity" and not canonicity["passed"]
+    assert canonicity["entries"] == [
+        {"name": "pair-0-1", "passed": False, "detail": "order-0 commutator 1/3 is nonzero"}
+    ]
+    for command, flags, message in (
+        ("derive", [], "coordinates are not quantum canonical: pair-0-1"),
+        ("apply", ["--f", "q1"], "coordinates are not quantum canonical: pair-0-1"),
+        ("apply", ["--f", "q1", "--g", "p1"], "order-0 commutator 1/3 is nonzero"),
+    ):
+        assert main([command, str(path), "--no-timing"] + flags) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 # -- mutated demo specs --------------------------------------------------------------
 
 N1_DEMOS = {

@@ -328,6 +328,55 @@ def test_verify_intertwining_matches_term_scan(natural_q_product, natural_q_morp
     assert report.to_json() == oracle.to_json()
 
 
+def _asymmetric_moyal():
+    """Moyal with d0^2 (x) d1 added at order 2, which breaks swap parity,
+    and the identity morphism."""
+    moyal = moyal_product(PoissonTensor.canonical(1), 4)
+    C = list(moyal.C)
+    C[2] = C[2] + BiDiffOp(2, {(MultiIndex.of(0, 0), MultiIndex.of(1)): Poly.const(2, 1)})
+    return StarProduct(moyal.poisson, C, parity=False), derive_equivalence(moyal)
+
+
+# With swap parity and every odd T_k zero, verify_intertwining evaluates
+# only the pairs (f, g) with g not before f in the basis (1, x1, x0, ...)
+# and only x *_s T(f) of each coordinate slot.  Each case names the first
+# failure of the full enumeration: an even bump failing off the diagonal
+# and on it; an odd T_3 bump; an odd bump whose first failing pair has g
+# before f (its mirror passes); a product without parity whose first
+# failures are f *_s x and a pair with g before f.
+@pytest.mark.parametrize(
+    "case, bumps, pair, slot",
+    [
+        ("natural", [(2, (0, 1), gr("1/7"))], "(x1, x0) at order 2: residual 1/7", None),
+        ("natural", [(4, (1, 1), gr("1/7"))], "(x1, x1) at order 4: residual 2/7", None),
+        ("natural", [(3, (1, 1), gr("1/7"))], "(x1, x1) at order 3: residual 2/7", None),
+        ("natural", [(3, (0,), 0), (4, (0, 1), gr(0, "-1/2"))], "(x0, x1) at order 4: residual -i",
+         "coordinate 0 on 1 at order 3: residual x0"),
+        ("asymmetric", [], "(x0^2, x1) at order 2: residual -2", "x0^2 on coordinate 1 at order 2"),
+    ],
+    ids=["T2-off-diagonal", "T4-diagonal", "T3-odd", "T3-odd-g-before-f", "no-parity"],
+)
+def test_verify_intertwining_mirror_reduction_matches_term_scan(
+    natural_q_product, natural_q_morphism, case, bumps, pair, slot
+):
+    if case == "natural":
+        product, morphism = natural_q_product, natural_q_morphism
+    else:
+        product, morphism = _asymmetric_moyal()
+    orders = list(morphism.orders)
+    for order, index, coeff in bumps:
+        bump = Poly.coordinate(2, coeff) if isinstance(coeff, int) else Poly.const(2, coeff)
+        orders[order] = orders[order] + DiffOp(2, {MultiIndex.of(*index): bump})
+    bad = EquivalenceMorphism(orders, "recursion")
+    report = verify_intertwining(bad, product, 3)
+    slots, pairs = report.entries
+    assert pairs.detail == f"35 pairs checked; first failure: {pair}"
+    assert slots.detail.startswith("40 one-sided products checked")
+    if slot is not None:
+        assert f"first failure: {slot}" in slots.detail
+    assert report.to_json() == term_scan_verify_intertwining(bad, product, 3).to_json()
+
+
 @pytest.mark.parametrize("bump", [None, (4, MultiIndex.of(0), gr(1))], ids=["derived", "T4-d0-bumped"])
 def test_verify_intertwining_at_degree_zero(natural_q_product, natural_q_morphism, bump):
     # the basis is {1}: only x *_s 1, 1 *_s x and 1 *_s 1 are checked

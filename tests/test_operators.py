@@ -213,6 +213,40 @@ def test_one_bidiffop_many_operands_matches_term_scan(op, fs):
     assert op.to_json() == fresh.to_json()
 
 
+def _assert_monomial_kernel(op, pairs):
+    """apply_monomials against the term scan on every pair, twice over so
+    the second pass reads filled memos, leaving ==, hash and JSON alone."""
+    fresh = BiDiffOp.from_json(op.to_json())
+    for a, b in pairs + pairs[::-1]:
+        got = op.apply_monomials(a, b)
+        assert all(got.values())  # no zero coefficient kept
+        assert Poly(op.dim, got) == term_scan_bi_apply(
+            op, Poly.monomial(op.dim, a), Poly.monomial(op.dim, b)
+        )
+    assert op == fresh and fresh == op
+    assert hash(op) == hash(fresh)
+    assert op.to_json() == fresh.to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(bidiffops(2, 3), st.lists(st.tuples(multiindices(2, 4), multiindices(2, 4)), min_size=4, max_size=12))
+def test_apply_monomials_matches_term_scan(op, pairs):
+    _assert_monomial_kernel(op, pairs)
+
+
+def test_apply_monomials_zero_results_and_cancellation():
+    x0 = Poly.coordinate(2, 0)
+    d0, d1, one = MultiIndex.unit(0), MultiIndex.unit(1), EMPTY_INDEX
+    # x0 (d0 (x) 1 - 1 (x) d0) + d1^2 (x) d1: antisymmetric in the first part
+    op = BiDiffOp(2, {(d0, one): x0, (one, d0): -x0, (MultiIndex.of(1, 1), d1): Poly.const(2, 1)})
+    a = MultiIndex.of(0, 0)
+    assert op.apply_monomials(a, a) == {}  # the two hits cancel
+    assert op.apply_monomials(one, a) == {MultiIndex.of(0, 0): gr(-2)}
+    assert op.apply_monomials(d1, d1) == {}  # no derivative index divides x1 twice
+    pairs = [(a, b) for a in monomials_up_to(2, 3) for b in monomials_up_to(2, 2)]
+    _assert_monomial_kernel(op, pairs)
+
+
 def test_product_and_morphism_operators_over_a_monomial_basis():
     """Every C_k and T_k of a natural product and its morphism, each one
     object applied to the whole basis (and C_k to every pair)."""

@@ -31,6 +31,7 @@ from starq.products import (
     natural_cotangent_product,
     quantum_canonicity_check,
     star_bracket,
+    swap_parity,
     truncated_symplectic_product,
     vector_field_product,
 )
@@ -472,6 +473,45 @@ def test_check_axioms_matches_term_scan(case):
     report = check_axioms(bad, degree)
     assert "associativity" in [e.name for e in report.failures()]
     assert report.to_json() == term_scan_check_axioms(bad, degree).to_json()
+
+
+# Under swap parity check_axioms visits only the triples (f, g, h) with h
+# not before f in the basis (1, x1, x0, x1^2, ...).  Each case names the
+# first failing triple of the full enumeration: off the diagonal (f != h)
+# or on it under parity, and with h before f for a fault breaking parity,
+# where the full enumeration must run.
+@pytest.mark.parametrize(
+    "left, right, order, antisym, coeff, parity, first",
+    [
+        ((0, 1), (0, 1), 2, False, None, True, "(x1, x1, x1^2)"),
+        ((1, 0), (1, 0), 2, False, 0, True, "(x1, x0, x0)"),
+        ((1, 0), (2, 0), 3, True, None, True, "(x0, x0, x0)"),
+        ((0, 1), (0, 1), 2, False, 0, True, "(x1, x1, x1)"),
+        ((1, 0), (0, 2), 2, False, None, False, "(x0, x1, x1)"),
+        ((0, 1), (0, 0), 1, False, None, False, "(x1, 1, 1)"),
+    ],
+    ids=["even-off-diagonal", "even-x0-off-diagonal", "odd-diagonal", "even-x0-diagonal",
+         "asymmetric-h-before-f", "order1-h-before-f"],
+)
+def test_check_axioms_parity_reduction_matches_term_scan(
+    moyal_n1, left, right, order, antisym, coeff, parity, first
+):
+    bump = Poly.const(2, 1) if coeff is None else Poly.coordinate(2, coeff)
+    bad = corrupted(moyal_n1, MultiIndex.from_exponents(left), MultiIndex.from_exponents(right),
+                    antisym=antisym, order=order, coeff=bump)
+    assert swap_parity(bad) is parity
+    report = check_axioms(bad, 4)
+    assoc = next(e for e in report.entries if e.name == "associativity")
+    assert not assoc.passed and f" on {first}: " in assoc.detail
+    assert report.to_json() == term_scan_check_axioms(bad, 4).to_json()
+
+
+def test_swap_parity_of_builders_and_faults(moyal_n1, natural_q):
+    assert swap_parity(moyal_n1) and swap_parity(natural_q)
+    d1, d0 = MultiIndex.unit(1), MultiIndex.unit(0)
+    assert swap_parity(corrupted(moyal_n1, d0, d1, antisym=True, order=3))
+    assert not swap_parity(corrupted(moyal_n1, d0, d1, antisym=True, order=2))
+    assert not swap_parity(corrupted(moyal_n1, d0, d1, order=0))
 
 
 def test_check_reports_are_deterministic(moyal_n1):
