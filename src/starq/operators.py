@@ -13,9 +13,8 @@ of the term map.  The subclasses add only the action of their terms.
 
 An operator is applied from the operand's side: for each monomial x^a
 it finds its derivative indices I <= a (a `BiDiffOp` keeps its terms
-indexed by left, then right, multi-index, built on first use), walking
-the sub-indices of a or the derivative indices of degree <= |a|,
-whichever are fewer, and each hit contributes (a)_I x^(a-I) with the
+indexed by left, then right, multi-index, built on first use) among
+those of degree <= |a|, and each hit contributes (a)_I x^(a-I) with the
 falling-factorial weight (a)_I.  Each operator keeps the hits of every
 monomial it has met, so a monomial is searched once per operator; the
 memo lives and dies with the operator.  Terms whose derivative does not
@@ -32,7 +31,6 @@ import os
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain
-from math import prod
 from typing import Dict, Iterator, List, Tuple
 
 from .errors import DimensionMismatch, OperatorOrderExceeded
@@ -406,7 +404,7 @@ class BiDiffOp(_NormalForm):
             by_left: Dict[MultiIndex, Dict[MultiIndex, Poly]] = {}
             for (li, ri), coeff in self._terms.items():
                 by_left.setdefault(li, {})[ri] = coeff
-            index = (by_left, _Hits(by_left), _Hits(frozenset(ri for _, ri in self._terms)))
+            index = (by_left, _Hits(by_left), _Hits({ri for _, ri in self._terms}))
             _set(self, "_memo", index)
         return index
 
@@ -448,27 +446,23 @@ class _Hits(dict):
     """Monomial a -> its derivative hits (I, a - I, (a)_I) for one operator
     slot, I ranging over the slot's derivative indices `wanted` with I <= a.
 
-    A monomial's hits are found on its first lookup and kept while the
-    operator lives, walking whichever set is smaller: the sub-indices of
-    a, or the wanted indices of degree <= |a| filtered by divisibility.
+    A monomial's hits are found on its first lookup, by filtering the
+    wanted indices of degree <= |a| for divisibility, and kept while the
+    operator lives.
     """
 
-    __slots__ = ("_wanted", "_by_degree", "_degrees")
+    __slots__ = ("_by_degree", "_degrees")
 
     def __init__(self, wanted):
         super().__init__()
-        self._wanted = wanted
         self._by_degree = sorted(wanted, key=MultiIndex.degree.fget)
         self._degrees = [mi.degree for mi in self._by_degree]
 
     def __missing__(self, a: MultiIndex):
         below = bisect_right(self._degrees, a.degree)
-        if below < prod(e + 1 for _, e in a.pairs):
-            subs = [sub for sub in self._by_degree[:below] if sub.divides(a)]
-        else:
-            wanted = self._wanted
-            subs = [sub for sub in a.sub_indices() if sub in wanted]
-        hits = self[a] = tuple((sub, a.subtract(sub), a.falling(sub)) for sub in subs)
+        hits = self[a] = tuple(
+            (sub, a.subtract(sub), a.falling(sub)) for sub in self._by_degree[:below] if sub.divides(a)
+        )
         return hits
 
 

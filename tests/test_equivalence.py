@@ -15,12 +15,13 @@ from starq.geometry import (
     ricci,
 )
 from starq.operators import BiDiffOp, DiffOp
-from starq.poly import MultiIndex, Poly
+from starq.poly import EMPTY_INDEX, MultiIndex, Poly
 from starq.scalars import GaussianRational, gr
 from starq.series import HbarSeries
 from starq.products import (
     PoissonTensor,
     StarProduct,
+    _PairTable,
     monomials_up_to,
     moyal_product,
     natural_cotangent_product,
@@ -375,6 +376,35 @@ def test_verify_intertwining_mirror_reduction_matches_term_scan(
     if slot is not None:
         assert f"first failure: {slot}" in slots.detail
     assert report.to_json() == term_scan_verify_intertwining(bad, product, 3).to_json()
+
+
+# d/dx0 is a derivation of the Moyal product, so 1 + hbar^k d/dx0 with
+# 2k > 4 intertwines the order-4 Moyal product with itself on every pair
+# and every pair is evaluated; only the coordinate slots fail, on their
+# first product, since d/dx0 does not kill x0.  The mirror reduction
+# needs every odd T_k zero: a lone T_3 bump must turn it off, a lone T_4
+# bump must leave it on.
+@pytest.mark.parametrize("order, mirrored", [(3, False), (4, True)], ids=["T3-odd", "T4-even"])
+def test_verify_intertwining_gate_reads_the_odd_orders(monkeypatch, order, mirrored):
+    moyal = moyal_product(PoissonTensor.canonical(1), 4)
+    morphism = bumped_morphism(derive_equivalence(moyal), order, MultiIndex.of(0), gr(1))
+    requested = set()
+    terms = _PairTable.terms
+
+    def recording(table, j, a, b):
+        if table._C is not moyal.C:  # the Moyal reference, fed (f, g) as given
+            requested.add((a, b))
+        return terms(table, j, a, b)
+
+    monkeypatch.setattr(_PairTable, "terms", recording)
+    degree = 3
+    slots, pairs = verify_intertwining(morphism, moyal, degree).entries
+    assert slots.detail.endswith(f"first failure: coordinate 0 on 1 at order {order}: residual 1")
+    assert pairs.passed and pairs.detail == "35 pairs checked"
+    basis = monomials_up_to(2, degree)
+    evaluated = {(f, g) for i, f in enumerate(basis) for g in basis[i if mirrored else 0:]
+                 if f.degree + g.degree <= degree}
+    assert requested == evaluated | {(MultiIndex.unit(0), EMPTY_INDEX)}
 
 
 @pytest.mark.parametrize("bump", [None, (4, MultiIndex.of(0), gr(1))], ids=["derived", "T4-d0-bumped"])
