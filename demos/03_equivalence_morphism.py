@@ -11,6 +11,8 @@ verified on a degree-bounded basis.
 from starq import (
     Connection,
     Poly,
+    commutator_solution_nested,
+    coordinate_rhs,
     derive_equivalence,
     flat_cotangent_morphism,
     flat_cotangent_order2,
@@ -33,6 +35,12 @@ def main():
     for k in range(1, 5):
         op = morphism.operator(k)
         print(f"   T_{k} = {op.format(names)}")
+
+    print("\n== the paper's nested-commutator solver ==")
+    for k in range(1, 5):
+        family = coordinate_rhs(product, morphism.orders, k)
+        print(f"   order {k} matches derivation:",
+              commutator_solution_nested(family) == morphism.operator(k))
 
     print("\n== closed forms ==")
     print("   order 2:", flat_cotangent_order2(conn).format(names))

@@ -227,7 +227,8 @@ def parse_spec(data: dict) -> ProblemSpec:
         raise ProblemSpecError(f"kind must be one of {KINDS}")
     n = _require_int(data, "n", 1)
     casimir = _require_int(data, "casimir", 0, 0) if kind in ("moyal", "vector-field") else 0
-    order = _require_int(data, "order", 0, 2 if kind == "symplectic-truncated" else 4)
+    # an order-0 product has no deformed bracket to check
+    order = _require_int(data, "order", 1, 2 if kind == "symplectic-truncated" else 4)
     if kind == "symplectic-truncated" and order != 2:
         raise ProblemSpecError("symplectic-truncated products are fixed at order 2")
     limit = 4 if kind == "natural-cotangent" else max_op_order()

@@ -8,10 +8,11 @@ the coordinate-commutator equations
     [T_k, x^alpha] = F_k^alpha,
 
 whose right-hand side is assembled from the product's operators and the
-lower morphism orders.  Two independent solvers are implemented: a direct
-weighted reconstruction from the coefficients of the family, and a
-nested-commutator expansion; uniqueness of the solution makes their
-agreement a meaningful cross-check rather than a tautology.
+lower morphism orders.  The solution is unique, so the derivation runs
+one solver: a direct weighted reconstruction from the coefficients of the
+family, whose commutators are then checked exactly against the family.
+The paper's systematic construction, a nested-commutator expansion, is
+kept beside it as an independent oracle for the tests.
 
 The module also carries closed-form expressions for the order-2/order-4
 operators over a flat cotangent bundle and for the order-2 operator of a
@@ -161,18 +162,16 @@ def coordinate_rhs_even_parity(
 
 
 # ---------------------------------------------------------------------------
-# the two solvers
+# the solver and its oracle
 # ---------------------------------------------------------------------------
 
-def commutator_solution_direct(family: Sequence[DiffOp], verify: bool = True) -> DiffOp:
+def commutator_solution_direct(family: Sequence[DiffOp]) -> DiffOp:
     """Unique T with [T, x^alpha] = family[alpha], T(1) = T(x^alpha) = 0.
 
-    Writing family[alpha] = sum_J phi_(alpha,J) d^J, the solution is
-    sum_(alpha,J) phi_(alpha,J) / (1 + |J|) d^(e_alpha + J).  With
-    `verify` the commutators of the result are checked exactly and a
-    family admitting no common solution is rejected; `verify=False`
-    returns the bare formula value (meaningful only when a solution is
-    known to exist).
+    Writing family[alpha] = sum_J phi_(alpha,J) d^J, the candidate is
+    sum_(alpha,J) phi_(alpha,J) / (1 + |J|) d^(e_alpha + J).  Its
+    commutators are always checked exactly, so a family admitting no
+    common solution raises `IncompatibleFamily`.
     """
     if not family:
         raise ValueError("empty operator family")
@@ -190,15 +189,14 @@ def commutator_solution_direct(family: Sequence[DiffOp], verify: bool = True) ->
             target = j_idx + MultiIndex.unit(alpha)
             _acc_poly(acc, target, coeff.scale(weight))
     solution = DiffOp(d, acc)
-    if verify:
-        for alpha, op in enumerate(family):
-            if solution.commutator_with_coordinate(alpha) != op:
-                raise IncompatibleFamily(alpha)
+    for alpha, op in enumerate(family):
+        if solution.commutator_with_coordinate(alpha) != op:
+            raise IncompatibleFamily(alpha)
     return solution
 
 
 def commutator_solution_nested(family: Sequence[DiffOp]) -> DiffOp:
-    """Same solution via the nested-commutator expansion
+    """The paper's construction of the same solution, the test oracle:
     sum_m (1/m!) [x^(a_1), ..., [x^(a_(m-1)), F^(a_m)]] d^(a_1)...d^(a_m).
 
     Nested commutators are symmetric in the outer coordinates, so levels
@@ -260,8 +258,9 @@ def derive_equivalence(s: StarProduct, order: int | None = None) -> EquivalenceM
 
     For parity products the odd right-hand sides are computed from the
     general formula and asserted to vanish, and the even orders use the
-    reduced single-sided sum.  Both solvers run on every right-hand side
-    and must agree.
+    reduced single-sided sum.  Each order is solved by
+    `commutator_solution_direct`, whose exact commutator check makes the
+    result the unique solution.
     """
     if order is None:
         order = s.order
@@ -289,8 +288,6 @@ def derive_equivalence(s: StarProduct, order: int | None = None) -> EquivalenceM
         else:
             family = coordinate_rhs(s, ops, k)
         solution = commutator_solution_direct(family)
-        if commutator_solution_nested(family) != solution:
-            raise StarqError(f"solver disagreement at order {k}: unique solution violated")
         if not solution.apply(one).is_zero():
             raise StarqError(f"order-{k} operator does not kill constants")
         for alpha, x in enumerate(coords):

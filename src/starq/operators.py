@@ -39,26 +39,17 @@ from .scalars import GaussianRational, ONE
 
 _set = object.__setattr__
 _DEFAULT_MAX_ORDER = 12
-_max_order_override: int | None = None
 
 
 def max_op_order() -> int:
-    """The guard: the override, else STARQ_MAX_OP_ORDER (read on every call),
-    else 12.  A variable that is not an integer >= 0 raises ValueError."""
-    if _max_order_override is not None:
-        return _max_order_override
+    """The guard: STARQ_MAX_OP_ORDER (read on every call), else 12.  A
+    variable that is not an integer >= 0 raises ValueError."""
     raw = os.environ.get("STARQ_MAX_OP_ORDER")
     if raw is None:
         return _DEFAULT_MAX_ORDER
     if not raw.strip().isdecimal():
         raise ValueError(f"STARQ_MAX_OP_ORDER must be an integer >= 0, got {raw!r}")
     return int(raw)
-
-
-def set_max_op_order(value: int | None):
-    """Override the derivative-order guard (None restores the default)."""
-    global _max_order_override
-    _max_order_override = value
 
 
 class _NormalForm:

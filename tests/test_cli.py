@@ -253,6 +253,9 @@ TABLE_FAULT = FIXTURES["fault_table"]["fault"]
         ("validate", MOYAL, ["--out", "{tmp}"]),
         ("validate", dict(FIXTURES["vf_shear"], frame=[["0", "0"], ["0", "1"]]), []),
         ("validate", dict(FIXTURES["natural_n2"], connection={"gamma": {"1,2,2": "q1"}}), []),
+        ("validate", dict(MOYAL, order=0), []),
+        ("derive", dict(MOYAL, order=0), []),
+        ("apply", dict(MOYAL, order=0), ["--f", "q1", "--g", "p1"]),
     ],
     ids=[
         "natural-order-1", "order-string", "fault-list", "fault-string",
@@ -263,6 +266,7 @@ TABLE_FAULT = FIXTURES["fault_table"]["fault"]
         "gamma-tilde-not-string", "moyal-order-above-guard", "vector-field-order-above-guard",
         "table-fault-above-guard", "fault-target-typo", "fault-target-list",
         "out-missing-dir", "out-is-directory", "frame-zero-row", "curved-connection",
+        "order-zero-validate", "order-zero-derive", "order-zero-apply",
     ],
 )
 def test_unusable_input_exit_two_without_traceback(command, spec, flags, tmp_path, capsys):

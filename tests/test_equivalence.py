@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from starq.cli import parse_spec
+from starq.cli import build_product, parse_spec
 from starq.errors import CanonicityFailure, IncompatibleFamily, OrderMismatch
 from starq.geometry import (
     Connection,
@@ -100,7 +100,6 @@ def test_formula_value_on_poisson_family_is_zero_but_unsolvable():
     # family F^alpha = P^(alpha beta) d_beta: the direct formula collapses
     # to zero by antisymmetry, and no actual solution exists
     family = [DiffOp.partial(2, 1), DiffOp.partial(2, 0).scale(-1)]
-    assert commutator_solution_direct(family, verify=False).is_zero()
     with pytest.raises(IncompatibleFamily):
         commutator_solution_direct(family)
     assert commutator_solution_nested(family).is_zero()
@@ -120,15 +119,13 @@ def test_family_must_kill_constants():
 
 
 def test_solution_normalization():
-    # solutions start at derivative order 2, so they kill 1 and coordinates
-    family = [
-        DiffOp(2, {MultiIndex.of(1, 1): Poly.coordinate(2, 0)}),
-        DiffOp(2, {MultiIndex.of(0, 1): Poly.coordinate(2, 0)}),
-    ]
-    try:
-        sol = commutator_solution_direct(family)
-    except IncompatibleFamily:
-        sol = commutator_solution_direct(family, verify=False)
+    # the family of T = x0 d0 d1^2 + x1^2 d0^2: the solution is T again,
+    # starts at derivative order 2, and so kills 1 and coordinates
+    x0, x1 = Poly.coordinate(2, 0), Poly.coordinate(2, 1)
+    op = DiffOp(2, {MultiIndex.of(0, 1, 1): x0, MultiIndex.of(0, 0): x1 * x1})
+    family = [op.commutator_with_coordinate(alpha) for alpha in range(2)]
+    sol = commutator_solution_direct(family)
+    assert sol == op
     one = Poly.const(2, 1)
     assert sol.apply(one).is_zero()
     for alpha in range(2):
@@ -150,6 +147,45 @@ def test_solvers_agree_on_derivation_families(natural_q_product):
         for alpha, f in enumerate(family):
             assert direct.commutator_with_coordinate(alpha) == f
         ops.append(direct)
+
+
+@pytest.mark.parametrize(
+    "name", [spec.stem for spec in sorted(DEMOS.glob("*.json"))] + ["n3-tri", "nontri"]
+)
+def test_solvers_agree_on_every_rhs(name):
+    # derive runs the direct solver only; the nested expansion, the
+    # paper's construction, must give the same operator on every
+    # right-hand side the derivation meets
+    connections = {"n3-tri": n3_triangular_connection, "nontri": nontriangular_n2_connection}
+    if name in connections:
+        s = natural_cotangent_product(connections[name](), 4)
+    else:
+        s = build_product(parse_spec(json.loads((DEMOS / f"{name}.json").read_text())))
+    ops = derive_equivalence(s).orders
+    for k in range(1, s.order + 1):
+        families = [coordinate_rhs(s, ops, k)]
+        if s.parity and k % 2 == 0:
+            families.append(coordinate_rhs_even_parity(s, ops, k))
+        for family in families:
+            assert commutator_solution_direct(family) == ops[k]
+            assert commutator_solution_nested(family) == ops[k]
+
+
+def test_derive_rejects_a_rhs_with_no_common_solution(natural_q_product, monkeypatch):
+    # bump F^0 by x1 d1: the change B of the solution would need
+    # [B, x1] = 0, so no d1 in B, and then [B, x0] has no d1 either; only
+    # the exact commutator check catches it
+    real = coordinate_rhs_even_parity
+    bump = DiffOp(2, {MultiIndex.unit(1): Poly.coordinate(2, 1)})
+
+    def corrupted(s, lower, k):
+        family = real(s, lower, k)
+        return [family[0] + bump] + family[1:]
+
+    monkeypatch.setattr("starq.equivalence.coordinate_rhs_even_parity", corrupted)
+    with pytest.raises(IncompatibleFamily) as err:
+        derive_equivalence(natural_q_product)
+    assert err.value.coordinate == 0
 
 
 # -- recurrence right-hand side -----------------------------------------------

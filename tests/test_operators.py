@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from starq.equivalence import EquivalenceMorphism, derive_equivalence
 from starq.errors import DimensionMismatch, OperatorOrderExceeded
 from starq.geometry import Connection
-from starq.operators import BiDiffOp, DiffOp, set_max_op_order
+from starq.operators import BiDiffOp, DiffOp
 from starq.poly import EMPTY_INDEX, MultiIndex, Poly
 from starq.products import monomials_up_to, natural_cotangent_product
 from starq.scalars import gr
@@ -318,14 +318,11 @@ def test_structural_equality_of_leibniz_identity():
 
 # -- order guard -----------------------------------------------------------------
 
-def test_order_guard():
-    set_max_op_order(3)
-    try:
-        with pytest.raises(OperatorOrderExceeded):
-            DiffOp.derivative(1, MultiIndex({0: 4}))
-        DiffOp.derivative(1, MultiIndex({0: 3}))
-    finally:
-        set_max_op_order(None)
+def test_order_guard(monkeypatch):
+    monkeypatch.setenv("STARQ_MAX_OP_ORDER", "3")
+    with pytest.raises(OperatorOrderExceeded):
+        DiffOp.derivative(1, MultiIndex({0: 4}))
+    DiffOp.derivative(1, MultiIndex({0: 3}))
 
 
 def test_order_guard_env_override(monkeypatch):
@@ -342,18 +339,15 @@ def test_order_guard_env_override(monkeypatch):
             max_op_order()
 
 
-def test_jet_rank_guard():
+def test_jet_rank_guard(monkeypatch):
     from starq.geometry import Connection, covariant_jet_ops, lift_connection, symmetric_jet_ops
 
     lifted = lift_connection(Connection.one_dim(Poly.coordinate(1, 0)))
-    set_max_op_order(3)
-    try:
-        with pytest.raises(OperatorOrderExceeded):
-            covariant_jet_ops(lifted, 4)
-        with pytest.raises(OperatorOrderExceeded):
-            symmetric_jet_ops(lifted, 4)
-    finally:
-        set_max_op_order(None)
+    monkeypatch.setenv("STARQ_MAX_OP_ORDER", "3")
+    with pytest.raises(OperatorOrderExceeded):
+        covariant_jet_ops(lifted, 4)
+    with pytest.raises(OperatorOrderExceeded):
+        symmetric_jet_ops(lifted, 4)
 
 
 def test_values_are_immutable():
@@ -415,19 +409,16 @@ NORMAL_FORM_SLOTS = [
 @pytest.mark.parametrize(
     "cls, key, fields", NORMAL_FORM_SLOTS, ids=["diff", "bidiff-left", "bidiff-right"]
 )
-def test_shared_normal_form_constructor(cls, key, fields):
+def test_shared_normal_form_constructor(cls, key, fields, monkeypatch):
     q = Poly.coordinate(2, 0)
     with pytest.raises(DimensionMismatch, match="coefficient dim 3 != operator dim 2"):
         cls(2, {key(MultiIndex.of(0)): Poly.coordinate(3, 0)})
     with pytest.raises(DimensionMismatch, match="out of range for dim 2"):
         cls(2, {key(MultiIndex.of(0, 2)): q})
-    set_max_op_order(3)
-    try:
-        with pytest.raises(OperatorOrderExceeded, match="order 4 exceeds guard 3"):
-            cls(2, {key(MultiIndex.of(0, 0, 1, 1)): q})
-        assert cls(2, {key(MultiIndex.of(0, 0, 1)): q}).term_count() == 1
-    finally:
-        set_max_op_order(None)
+    monkeypatch.setenv("STARQ_MAX_OP_ORDER", "3")
+    with pytest.raises(OperatorOrderExceeded, match="order 4 exceeds guard 3"):
+        cls(2, {key(MultiIndex.of(0, 0, 1, 1)): q})
+    assert cls(2, {key(MultiIndex.of(0, 0, 1)): q}).term_count() == 1
 
     op = cls(
         2,
