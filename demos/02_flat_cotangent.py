@@ -56,14 +56,14 @@ def main():
     for k in range(3):
         ops = closed_form_slot_ops(conn, k)
         agree = all(
-            ops[alpha] == product.C[k].slot_fix(alpha, "left")
+            ops[alpha] == product.C[k].slot_fix(alpha)
             for alpha in range(2 * n)
         )
         print(f"   order {k}: {agree}")
 
     print("\n== one slot operator in full ==")
     print("   C_2 at the first momentum coordinate:")
-    print("  ", product.C[2].slot_fix(n, "left").format(names))
+    print("  ", product.C[2].slot_fix(n).format(names))
 
 
 if __name__ == "__main__":

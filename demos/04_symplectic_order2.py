@@ -52,7 +52,7 @@ def main():
         print("   equals the recursive derivation:", closed == derived)
         identity = all(
             closed.commutator_with_coordinate(alpha)
-            == product.C[2].slot_fix(alpha, "left")
+            == product.C[2].slot_fix(alpha)
             for alpha in range(d)
         )
         print("   coordinate commutators match the product slots:", identity)

@@ -353,7 +353,7 @@ def cmd_verify_tables(args, spec: ProblemSpec) -> Tuple[dict, bool]:
         c2 = product.C[2]
         entries = [
             {"coordinate": alpha,
-             "match": closed.commutator_with_coordinate(alpha) == c2.slot_fix(alpha, "left")}
+             "match": closed.commutator_with_coordinate(alpha) == c2.slot_fix(alpha)}
             for alpha in range(product.dim)
         ]
         comparisons.append(

@@ -8,11 +8,15 @@ the coordinate-commutator equations
     [T_k, x^alpha] = F_k^alpha,
 
 whose right-hand side is assembled from the product's operators and the
-lower morphism orders.  The solution is unique, so the derivation runs
-one solver: a direct weighted reconstruction from the coefficients of the
-family, whose commutators are then checked exactly against the family.
-The paper's systematic construction, a nested-commutator expansion, is
-kept beside it as an independent oracle for the tests.
+lower morphism orders by one formula, for every order of every product:
+no declared property of the product selects another.  (For a product
+with slot-swap parity the odd orders vanish and the even ones reduce to
+the paper's one-sided sum by themselves.)  The solution is unique, so
+the derivation runs one solver: a direct weighted reconstruction from the
+coefficients of the family, whose commutators are then checked exactly
+against the family.  The paper's systematic construction, a
+nested-commutator expansion, is kept beside it as an independent oracle
+for the tests.
 
 The module also carries closed-form expressions for the order-2/order-4
 operators over a flat cotangent bundle and for the order-2 operator of a
@@ -46,7 +50,7 @@ from .errors import (
     StarqError,
 )
 from .geometry import Connection, SymplecticConnectionSpec, canonical_poisson_entries, ricci
-from .operators import DiffOp, _acc_poly, _acc_product, _acc_scaled, max_op_order
+from .operators import DiffOp, _acc_poly, _acc_scaled, _acc_shifted, max_op_order
 from .poly import MultiIndex, Poly
 from .scalars import GaussianRational, ONE
 from .series import HbarSeries
@@ -60,8 +64,6 @@ from .products import (
     quantum_canonicity_check,
     swap_parity,
 )
-
-HALF = GaussianRational(Fraction(1, 2))
 
 
 class EquivalenceMorphism:
@@ -114,8 +116,9 @@ class EquivalenceMorphism:
 # ---------------------------------------------------------------------------
 
 def coordinate_rhs(s: StarProduct, lower: Sequence[DiffOp], k: int) -> List[DiffOp]:
-    """The operators F^alpha: f -> (1/2) sum_l (C_l(x^alpha, T_(k-l) f)
-    + C_l(T_(k-l) f, x^alpha)) for 1 <= l <= k.
+    """The operators F^alpha = sum_l S_l(x^alpha, T_(k-l) .) for
+    1 <= l <= k, with S_l = (C_l + C_l.swap()) / 2 the symmetric part of
+    C_l (`BiDiffOp.symmetric_slot_fix`).
 
     `lower` must hold the morphism orders 0..k-1 (order 0 the identity).
     Every returned operator kills constants, because each C_l does.
@@ -130,33 +133,9 @@ def coordinate_rhs(s: StarProduct, lower: Sequence[DiffOp], k: int) -> List[Diff
             t = lower[k - l]
             if t.is_zero():
                 continue
-            both = s.C[l].slot_fix(alpha, "left") + s.C[l].slot_fix(alpha, "right")
-            if both.is_zero():
-                continue
-            acc = acc + both.compose(t)
-        out.append(acc.scale(HALF))
-    return out
-
-
-def coordinate_rhs_even_parity(
-    s: StarProduct, lower: Sequence[DiffOp], k: int
-) -> List[DiffOp]:
-    """Reduced right-hand side for even orders of a parity product:
-    F^alpha = sum_l C_(2l)(x^alpha, T_(k-2l) f)."""
-    if k % 2:
-        raise ValueError("the reduced sum applies to even orders only")
-    d = s.dim
-    out = []
-    for alpha in range(d):
-        acc = DiffOp.zero(d)
-        for l in range(1, k // 2 + 1):
-            t = lower[k - 2 * l]
-            if t.is_zero():
-                continue
-            slot = s.C[2 * l].slot_fix(alpha, "left")
-            if slot.is_zero():
-                continue
-            acc = acc + slot.compose(t)
+            slot = s.C[l].symmetric_slot_fix(alpha)
+            if not slot.is_zero():
+                acc = acc + slot.compose(t)
         out.append(acc)
     return out
 
@@ -256,11 +235,11 @@ def _permutation_count(prefix: Tuple[int, ...]) -> int:
 def derive_equivalence(s: StarProduct, order: int | None = None) -> EquivalenceMorphism:
     """Derive the morphism orders 1..order for a quantum-canonical product.
 
-    For parity products the odd right-hand sides are computed from the
-    general formula and asserted to vanish, and the even orders use the
-    reduced single-sided sum.  Each order is solved by
+    Every order k is solved from its right-hand side `coordinate_rhs` by
     `commutator_solution_direct`, whose exact commutator check makes the
-    result the unique solution.
+    result the unique solution.  A right-hand side with no common
+    solution raises `IncompatibleFamily` naming the order and the
+    coordinate.
     """
     if order is None:
         order = s.order
@@ -275,19 +254,10 @@ def derive_equivalence(s: StarProduct, order: int | None = None) -> EquivalenceM
     coords = [Poly.coordinate(d, alpha) for alpha in range(d)]
     one = Poly.const(d, 1)
     for k in range(1, order + 1):
-        if s.parity and k % 2 == 1:
-            general = coordinate_rhs(s, ops, k)
-            if any(not f.is_zero() for f in general):
-                raise StarqError(
-                    f"parity product has a non-vanishing odd right-hand side at order {k}"
-                )
-            ops.append(DiffOp.zero(d))
-            continue
-        if s.parity:
-            family = coordinate_rhs_even_parity(s, ops, k)
-        else:
-            family = coordinate_rhs(s, ops, k)
-        solution = commutator_solution_direct(family)
+        try:
+            solution = commutator_solution_direct(coordinate_rhs(s, ops, k))
+        except IncompatibleFamily as exc:
+            raise IncompatibleFamily(exc.coordinate, f"order {k}: {exc}") from None
         if not solution.apply(one).is_zero():
             raise StarqError(f"order-{k} operator does not kill constants")
         for alpha, x in enumerate(coords):
@@ -570,7 +540,7 @@ def _contract(conn: Connection, families, cycl_mode: str) -> DiffOp:
             return
         deriv = MultiIndex.of(*(env[c] for c in config), *(n + env[m] for m in momenta))
         shift = MultiIndex.of(*(n + env[r] for r in shifts))
-        _acc_product(out.setdefault(deriv, {}), prod._terms, {shift: weight})
+        _acc_shifted(out.setdefault(deriv, {}), prod._terms, shift, weight)
 
     for term in terms:
         join(term, {}, 0, None)

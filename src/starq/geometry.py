@@ -27,12 +27,9 @@ from .scalars import GaussianRational
 # canonical Poisson tensor / symplectic form entries
 # ---------------------------------------------------------------------------
 
-def canonical_poisson_entries(n: int, casimir: int = 0) -> Dict[Tuple[int, int], int]:
-    """Nonzero entries of the canonical block Poisson matrix on R^(2n+k).
-
-    The top-left 2n x 2n part is ((0, I), (-I, 0)); the k Casimir
-    directions contribute nothing.
-    """
+def canonical_poisson_entries(n: int) -> Dict[Tuple[int, int], int]:
+    """Nonzero entries of the canonical Poisson matrix: the block
+    ((0, I), (-I, 0)) on the first 2n coordinates."""
     entries: Dict[Tuple[int, int], int] = {}
     for i in range(n):
         entries[(i, n + i)] = 1

@@ -11,18 +11,19 @@ the STARQ_MAX_OP_ORDER environment variable) that catches runaway
 recursions early, and the arithmetic, equality, hashing and JSON codec
 of the term map.  The subclasses add only the action of their terms.
 
-An operator is applied from the operand's side: for each monomial x^a
-it finds its derivative indices I <= a (a `BiDiffOp` keeps its terms
-indexed by left, then right, multi-index, built on first use) among
-those of degree <= |a|, and each hit contributes (a)_I x^(a-I) with the
-falling-factorial weight (a)_I.  Each operator keeps the hits of every
-monomial it has met, so a monomial is searched once per operator; the
-memo lives and dies with the operator.  Terms whose derivative does not
-divide any monomial are never visited.  Products are summed into one raw
-term map and normalised once, so the result does not depend on the
-summation order.  `BiDiffOp.apply_monomials` reads the hits of two
-monomials straight into a raw term map, for callers that expand
-polynomials over monomial pairs.
+An operator acts through one kernel, from the operand's side: for each
+monomial x^a it finds its derivative indices I <= a among those of
+degree <= |a|, and each hit (I, a - I, (a)_I) adds the coefficient of
+d^I times (a)_I x^(a-I) into a raw term map (`_acc_shifted`).  Each
+operator keeps the hits of every monomial it has met, slot by slot, so a
+monomial is searched once per operator; the memo lives and dies with the
+operator.  Terms whose derivative does not divide any monomial are never
+visited.  A `DiffOp` reads its hits per monomial of the operand; a
+`BiDiffOp` pairs the hits of two monomials (`apply_monomials`, over its
+terms indexed by left, then right, multi-index, built on first use) and
+applies to polynomials as the bilinear sum of that over their monomials.
+Sums are kept in one raw term map and normalised once, so the result
+does not depend on the summation order.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Dict, Iterator, List, Tuple
 
 from .errors import DimensionMismatch, OperatorOrderExceeded
 from .poly import EMPTY_INDEX, MultiIndex, Poly
-from .scalars import GaussianRational, ONE
+from .scalars import GaussianRational, HALF, ONE
 
 _set = object.__setattr__
 _DEFAULT_MAX_ORDER = 12
@@ -220,9 +221,11 @@ class DiffOp(_NormalForm):
         if hits is None:
             hits = _Hits(self._terms)
             _set(self, "_memo", hits)
+        terms = self._terms
         acc: Dict[MultiIndex, GaussianRational] = {}
-        for mi, df in _derivatives(f, hits).items():
-            _acc_product(acc, self._terms[mi]._terms, df)
+        for a, c in f._terms.items():
+            for sub, rest, weight in hits[a]:
+                _acc_shifted(acc, terms[sub]._terms, rest, c if weight == 1 else c * weight)
         return _nonzero_poly(self.dim, acc)
 
     def compose(self, other: "DiffOp") -> "DiffOp":
@@ -346,17 +349,10 @@ class BiDiffOp(_NormalForm):
     def apply(self, f: Poly, g: Poly) -> Poly:
         if f.dim != self.dim or g.dim != self.dim:
             raise DimensionMismatch("operand dimension mismatch")
-        by_left, left_hits, right_hits = self._lookup()
-        left = _derivatives(f, left_hits)
-        right = _derivatives(g, right_hits) if left else {}
         acc: Dict[MultiIndex, GaussianRational] = {}
-        for li, df in left.items():
-            for ri, coeff in by_left[li].items():
-                dg = right.get(ri)
-                if dg is not None:
-                    dfg: Dict[MultiIndex, GaussianRational] = {}
-                    _acc_product(dfg, df, dg)
-                    _acc_product(acc, coeff._terms, dfg)
+        for a, ca in f._terms.items():
+            for b, cb in g._terms.items():
+                _acc_scaled(acc, self.apply_monomials(a, b), ca * cb)
         return _nonzero_poly(self.dim, acc)
 
     def apply_monomials(self, a: MultiIndex, b: MultiIndex) -> Dict[MultiIndex, GaussianRational]:
@@ -376,15 +372,9 @@ class BiDiffOp(_NormalForm):
             row = by_left[li]
             for ri, rest_b, wb in rights:
                 coeff = row.get(ri)
-                if coeff is None:
-                    continue
-                rest = rest_a + rest_b
-                w = wa * wb
-                for m, c in coeff._terms.items():
-                    key = m + rest
-                    if w != 1:
-                        c = c * w
-                    acc[key] = acc[key] + c if key in acc else c
+                if coeff is not None:
+                    w = wa * wb
+                    _acc_shifted(acc, coeff._terms, rest_a + rest_b, None if w == 1 else w)
         return {m: c for m, c in acc.items() if c}
 
     def _lookup(self):
@@ -399,28 +389,37 @@ class BiDiffOp(_NormalForm):
             _set(self, "_memo", index)
         return index
 
-    def slot_fix(self, coord: int, side: str = "left") -> DiffOp:
-        """Freeze one slot at the coordinate function x^coord.
+    def slot_fix(self, coord: int) -> DiffOp:
+        """The operator f -> self(x^coord, f), the left slot frozen at the
+        coordinate function x^coord.
 
-        For side="left" this is the operator f -> self(x^coord, f): a term
-        coeff * d^I (x) d^J contributes coeff * d^J when I is the bare first
-        derivative along `coord`, and (coeff * x^coord) * d^J when I is
-        empty; higher-order I kill the coordinate.
+        A term coeff * d^I (x) d^J contributes coeff * d^J when I is the
+        bare first derivative along `coord`, and (coeff * x^coord) * d^J
+        when I is empty; higher-order I kill the coordinate.
         """
+        return DiffOp(self.dim, self._fix_slots(coord, both=False))
+
+    def symmetric_slot_fix(self, coord: int) -> DiffOp:
+        """The operator f -> (self(x^coord, f) + self(f, x^coord)) / 2: the
+        left slot of (self + self.swap()) / 2 frozen at x^coord, read in
+        one pass over the terms, each frozen in both slots as in
+        `slot_fix`."""
+        acc = self._fix_slots(coord, both=True)
+        return DiffOp(self.dim, {mi: p.scale(HALF) for mi, p in acc.items()})
+
+    def _fix_slots(self, coord: int, both: bool) -> Dict[MultiIndex, Poly]:
         if not 0 <= coord < self.dim:
             raise DimensionMismatch(f"coordinate {coord} out of range for dim {self.dim}")
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
         unit = MultiIndex.unit(coord)
         x = Poly.coordinate(self.dim, coord)
         acc: Dict[MultiIndex, Poly] = {}
         for (li, ri), coeff in self._terms.items():
-            fixed, free = (li, ri) if side == "left" else (ri, li)
-            if fixed == unit:
-                _acc_poly(acc, free, coeff)
-            elif fixed.degree == 0:
-                _acc_poly(acc, free, coeff * x)
-        return DiffOp(self.dim, acc)
+            for fixed, free in ((li, ri), (ri, li)) if both else ((li, ri),):
+                if fixed == unit:
+                    _acc_poly(acc, free, coeff)
+                elif fixed.degree == 0:
+                    _acc_poly(acc, free, coeff * x)
+        return acc
 
     def swap(self) -> "BiDiffOp":
         """(f, g) -> self(g, f)."""
@@ -457,28 +456,18 @@ class _Hits(dict):
         return hits
 
 
-def _derivatives(f: Poly, hits: _Hits) -> Dict[MultiIndex, Dict[MultiIndex, GaussianRational]]:
-    """Raw term maps of d^I f for every derivative index I of the slot
-    whose `hits` are given, below a monomial of f.
-
-    A monomial c x^a gives c (a)_I x^(a-I) to d^I f for each hit; for a
-    fixed I distinct monomials give distinct x^(a-I), so nothing cancels
-    and every stored coefficient is nonzero.
-    """
-    out: Dict[MultiIndex, Dict[MultiIndex, GaussianRational]] = {}
-    for a, c in f._terms.items():
-        for sub, rest, weight in hits[a]:
-            out.setdefault(sub, {})[rest] = c if weight == 1 else c * weight
-    return out
-
-
-def _acc_product(acc: dict, left: dict, right: dict):
-    """Add the product of two raw term maps into `acc` (zeros left in place)."""
-    for m1, c1 in left.items():
-        for m2, c2 in right.items():
-            m = m1 + m2
-            c = c1 * c2
-            acc[m] = acc[m] + c if m in acc else c
+def _acc_shifted(acc: dict, terms: dict, shift: MultiIndex, c=None):
+    """Add c x^shift times a raw term map into `acc`, or x^shift times the
+    map when c is None (zeros left in place)."""
+    if c is None:
+        for m, t in terms.items():
+            key = m + shift
+            acc[key] = acc[key] + t if key in acc else t
+    else:
+        for m, t in terms.items():
+            key = m + shift
+            v = t * c
+            acc[key] = acc[key] + v if key in acc else v
 
 
 def _acc_scaled(acc: dict, terms: dict, c=None):

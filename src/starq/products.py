@@ -47,7 +47,7 @@ from .geometry import (
 )
 from .operators import BiDiffOp, DiffOp, _acc_poly, _acc_scaled, _nonzero_poly
 from .poly import MultiIndex, Poly
-from .scalars import GaussianRational, HALF_I, I as IMAG, ONE
+from .scalars import GaussianRational, HALF, HALF_I, I as IMAG, ONE
 from .series import HbarSeries
 
 
@@ -372,7 +372,7 @@ def truncated_symplectic_product(spec: SymplecticConnectionSpec) -> StarProduct:
     # Ricci term -a (i/2)^2 / 2! P^(mu1 nu1) P^(mu2 nu2) R_(mu1 mu2) d_nu1 (x) d_nu2;
     # the canonical tensor pairs each coordinate with exactly one partner
     partner = {mu: (nu, v) for mu, nu, v in p.constant_entries()}
-    weight = -(HALF_I ** 2) * GaussianRational(Fraction(1, 2)) * spec.a
+    weight = -(HALF_I ** 2) * HALF * spec.a
     acc: Dict[Tuple[MultiIndex, MultiIndex], Poly] = {}
     for (mu1, mu2), ric_comp in ricci(spec).items():
         (nu1, v1), (nu2, v2) = partner[mu1], partner[mu2]

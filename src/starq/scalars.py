@@ -205,4 +205,5 @@ def gr(re: _RatLike = 0, im: _RatLike = 0) -> GaussianRational:
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
+HALF = GaussianRational(Fraction(1, 2))
 HALF_I = GaussianRational(0, Fraction(1, 2))

@@ -11,6 +11,8 @@ and `rearrangement_loop_order4` and `index_loop_order2` are the
 flat-cotangent closed forms written as nested index loops (order 4
 before its rearrangement sums were folded into one sum per index
 multiset); all are kept to gate the new code on exact equality.
+`parity_reduced_rhs` is the paper's one-sided even-order right-hand side
+of a parity product, the expected value of the general one there.
 """
 
 import itertools
@@ -197,6 +199,18 @@ def term_scan_bi_apply(op, f, g):
             continue
         result = result + coeff * df * dg
     return result
+
+
+def parity_reduced_rhs(s, lower, k):
+    """F^alpha = sum over even l of C_l(x^alpha, T_(k-l) .), the left slot
+    alone, for an even order k of a parity product."""
+    out = []
+    for alpha in range(s.dim):
+        acc = DiffOp.zero(s.dim)
+        for l in range(2, k + 1, 2):
+            acc = acc + s.C[l].slot_fix(alpha).compose(lower[k - l])
+        out.append(acc)
+    return out
 
 
 def term_scan_check_axioms(s, max_degree=4):

@@ -352,6 +352,21 @@ def test_order0_product_fault_fails_canonicity_without_traceback(tmp_path, capsy
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("order", [2, 3])
+def test_unsolvable_product_fault_names_the_order_without_traceback(order, tmp_path, capsys):
+    # (1/3) d_q^2 (x) d_p keeps the coordinate brackets, but its symmetric
+    # part gives F^p = (1/6) d_q^2 at this order, and no T has
+    # [T, q] = 0 with [T, p] = (1/6) d_q^2
+    fault = dict(PRODUCT_FAULT, order=order, left=[2, 0], right=[0, 1], coefficient="1/3")
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(MOYAL, fault=fault)))
+    for command, flags in (("derive", []), ("apply", ["--f", "q1", "--g", "p1"])):
+        assert main([command, str(path), "--no-timing"] + flags) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: order {order}: no solution for coordinate index 0\n"
+
+
 # -- mutated demo specs --------------------------------------------------------------
 
 N1_DEMOS = {

@@ -33,7 +33,6 @@ from starq.equivalence import (
     commutator_solution_direct,
     commutator_solution_nested,
     coordinate_rhs,
-    coordinate_rhs_even_parity,
     derive_equivalence,
     flat_cotangent_morphism,
     flat_cotangent_order2,
@@ -47,6 +46,7 @@ from starq.equivalence import (
 from helpers import (
     index_loop_order2,
     nontriangular_n2_connection,
+    parity_reduced_rhs,
     rearrangement_loop_order4,
     term_scan_verify_intertwining,
 )
@@ -163,29 +163,27 @@ def test_solvers_agree_on_every_rhs(name):
         s = build_product(parse_spec(json.loads((DEMOS / f"{name}.json").read_text())))
     ops = derive_equivalence(s).orders
     for k in range(1, s.order + 1):
-        families = [coordinate_rhs(s, ops, k)]
-        if s.parity and k % 2 == 0:
-            families.append(coordinate_rhs_even_parity(s, ops, k))
-        for family in families:
-            assert commutator_solution_direct(family) == ops[k]
-            assert commutator_solution_nested(family) == ops[k]
+        family = coordinate_rhs(s, ops, k)
+        assert commutator_solution_direct(family) == ops[k]
+        assert commutator_solution_nested(family) == ops[k]
 
 
 def test_derive_rejects_a_rhs_with_no_common_solution(natural_q_product, monkeypatch):
-    # bump F^0 by x1 d1: the change B of the solution would need
-    # [B, x1] = 0, so no d1 in B, and then [B, x0] has no d1 either; only
-    # the exact commutator check catches it
-    real = coordinate_rhs_even_parity
+    # bump F^0 at order 2 by x1 d1: the change B of the solution would
+    # need [B, x1] = 0, so no d1 in B, and then [B, x0] has no d1 either;
+    # only the exact commutator check catches it
+    real = coordinate_rhs
     bump = DiffOp(2, {MultiIndex.unit(1): Poly.coordinate(2, 1)})
 
     def corrupted(s, lower, k):
         family = real(s, lower, k)
-        return [family[0] + bump] + family[1:]
+        return [family[0] + bump] + family[1:] if k == 2 else family
 
-    monkeypatch.setattr("starq.equivalence.coordinate_rhs_even_parity", corrupted)
+    monkeypatch.setattr("starq.equivalence.coordinate_rhs", corrupted)
     with pytest.raises(IncompatibleFamily) as err:
         derive_equivalence(natural_q_product)
     assert err.value.coordinate == 0
+    assert str(err.value) == "order 2: no solution for coordinate index 0"
 
 
 # -- recurrence right-hand side -----------------------------------------------
@@ -194,9 +192,7 @@ def test_rhs_order1_is_symmetrized_first_operator(natural_q_product):
     s = natural_q_product
     family = coordinate_rhs(s, [DiffOp.identity(2)], 1)
     for alpha in range(2):
-        expect = (
-            s.C[1].slot_fix(alpha, "left") + s.C[1].slot_fix(alpha, "right")
-        ).scale(gr("1/2"))
+        expect = (s.C[1].slot_fix(alpha) + s.C[1].swap().slot_fix(alpha)).scale(gr("1/2"))
         assert family[alpha] == expect
         # parity products have antisymmetric order-1 operators
         assert family[alpha].is_zero()
@@ -208,13 +204,23 @@ def test_rhs_requires_lower_orders(natural_q_product):
 
 
 def test_parity_reduced_rhs_matches_general(natural_q_product):
-    s = natural_q_product
-    morphism = derive_equivalence(s)
-    ops = [morphism.operator(k) for k in range(5)]
-    for k in (2, 4):
-        general = coordinate_rhs(s, ops[:k], k)
-        reduced = coordinate_rhs_even_parity(s, ops[:k], k)
-        assert general == reduced
+    # the one formula reduces to the paper's parity sum by itself: zero at
+    # odd orders, the one-sided sum over even l at even orders
+    symplectic = json.loads((DEMOS / "symplectic_truncated.json").read_text())
+    products = {
+        "natural-q": natural_q_product,
+        "n3-tri": natural_cotangent_product(n3_triangular_connection(), 4),
+        "nontri": natural_cotangent_product(nontriangular_n2_connection(), 4),
+        "symplectic": build_product(parse_spec(symplectic)),
+    }
+    for name, s in products.items():
+        ops = derive_equivalence(s).orders
+        for k in range(1, s.order + 1):
+            general = coordinate_rhs(s, ops[:k], k)
+            if k % 2:
+                assert all(f.is_zero() for f in general), (name, k)
+            else:
+                assert general == parity_reduced_rhs(s, ops[:k], k), (name, k)
 
 
 def test_rhs_kills_constants(natural_q_product):
@@ -601,14 +607,14 @@ def test_closed_forms_match_derivation_at_n3():
 
 def test_order4_closed_form_equals_slot_composition_route(natural_q_morphism):
     # independent of the tables: order-4 of the recursion is reproducible
-    # from the even-order reduced recurrence alone
+    # from the paper's even-order reduced recurrence alone
     conn = gamma_q()
     s = natural_cotangent_product(conn, 4)
     ops = [DiffOp.identity(2), DiffOp.zero(2)]
-    f2 = coordinate_rhs_even_parity(s, ops, 2)
+    f2 = parity_reduced_rhs(s, ops, 2)
     t2 = commutator_solution_direct(f2)
     ops += [t2, DiffOp.zero(2)]
-    f4 = coordinate_rhs_even_parity(s, ops, 4)
+    f4 = parity_reduced_rhs(s, ops, 4)
     t4 = commutator_solution_direct(f4)
     assert t2 == natural_q_morphism.operator(2)
     assert t4 == natural_q_morphism.operator(4)
@@ -670,9 +676,7 @@ def test_symplectic_order2_commutator_identity_random():
             prod = truncated_symplectic_product(spec)
             closed = symplectic_order2(spec)
             for alpha in range(2):
-                assert closed.commutator_with_coordinate(alpha) == prod.C[2].slot_fix(
-                    alpha, "left"
-                )
+                assert closed.commutator_with_coordinate(alpha) == prod.C[2].slot_fix(alpha)
 
 
 def test_symplectic_order2_matches_derivation():

@@ -10,7 +10,7 @@ from starq.geometry import Connection
 from starq.operators import BiDiffOp, DiffOp
 from starq.poly import EMPTY_INDEX, MultiIndex, Poly
 from starq.products import monomials_up_to, natural_cotangent_product
-from starq.scalars import gr
+from starq.scalars import HALF, gr
 
 from helpers import term_scan_apply, term_scan_bi_apply
 from test_poly import multiindices, polys, scalars
@@ -278,13 +278,14 @@ def test_vanishing_on_constants():
 
 
 def test_slot_fix_zero():
-    assert BiDiffOp.zero(2).slot_fix(0, "left").is_zero()
+    assert BiDiffOp.zero(2).slot_fix(0).is_zero()
+    assert BiDiffOp.zero(2).symmetric_slot_fix(0).is_zero()
 
 
 def test_slot_fix_coefficient_substitution():
     # a term with an empty left slot picks up the coordinate as a factor
     C = BiDiffOp(2, {(EMPTY_INDEX, MultiIndex.unit(1)): Poly.const(2, 1)})
-    fixed = C.slot_fix(0, "left")
+    fixed = C.slot_fix(0)
     assert fixed == DiffOp(2, {MultiIndex.unit(1): Poly.coordinate(2, 0)})
 
 
@@ -294,8 +295,33 @@ def test_slot_fix_matches_bidiff_apply(a, b, f):
     C = BiDiffOp.tensor(a, b)
     for coord in range(2):
         x = Poly.coordinate(2, coord)
-        assert C.slot_fix(coord, "left").apply(f) == C.apply(x, f)
-        assert C.slot_fix(coord, "right").apply(f) == C.apply(f, x)
+        assert C.slot_fix(coord).apply(f) == C.apply(x, f)
+        assert C.swap().slot_fix(coord).apply(f) == C.apply(f, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bidiffops(2, 2, 6), multi_term_polys(2))
+def test_symmetric_slot_fix_is_the_slot_of_the_symmetric_part(C, f):
+    # random operators break the slot-swap parity in general
+    for coord in range(2):
+        x = Poly.coordinate(2, coord)
+        sym = C.symmetric_slot_fix(coord)
+        assert sym == (C.slot_fix(coord) + C.swap().slot_fix(coord)).scale(HALF)
+        assert sym.apply(f) == (C.apply(x, f) + C.apply(f, x)).scale(HALF)
+
+
+def test_symmetric_slot_fix_reads_both_slots_of_one_term():
+    # at x0: d0 (x) d0 gives d0 through both slots, 1 (x) d1 gives x0 d1
+    # through its left slot, d0 (x) 1 gives 1 and x0 d0 through its two
+    one = Poly.const(2, 1)
+    d0, d1 = MultiIndex.unit(0), MultiIndex.unit(1)
+    C = BiDiffOp(2, {(d0, d0): one, (EMPTY_INDEX, d1): one, (d0, EMPTY_INDEX): one})
+    x0 = Poly.coordinate(2, 0)
+    assert C.symmetric_slot_fix(0) == DiffOp(
+        2, {d0: one + x0.scale(HALF), d1: x0.scale(HALF), EMPTY_INDEX: one.scale(HALF)}
+    )
+    with pytest.raises(DimensionMismatch):
+        C.symmetric_slot_fix(2)
 
 
 def test_swap_round_trip():

@@ -180,10 +180,10 @@ def test_moyal_requires_constant_tensor():
 # -- slot fixing on products --------------------------------------------------------
 
 def test_moyal_slot_fix(moyal_n1):
-    assert moyal_n1.C[1].slot_fix(0, "left") == DiffOp.derivative(
+    assert moyal_n1.C[1].slot_fix(0) == DiffOp.derivative(
         2, MultiIndex.unit(1), gr(0, "1/2")
     )
-    assert moyal_n1.C[1].slot_fix(1, "left") == DiffOp.derivative(
+    assert moyal_n1.C[1].slot_fix(1) == DiffOp.derivative(
         2, MultiIndex.unit(0), gr(0, "-1/2")
     )
 
@@ -285,7 +285,7 @@ def test_natural_coordinate_slots_match_closed_form(natural_q):
     for k in range(5):
         ops = closed_form_slot_ops(conn, k)
         for alpha in range(2):
-            assert ops[alpha] == natural_q.C[k].slot_fix(alpha, "left"), (k, alpha)
+            assert ops[alpha] == natural_q.C[k].slot_fix(alpha), (k, alpha)
 
 
 def test_natural_slots_closed_form_n2():
@@ -295,12 +295,12 @@ def test_natural_slots_closed_form_n2():
     for k in range(4):
         ops = closed_form_slot_ops(conn, k)
         for alpha in range(4):
-            assert ops[alpha] == prod.C[k].slot_fix(alpha, "left"), (k, alpha)
+            assert ops[alpha] == prod.C[k].slot_fix(alpha), (k, alpha)
 
 
 def test_natural_first_order_slot(natural_q):
     # order-1 slot at a configuration coordinate is (i/2) d_p
-    assert natural_q.C[1].slot_fix(0, "left") == DiffOp.derivative(
+    assert natural_q.C[1].slot_fix(0) == DiffOp.derivative(
         2, MultiIndex.unit(1), gr(0, "1/2")
     )
 
