@@ -6,6 +6,8 @@ verifications, emit a deterministic JSON report.
     starq verify-tables spec.json   -- closed-form vs recursion comparison
     starq apply         spec.json --f expr [--g expr]
 
+`apply` checks the canonicity of the coordinates and that every morphism
+order has a solution, not intertwining: `derive` is what checks that.
 Exit codes: 0 all checks passed, 1 a check failed, 2 unusable input.
 Every spec field, the --out directory and STARQ_MAX_OP_ORDER are checked
 before any engine work; a frame or connection the engine rejects
@@ -70,6 +72,8 @@ def load_problem(path: str) -> dict:
         raise ProblemSpecError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProblemSpecError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ProblemSpecError(f"{path} is not UTF-8: {exc}") from exc
     if not isinstance(data, dict):
         raise ProblemSpecError("problem spec must be a JSON object")
     return data
@@ -231,7 +235,7 @@ def parse_spec(data: dict) -> ProblemSpec:
     order = _require_int(data, "order", 1, 2 if kind == "symplectic-truncated" else 4)
     if kind == "symplectic-truncated" and order != 2:
         raise ProblemSpecError("symplectic-truncated products are fixed at order 2")
-    limit = 4 if kind == "natural-cotangent" else max_op_order()
+    limit = min(4, max_op_order()) if kind == "natural-cotangent" else max_op_order()
     if order > limit:
         raise ProblemSpecError(f"{kind} products are limited to order {limit}")
     max_degree = _require_int(data, "max_degree", 0, 4)

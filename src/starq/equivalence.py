@@ -59,6 +59,7 @@ from .products import (
     CheckReport,
     StarProduct,
     _PairTable,
+    _first_nonzero,
     monomials_up_to,
     moyal_product,
     quantum_canonicity_check,
@@ -299,14 +300,14 @@ def verify_intertwining(
     order of the deformation parameter, plus the one-sided coordinate
     relations x *_s T(f) = T(x *_Moyal f) that drive the recurrence, with
     the coordinate left bare on the s side.  Both sides are expanded
-    bilinearly over monomials: T(f *_Moyal g) over one `_PairTable` of
-    the Moyal product and the raw images T_k(x^w), and T(f) *_s T(g)
-    over one `_PairTable` of s; both tables and the images live for this
-    call only.  The two sides are compared per order as term maps, in
-    the visiting order of a direct evaluation, so the first failure
-    reported is unchanged.  A failing entry names its first failing
-    product, the lowest order where the two sides differ and the
-    residual T(f *_Moyal g) - T(f) * T(g) there.
+    bilinearly over monomials into one raw series of their difference:
+    T(f *_Moyal g) over one `_PairTable` of the Moyal product and the raw
+    images T_k(x^w), then T(f) *_s T(g) subtracted by one `add_star` of
+    a `_PairTable` of s, T(f) negated; both tables and the images live
+    for this call only.  Products are visited in the order of a direct
+    evaluation, so the first failure reported is unchanged.  A failing
+    entry names its first failing product, the lowest order where the
+    two sides differ and the residual T(f *_Moyal g) - T(f) * T(g) there.
 
     When s has `swap_parity` and every odd T_k is zero, write eps for
     hbar -> -hbar: g * f = eps(f * g) for both products and T commutes
@@ -337,29 +338,17 @@ def verify_intertwining(
             out = images[w] = [{w: ONE}] + [op.apply(x)._terms for op in orders]
         return out
 
-    def bare(w: MultiIndex) -> List[dict]:
-        return [{w: ONE}] + [{}] * N
-
     def mismatch(u: MultiIndex, v: MultiIndex, fu: List[dict], gv: List[dict]) -> str | None:
         """None when T(x^u *_Moyal x^v) equals fu *_s gv, else the lowest
         order where they differ and the residual there."""
-        left, right = [], []
-        for m in range(N + 1):
-            acc: Dict[MultiIndex, GaussianRational] = {}
-            for l in range(m + 1):
-                for w, c in moyal.terms(l, u, v).items():
-                    _acc_scaled(acc, image(w)[m - l], c)
-            left.append({w: c for w, c in acc.items() if c})
-            acc = {}
-            for l in range(m + 1):
-                for a in range(m - l + 1):
-                    for fw, fc in fu[a].items():
-                        for gw, gc in gv[m - l - a].items():
-                            _acc_scaled(acc, star.terms(l, fw, gw), fc * gc)
-            right.append({w: c for w, c in acc.items() if c})
-        if left == right:
-            return None
-        return _residual(*(HbarSeries([Poly._normal(d, t) for t in side]) for side in (left, right)))
+        acc: List[dict] = [{} for _ in range(N + 1)]
+        for l, t in enumerate(moyal.series(u, v)):
+            for w, c in t.items():
+                for j, tw in enumerate(image(w)[: N + 1 - l]):
+                    _acc_scaled(acc[l + j], tw, c)
+        star.add_star(acc, [{w: -c for w, c in t.items()} for t in fu], gv)
+        failure = _first_nonzero(d, acc)
+        return None if failure is None else f" at order {failure[0]}: residual {failure[1]}"
 
     mirrored = swap_parity(s) and all(op.is_zero() for op in orders[::2])
     basis = monomials_up_to(d, max_degree)
@@ -371,13 +360,13 @@ def verify_intertwining(
             checked += 2
             if coord_failure is not None:
                 continue
-            residual = mismatch(e, fm, bare(e), image(fm))
+            residual = mismatch(e, fm, [{e: ONE}], image(fm))
             if residual is not None:
                 coord_failure = f"coordinate {alpha} on {Poly.monomial(d, fm)}" + residual
                 continue
             if mirrored:
                 continue
-            residual = mismatch(fm, e, image(fm), bare(e))
+            residual = mismatch(fm, e, image(fm), [{e: ONE}])
             if residual is not None:
                 coord_failure = f"{Poly.monomial(d, fm)} on coordinate {alpha}" + residual
     entries: List[CheckEntry] = [
@@ -414,12 +403,6 @@ def verify_intertwining(
         tuple(entries),
         {"max_degree": max_degree, "order": s.order, "dim": d},
     )
-
-
-def _residual(left: HbarSeries, right: HbarSeries) -> str:
-    """The lowest order where two unequal series differ, and the residual."""
-    k = next(k for k in range(left.order + 1) if left[k] != right[k])
-    return f" at order {k}: residual {left[k] - right[k]}"
 
 
 # ---------------------------------------------------------------------------

@@ -470,16 +470,11 @@ def _acc_shifted(acc: dict, terms: dict, shift: MultiIndex, c=None):
             acc[key] = acc[key] + v if key in acc else v
 
 
-def _acc_scaled(acc: dict, terms: dict, c=None):
-    """Add c times a raw term map into `acc`, or the map itself when c is
-    None (zeros left in place)."""
-    if c is None:
-        for m, t in terms.items():
-            acc[m] = acc[m] + t if m in acc else t
-    else:
-        for m, t in terms.items():
-            v = t * c
-            acc[m] = acc[m] + v if m in acc else v
+def _acc_scaled(acc: dict, terms: dict, c):
+    """Add c times a raw term map into `acc` (zeros left in place)."""
+    for m, t in terms.items():
+        v = t * c
+        acc[m] = acc[m] + v if m in acc else v
 
 
 def _acc_poly(acc: dict, key, poly: Poly):

@@ -17,6 +17,8 @@ exactly.  `check_axioms` and
 `quantum_canonicity_check` validate any product against the defining
 conditions on a degree-bounded monomial basis, which is exact because
 all operators involved have finite order and polynomial coefficients.
+Every truncated product of hbar-series, `StarProduct.apply` and those
+of both checks, is evaluated by one kernel, `_PairTable.add_star`.
 """
 
 from __future__ import annotations
@@ -235,26 +237,14 @@ class StarProduct:
     def apply(self, f, g) -> HbarSeries:
         """f * g for Poly or HbarSeries arguments, truncated at the order."""
         N = self.order
-        if isinstance(f, Poly):
-            f = HbarSeries.from_constant(f, N)
-        if isinstance(g, Poly):
-            g = HbarSeries.from_constant(g, N)
+        f, g = (HbarSeries.from_constant(h, N) if isinstance(h, Poly) else h for h in (f, g))
         if f.order != N or g.order != N:
             raise OrderMismatch("series order must match the product order")
-        out = []
-        for m in range(N + 1):
-            acc: Dict[MultiIndex, GaussianRational] = {}
-            for l in range(m + 1):
-                for a in range(m - l + 1):
-                    fa = f[a]
-                    if fa.is_zero():
-                        continue
-                    gb = g[m - l - a]
-                    if gb.is_zero():
-                        continue
-                    _acc_scaled(acc, self.C[l].apply(fa, gb)._terms)
-            out.append(_nonzero_poly(self.dim, acc))
-        return HbarSeries(out)
+        if any(p.dim != self.dim for p in f.coeffs + g.coeffs):
+            raise DimensionMismatch("operand dimension mismatch")
+        acc: List[dict] = [{} for _ in range(N + 1)]
+        _PairTable(self).add_star(acc, [p._terms for p in f.coeffs], [p._terms for p in g.coeffs])
+        return HbarSeries([_nonzero_poly(self.dim, t) for t in acc])
 
     def truncate(self, order: int) -> "StarProduct":
         if order > self.order:
@@ -533,13 +523,13 @@ class CheckReport:
 
 
 class _PairTable:
-    """C_j(x^a, x^b) of one product as raw term maps, for one check call.
+    """C_j(x^a, x^b) of one product as raw term maps, for one call, and the
+    one truncated star-product kernel over them, `add_star`.
 
     Each (j, a, b) entry is computed on first request and kept while the
-    table lives; the exhaustive checks expand every product of
-    polynomials bilinearly over it.  C_0(x^a, x^b) is read off as x^(a+b)
-    when C_0 is pointwise multiplication.  The maps are shared: callers
-    only read them.
+    table lives.  C_0(x^a, x^b) is read off as x^(a+b) when C_0 is
+    pointwise multiplication.  The maps are shared: callers only read
+    them.  A raw series is a list of raw term maps, one per power of hbar.
     """
 
     __slots__ = ("_C", "_mult", "_entries")
@@ -560,6 +550,33 @@ class _PairTable:
             self._entries[key] = out
         return out
 
+    def series(self, a: MultiIndex, b: MultiIndex) -> List[dict]:
+        """x^a * x^b as the raw series C_0(x^a, x^b), ..., C_N(x^a, x^b)."""
+        return [self.terms(j, a, b) for j in range(len(self._C))]
+
+    def add_star(self, acc: List[dict], u: List[dict], v: List[dict]) -> None:
+        """Add u * v, truncated at order N, into the raw series `acc`: the
+        sum of C_l(u_a, v_b) over l + a + b = m goes to acc[m], for
+        m <= N.  `u` and `v` are zero beyond their end."""
+        N = len(self._C) - 1
+        terms = self.terms
+        for a, ua in enumerate(u):
+            for b, vb in enumerate(v[: N + 1 - a]):
+                for fw, fc in ua.items():
+                    for gw, gc in vb.items():
+                        c = fc * gc
+                        for l in range(N + 1 - a - b):
+                            _acc_scaled(acc[a + b + l], terms(l, fw, gw), c)
+
+
+def _first_nonzero(dim: int, acc: List[dict]) -> Tuple[int, Poly] | None:
+    """The lowest order of a raw series with a nonzero coefficient, and
+    that coefficient, or None when every order is zero."""
+    for k, t in enumerate(acc):
+        if any(t.values()):
+            return k, _nonzero_poly(dim, t)
+    return None
+
 
 def swap_parity(s: StarProduct) -> bool:
     """True when every operator satisfies C_k(g, f) = (-1)^k C_k(f, g),
@@ -571,12 +588,13 @@ def check_axioms(s: StarProduct, max_degree: int = 4) -> CheckReport:
     """Validate the defining conditions of a star product.
 
     Associativity is verified exactly on every monomial triple of total
-    degree <= max_degree, separately at each order of the deformation
-    parameter; the remaining conditions are structural.  Every product
-    in an associator is expanded bilinearly over one `_PairTable` of
-    this call; the triples and orders are visited in the same order as a
-    direct evaluation, so the first failure reported (order, triple,
-    residual) is unchanged.
+    degree <= max_degree, at every order of the deformation parameter;
+    the remaining conditions are structural.  Each associator
+    (f*g)*h - f*(g*h) is one raw series, filled by two `add_star` calls
+    of one `_PairTable` of this call, f*g read once per pair (f, g); its
+    lowest nonzero order is the failure reported.  The triples are
+    visited in the same order as a direct evaluation, so the first
+    failure reported (order, triple, residual) is unchanged.
 
     When `swap_parity` holds, g * f is f * g with hbar -> -hbar, so the
     associator obeys A(h, g, f)_k = -(-1)^k A(f, g, h)_k: a triple fails
@@ -616,7 +634,7 @@ def check_axioms(s: StarProduct, max_degree: int = 4) -> CheckReport:
     )
 
     parity = swap_parity(s)
-    c_terms = _PairTable(s).terms
+    table = _PairTable(s)
     basis = monomials_up_to(d, max_degree)
     assoc_ok = True
     assoc_detail = f"monomial triples of total degree <= {max_degree}, orders <= {s.order}"
@@ -625,28 +643,24 @@ def check_axioms(s: StarProduct, max_degree: int = 4) -> CheckReport:
         if not assoc_ok:
             break
         h_basis = basis[fi:] if parity else basis
+        minus_f = [{fm: -ONE}]
         for gm in basis:
             if fdeg + gm.degree > max_degree or not assoc_ok:
                 break
+            fg = table.series(fm, gm)
             for hm in h_basis:
                 if fdeg + gm.degree + hm.degree > max_degree:
                     break
-                for k in range(s.order + 1):
-                    acc: Dict[MultiIndex, GaussianRational] = {}
-                    for l in range(k + 1):
-                        for m, c in c_terms(k - l, fm, gm).items():
-                            _acc_scaled(acc, c_terms(l, m, hm), c)
-                        for m, c in c_terms(k - l, gm, hm).items():
-                            _acc_scaled(acc, c_terms(l, fm, m), -c)
-                    residual = _nonzero_poly(d, acc)
-                    if not residual.is_zero():
-                        assoc_ok = False
-                        fp, gp, hp = (Poly.monomial(d, m) for m in (fm, gm, hm))
-                        assoc_detail = (
-                            f"failed at order {k} on ({fp}, {gp}, {hp}): residual {residual}"
-                        )
-                        break
-                if not assoc_ok:
+                # the associator (f*g)*h - f*(g*h), every order in one series
+                acc: List[dict] = [{} for _ in range(s.order + 1)]
+                table.add_star(acc, fg, [{hm: ONE}])
+                table.add_star(acc, minus_f, table.series(gm, hm))
+                failure = _first_nonzero(d, acc)
+                if failure is not None:
+                    assoc_ok = False
+                    fp, gp, hp = (Poly.monomial(d, m) for m in (fm, gm, hm))
+                    k, residual = failure
+                    assoc_detail = f"failed at order {k} on ({fp}, {gp}, {hp}): residual {residual}"
                     break
     entries.append(CheckEntry("associativity", assoc_ok, assoc_detail))
 

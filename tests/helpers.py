@@ -201,6 +201,21 @@ def term_scan_bi_apply(op, f, g):
     return result
 
 
+def term_scan_star(product, f, g):
+    """Coefficient lists f and g multiplied by the product, truncated at
+    its order: sum over l + a + b = m of C_l(f[a], g[b]), each product
+    evaluated by term scan."""
+    N = product.order
+    out = []
+    for m in range(N + 1):
+        acc = Poly.zero(product.dim)
+        for l in range(m + 1):
+            for a in range(m - l + 1):
+                acc = acc + term_scan_bi_apply(product.C[l], f[a], g[m - l - a])
+        out.append(acc)
+    return out
+
+
 def parity_reduced_rhs(s, lower, k):
     """F^alpha = sum over even l of C_l(x^alpha, T_(k-l) .), the left slot
     alone, for an even order k of a parity product."""
@@ -310,17 +325,6 @@ def term_scan_verify_intertwining(morphism, s, max_degree=4):
             out.append(acc)
         return out
 
-    def star(product, f, g):
-        """Coefficient lists f and g multiplied by the product, to order N."""
-        out = []
-        for m in range(N + 1):
-            acc = Poly.zero(d)
-            for l in range(m + 1):
-                for a in range(m - l + 1):
-                    acc = acc + term_scan_bi_apply(product.C[l], f[a], g[m - l - a])
-            out.append(acc)
-        return out
-
     def series(f):
         return [f] + [Poly.zero(d)] * N
 
@@ -329,8 +333,8 @@ def term_scan_verify_intertwining(morphism, s, max_degree=4):
 
     def failure(f, g, fi, gi):
         """None when T(f *_Moyal g) == T(f) *_s T(g), else the residual text."""
-        left = morph(star(moyal, series(f), series(g)))
-        right = star(s, fi, gi)
+        left = morph(term_scan_star(moyal, series(f), series(g)))
+        right = term_scan_star(s, fi, gi)
         for k in range(N + 1):
             if left[k] != right[k]:
                 return f" at order {k}: residual {left[k] - right[k]}"

@@ -294,7 +294,32 @@ def test_malformed_guard_variable_exit_two_before_engine_work(
     assert "Traceback" not in err
 
 
-DEMOS = Path(__file__).parent.parent / "demos" / "specs"
+def test_non_utf8_spec_exit_two_without_traceback(tmp_path, capsys):
+    # a JSON dump would write UTF-8, so the bytes are written directly
+    path = tmp_path / "spec.json"
+    path.write_bytes('{"kind": "moyal", "n": 1, "order": 2, "note": "caf\xe9"}'.encode("latin-1"))
+    assert main(["validate", str(path), "--no-timing"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not UTF-8")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_natural_cotangent_order_limit_follows_the_guard(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the product was built before the order was checked")
+
+    monkeypatch.setattr("starq.cli.build_product", refuse)
+    monkeypatch.setenv("STARQ_MAX_OP_ORDER", "3")
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(NATURAL))
+    for command, flags in (("validate", []), ("derive", []), ("verify-tables", []),
+                           ("apply", ["--f", "q1"])):
+        assert main([command, str(path), "--no-timing"] + flags) == 2, command
+        err = capsys.readouterr().err
+        assert err == "error: natural-cotangent products are limited to order 3\n", command
+
+
+DEMOS =Path(__file__).parent.parent / "demos" / "specs"
 NATURAL_N2 = json.loads((DEMOS / "natural_cotangent_n2.json").read_text())
 
 

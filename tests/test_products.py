@@ -46,6 +46,7 @@ from helpers import (
     poly_to_sympy,
     sympy_to_poly,
     term_scan_check_axioms,
+    term_scan_star,
 )
 from test_cli import FIXTURES
 
@@ -512,6 +513,45 @@ def test_swap_parity_of_builders_and_faults(moyal_n1, natural_q):
     assert swap_parity(corrupted(moyal_n1, d0, d1, antisym=True, order=3))
     assert not swap_parity(corrupted(moyal_n1, d0, d1, antisym=True, order=2))
     assert not swap_parity(corrupted(moyal_n1, d0, d1, order=0))
+
+
+def _full_series(d, order, shift):
+    """An hbar-series with two monomials of degree <= 3 at every order."""
+    basis = monomials_up_to(d, 3)
+    coeffs = []
+    for k in range(order + 1):
+        i = (3 * k + shift) % len(basis)
+        j = (i + 1 + k) % len(basis)
+        coeffs.append(Poly.monomial(d, basis[i], gr(k + 1, shift))
+                      + Poly.monomial(d, basis[j], gr(f"-1/{k + 2}")))
+    return HbarSeries(coeffs)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: natural_cotangent_product(Connection.one_dim(Poly.coordinate(1, 0)), 4),
+        lambda: natural_cotangent_product(nontriangular_n2_connection(), 4),
+        lambda: corrupted(moyal_product(PoissonTensor.canonical(1), 4), MultiIndex.unit(0),
+                          MultiIndex.of(1, 1), order=2, coeff=Poly.coordinate(2, 1)),
+    ],
+    ids=["natural-q", "nontriangular-n2", "moyal-parity-fault"],
+)
+def test_apply_on_full_series_matches_term_scan(make):
+    s = make()
+    d, N = s.dim, s.order
+    F, G = _full_series(d, N, 0), _full_series(d, N, 1)
+    assert all(len(list(H[k].terms())) == 2 for H in (F, G) for k in range(N + 1))
+    zero = [Poly.zero(d)] * N
+    f, g = F[N], G[N - 1]
+    for left, right, scan_left, scan_right in (
+        (F, G, F.coeffs, G.coeffs),
+        (G, F, G.coeffs, F.coeffs),
+        (f, G, [f] + zero, G.coeffs),
+        (F, g, F.coeffs, [g] + zero),
+        (f, g, [f] + zero, [g] + zero),
+    ):
+        assert s.apply(left, right) == HbarSeries(term_scan_star(s, scan_left, scan_right))
 
 
 def test_check_reports_are_deterministic(moyal_n1):
