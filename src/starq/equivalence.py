@@ -126,7 +126,22 @@ def coordinate_rhs(s: StarProduct, lower: Sequence[DiffOp], k: int) -> List[Diff
     """
     if len(lower) < k:
         raise ValueError(f"need the {k} lower orders, got {len(lower)}")
+    return _coordinate_rhs(s.dim, _symmetric_slots(s, k), lower, k)
+
+
+def _symmetric_slots(s: StarProduct, order: int) -> List[List[DiffOp]]:
+    """Row l holds S_l(x^alpha, .) for every coordinate alpha, l <= order
+    (row 0 is empty)."""
     d = s.dim
+    return [[]] + [
+        [s.C[l].symmetric_slot_fix(alpha) for alpha in range(d)] for l in range(1, order + 1)
+    ]
+
+
+def _coordinate_rhs(
+    d: int, slots: List[List[DiffOp]], lower: Sequence[DiffOp], k: int
+) -> List[DiffOp]:
+    """`coordinate_rhs` read off a table of `_symmetric_slots`."""
     out = []
     for alpha in range(d):
         acc = DiffOp.zero(d)
@@ -134,7 +149,7 @@ def coordinate_rhs(s: StarProduct, lower: Sequence[DiffOp], k: int) -> List[Diff
             t = lower[k - l]
             if t.is_zero():
                 continue
-            slot = s.C[l].symmetric_slot_fix(alpha)
+            slot = slots[l][alpha]
             if not slot.is_zero():
                 acc = acc + slot.compose(t)
         out.append(acc)
@@ -254,9 +269,10 @@ def derive_equivalence(s: StarProduct, order: int | None = None) -> EquivalenceM
     ops: List[DiffOp] = [DiffOp.identity(d)]
     coords = [Poly.coordinate(d, alpha) for alpha in range(d)]
     one = Poly.const(d, 1)
+    slots = _symmetric_slots(s, order)
     for k in range(1, order + 1):
         try:
-            solution = commutator_solution_direct(coordinate_rhs(s, ops, k))
+            solution = commutator_solution_direct(_coordinate_rhs(d, slots, ops, k))
         except IncompatibleFamily as exc:
             raise IncompatibleFamily(exc.coordinate, f"order {k}: {exc}") from None
         if not solution.apply(one).is_zero():

@@ -17,6 +17,10 @@ from .errors import ExprParseError
 from .poly import Poly
 from .scalars import GaussianRational
 
+# Deepest parenthesis nesting accepted; each level costs four frames of
+# the recursive descent, so this stays well below the recursion limit.
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()]))"
 )
@@ -55,6 +59,7 @@ class _Parser:
     def __init__(self, tokens: List[Tuple[str, str]], names: List[str], dim: int):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.index = {name: j for j, name in enumerate(names)}
         self.dim = dim
 
@@ -130,8 +135,12 @@ class _Parser:
                 raise ExprParseError(f"unknown coordinate {val!r}")
             return Poly.coordinate(self.dim, coord)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprParseError(f"parentheses nested deeper than {MAX_NESTING} levels")
+            self.depth += 1
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ExprParseError(f"unexpected token {val!r}")
 

@@ -385,7 +385,7 @@ class BiDiffOp(_NormalForm):
             by_left: Dict[MultiIndex, Dict[MultiIndex, Poly]] = {}
             for (li, ri), coeff in self._terms.items():
                 by_left.setdefault(li, {})[ri] = coeff
-            index = (by_left, _Hits(by_left), _Hits({ri for _, ri in self._terms}))
+            index = (by_left, _Hits(by_left), _Hits(dict.fromkeys(ri for _, ri in self._terms)))
             _set(self, "_memo", index)
         return index
 

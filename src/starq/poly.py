@@ -1,8 +1,12 @@
 """Multi-indices and exact multivariate polynomials.
 
 A `MultiIndex` is a sparse map from coordinate index to a positive
-exponent; zero entries are never stored, so equal indices are equal
-objects under `==`/`hash`.  A `Poly` stores its terms as a map from
+exponent; zero entries are never stored.  Every constructor returns the
+one object for its index from a module-level pool, so indices compare by
+identity and hash by `id` in C; the pool holds the distinct indices the
+process has met, and copies and pickles resolve to the pooled object.
+Nothing may iterate a set of indices where the order shows, since that
+order follows `id`.  A `Poly` stores its terms as a map from
 `MultiIndex` to `GaussianRational` with zero coefficients pruned, which
 makes structural equality canonical.  The display/serialization order is
 graded lexicographic, leading term first.
@@ -19,11 +23,12 @@ from .scalars import GaussianRational, ONE, ZERO
 
 
 class MultiIndex:
-    """Sparse multi-index of derivative/monomial exponents."""
+    """Sparse multi-index of derivative/monomial exponents, one pooled
+    object per index."""
 
-    __slots__ = ("_pairs", "_degree", "_hash")
+    __slots__ = ("_pairs", "_degree")
 
-    def __init__(self, exponents: Dict[int, int] | Iterable[Tuple[int, int]] = ()):
+    def __new__(cls, exponents: Dict[int, int] | Iterable[Tuple[int, int]] = ()):
         if isinstance(exponents, dict):
             items = exponents.items()
         else:
@@ -32,12 +37,13 @@ class MultiIndex:
         for c, e in pairs:
             if c < 0 or e < 0:
                 raise ValueError(f"invalid multi-index entry ({c}, {e})")
-        object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "_degree", sum(e for _, e in pairs))
-        object.__setattr__(self, "_hash", hash(pairs))
+        return cls._from_sorted(pairs)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiIndex is immutable")
+
+    def __reduce__(self):
+        return (MultiIndex._from_sorted, (self._pairs,))
 
     # -- constructors -----------------------------------------------------
 
@@ -59,12 +65,14 @@ class MultiIndex:
 
     @classmethod
     def _from_sorted(cls, pairs: Tuple[Tuple[int, int], ...]) -> "MultiIndex":
-        """Unchecked constructor for pairs already sorted by coordinate
-        with positive exponents."""
-        mi = object.__new__(cls)
-        object.__setattr__(mi, "_pairs", pairs)
-        object.__setattr__(mi, "_degree", sum(e for _, e in pairs))
-        object.__setattr__(mi, "_hash", hash(pairs))
+        """The pooled index of a tuple of pairs already sorted by coordinate
+        with positive exponents, made on first request."""
+        mi = _POOL.get(pairs)
+        if mi is None:
+            mi = object.__new__(cls)
+            _set(mi, "_pairs", pairs)
+            _set(mi, "_degree", sum(e for _, e in pairs))
+            mi = _POOL.setdefault(pairs, mi)
         return mi
 
     # -- accessors ---------------------------------------------------------
@@ -109,13 +117,13 @@ class MultiIndex:
         counts = dict(self._pairs)
         for c, e in other._pairs:
             counts[c] = counts.get(c, 0) + e
-        return MultiIndex(counts)
+        return MultiIndex._from_sorted(tuple(sorted(counts.items())))
 
     def decrement(self, coord: int) -> "MultiIndex":
         """Remove one power of `coord`; exponent must be positive."""
         counts = dict(self._pairs)
         counts[coord] -= 1
-        return MultiIndex(counts)
+        return MultiIndex._from_sorted(tuple(p for p in counts.items() if p[1]))
 
     def subtract(self, other: "MultiIndex") -> "MultiIndex":
         counts = dict(self._pairs)
@@ -123,7 +131,8 @@ class MultiIndex:
             counts[c] = counts.get(c, 0) - e
             if counts[c] < 0:
                 raise ValueError(f"{self} does not dominate {other}")
-        return MultiIndex(counts)
+        # every coordinate is one of self's, still in ascending order
+        return MultiIndex._from_sorted(tuple(p for p in counts.items() if p[1]))
 
     def divides(self, other: "MultiIndex") -> bool:
         return all(other.exponent(c) >= e for c, e in self._pairs)
@@ -156,18 +165,12 @@ class MultiIndex:
 
     # -- dunder ------------------------------------------------------------
 
-    def __eq__(self, other):
-        if not isinstance(other, MultiIndex):
-            return NotImplemented
-        return self._pairs == other._pairs
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"MultiIndex({dict(self._pairs)!r})"
 
 
+_POOL: Dict[Tuple[Tuple[int, int], ...], MultiIndex] = {}
+_set = object.__setattr__
 EMPTY_INDEX = MultiIndex()
 
 
@@ -355,7 +358,7 @@ class Poly:
             factor = _falling(e, times)
             counts = dict(mi.pairs)
             counts[coord] = e - times
-            nm = MultiIndex(counts)
+            nm = MultiIndex._from_sorted(tuple(p for p in counts.items() if p[1]))
             nc = c * factor
             acc = terms.get(nm)
             s = nc if acc is None else acc + nc

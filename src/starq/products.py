@@ -710,18 +710,10 @@ def quantum_canonicity_check(s: StarProduct) -> CheckReport:
 
 def monomials_up_to(dim: int, max_degree: int) -> List[MultiIndex]:
     """All monomial indices of total degree <= max_degree, canonically ordered."""
-    out: List[MultiIndex] = []
-
-    def rec(coord, remaining, acc):
-        if coord == dim:
-            out.append(MultiIndex(dict(acc)))
-            return
-        for e in range(remaining + 1):
-            if e:
-                acc[coord] = e
-            rec(coord + 1, remaining - e, acc)
-            acc.pop(coord, None)
-
-    rec(0, max_degree, {})
+    out = [
+        MultiIndex.of(*coords)
+        for deg in range(max_degree + 1)
+        for coords in itertools.combinations_with_replacement(range(dim), deg)
+    ]
     out.sort(key=lambda m: m.grlex_key(dim))
     return out

@@ -13,6 +13,8 @@ before its rearrangement sums were folded into one sum per index
 multiset); all are kept to gate the new code on exact equality.
 `parity_reduced_rhs` is the paper's one-sided even-order right-hand side
 of a parity product, the expected value of the general one there.
+`recursive_monomials_up_to` is the monomial basis enumerated one
+coordinate per recursion level, as before it was made iterative.
 """
 
 import itertools
@@ -213,6 +215,25 @@ def term_scan_star(product, f, g):
             for a in range(m - l + 1):
                 acc = acc + term_scan_bi_apply(product.C[l], f[a], g[m - l - a])
         out.append(acc)
+    return out
+
+
+def recursive_monomials_up_to(dim, max_degree):
+    """monomials_up_to by recursion over the coordinates, depth `dim`."""
+    out = []
+
+    def rec(coord, remaining, acc):
+        if coord == dim:
+            out.append(MultiIndex(dict(acc)))
+            return
+        for e in range(remaining + 1):
+            if e:
+                acc[coord] = e
+            rec(coord + 1, remaining - e, acc)
+            acc.pop(coord, None)
+
+    rec(0, max_degree, {})
+    out.sort(key=lambda m: m.grlex_key(dim))
     return out
 
 

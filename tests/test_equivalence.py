@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from starq import equivalence
 from starq.cli import build_product, parse_spec
 from starq.errors import CanonicityFailure, IncompatibleFamily, OrderMismatch
 from starq.geometry import (
@@ -172,18 +173,32 @@ def test_derive_rejects_a_rhs_with_no_common_solution(natural_q_product, monkeyp
     # bump F^0 at order 2 by x1 d1: the change B of the solution would
     # need [B, x1] = 0, so no d1 in B, and then [B, x0] has no d1 either;
     # only the exact commutator check catches it
-    real = coordinate_rhs
+    real = equivalence._coordinate_rhs
     bump = DiffOp(2, {MultiIndex.unit(1): Poly.coordinate(2, 1)})
 
-    def corrupted(s, lower, k):
-        family = real(s, lower, k)
+    def corrupted(d, slots, lower, k):
+        family = real(d, slots, lower, k)
         return [family[0] + bump] + family[1:] if k == 2 else family
 
-    monkeypatch.setattr("starq.equivalence.coordinate_rhs", corrupted)
+    monkeypatch.setattr("starq.equivalence._coordinate_rhs", corrupted)
     with pytest.raises(IncompatibleFamily) as err:
         derive_equivalence(natural_q_product)
     assert err.value.coordinate == 0
     assert str(err.value) == "order 2: no solution for coordinate index 0"
+
+
+def test_derive_fixes_each_slot_once(natural_q_product, monkeypatch):
+    calls = []
+    real = BiDiffOp.symmetric_slot_fix
+
+    def counted(op, coord):
+        calls.append(coord)
+        return real(op, coord)
+
+    monkeypatch.setattr(BiDiffOp, "symmetric_slot_fix", counted)
+    s = natural_q_product
+    derive_equivalence(s)
+    assert len(calls) == s.order * s.dim
 
 
 # -- recurrence right-hand side -----------------------------------------------

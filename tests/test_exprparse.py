@@ -1,7 +1,7 @@
 import pytest
 
 from starq.errors import ExprParseError
-from starq.exprparse import coordinate_names, parse_base_poly, parse_phase_poly
+from starq.exprparse import MAX_NESTING, coordinate_names, parse_base_poly, parse_phase_poly
 from starq.poly import Poly
 from starq.scalars import gr
 
@@ -59,3 +59,14 @@ def test_round_trip_through_format():
     poly = parse_phase_poly(expr, 1)
     again = parse_phase_poly(poly.format(coordinate_names(1)).replace(" ", ""), 1)
     assert poly == again
+
+
+def test_nesting_bound():
+    q = Poly.coordinate(2, 0)
+    inside = "(" * MAX_NESTING + "q1" + ")" * MAX_NESTING
+    assert parse_phase_poly(inside, 1) == q
+    for depth in (MAX_NESTING + 1, 5000):
+        with pytest.raises(ExprParseError, match="nested deeper than"):
+            parse_phase_poly("(" * depth + "q1" + ")" * depth, 1)
+    # a bound on depth, not on the number of groups
+    assert parse_phase_poly("+".join(["(q1)"] * 500), 1) == q.scale(500)

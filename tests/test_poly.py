@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +52,42 @@ def test_multiindex_sub_indices_and_binomial():
     assert len(subs) == 6  # (0..2) x (0..1)
     assert mi.binomial(MultiIndex.of(0)) == 2
     assert mi.binomial(MultiIndex.of(0, 0, 1)) == 1
+
+
+def test_multiindex_one_object_per_index():
+    target = MultiIndex({0: 2, 3: 1})
+    built = [
+        MultiIndex({3: 1, 0: 2, 1: 0}),
+        MultiIndex([(3, 1), (0, 2)]),
+        MultiIndex.of(3, 0, 0),
+        MultiIndex.from_exponents([2, 0, 0, 1]),
+        MultiIndex._from_sorted(((0, 2), (3, 1))),
+        MultiIndex.of(0) + MultiIndex.of(0, 3),
+        MultiIndex.of(0, 0, 0, 3).decrement(0),
+        MultiIndex.of(0, 0, 1, 3).subtract(MultiIndex.unit(1)),
+        [k for k in MultiIndex.of(0, 0, 1, 3).sub_indices() if k.pairs == target.pairs][0],
+        next(iter(Poly.from_json(4, [{"exps": [2, 0, 0, 1], "re": "1", "im": "0"}])._terms)),
+        copy.copy(target),
+        copy.deepcopy(target),
+        pickle.loads(pickle.dumps(target)),
+    ]
+    for mi in built:
+        assert mi is target
+    assert MultiIndex.unit(2) is MultiIndex.of(2)
+    assert MultiIndex() is EMPTY_INDEX
+    assert MultiIndex.of(1).decrement(1) is EMPTY_INDEX
+    assert MultiIndex.of(1).subtract(MultiIndex.of(1)) is EMPTY_INDEX
+    assert copy.deepcopy({EMPTY_INDEX: [target]}) == {EMPTY_INDEX: [target]}
+
+
+def test_multiindex_compares_by_identity():
+    assert not hasattr(MultiIndex, "_hash")
+    assert "__eq__" not in vars(MultiIndex) and "__hash__" not in vars(MultiIndex)
+    a = MultiIndex.of(0, 1)
+    assert hash(a) == object.__hash__(a)
+    assert a != MultiIndex.of(0, 0) and a != a.pairs
+    with pytest.raises(AttributeError):
+        a._pairs = ()
 
 
 # -- arithmetic -------------------------------------------------------------

@@ -44,6 +44,7 @@ from helpers import (
     phase_symbols,
     poisson_bracket_oracle,
     poly_to_sympy,
+    recursive_monomials_up_to,
     sympy_to_poly,
     term_scan_check_axioms,
     term_scan_star,
@@ -663,3 +664,18 @@ def test_pairing_kernel_matches_ordered_sum(case):
     assert len(product.C) == len(reference)
     for k, (op, ref) in enumerate(zip(product.C, reference)):
         assert op == ref, f"C_{k} differs from the ordered sum"
+
+
+def test_monomial_basis_matches_the_recursive_enumeration():
+    for dim in range(5):
+        for max_degree in range(6):
+            basis = monomials_up_to(dim, max_degree)
+            assert basis == recursive_monomials_up_to(dim, max_degree), (dim, max_degree)
+
+
+def test_monomial_basis_of_a_large_dimension():
+    # the recursive enumeration went one frame deep per coordinate
+    basis = monomials_up_to(1200, 1)
+    assert len(basis) == 1201
+    assert basis[0] is MultiIndex() and basis[1] is MultiIndex.unit(1199)
+    assert basis[-1] is MultiIndex.unit(0)
