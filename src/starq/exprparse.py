@@ -3,8 +3,8 @@
 Grammar: rational literals (`3`, `1/2`), the imaginary unit `i`,
 coordinate names (`q1..qn`, `p1..pn`, Casimir directions `c1..ck`), the
 operators `+ - * ^` and parentheses.  Exponents are non-negative
-integers.  There is no implicit multiplication and no division outside
-rational literals.
+integers up to `MAX_EXPONENT`.  There is no implicit multiplication and
+no division outside rational literals.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .scalars import GaussianRational
 # Deepest parenthesis nesting accepted; each level costs four frames of
 # the recursive descent, so this stays well below the recursion limit.
 MAX_NESTING = 100
+# Largest exponent accepted; the cost of a power grows with it.
+MAX_EXPONENT = 1000
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()]))"
@@ -120,7 +122,11 @@ class _Parser:
             kind, val = self.take()
             if kind != "rat" or "/" in val:
                 raise ExprParseError("exponent must be a non-negative integer")
-            base = base ** int(val)
+            # the length test keeps int() off digit strings of any length
+            digits = val.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ExprParseError(f"exponent above {MAX_EXPONENT}")
+            base = base ** int(digits)
         return base if sign == 1 else -base
 
     def atom(self) -> Poly:

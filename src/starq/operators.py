@@ -91,6 +91,9 @@ class _NormalForm:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return (type(self), (self.dim, dict(self._terms)))
+
     @classmethod
     def zero(cls, dim: int):
         return cls(dim)
@@ -472,6 +475,10 @@ def _acc_shifted(acc: dict, terms: dict, shift: MultiIndex, c=None):
 
 def _acc_scaled(acc: dict, terms: dict, c):
     """Add c times a raw term map into `acc` (zeros left in place)."""
+    if c is ONE:
+        for m, t in terms.items():
+            acc[m] = acc[m] + t if m in acc else t
+        return
     for m, t in terms.items():
         v = t * c
         acc[m] = acc[m] + v if m in acc else v

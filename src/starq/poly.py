@@ -210,6 +210,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        return (Poly._normal, (self.dim, dict(self._terms)))
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -340,8 +343,13 @@ class Poly:
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = Poly.const(self.dim, 1)
-        for _ in range(n):
-            result = result * self
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- calculus -----------------------------------------------------------------

@@ -1,54 +1,84 @@
 """Exact complex-rational scalars.
 
-Every coefficient in the engine is a Gaussian rational re + i*im with
-exact rational parts.  A part is stored as an `int` when it is integral
-and as a `Fraction` otherwise, so integral arithmetic never enters
-`fractions`, and a zero part is always the int 0.  Results are built
-through one unchecked constructor that keeps this normal form.  There is
-no floating-point mode: all arithmetic is exact and equality is
-bit-exact (`3` and `Fraction(3)` are equal, hash alike and print alike).
+Every coefficient in the engine is a Gaussian rational, stored as three
+ints (r, i, d) for the value (r + i*sqrt(-1)) / d.  The triple is kept in
+normal form: d >= 1 and gcd(r, i, d) == 1, so zero is (0, 0, 1) and
+equality is equality of the triples.  Addition, subtraction,
+multiplication, negation and conjugation are int arithmetic followed by
+at most one `math.gcd(r, i, d)`, skipped when d == 1, and never enter
+`fractions`.  Results are built through one unchecked constructor,
+`_make`, that takes a triple already in normal form.  The parts `re` and
+`im` are read back as an `int` when integral and as a `Fraction`
+otherwise.  There is no floating-point mode: all arithmetic is exact and
+equality is bit-exact (`3` and `Fraction(3)` are equal, hash alike and
+print alike).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import gcd, lcm
+from typing import Tuple, Union
 
 _RatLike = Union[int, Fraction, str]
 
 
-def _as_part(x: _RatLike) -> int | Fraction:
+def _as_ratio(x: _RatLike) -> Tuple[int, int]:
+    """(numerator, denominator) of an exact rational, in lowest terms."""
     if isinstance(x, int):
-        return int(x)
+        return int(x), 1
     if isinstance(x, (Fraction, str)):
-        return _normal_part(Fraction(x))
+        q = Fraction(x)
+        return q.numerator, q.denominator
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def _normal_part(x: int | Fraction) -> int | Fraction:
-    """An integral Fraction as its int; anything else unchanged."""
-    return x if x.__class__ is int or x.denominator != 1 else x.numerator
+def _part(n: int, d: int) -> int | Fraction:
+    """n / d as an int when integral, else as a Fraction."""
+    if d == 1:
+        return n
+    q = Fraction(n, d)
+    return q.numerator if q.denominator == 1 else q
 
 
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_r", "_i", "_d")
 
     def __init__(self, re: _RatLike = 0, im: _RatLike = 0):
-        _set_re(self, _as_part(re))
-        _set_im(self, _as_part(im))
+        if re.__class__ is int and im.__class__ is int:
+            r, i, d = re, im, 1
+        else:
+            (r, dr), (i, di) = _as_ratio(re), _as_ratio(im)
+            # both parts are in lowest terms, so the triple over their lcm is too
+            d = lcm(dr, di)
+            r, i = r * (d // dr), i * (d // di)
+        _set_r(self, r)
+        _set_i(self, i)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        return (_make, (self._r, self._i, self._d))
+
+    @property
+    def re(self) -> int | Fraction:
+        return _part(self._r, self._d)
+
+    @property
+    def im(self) -> int | Fraction:
+        return _part(self._i, self._d)
+
     # -- basic predicates ------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._r and not self._i
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._r or self._i)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -65,50 +95,55 @@ class GaussianRational:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        # adding an int 0 to a Fraction would still go through `fractions`
-        return _make(
-            _normal_part(a + c) if a and c else a or c,
-            _normal_part(b + d) if b and d else b or d,
-        )
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._r + other._r, self._i + other._i, d1)
+        return _reduced(self._r * d2 + other._r * d1, self._i * d2 + other._i * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(-self.re, -self.im)
+        return _make(-self._r, -self._i, self._d)
 
     def __sub__(self, other):
         if other.__class__ is not GaussianRational:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return _make(
-            _normal_part(a - c) if a and c else a or -c,
-            _normal_part(b - d) if b and d else b or -d,
-        )
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._r - other._r, self._i - other._i, d1)
+        return _reduced(self._r * d2 - other._r * d1, self._i * d2 - other._i * d1, d1 * d2)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if other.__class__ is int:
-            return _make(_normal_part(self.re * other), _normal_part(self.im * other))
+            d = self._d
+            if d == 1:
+                return _make(self._r * other, self._i * other, 1)
+            # gcd(r, i) is prime to d, so gcd(k r, k i, d) == gcd(k, d)
+            g = gcd(other, d)
+            return _make(self._r * other // g, self._i * other // g, d // g)
         if other.__class__ is not GaussianRational:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
+        a, b, c, e = self._r, self._i, other._r, other._i
+        d = self._d * other._d
         # real or imaginary operands skip every product with a zero factor
-        if not b and not d:
-            return _make(_normal_part(a * c), 0)
-        if not a and not c:
-            return _make(_normal_part(-(b * d)), 0)
-        if not a and not d:
-            return _make(0, _normal_part(b * c))
-        if not b and not c:
-            return _make(0, _normal_part(a * d))
-        return _make(_normal_part(a * c - b * d), _normal_part(a * d + b * c))
+        if not b and not e:
+            r, i = a * c, 0
+        elif not a and not c:
+            r, i = -(b * e), 0
+        elif not a and not e:
+            r, i = 0, b * c
+        elif not b and not c:
+            r, i = 0, a * e
+        else:
+            r, i = a * c - b * e, a * e + b * c
+        return _make(r, i, 1) if d == 1 else _reduced(r, i, d)
 
     __rmul__ = __mul__
 
@@ -116,12 +151,13 @@ class GaussianRational:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        # a Fraction denominator keeps int / int from giving a float
-        norm = Fraction(c * c + d * d)
+        # (a + b i)/d1 / ((c + e i)/d2) = (a + b i)(c - e i) d2 / (d1 (c^2 + e^2))
+        a, b, c, e = self._r, self._i, other._r, other._i
+        norm = c * c + e * e
         if not norm:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return _make(_normal_part((a * c + b * d) / norm), _normal_part((b * c - a * d) / norm))
+        d2 = other._d
+        return _reduced((a * c + b * e) * d2, (b * c - a * e) * d2, self._d * norm)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -142,7 +178,7 @@ class GaussianRational:
         return result
 
     def conjugate(self) -> "GaussianRational":
-        return _make(self.re, -self.im)
+        return _make(self._r, -self._i, self._d)
 
     # -- comparison / hashing ---------------------------------------------
 
@@ -151,7 +187,7 @@ class GaussianRational:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._r == other._r and self._i == other._i and self._d == other._d
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -164,16 +200,17 @@ class GaussianRational:
     def __str__(self):
         if self.is_zero():
             return "0"
+        re, im = self.re, self.im
         parts = []
-        if self.re:
-            parts.append(str(self.re))
-        if self.im:
-            if self.im == 1:
+        if re:
+            parts.append(str(re))
+        if im:
+            if im == 1:
                 parts.append("i")
-            elif self.im == -1:
+            elif im == -1:
                 parts.append("-i")
             else:
-                parts.append(f"{self.im}*i")
+                parts.append(f"{im}*i")
         return "+".join(parts).replace("+-", "-")
 
     def to_json(self) -> dict:
@@ -185,16 +222,27 @@ class GaussianRational:
 
 
 _new = object.__new__
-_set_re = GaussianRational.re.__set__
-_set_im = GaussianRational.im.__set__
+_set_r = GaussianRational._r.__set__
+_set_i = GaussianRational._i.__set__
+_set_d = GaussianRational._d.__set__
 
 
-def _make(re: int | Fraction, im: int | Fraction) -> GaussianRational:
-    """Unchecked constructor: both parts already in normal form."""
+def _make(r: int, i: int, d: int) -> GaussianRational:
+    """Unchecked constructor: the triple is already in normal form."""
     g = _new(GaussianRational)
-    _set_re(g, re)
-    _set_im(g, im)
+    _set_r(g, r)
+    _set_i(g, i)
+    _set_d(g, d)
     return g
+
+
+def _reduced(r: int, i: int, d: int) -> GaussianRational:
+    """(r + i sqrt(-1)) / d in normal form, for any d >= 1."""
+    if d != 1:
+        g = gcd(r, i, d)
+        if g != 1:
+            return _make(r // g, i // g, d // g)
+    return _make(r, i, d)
 
 
 def gr(re: _RatLike = 0, im: _RatLike = 0) -> GaussianRational:

@@ -264,6 +264,7 @@ NESTED = "(" * 5000 + "q1" + ")" * 5000
         ("derive", dict(NATURAL, connection={"gamma": {"1,1,1": NESTED}}), []),
         ("apply", dict(NATURAL, connection={"gamma": {"1,1,1": NESTED}}), ["--f", "q1"]),
         ("apply", MOYAL, ["--f", NESTED]),
+        ("apply", MOYAL, ["--f", "q1^100000000", "--g", "q1"]),
     ],
     ids=[
         "natural-order-1", "order-string", "fault-list", "fault-string",
@@ -276,6 +277,7 @@ NESTED = "(" * 5000 + "q1" + ")" * 5000
         "out-missing-dir", "out-is-directory", "frame-zero-row", "curved-connection",
         "order-zero-validate", "order-zero-derive", "order-zero-apply",
         "nested-gamma-validate", "nested-gamma-derive", "nested-gamma-apply", "nested-apply-f",
+        "huge-exponent-apply-f",
     ],
 )
 def test_unusable_input_exit_two_without_traceback(command, spec, flags, tmp_path, capsys):

@@ -1,7 +1,7 @@
 import pytest
 
 from starq.errors import ExprParseError
-from starq.exprparse import MAX_NESTING, coordinate_names, parse_base_poly, parse_phase_poly
+from starq.exprparse import MAX_EXPONENT, MAX_NESTING, coordinate_names, parse_base_poly, parse_phase_poly
 from starq.poly import Poly
 from starq.scalars import gr
 
@@ -70,3 +70,14 @@ def test_nesting_bound():
             parse_phase_poly("(" * depth + "q1" + ")" * depth, 1)
     # a bound on depth, not on the number of groups
     assert parse_phase_poly("+".join(["(q1)"] * 500), 1) == q.scale(500)
+
+
+def test_exponent_bound():
+    q = Poly.coordinate(2, 0)
+    assert parse_phase_poly(f"q1^{MAX_EXPONENT}", 1) == q ** MAX_EXPONENT
+    assert parse_phase_poly("q1^0003", 1) == q ** 3
+    assert parse_phase_poly("q1^" + "0" * 6000 + "2", 1) == q ** 2
+    assert parse_phase_poly("q1^000", 1) == Poly.const(2, 1)
+    for exponent in (str(MAX_EXPONENT + 1), "100000000", "9" * 6000):
+        with pytest.raises(ExprParseError, match=f"exponent above {MAX_EXPONENT}"):
+            parse_phase_poly(f"q1^{exponent}", 1)

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -465,6 +467,22 @@ def test_shared_normal_form_constructor(cls, key, fields, monkeypatch):
     for name in ("dim", "_terms", "_memo"):
         with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
             setattr(op, name, None)
+
+
+@pytest.mark.parametrize(
+    "cls, key, fields", NORMAL_FORM_SLOTS, ids=["diff", "bidiff-left", "bidiff-right"]
+)
+def test_copy_and_pickle_rebuild_without_memos(cls, key, fields):
+    q = Poly.coordinate(2, 0)
+    op = cls(2, {key(MultiIndex.of(0, 1)): q.scale(gr("2/3", 1)), key(EMPTY_INDEX): q})
+    if cls is DiffOp:
+        op.apply(q ** 2)
+    else:
+        op.apply(q ** 2, q)
+    assert op._memo is not None
+    for twin in (copy.copy(op), copy.deepcopy(op), pickle.loads(pickle.dumps(op))):
+        assert type(twin) is cls and twin == op and twin.to_json() == op.to_json()
+        assert twin._memo is None
 
 
 # -- the morphism as an operator series ------------------------------------------

@@ -195,3 +195,21 @@ def test_embed():
     lifted = base.embed(4)
     assert lifted.dim == 4
     assert lifted.coefficient(MultiIndex.of(0, 0)) == gr(1)
+
+
+def test_poly_copy_and_pickle_round_trips():
+    f = Poly.coordinate(2, 0) * gr("1/3", 2) + Poly.coordinate(2, 1) ** 3 - Poly.const(2, 5)
+    for p in (Poly.coordinate(2, 0), Poly.zero(3), f):
+        for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert twin == p and twin.dim == p.dim and str(twin) == str(p)
+            assert twin._terms is not p._terms
+
+
+def test_power_squares_repeatedly():
+    x = Poly.coordinate(1, 0)
+    f = x + Poly.const(1, gr("1/2", 1))
+    acc = Poly.const(1, 1)
+    for n in range(12):
+        assert f ** n == acc
+        acc = acc * f
+    assert (x ** 1000).coefficient(MultiIndex({0: 1000})) == gr(1)

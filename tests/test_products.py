@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from starq.cli import build_product, parse_spec
-from starq.errors import InvalidFrame, NonFlatConnection
+from starq.errors import CanonicityFailure, InvalidFrame, NonFlatConnection
 from starq.exprparse import parse_phase_poly
 from starq.geometry import (
     Connection,
@@ -393,6 +395,13 @@ def test_symplectic_axioms_hold_to_order_two():
     assert quantum_canonicity_check(prod).passed
 
 
+def test_product_copy_and_pickle_round_trips(moyal_n1):
+    for twin in (copy.copy(moyal_n1), copy.deepcopy(moyal_n1),
+                 pickle.loads(pickle.dumps(moyal_n1))):
+        assert twin == moyal_n1 and twin.to_json() == moyal_n1.to_json()
+        assert twin.poisson == moyal_n1.poisson and twin.parity is moyal_n1.parity
+
+
 # -- bracket ---------------------------------------------------------------------------------
 
 def test_bracket_of_function_with_itself(moyal_n1, natural_q):
@@ -430,6 +439,43 @@ def test_corrupted_product_fails_canonicity(moyal_n1):
     bad = corrupted(moyal_n1, MultiIndex.unit(0), MultiIndex.unit(1), antisym=True)
     report = quantum_canonicity_check(bad)
     assert not report.passed
+
+
+def bracket_per_pair_report(s):
+    """The canonicity report with one `star_bracket` per coordinate pair."""
+    d = s.dim
+    entries = []
+    for mu in range(d):
+        for nu in range(mu + 1, d):
+            try:
+                bracket = star_bracket(s, Poly.coordinate(d, mu), Poly.coordinate(d, nu))
+            except CanonicityFailure as exc:
+                entries.append({"name": f"pair-{mu}-{nu}", "passed": False, "detail": str(exc)})
+                continue
+            ok = bracket == HbarSeries.from_constant(s.poisson.entry(mu, nu), bracket.order)
+            entries.append({"name": f"pair-{mu}-{nu}", "passed": ok,
+                            "detail": "" if ok else f"bracket = {bracket}"})
+    return entries
+
+
+def test_canonicity_reads_one_pair_table(monkeypatch):
+    # an order-0 fault with a nonzero commutator on (q1, p1), and an
+    # antisymmetric order-2 fault that bends the bracket of (q1, q2)
+    moyal = moyal_product(PoissonTensor.canonical(2), 3)
+    q1, q2, p1 = MultiIndex.unit(0), MultiIndex.unit(1), MultiIndex.unit(2)
+    bad = corrupted(moyal, q1, p1, order=0, coeff=Poly.const(4, gr("1/3")))
+    bad = corrupted(bad, q1, q2, antisym=True, order=2, coeff=Poly.coordinate(4, 3))
+    builds = []
+    real = BiDiffOp.multiplication.__func__
+    monkeypatch.setattr(BiDiffOp, "multiplication",
+                        classmethod(lambda cls, d: builds.append(d) or real(cls, d)))
+    report = quantum_canonicity_check(bad).to_json()
+    assert builds == [4]
+    monkeypatch.undo()
+    assert report["entries"] == bracket_per_pair_report(bad)
+    details = {e["name"]: e["detail"] for e in report["entries"] if not e["passed"]}
+    assert details["pair-0-2"] == "order-0 commutator 1/3 is nonzero"
+    assert details["pair-0-1"].startswith("bracket = ")
 
 
 def _moyal_bump(left, right, order):

@@ -1,4 +1,7 @@
+import copy
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -62,7 +65,7 @@ def test_conjugation(a):
 
 # -- reference: plain (Fraction, Fraction) pairs -------------------------------------
 #
-# The scalar keeps an integral part as an int and skips products with a
+# The scalar is a normal-form triple of ints and skips products with a
 # zero factor; every operation must still agree with naive pair
 # arithmetic, on part shapes well outside the small `rationals` above.
 
@@ -101,8 +104,19 @@ def ref_str(x):
     return "+".join(out).replace("+-", "-")
 
 
+def assert_normal(value):
+    """The triple (r, i, d) of (r + i sqrt(-1)) / d is in normal form."""
+    r, i, d = value._r, value._i, value._d
+    assert type(r) is int and type(i) is int and type(d) is int
+    assert d >= 1 and gcd(r, i, d) == 1
+    if not r and not i:
+        assert (r, i, d) == (0, 0, 1)
+
+
 def assert_matches(value, x):
-    """`value` equals the reference pair x, with parts in normal form."""
+    """`value` equals the reference pair x; its triple and its parts are in
+    normal form."""
+    assert_normal(value)
     for part, want in ((value.re, x[0]), (value.im, x[1])):
         assert type(part) in (int, Fraction)
         assert type(part) is int or part.denominator != 1
@@ -191,3 +205,43 @@ def test_floats_are_rejected():
     with pytest.raises(TypeError):
         gr(0.5)
     assert GaussianRational(1).__mul__(0.5) is NotImplemented
+
+
+def test_triple_slots_hold_no_fraction():
+    assert GaussianRational.__slots__ == ("_r", "_i", "_d")
+    value = gr("-4/6", "10/4")
+    assert (value._r, value._i, value._d) == (-4, 15, 6)
+    assert (ZERO._r, ZERO._i, ZERO._d) == (0, 0, 1)
+
+
+def test_hot_operations_never_enter_fractions(monkeypatch):
+    a, b, c = gr("2/3", "-5/4"), gr("7/6", "1/9"), gr(-3, 2)
+    real, imag = gr("5/8"), gr(0, "-3/10")
+
+    class Refuse:
+        def __new__(cls, *args):
+            raise AssertionError("fractions entered")
+
+    monkeypatch.setattr("starq.scalars.Fraction", Refuse)
+    results = [
+        a + b, a + c, c + c, a - b, c - a, a * b, a * c, c * c, real * imag, imag * imag,
+        a * 6, 6 * a, c * -2, a * 0, -a, a.conjugate(), a + 1, 2 - a,
+    ]
+    for value in results:
+        assert_normal(value)
+    assert a * b == b * a and a - a == ZERO and not (a - a) and a and c != a
+    assert a + b - b == a and (a * 12 == gr(8, -15)) is True
+    monkeypatch.undo()
+    x, y = (Fraction(2, 3), Fraction(-5, 4)), (Fraction(7, 6), Fraction(1, 9))
+    assert_matches(results[5], ref_mul(x, y))
+    assert_matches(results[8], (0, Fraction(-3, 16)))
+    assert_matches(results[9], (Fraction(-9, 100), 0))
+
+
+@pytest.mark.parametrize(
+    "value", [gr("1/3", 2), gr(0), gr(-7, "5/6"), gr(0, "-1/2")], ids=str
+)
+def test_copy_and_pickle_round_trips(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and hash(twin) == hash(value) and str(twin) == str(value)
+        assert_normal(twin)
