@@ -8,7 +8,9 @@ verifications, emit a deterministic JSON report.
 
 `apply` checks the canonicity of the coordinates and that every morphism
 order has a solution, not intertwining: `derive` is what checks that.
-Exit codes: 0 all checks passed, 1 a check failed, 2 unusable input.
+Exit codes: 0 all checks passed, 1 a check failed, 2 unusable input;
+a reader that closes stdout early truncates the report but not the exit
+code.
 Every spec field, the --out directory and STARQ_MAX_OP_ORDER are checked
 before any engine work; a frame or connection the engine rejects
 (InvalidFrame, NonFlatConnection) is unusable input too.
@@ -295,7 +297,14 @@ def finalize(report: dict, args, spec: ProblemSpec, started: float, failed: bool
                   engine={"name": "starq", "version": __version__})
     if not args.no_timing:
         report["timing"] = {"seconds": round(time.perf_counter() - started, 3)}
-    emit(report, args)
+    try:
+        emit(report, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: the rest of the report is lost,
+        # but the verdict stands; stdout goes to the null device so that
+        # the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if failed else 0
 
 

@@ -87,6 +87,9 @@ class EquivalenceMorphism:
     def __setattr__(self, name, value):
         raise AttributeError("EquivalenceMorphism is immutable")
 
+    def __reduce__(self):
+        return (EquivalenceMorphism, (self.orders, self.provenance))
+
     @property
     def order(self) -> int:
         return len(self.orders) - 1

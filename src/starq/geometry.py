@@ -15,12 +15,12 @@ partner of base index i sits at n + i).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .errors import DimensionMismatch, OperatorOrderExceeded
-from .operators import DiffOp
+from .operators import DiffOp, _Hits, _acc_scaled, _acc_shifted, max_op_order
 from .poly import MultiIndex, Poly
-from .scalars import GaussianRational
+from .scalars import GaussianRational, ONE
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +76,9 @@ class Connection:
 
     def __setattr__(self, name, value):
         raise AttributeError("Connection is immutable")
+
+    def __reduce__(self):
+        return (Connection, (self.n, dict(self._gamma)))
 
     @property
     def dim(self) -> int:
@@ -178,6 +181,9 @@ class LiftedConnection:
     def __setattr__(self, name, value):
         raise AttributeError("LiftedConnection is immutable")
 
+    def __reduce__(self):
+        return (LiftedConnection, (self.base, dict(self._symbols)))
+
     def christoffel(self, mu: int, nu: int, rho: int) -> Poly:
         return self._symbols.get((mu, nu, rho), Poly.zero(self.dim))
 
@@ -272,6 +278,9 @@ class SymplecticConnectionSpec:
 
     def __setattr__(self, name, value):
         raise AttributeError("SymplecticConnectionSpec is immutable")
+
+    def __reduce__(self):
+        return (SymplecticConnectionSpec, (self.n, dict(self._lowered), self.a))
 
     @classmethod
     def from_symmetric_components(
@@ -374,28 +383,17 @@ def covariant_jet_ops(conn, rank: int) -> Dict[Tuple[int, ...], DiffOp]:
 
     The recursion prepends the new index: the next jet along mu0 is the
     mu0-partial of the previous jet minus symbol contractions on each of
-    the existing slots.
+    the existing slots.  Each jet is one raw step (`_jet_stepper`): its
+    terms are added into raw maps through `operators._acc_shifted` and
+    normalised once.
     """
-    from .operators import max_op_order
-
     if rank > max_op_order():
         raise OperatorOrderExceeded(f"jet rank {rank} exceeds the operator-order guard")
     d = conn.dim
+    step = _jet_stepper(conn, tuple)
     jets: Dict[Tuple[int, ...], DiffOp] = {(): DiffOp.identity(d)}
     for _ in range(rank):
-        nxt: Dict[Tuple[int, ...], DiffOp] = {}
-        for idx, op in jets.items():
-            for mu0 in range(d):
-                new = DiffOp.partial(d, mu0).compose(op)
-                for s, mus in enumerate(idx):
-                    for lam in range(d):
-                        sym = conn.christoffel(lam, mu0, mus)
-                        if sym.is_zero():
-                            continue
-                        replaced = idx[:s] + (lam,) + idx[s + 1:]
-                        new = new - jets[replaced].premultiply(sym)
-                nxt[(mu0,) + idx] = new
-        jets = nxt
+        jets = {(mu0,) + idx: step(jets, mu0, idx) for idx in jets for mu0 in range(d)}
     return jets
 
 
@@ -407,30 +405,68 @@ def symmetric_jet_ops(conn, order: int) -> Dict[Tuple[int, ...], DiffOp]:
     rank `order`.  That holds at every rank for a flat torsion-free
     connection (a flat lift), and up to rank 2 for any torsion-free one.
     Under it the entry for a sorted tuple t equals
-    `covariant_jet_ops(conn, len(t))[t]`: the recursion of
+    `covariant_jet_ops(conn, len(t))[t]`: the same raw step of
     `covariant_jet_ops` is run with mu0 = t[0] on idx = t[1:], and every
     replaced index tuple is looked up by its sorted form.  Without the
     precondition the table is not the covariant jet.
     """
-    from .operators import max_op_order
-
     if order > max_op_order():
         raise OperatorOrderExceeded(f"jet rank {order} exceeds the operator-order guard")
     d = conn.dim
+    step = _jet_stepper(conn, lambda idx: tuple(sorted(idx)))
     jets: Dict[Tuple[int, ...], DiffOp] = {(): DiffOp.identity(d)}
     for rank in range(1, order + 1):
         for t in itertools.combinations_with_replacement(range(d), rank):
-            mu0, idx = t[0], t[1:]
-            new = DiffOp.partial(d, mu0).compose(jets[idx])
-            for s, mus in enumerate(idx):
-                for lam in range(d):
-                    sym = conn.christoffel(lam, mu0, mus)
-                    if sym.is_zero():
-                        continue
-                    replaced = tuple(sorted(idx[:s] + (lam,) + idx[s + 1:]))
-                    new = new - jets[replaced].premultiply(sym)
-            jets[t] = new
+            jets[t] = step(jets, t[0], t[1:])
     return jets
+
+
+def _jet_stepper(conn, canon: Callable[[Tuple[int, ...]], Tuple[int, ...]]):
+    """The one step of both jet recursions, as step(jets, mu0, idx): the
+    jet along (mu0,) + idx,
+
+        d_mu0 o J(idx) - sum over slots s and lam of
+            Gamma^lam_(mu0 idx_s) J(idx with idx_s replaced by lam),
+
+    where J(r) is jets[canon(r)].  A term c d^I of J(idx) gives
+    (d_mu0 c) d^I + c d^(I + e_mu0), with d_mu0 c read off a hit memo per
+    coordinate shared by the whole table, and each contraction adds
+    -Gamma x^m J(replaced) raw, monomial m by monomial, through
+    `_acc_shifted`; the terms go into one raw map per derivative,
+    normalised once.  The symbols are read once per stepper.
+    """
+    d = conn.dim
+    symbols: Dict[Tuple[int, int, int], Dict[MultiIndex, GaussianRational]] = {}
+    for key in itertools.product(range(d), repeat=3):
+        sym = conn.christoffel(*key)
+        if sym._terms:
+            symbols[key] = {m: -c for m, c in sym._terms.items()}
+    units = [MultiIndex.unit(mu) for mu in range(d)]
+    partials = [_Hits((unit,)) for unit in units]
+
+    def step(jets, mu0: int, idx: Tuple[int, ...]) -> DiffOp:
+        acc: Dict[MultiIndex, Dict[MultiIndex, GaussianRational]] = {}
+        unit, partial = units[mu0], partials[mu0]
+        for mi, coeff in jets[idx]._terms.items():
+            _acc_scaled(acc.setdefault(mi + unit, {}), coeff._terms, ONE)
+            here = acc.setdefault(mi, {})
+            for m, c in coeff._terms.items():
+                for _, rest, e in partial[m]:
+                    v = c if e == 1 else c * e
+                    here[rest] = here[rest] + v if rest in here else v
+        for s, mus in enumerate(idx):
+            for lam in range(d):
+                sym = symbols.get((lam, mu0, mus))
+                if sym is None:
+                    continue
+                replaced = jets[canon(idx[:s] + (lam,) + idx[s + 1:])]
+                for mi, coeff in replaced._terms.items():
+                    target = acc.setdefault(mi, {})
+                    for m, c in sym.items():
+                        _acc_shifted(target, coeff._terms, m, c)
+        return DiffOp._from_raw(d, acc)
+
+    return step
 
 
 def covariant_jet(conn, rank: int, f: Poly) -> Dict[Tuple[int, ...], Poly]:
@@ -462,6 +498,9 @@ class FTensor:
 
     def __setattr__(self, name, value):
         raise AttributeError("FTensor is immutable")
+
+    def __reduce__(self):
+        return (FTensor, (self.n, self.rank, dict(self._components)))
 
     def component(self, l: int, lowers: Tuple[int, ...], i: int) -> Poly:
         if len(lowers) != self.rank:

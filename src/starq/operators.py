@@ -24,6 +24,12 @@ terms indexed by left, then right, multi-index, built on first use) and
 applies to polynomials as the bilinear sum of that over their monomials.
 Sums are kept in one raw term map and normalised once, so the result
 does not depend on the summation order.
+
+The same kernel builds operators.  `compose` and the product builders
+(the jet step of `geometry`, the pairing of `products`) add raw term
+maps through `_acc_shifted`, one map per derivative key, and make the
+operator once with `_from_raw`, which normalises each map; no
+intermediate `Poly` or operator is made per term.
 """
 
 from __future__ import annotations
@@ -97,6 +103,18 @@ class _NormalForm:
     @classmethod
     def zero(cls, dim: int):
         return cls(dim)
+
+    @classmethod
+    def _from_raw(cls, dim: int, acc: dict):
+        """The operator of a map from derivative keys to raw term maps
+        (`_acc_shifted`): each map is normalised once, and the keys whose
+        terms all cancel are dropped before the checked constructor."""
+        terms = {}
+        for key, raw in acc.items():
+            poly = _nonzero_poly(dim, raw)
+            if poly._terms:
+                terms[key] = poly
+        return cls(dim, terms)
 
     # -- accessors ----------------------------------------------------------------
 
@@ -232,23 +250,32 @@ class DiffOp(_NormalForm):
         return _nonzero_poly(self.dim, acc)
 
     def compose(self, other: "DiffOp") -> "DiffOp":
-        """Normal form of self applied after `other` (generalized Leibniz)."""
+        """Normal form of self applied after `other` (generalized Leibniz).
+
+        A term a d^I after b d^J gives the sum over K <= I of
+        binom(I, K) a (d^K b) d^(I-K+J).  The splits (K, I - K, binom(I, K))
+        of each left term are listed once, and the hits (K, m - K, (m)_K)
+        of each monomial m of b are found once per left term, as in
+        `apply`; each hit adds binom(I, K) (m)_K b_m x^(m-K) a raw into
+        the map of its output derivative I - K + J.
+        """
         if other.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-        acc: Dict[MultiIndex, Poly] = {}
+        acc: Dict[MultiIndex, Dict[MultiIndex, GaussianRational]] = {}
         for i_idx, a in self._terms.items():
+            splits = {k: (i_idx.subtract(k), i_idx.binomial(k)) for k in i_idx.sub_indices()}
+            hits = _Hits(splits)
+            a_terms = a._terms
             for j_idx, b in other._terms.items():
-                for k_idx in i_idx.sub_indices():
-                    db = b.diff(k_idx)
-                    if db.is_zero():
-                        continue
-                    mult = i_idx.binomial(k_idx)
-                    new_idx = i_idx.subtract(k_idx) + j_idx
-                    contrib = a * db
-                    if mult != 1:
-                        contrib = contrib.scale(mult)
-                    _acc_poly(acc, new_idx, contrib)
-        return DiffOp(self.dim, acc)
+                maps = {k: (acc.setdefault(rest + j_idx, {}), mult)
+                        for k, (rest, mult) in splits.items()}
+                for m, cb in b._terms.items():
+                    for k_idx, shift, fall in hits[m]:
+                        target, mult = maps[k_idx]
+                        w = fall * mult
+                        c = cb if w == 1 else cb * w
+                        _acc_shifted(target, a_terms, shift, None if c is ONE else c)
+        return DiffOp._from_raw(self.dim, acc)
 
     def commutator_with_coordinate(self, coord: int) -> "DiffOp":
         """[self, x^coord] in normal form.
@@ -275,10 +302,6 @@ class DiffOp(_NormalForm):
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         return NotImplemented
-
-    def premultiply(self, poly: Poly) -> "DiffOp":
-        """Multiply every coefficient by `poly` on the left."""
-        return DiffOp(self.dim, {mi: poly * p for mi, p in self._terms.items()})
 
     # -- display ------------------------------------------------------------------------------
 
@@ -326,17 +349,6 @@ class BiDiffOp(_NormalForm):
     def multiplication(cls, dim: int) -> "BiDiffOp":
         """(f, g) -> f*g."""
         return cls(dim, {(EMPTY_INDEX, EMPTY_INDEX): Poly.const(dim, 1)})
-
-    @classmethod
-    def tensor(cls, a: DiffOp, b: DiffOp) -> "BiDiffOp":
-        """(f, g) -> a(f) * b(g)."""
-        if a.dim != b.dim:
-            raise DimensionMismatch(f"dim {a.dim} vs {b.dim}")
-        acc: Dict[Tuple[MultiIndex, MultiIndex], Poly] = {}
-        for li, pa in a._terms.items():
-            for ri, pb in b._terms.items():
-                _acc_poly(acc, (li, ri), pa * pb)
-        return cls(a.dim, acc)
 
     # -- accessors ----------------------------------------------------------------
 

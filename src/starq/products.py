@@ -47,7 +47,7 @@ from .geometry import (
     ricci,
     symmetric_jet_ops,
 )
-from .operators import BiDiffOp, DiffOp, _acc_poly, _acc_scaled, _nonzero_poly
+from .operators import BiDiffOp, DiffOp, _acc_poly, _acc_scaled, _acc_shifted, _nonzero_poly
 from .poly import MultiIndex, Poly
 from .scalars import GaussianRational, HALF, HALF_I, I as IMAG, ONE
 from .series import HbarSeries
@@ -168,6 +168,9 @@ class VectorFieldFrame:
     def __setattr__(self, name, value):
         raise AttributeError("VectorFieldFrame is immutable")
 
+    def __reduce__(self):
+        return (VectorFieldFrame, (self.fields,))
+
     @classmethod
     def coordinate(cls, dim: int) -> "VectorFieldFrame":
         return cls([DiffOp.partial(dim, mu) for mu in range(dim)])
@@ -287,29 +290,42 @@ def _pairing_product(
     C_k = (i/2)^k / k! sum over ordered k-tuples of Poisson entries of
     prod P^(mu_e nu_e) J(mu_1..mu_k) (x) J(nu_1..nu_k), where the one
     lookup `jet` maps a sorted index tuple of any rank 1..order to its
-    jet operator J.  Every jet source fed here is symmetric in its
-    indices, so all orderings of one multiset of entries give the same
-    term: the sum visits each multiset once with weight
+    jet operator J, memoised for the order.  Every jet source fed here is
+    symmetric in its indices, so all orderings of one multiset of entries
+    give the same term: the sum visits each multiset once with weight
     (i/2)^k / prod m_e!, which is (i/2)^k / k! times its k! / prod m_e!
-    orderings, and the result is exactly the ordered sum.
+    orderings, and the result is exactly the ordered sum.  Each left
+    coefficient is scaled by the weight once per multiset, and each of
+    its monomials times a right coefficient is added raw into the map of
+    the key (left, right) through `_acc_shifted`; every map is
+    normalised once.
     """
     d = p.dim
     entries = p.constant_entries()
     C = [BiDiffOp.multiplication(d)]
     for k in range(1, order + 1):
         half_i_k = HALF_I ** k
-        acc: Dict[Tuple[MultiIndex, MultiIndex], Poly] = {}
+        acc: Dict[Tuple[MultiIndex, MultiIndex], Dict[MultiIndex, GaussianRational]] = {}
+        # every jet of order k has rank k, so the memo lasts one order
+        jets: Dict[Tuple[int, ...], DiffOp] = {}
         for combo in itertools.combinations_with_replacement(entries, k):
             repeats = prod(factorial(len(list(run))) for _, run in itertools.groupby(combo))
             v = half_i_k * GaussianRational(Fraction(1, repeats))
             for _, _, val in combo:
                 v = v * val
-            left = jet(tuple(sorted(mu for mu, _, _ in combo)))
-            right = jet(tuple(sorted(nu for _, nu, _ in combo)))
+            mus = tuple(sorted(mu for mu, _, _ in combo))
+            nus = tuple(sorted(nu for _, nu, _ in combo))
+            for idx in (mus, nus):
+                if idx not in jets:
+                    jets[idx] = jet(idx)
+            left, right = jets[mus], jets[nus]
             for li, pa in left._terms.items():
+                scaled = [(m, c * v) for m, c in pa._terms.items()]
                 for ri, pb in right._terms.items():
-                    _acc_poly(acc, (li, ri), (pa * pb).scale(v))
-        C.append(BiDiffOp(d, acc))
+                    target = acc.setdefault((li, ri), {})
+                    for m, c in scaled:
+                        _acc_shifted(target, pb._terms, m, c)
+        C.append(BiDiffOp._from_raw(d, acc))
     return C
 
 

@@ -28,6 +28,9 @@ class HbarSeries:
     def __setattr__(self, name, value):
         raise AttributeError("HbarSeries is immutable")
 
+    def __reduce__(self):
+        return (HbarSeries, (self.coeffs,))
+
     @classmethod
     def from_constant(cls, value, order: int) -> "HbarSeries":
         zero = value.zero_like()

@@ -15,6 +15,10 @@ multiset); all are kept to gate the new code on exact equality.
 of a parity product, the expected value of the general one there.
 `recursive_monomials_up_to` is the monomial basis enumerated one
 coordinate per recursion level, as before it was made iterative.
+The whole-object builders (`whole_*`, `tensor`, `premultiply`) are the
+composition, jet recursions and pairing loop written with one `Poly` or
+`DiffOp` operation per term, as they were before the builders added raw
+term maps; they gate the raw builders on structural equality.
 """
 
 import itertools
@@ -24,10 +28,10 @@ from typing import Dict, Tuple
 
 import sympy as sp
 
-from starq.geometry import Connection, ricci
+from starq.geometry import Connection, flat_connection_from_diffeo, lift_connection, ricci
 from starq.operators import BiDiffOp, DiffOp, _acc_poly
 from starq.poly import MultiIndex, Poly
-from starq.products import CheckEntry, CheckReport, monomials_up_to, moyal_product
+from starq.products import CheckEntry, CheckReport, PoissonTensor, monomials_up_to, moyal_product
 from starq.scalars import HALF_I, I as IMAG, GaussianRational
 
 
@@ -138,6 +142,13 @@ def nontriangular_n2_connection():
     return Connection(2, {key: sympy_to_poly(expr, [q1, q2]) for key, expr in gamma.items()})
 
 
+def n3_triangular_connection():
+    """The flat n = 3 connection pulled back along
+    (q0, q1 + q0^2, q2 + q1^2 + q0^3)."""
+    x0, x1, x2 = (Poly.coordinate(3, j) for j in range(3))
+    return flat_connection_from_diffeo([x0, x1 + x0 ** 2, x2 + x1 ** 2 + x0 ** 3])
+
+
 def ordered_pairing_operators(p, jets, order):
     """C_0..C_order as the sum over all ordered k-tuples of Poisson entries,
 
@@ -159,8 +170,125 @@ def ordered_pairing_operators(p, jets, order):
                 v = v * val
             left = jet(tuple(mu for mu, _, _ in combo))
             right = jet(tuple(nu for _, nu, _ in combo))
-            acc = acc + BiDiffOp.tensor(left, right).scale(v)
+            acc = acc + tensor(left, right).scale(v)
         C.append(acc)
+    return C
+
+
+# -- whole-object builders ------------------------------------------------------------
+
+
+def tensor(a, b):
+    """The bidifferential operator (f, g) -> a(f) * b(g), one Poly
+    product per pair of terms."""
+    acc = {}
+    for li, pa in a._terms.items():
+        for ri, pb in b._terms.items():
+            _acc_poly(acc, (li, ri), pa * pb)
+    return BiDiffOp(a.dim, acc)
+
+
+def whole_compose(a, b):
+    """a o b by the generalized Leibniz rule, one Poly derivative, product
+    and sum per split of every pair of terms."""
+    acc = {}
+    for i_idx, pa in a._terms.items():
+        for j_idx, pb in b._terms.items():
+            for k_idx in i_idx.sub_indices():
+                db = pb.diff(k_idx)
+                if db.is_zero():
+                    continue
+                contrib = (pa * db).scale(i_idx.binomial(k_idx))
+                _acc_poly(acc, i_idx.subtract(k_idx) + j_idx, contrib)
+    return DiffOp(a.dim, acc)
+
+
+def premultiply(op, poly):
+    """Every coefficient of `op` multiplied by `poly` on the left."""
+    return DiffOp(op.dim, {mi: poly * p for mi, p in op._terms.items()})
+
+
+def _whole_jet(conn, jets, mu0, idx, canon):
+    new = whole_compose(DiffOp.partial(conn.dim, mu0), jets[idx])
+    for s, mus in enumerate(idx):
+        for lam in range(conn.dim):
+            sym = conn.christoffel(lam, mu0, mus)
+            if not sym.is_zero():
+                new = new - premultiply(jets[canon(idx[:s] + (lam,) + idx[s + 1:])], sym)
+    return new
+
+
+def whole_covariant_jet_ops(conn, rank):
+    """The ordered jet recursion of `covariant_jet_ops` in whole objects."""
+    jets = {(): DiffOp.identity(conn.dim)}
+    for _ in range(rank):
+        jets = {
+            (mu0,) + idx: _whole_jet(conn, jets, mu0, idx, tuple)
+            for idx in jets
+            for mu0 in range(conn.dim)
+        }
+    return jets
+
+
+def whole_symmetric_jet_ops(conn, order):
+    """The sorted-index jet table of `symmetric_jet_ops` in whole objects."""
+    jets = {(): DiffOp.identity(conn.dim)}
+    for rank in range(1, order + 1):
+        for t in itertools.combinations_with_replacement(range(conn.dim), rank):
+            jets[t] = _whole_jet(conn, jets, t[0], t[1:], lambda r: tuple(sorted(r)))
+    return jets
+
+
+def whole_pairing_operators(p, jet, order):
+    """C_0..C_order summed once per multiset of Poisson entries, one
+    `(pa * pb).scale(v)` per pair of jet terms."""
+    d = p.dim
+    entries = p.constant_entries()
+    C = [BiDiffOp.multiplication(d)]
+    for k in range(1, order + 1):
+        acc = {}
+        for combo in itertools.combinations_with_replacement(entries, k):
+            repeats = 1
+            for _, run in itertools.groupby(combo):
+                repeats *= factorial(len(list(run)))
+            v = (HALF_I ** k) * GaussianRational(Fraction(1, repeats))
+            for _, _, val in combo:
+                v = v * val
+            left = jet(tuple(sorted(mu for mu, _, _ in combo)))
+            right = jet(tuple(sorted(nu for _, nu, _ in combo)))
+            for li, pa in left._terms.items():
+                for ri, pb in right._terms.items():
+                    _acc_poly(acc, (li, ri), (pa * pb).scale(v))
+        C.append(BiDiffOp(d, acc))
+    return C
+
+
+def whole_moyal_operators(p, order):
+    return whole_pairing_operators(
+        p, lambda idx: DiffOp.derivative(p.dim, MultiIndex.of(*idx)), order
+    )
+
+
+def whole_vector_field_operators(frame, p, order):
+    comp = {(): DiffOp.identity(p.dim)}
+
+    def composed(key):
+        if key not in comp:
+            comp[key] = whole_compose(frame.fields[key[0]], composed(key[1:]))
+        return comp[key]
+
+    return whole_pairing_operators(p, composed, order)
+
+
+def whole_natural_operators(conn, order):
+    jets = whole_symmetric_jet_ops(lift_connection(conn), order)
+    return whole_pairing_operators(PoissonTensor.canonical(conn.n), jets.__getitem__, order)
+
+
+def whole_symplectic_operators(spec):
+    p = PoissonTensor.canonical(spec.n)
+    C = whole_pairing_operators(p, whole_symmetric_jet_ops(spec, 2).__getitem__, 2)
+    C[2] = C[2] + ordered_ricci_term(spec, p)
     return C
 
 

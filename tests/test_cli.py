@@ -265,6 +265,7 @@ NESTED = "(" * 5000 + "q1" + ")" * 5000
         ("apply", dict(NATURAL, connection={"gamma": {"1,1,1": NESTED}}), ["--f", "q1"]),
         ("apply", MOYAL, ["--f", NESTED]),
         ("apply", MOYAL, ["--f", "q1^100000000", "--g", "q1"]),
+        ("apply", MOYAL, ["--f", "(q1+p1+1)^100", "--g", "q1"]),
     ],
     ids=[
         "natural-order-1", "order-string", "fault-list", "fault-string",
@@ -277,7 +278,7 @@ NESTED = "(" * 5000 + "q1" + ")" * 5000
         "out-missing-dir", "out-is-directory", "frame-zero-row", "curved-connection",
         "order-zero-validate", "order-zero-derive", "order-zero-apply",
         "nested-gamma-validate", "nested-gamma-derive", "nested-gamma-apply", "nested-apply-f",
-        "huge-exponent-apply-f",
+        "huge-exponent-apply-f", "huge-power-apply-f",
     ],
 )
 def test_unusable_input_exit_two_without_traceback(command, spec, flags, tmp_path, capsys):
@@ -564,6 +565,25 @@ def test_report_does_not_depend_on_the_index_pool(tmp_path):
     spec = str(DEMOS / "natural_cotangent_n2.json")
     assert main(["derive", spec, "--no-timing", "--out", str(out)]) == 0
     assert held and out.read_bytes() == _derive_demo_in_subprocess("0")
+
+
+@pytest.mark.parametrize("spec_name, want", [("moyal", 0), ("fault_assoc", 1)])
+def test_closed_stdout_keeps_the_exit_code_without_traceback(spec_file, spec_name, want):
+    # a pipe whose reader is gone before the report is written, as with
+    # `starq validate ... | head -c 50`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "starq.cli", "validate", spec_file(spec_name), "--no-timing"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == want
+    assert proc.stderr == ""
 
 
 def test_console_script_entry_point(spec_file):

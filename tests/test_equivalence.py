@@ -46,6 +46,7 @@ from starq.equivalence import (
 
 from helpers import (
     index_loop_order2,
+    n3_triangular_connection,
     nontriangular_n2_connection,
     parity_reduced_rhs,
     rearrangement_loop_order4,
@@ -606,11 +607,6 @@ def test_order4_multiset_sum_matches_rearrangement_loop(conn_factory, cycl_mode)
     assert closed == reference, operator_diff_report(closed, reference)
     closed, reference = flat_cotangent_order2(conn), index_loop_order2(conn)
     assert closed == reference, operator_diff_report(closed, reference)
-
-
-def n3_triangular_connection():
-    x0, x1, x2 = (Poly.coordinate(3, j) for j in range(3))
-    return flat_connection_from_diffeo([x0, x1 + x0 ** 2, x2 + x1 ** 2 + x0 ** 3])
 
 
 def test_closed_forms_match_derivation_at_n3():

@@ -1,7 +1,16 @@
 import pytest
 
 from starq.errors import ExprParseError
-from starq.exprparse import MAX_EXPONENT, MAX_NESTING, coordinate_names, parse_base_poly, parse_phase_poly
+from math import comb
+
+from starq.exprparse import (
+    MAX_EXPONENT,
+    MAX_NESTING,
+    MAX_POWER_TERMS,
+    coordinate_names,
+    parse_base_poly,
+    parse_phase_poly,
+)
 from starq.poly import Poly
 from starq.scalars import gr
 
@@ -81,3 +90,22 @@ def test_exponent_bound():
     for exponent in (str(MAX_EXPONENT + 1), "100000000", "9" * 6000):
         with pytest.raises(ExprParseError, match=f"exponent above {MAX_EXPONENT}"):
             parse_phase_poly(f"q1^{exponent}", 1)
+
+
+def test_power_term_bound(monkeypatch):
+    # binomial(t + e - 1, e) bounds the terms of a t-term base to the e;
+    # the bound is checked before the power is formed
+    q1, q2, p1, p2 = (Poly.coordinate(4, j) for j in range(4))
+    assert comb(4 + 16 - 1, 16) <= MAX_POWER_TERMS < comb(4 + 17 - 1, 17)
+    assert parse_phase_poly("(q1+q2+p1+p2)^3", 2) == (q1 + q2 + p1 + p2) ** 3
+    # one-term and zero bases have one term and none at any exponent
+    assert parse_phase_poly(f"(2*q1*p2)^{MAX_EXPONENT}", 2) == (q1 * p2).scale(2) ** MAX_EXPONENT
+    assert parse_phase_poly("(q1-q1)^7", 2) == Poly.zero(4)
+
+    def refuse(self, n):
+        raise AssertionError("power formed")
+
+    monkeypatch.setattr(Poly, "__pow__", refuse)
+    for expr in ("(q1+q2+p1+p2)^17", "(q1+q2+p1+p2)^40", "(q1+1)^1000", "(q1+q2+p1+p2+1)^200"):
+        with pytest.raises(ExprParseError, match=f"more than {MAX_POWER_TERMS} terms"):
+            parse_phase_poly(expr, 2)

@@ -24,7 +24,14 @@ from starq.geometry import (
 from starq.poly import MultiIndex, Poly
 from starq.scalars import GaussianRational
 
-from helpers import christoffel_oracle, sympy_to_poly
+from helpers import (
+    christoffel_oracle,
+    n3_triangular_connection,
+    nontriangular_n2_connection,
+    sympy_to_poly,
+    whole_covariant_jet_ops,
+    whole_symmetric_jet_ops,
+)
 
 
 def q_poly(n, j):
@@ -436,6 +443,26 @@ def test_symmetric_jet_table_matches_ordered_recursion(case):
         ordered = covariant_jet_ops(conn, rank)
         for t in itertools.combinations_with_replacement(range(conn.dim), rank):
             assert table[t] == ordered[t], f"jet {t} differs from the ordered recursion"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (lift_connection(Connection.one_dim(Poly.const(1, 1) + q_poly(1, 0) ** 2)), 6),
+        lambda: (lift_connection(random_flat_connection(2, random.Random(6), cubic=True)), 4),
+        lambda: (lift_connection(n3_triangular_connection()), 4),
+        lambda: (lift_connection(nontriangular_n2_connection()), 5),
+        lambda: (_random_spec(1, random.Random(5)), 2),
+    ],
+    ids=["flat-lift-n1-rank6", "flat-lift-n2-rank4", "n3-triangular-rank4",
+         "nontriangular-rank5", "curved-spec-rank2"],
+)
+def test_jet_tables_match_whole_object_recursion(case):
+    # the raw jet step against d_mu0 o J - sum Gamma J in whole DiffOps
+    conn, order = case()
+    assert symmetric_jet_ops(conn, order) == whole_symmetric_jet_ops(conn, order)
+    rank = min(order, 3)
+    assert covariant_jet_ops(conn, rank) == whole_covariant_jet_ops(conn, rank)
 
 
 def test_jet_dimension_mismatch():

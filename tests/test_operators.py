@@ -14,7 +14,7 @@ from starq.poly import EMPTY_INDEX, MultiIndex, Poly
 from starq.products import monomials_up_to, natural_cotangent_product
 from starq.scalars import HALF, gr
 
-from helpers import term_scan_apply, term_scan_bi_apply
+from helpers import tensor, term_scan_apply, term_scan_bi_apply, whole_compose
 from test_poly import multiindices, polys, scalars
 
 
@@ -115,6 +115,37 @@ def test_compose_matches_sequential_apply(a, b, f):
     assert a.compose(b).apply(f) == a.apply(b.apply(f))
 
 
+@settings(max_examples=30, deadline=None)
+@given(nonzero_diffops(2), nonzero_diffops(2))
+def test_compose_matches_whole_object_leibniz(a, b):
+    # the raw-map composition against one Poly derivative, product and
+    # sum per Leibniz split
+    assert a.compose(b) == whole_compose(a, b)
+    assert b.compose(a) == whole_compose(b, a)
+
+
+def test_compose_second_order_leibniz_weights():
+    # d_q^2 o (q^2 *) = q^2 d_q^2 + 2 (2q) d_q + 2: binom(2, 1) = 2
+    q = Poly.coordinate(1, 0)
+    composed = DiffOp.derivative(1, MultiIndex.of(0, 0)).compose(DiffOp.multiplication(q * q))
+    assert composed == DiffOp(
+        1,
+        {MultiIndex.of(0, 0): q * q, MultiIndex.unit(0): q.scale(4), EMPTY_INDEX: Poly.const(1, 2)},
+    )
+
+
+def test_compose_drops_a_cancelled_derivative():
+    # d_q o (q d_q - 1) = q d_q^2 + (1 - 1) d_q: the two d_q contributions
+    # cancel inside one raw map, and the key is dropped
+    q = Poly.coordinate(1, 0)
+    d = DiffOp.partial(1, 0)
+    op = DiffOp(1, {MultiIndex.unit(0): q, EMPTY_INDEX: Poly.const(1, -1)})
+    composed = d.compose(op)
+    assert composed == DiffOp(1, {MultiIndex.of(0, 0): q})
+    assert composed.term_count() == 1
+    assert composed == whole_compose(d, op)
+
+
 @settings(max_examples=15, deadline=None)
 @given(nonzero_diffops(2, 2, 2), nonzero_diffops(2, 2, 2), nonzero_diffops(2, 2, 2))
 def test_compose_associative(a, b, c):
@@ -165,7 +196,7 @@ def test_repeated_commutation_terminates(op):
 # -- bidifferential operators -------------------------------------------------
 
 def test_bidiff_apply_single_term():
-    C = BiDiffOp.tensor(DiffOp.partial(2, 0), DiffOp.partial(2, 1))
+    C = tensor(DiffOp.partial(2, 0), DiffOp.partial(2, 1))
     q = Poly.coordinate(2, 0)
     p = Poly.coordinate(2, 1)
     assert C.apply(q, p) == Poly.const(2, 1)
@@ -271,7 +302,7 @@ def test_product_and_morphism_operators_over_a_monomial_basis():
 
 
 def test_vanishing_on_constants():
-    C = BiDiffOp.tensor(DiffOp.partial(2, 0), DiffOp.partial(2, 1))
+    C = tensor(DiffOp.partial(2, 0), DiffOp.partial(2, 1))
     assert C.vanishes_on_constants()
     g = Poly.coordinate(2, 1) ** 2
     assert C.apply(Poly.const(2, 1), g).is_zero()
@@ -294,7 +325,7 @@ def test_slot_fix_coefficient_substitution():
 @settings(max_examples=25, deadline=None)
 @given(nonzero_diffops(2, 2, 2), nonzero_diffops(2, 2, 2), multi_term_polys(2))
 def test_slot_fix_matches_bidiff_apply(a, b, f):
-    C = BiDiffOp.tensor(a, b)
+    C = tensor(a, b)
     for coord in range(2):
         x = Poly.coordinate(2, coord)
         assert C.slot_fix(coord).apply(f) == C.apply(x, f)
@@ -327,7 +358,7 @@ def test_symmetric_slot_fix_reads_both_slots_of_one_term():
 
 
 def test_swap_round_trip():
-    C = BiDiffOp.tensor(
+    C = tensor(
         DiffOp(2, {MultiIndex.of(0): Poly.coordinate(2, 1)}), DiffOp.partial(2, 1)
     )
     assert C.swap().swap() == C

@@ -11,10 +11,11 @@ import pytest
 from starq.cli import build_product, parse_spec
 from starq.errors import CanonicityFailure, InvalidFrame, NonFlatConnection
 from starq.exprparse import parse_phase_poly
+from starq.equivalence import derive_equivalence
 from starq.geometry import (
     Connection,
     SymplecticConnectionSpec,
-    covariant_jet_ops,
+    f_tensors,
     flat_connection_from_diffeo,
     lift_connection,
 )
@@ -40,6 +41,7 @@ from starq.products import (
 
 from helpers import (
     moyal_oracle,
+    n3_triangular_connection,
     nontriangular_n2_connection,
     ordered_pairing_operators,
     ordered_ricci_term,
@@ -50,6 +52,12 @@ from helpers import (
     sympy_to_poly,
     term_scan_check_axioms,
     term_scan_star,
+    whole_compose,
+    whole_covariant_jet_ops,
+    whole_moyal_operators,
+    whole_natural_operators,
+    whole_symplectic_operators,
+    whole_vector_field_operators,
 )
 from test_cli import FIXTURES
 
@@ -402,6 +410,40 @@ def test_product_copy_and_pickle_round_trips(moyal_n1):
         assert twin.poisson == moyal_n1.poisson and twin.parity is moyal_n1.parity
 
 
+# each case: the object and the state its copy must reproduce
+ROUND_TRIP_CASES = {
+    "hbar-series": lambda: (
+        HbarSeries([Poly.coordinate(2, 0), Poly.zero(2), Poly.const(2, gr("1/3", 2))]),
+        lambda h: h,
+    ),
+    "vector-field-frame": lambda: (momentum_shear_frame(), lambda f: f.fields),
+    "connection": lambda: (_cubic_pullback_n2(), lambda c: c),
+    "lifted-connection": lambda: (
+        lift_connection(_cubic_pullback_n2()), lambda c: (c.base, c.n, c.dim, c.components()),
+    ),
+    "equivalence-morphism": lambda: (
+        derive_equivalence(natural_cotangent_product(Connection.one_dim(Poly.coordinate(1, 0)), 2)),
+        lambda m: (m, m.provenance),
+    ),
+    "symplectic-connection-spec": lambda: (
+        _random_spec(1, random.Random(5), gr("-3/7")),
+        lambda s: (s.n, s.dim, s._lowered, s.a),
+    ),
+    "f-tensor": lambda: (
+        f_tensors(_cubic_pullback_n2(), 2)[1], lambda t: (t.n, t.rank, t._components),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_CASES))
+def test_geometry_and_series_copy_and_pickle_round_trips(name):
+    # every immutable value rebuilds through its checked constructor
+    obj, state = ROUND_TRIP_CASES[name]()
+    assert obj.__reduce__()[0] is type(obj)
+    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is type(obj) and state(twin) == state(obj)
+
+
 # -- bracket ---------------------------------------------------------------------------------
 
 def test_bracket_of_function_with_itself(moyal_n1, natural_q):
@@ -646,7 +688,7 @@ def _cubic_frame_against_ordered():
 
     def composed(idx):  # D_idx[0] o ... o D_idx[-1], memoized on the ordered tuple
         if idx not in comp:
-            comp[idx] = frame.fields[idx[0]].compose(composed(idx[1:]))
+            comp[idx] = whole_compose(frame.fields[idx[0]], composed(idx[1:]))
         return comp[idx]
 
     return (
@@ -658,7 +700,7 @@ def _cubic_frame_against_ordered():
 def _natural_against_ordered(conn):
     lifted = lift_connection(conn)
     p = PoissonTensor.canonical(2)
-    jets = lambda k: covariant_jet_ops(lifted, k).__getitem__
+    jets = lambda k: whole_covariant_jet_ops(lifted, k).__getitem__
     return natural_cotangent_product(conn, 4), ordered_pairing_operators(p, jets, 4)
 
 
@@ -671,7 +713,7 @@ def _natural_n1_order6_against_ordered():
     conn = Connection.one_dim(Poly.const(1, 1) + Poly.coordinate(1, 0) ** 2)
     lifted = lift_connection(conn)
     p = PoissonTensor.canonical(1)
-    jets = lambda k: covariant_jet_ops(lifted, k).__getitem__
+    jets = lambda k: whole_covariant_jet_ops(lifted, k).__getitem__
     return natural_cotangent_product(conn, 6), ordered_pairing_operators(p, jets, 6)
 
 
@@ -686,7 +728,7 @@ def _demo_symplectic_against_ordered():
         data["n"], comps, GaussianRational(Fraction(data["a"]))
     )
     p = PoissonTensor.canonical(data["n"])
-    C = ordered_pairing_operators(p, lambda k: covariant_jet_ops(spec, k).__getitem__, 2)
+    C = ordered_pairing_operators(p, lambda k: whole_covariant_jet_ops(spec, k).__getitem__, 2)
     C[2] = C[2] + ordered_ricci_term(spec, p)
     return truncated_symplectic_product(spec), C
 
@@ -710,6 +752,53 @@ def test_pairing_kernel_matches_ordered_sum(case):
     assert len(product.C) == len(reference)
     for k, (op, ref) in enumerate(zip(product.C, reference)):
         assert op == ref, f"C_{k} differs from the ordered sum"
+
+
+# -- raw builders against the whole-object builders ---------------------------------------
+
+
+def _demo_against_whole(name):
+    spec = parse_spec(json.loads((DEMOS / f"{name}.json").read_text()))
+    product = build_product(spec)
+    poisson = PoissonTensor.canonical(spec.n, spec.casimir)
+    if spec.kind == "moyal":
+        reference = whole_moyal_operators(poisson, spec.order)
+    elif spec.kind == "vector-field":
+        reference = whole_vector_field_operators(spec.geometry, poisson, spec.order)
+    elif spec.kind == "natural-cotangent":
+        reference = whole_natural_operators(spec.geometry, spec.order)
+    else:
+        reference = whole_symplectic_operators(spec.geometry)
+    return product, reference
+
+
+def _natural_against_whole(conn, order):
+    return natural_cotangent_product(conn, order), whole_natural_operators(conn, order)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        *(lambda name=name: _demo_against_whole(name) for name in (
+            "moyal", "vector_field", "natural_cotangent", "natural_cotangent_n2",
+            "symplectic_truncated",
+        )),
+        lambda: _natural_against_whole(n3_triangular_connection(), 6),
+        lambda: _natural_against_whole(nontriangular_n2_connection(), 6),
+        lambda: (moyal_product(PoissonTensor.canonical(3), 8),
+                 whole_moyal_operators(PoissonTensor.canonical(3), 8)),
+    ],
+    ids=["demo-moyal", "demo-vector-field", "demo-natural", "demo-natural-n2",
+         "demo-symplectic", "natural-n3-triangular-o6", "natural-n2-nontriangular-o6",
+         "moyal-n3-o8"],
+)
+def test_raw_builders_match_whole_object_builders(case):
+    # jets, compositions and pairings added as raw term maps give the same
+    # normal form as one Poly/DiffOp operation per term
+    product, reference = case()
+    assert len(product.C) == len(reference)
+    for k, (op, ref) in enumerate(zip(product.C, reference)):
+        assert op == ref, f"C_{k} differs from the whole-object build"
 
 
 def test_monomial_basis_matches_the_recursive_enumeration():
