@@ -4,8 +4,9 @@ Grammar: rational literals (`3`, `1/2`), the imaginary unit `i`,
 coordinate names (`q1..qn`, `p1..pn`, Casimir directions `c1..ck`), the
 operators `+ - * ^` and parentheses.  Exponents are non-negative
 integers up to `MAX_EXPONENT`, and a power is formed only when its
-expansion can have at most `MAX_POWER_TERMS` terms.  There is no
-implicit multiplication and no division outside rational literals.
+expansion can have at most `MAX_POWER_TERMS` terms and its coefficients
+an estimated `MAX_POWER_BITS` bits in all.  There is no implicit
+multiplication and no division outside rational literals.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ MAX_EXPONENT = 1000
 # base terms.  (q1+q2+p1+p2)^16, at 969, takes about 0.2 s; ^40, at
 # 12,341, about 12 s.
 MAX_POWER_TERMS = 1000
+# Most bits the coefficients of a power may hold in all before it is
+# formed, estimated as its term bound times the exponent times the bits
+# of the base's largest coefficient (numerators plus log2 of the
+# denominator): each coefficient of the power sums products of exponent
+# many base coefficients.  The term bound alone lets the coefficients
+# grow: (q1+1)^999, at 999,000, takes about 2 s; (2/3*q1+5/7)^999, at
+# 4,995,000, about 30 s.
+MAX_POWER_BITS = 1_000_000
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<rat>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()]))"
@@ -134,10 +143,17 @@ class _Parser:
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ExprParseError(f"exponent above {MAX_EXPONENT}")
             exponent, terms = int(digits), base.term_count()
-            if terms > 1 and comb(terms + exponent - 1, exponent) > MAX_POWER_TERMS:
+            bound = comb(terms + exponent - 1, exponent) if terms else 0
+            if terms > 1 and bound > MAX_POWER_TERMS:
                 raise ExprParseError(
                     f"a power of {terms} terms to the {exponent} may have more than "
                     f"{MAX_POWER_TERMS} terms"
+                )
+            bits = max((_bits(c) for c in base._terms.values()), default=0)
+            if bound * exponent * bits > MAX_POWER_BITS:
+                raise ExprParseError(
+                    f"a power of {terms} terms with {bits}-bit coefficients to the "
+                    f"{exponent} may need more than {MAX_POWER_BITS} coefficient bits"
                 )
             base = base ** exponent
         return base if sign == 1 else -base
@@ -162,6 +178,12 @@ class _Parser:
             self.depth -= 1
             return inner
         raise ExprParseError(f"unexpected token {val!r}")
+
+
+def _bits(c: GaussianRational) -> int:
+    """Bits of an exact coefficient: its numerators plus log2 of its
+    denominator."""
+    return c._r.bit_length() + c._i.bit_length() + c._d.bit_length() - 1
 
 
 def parse_poly(text: str, names: List[str], dim: int | None = None) -> Poly:

@@ -446,9 +446,9 @@ def _jet_stepper(conn, canon: Callable[[Tuple[int, ...]], Tuple[int, ...]]):
 
     def step(jets, mu0: int, idx: Tuple[int, ...]) -> DiffOp:
         acc: Dict[MultiIndex, Dict[MultiIndex, GaussianRational]] = {}
-        unit, partial = units[mu0], partials[mu0]
+        raise_mu0, partial = units[mu0].sum_table(), partials[mu0]
         for mi, coeff in jets[idx]._terms.items():
-            _acc_scaled(acc.setdefault(mi + unit, {}), coeff._terms, ONE)
+            _acc_scaled(acc.setdefault(raise_mu0[mi], {}), coeff._terms, ONE)
             here = acc.setdefault(mi, {})
             for m, c in coeff._terms.items():
                 for _, rest, e in partial[m]:

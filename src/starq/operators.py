@@ -17,19 +17,25 @@ degree <= |a|, and each hit (I, a - I, (a)_I) adds the coefficient of
 d^I times (a)_I x^(a-I) into a raw term map (`_acc_shifted`).  Each
 operator keeps the hits of every monomial it has met, slot by slot, so a
 monomial is searched once per operator; the memo lives and dies with the
-operator.  Terms whose derivative does not divide any monomial are never
-visited.  A `DiffOp` reads its hits per monomial of the operand; a
-`BiDiffOp` pairs the hits of two monomials (`apply_monomials`, over its
-terms indexed by left, then right, multi-index, built on first use) and
-applies to polynomials as the bilinear sum of that over their monomials.
-Sums are kept in one raw term map and normalised once, so the result
-does not depend on the summation order.
+operator.  The search reads the monomial's divisor table when it has one
+or when making it costs no more than filtering the candidates, and
+filters otherwise (`_Hits`).  Terms whose derivative does not divide any
+monomial are never visited.  A `DiffOp` reads its hits per monomial of
+the operand; a `BiDiffOp` pairs the hits of two monomials
+(`apply_monomials`, over its terms indexed by left, then right,
+multi-index, built on first use) and applies to polynomials as the
+bilinear sum of that over their monomials.  Sums are kept in one raw
+term map and normalised once, so the result does not depend on the
+summation order.
 
 The same kernel builds operators.  `compose` and the product builders
 (the jet step of `geometry`, the pairing of `products`) add raw term
 maps through `_acc_shifted`, one map per derivative key, and make the
 operator once with `_from_raw`, which normalises each map; no
-intermediate `Poly` or operator is made per term.
+intermediate `Poly` or operator is made per term.  Every index sum in
+these kernels (x^m times x^shift, the two rests of a pair of hits, a
+Leibniz remainder plus a right derivative) is read from the sum tables
+of `poly.MultiIndex`.
 """
 
 from __future__ import annotations
@@ -263,12 +269,13 @@ class DiffOp(_NormalForm):
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
         acc: Dict[MultiIndex, Dict[MultiIndex, GaussianRational]] = {}
         for i_idx, a in self._terms.items():
-            splits = {k: (i_idx.subtract(k), i_idx.binomial(k)) for k in i_idx.sub_indices()}
+            splits = {k: (rest.sum_table(), i_idx.binomial(k))
+                      for k, rest, _ in i_idx.divisors().values()}
             hits = _Hits(splits)
             a_terms = a._terms
             for j_idx, b in other._terms.items():
-                maps = {k: (acc.setdefault(rest + j_idx, {}), mult)
-                        for k, (rest, mult) in splits.items()}
+                maps = {k: (acc.setdefault(sums[j_idx], {}), mult)
+                        for k, (sums, mult) in splits.items()}
                 for m, cb in b._terms.items():
                     for k_idx, shift, fall in hits[m]:
                         target, mult = maps[k_idx]
@@ -385,11 +392,12 @@ class BiDiffOp(_NormalForm):
         rights = right_hits[b]
         for li, rest_a, wa in hits:
             row = by_left[li]
+            sums = rest_a.sum_table()
             for ri, rest_b, wb in rights:
                 coeff = row.get(ri)
                 if coeff is not None:
                     w = wa * wb
-                    _acc_shifted(acc, coeff._terms, rest_a + rest_b, None if w == 1 else w)
+                    _acc_shifted(acc, coeff._terms, sums[rest_b], None if w == 1 else w)
         return {m: c for m, c in acc.items() if c}
 
     def _lookup(self):
@@ -451,9 +459,14 @@ class _Hits(dict):
     """Monomial a -> its derivative hits (I, a - I, (a)_I) for one operator
     slot, I ranging over the slot's derivative indices `wanted` with I <= a.
 
-    A monomial's hits are found on its first lookup, by filtering the
-    wanted indices of degree <= |a| for divisibility, and kept while the
-    operator lives.
+    A monomial's hits are found on its first lookup and kept while the
+    operator lives.  The candidates are the wanted indices of degree
+    <= |a|, in degree order, and the hits keep that order.  When a has a
+    divisor table, or has no more divisors, prod(a_c + 1), than there are
+    candidates (so that making the table costs no more than one filter),
+    each candidate is looked up in a's divisor table; otherwise the
+    candidates are filtered for divisibility.  Both give the same tuple,
+    and no table grows past the candidate list that made it.
     """
 
     __slots__ = ("_by_degree", "_degrees")
@@ -465,22 +478,38 @@ class _Hits(dict):
 
     def __missing__(self, a: MultiIndex):
         below = bisect_right(self._degrees, a.degree)
-        hits = self[a] = tuple(
-            (sub, a.subtract(sub), a.falling(sub)) for sub in self._by_degree[:below] if sub.divides(a)
-        )
+        divs = a._divs
+        if divs is None and a.divisor_count() <= below:
+            divs = a.divisors()
+        if divs is None:
+            hits = tuple(
+                (sub, a.subtract(sub), a.falling(sub))
+                for sub in self._by_degree[:below] if sub.divides(a)
+            )
+        else:
+            get = divs.get
+            hits = tuple(hit for hit in map(get, self._by_degree[:below]) if hit is not None)
+        self[a] = hits
         return hits
 
 
 def _acc_shifted(acc: dict, terms: dict, shift: MultiIndex, c=None):
     """Add c x^shift times a raw term map into `acc`, or x^shift times the
-    map when c is None (zeros left in place)."""
+    map when c is None (zeros left in place).  A constant map is added
+    at `shift` itself, without filling its sum table."""
+    if len(terms) == 1 and EMPTY_INDEX in terms:
+        t = terms[EMPTY_INDEX]
+        v = t if c is None else t * c
+        acc[shift] = acc[shift] + v if shift in acc else v
+        return
+    sums = shift.sum_table()
     if c is None:
         for m, t in terms.items():
-            key = m + shift
+            key = sums[m]
             acc[key] = acc[key] + t if key in acc else t
     else:
         for m, t in terms.items():
-            key = m + shift
+            key = sums[m]
             v = t * c
             acc[key] = acc[key] + v if key in acc else v
 

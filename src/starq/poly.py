@@ -6,7 +6,33 @@ one object for its index from a module-level pool, so indices compare by
 identity and hash by `id` in C; the pool holds the distinct indices the
 process has met, and copies and pickles resolve to the pooled object.
 Nothing may iterate a set of indices where the order shows, since that
-order follows `id`.  A `Poly` stores its terms as a map from
+order follows `id`.
+
+Because an index is one object, the arithmetic of two indices is a pure
+function of two pooled objects, and each index keeps three tables of it.
+They are pure caches: their contents never change a result, they never
+travel with a copy or a pickle, and nothing is filled at import.
+
+* The exponent map, coordinate -> exponent, made when the index is
+  interned; `exponent`, `divides`, `subtract`, `decrement`, `falling`,
+  `binomial` and `Poly.diff_coord` read it.
+* The sum table (`sum_table`), other -> self + other, filled as it is
+  read: a missing sum is formed once by `__add__` and recorded in both
+  operands' tables.  Only the operator kernels read it (the shifted
+  accumulation, `BiDiffOp.apply_monomials`, `DiffOp.compose`, the C_0
+  read-off of the products' pair table and the jet step).  `__add__`,
+  `Poly.__mul__` and the parser stay unmemoised, so building a large
+  polynomial fills no table.
+* The divisor table (`divisors`), K -> (K, self - K, (self)_K) for every
+  K <= self, made whole on first call.  The derivative memo of an
+  operator slot (`operators._Hits`) makes it only when the index has no
+  more divisors than the slot has candidate derivative indices, so a
+  table never costs more than the one search it replaces; a monomial of
+  high degree against a few derivatives keeps the plain filter.
+  `DiffOp.compose` reads its Leibniz splits from the table of each
+  derivative index, whose order the operator guard caps.
+
+A `Poly` stores its terms as a map from
 `MultiIndex` to `GaussianRational` with zero coefficients pruned, which
 makes structural equality canonical.  The display/serialization order is
 graded lexicographic, leading term first.
@@ -26,7 +52,9 @@ class MultiIndex:
     """Sparse multi-index of derivative/monomial exponents, one pooled
     object per index."""
 
-    __slots__ = ("_pairs", "_degree")
+    # _exps is the exponent map, made when the index is interned; _sums
+    # and _divs are the sum and divisor tables, made on first use.
+    __slots__ = ("_pairs", "_degree", "_exps", "_sums", "_divs")
 
     def __new__(cls, exponents: Dict[int, int] | Iterable[Tuple[int, int]] = ()):
         if isinstance(exponents, dict):
@@ -72,6 +100,9 @@ class MultiIndex:
             mi = object.__new__(cls)
             _set(mi, "_pairs", pairs)
             _set(mi, "_degree", sum(e for _, e in pairs))
+            _set(mi, "_exps", dict(pairs))
+            _set(mi, "_sums", None)
+            _set(mi, "_divs", None)
             mi = _POOL.setdefault(pairs, mi)
         return mi
 
@@ -86,10 +117,7 @@ class MultiIndex:
         return self._pairs
 
     def exponent(self, coord: int) -> int:
-        for c, e in self._pairs:
-            if c == coord:
-                return e
-        return 0
+        return self._exps.get(coord, 0)
 
     def max_coord(self) -> int:
         """Largest coordinate with a nonzero exponent, or -1."""
@@ -121,21 +149,27 @@ class MultiIndex:
 
     def decrement(self, coord: int) -> "MultiIndex":
         """Remove one power of `coord`; exponent must be positive."""
-        counts = dict(self._pairs)
-        counts[coord] -= 1
-        return MultiIndex._from_sorted(tuple(p for p in counts.items() if p[1]))
+        if self._exps.get(coord, 0) < 1:
+            raise ValueError(f"{self} has no power of coordinate {coord}")
+        return MultiIndex._from_sorted(
+            tuple((c, e - 1 if c == coord else e) for c, e in self._pairs if c != coord or e > 1)
+        )
 
     def subtract(self, other: "MultiIndex") -> "MultiIndex":
-        counts = dict(self._pairs)
-        for c, e in other._pairs:
-            counts[c] = counts.get(c, 0) - e
-            if counts[c] < 0:
-                raise ValueError(f"{self} does not dominate {other}")
+        if not other.divides(self):
+            raise ValueError(f"{self} does not dominate {other}")
+        sub = other._exps
         # every coordinate is one of self's, still in ascending order
-        return MultiIndex._from_sorted(tuple(p for p in counts.items() if p[1]))
+        return MultiIndex._from_sorted(
+            tuple((c, e - sub.get(c, 0)) for c, e in self._pairs if e != sub.get(c, 0))
+        )
 
     def divides(self, other: "MultiIndex") -> bool:
-        return all(other.exponent(c) >= e for c, e in self._pairs)
+        exps = other._exps
+        for c, e in self._pairs:
+            if exps.get(c, 0) < e:
+                return False
+        return True
 
     def sub_indices(self) -> Iterator["MultiIndex"]:
         """All K with K <= self componentwise (includes 0 and self)."""
@@ -145,9 +179,10 @@ class MultiIndex:
 
     def binomial(self, sub: "MultiIndex") -> int:
         """Product of per-coordinate binomial coefficients C(self_c, sub_c)."""
+        exps = self._exps
         result = 1
         for c, k in sub._pairs:
-            result *= _binom(self.exponent(c), k)
+            result *= _binom(exps.get(c, 0), k)
         return result
 
     def falling(self, sub: "MultiIndex") -> int:
@@ -155,10 +190,38 @@ class MultiIndex:
 
         d^sub x^self = self.falling(sub) * x^(self - sub) when sub <= self.
         """
+        exps = self._exps
         result = 1
         for c, k in sub._pairs:
-            result *= _falling(self.exponent(c), k)
+            result *= _falling(exps.get(c, 0), k)
         return result
+
+    # -- tables --------------------------------------------------------------
+
+    def sum_table(self) -> "_SumTable":
+        """The table other -> self + other, filled as it is read."""
+        table = self._sums
+        if table is None:
+            table = _SumTable()
+            table._owner = self
+            _set(self, "_sums", table)
+        return table
+
+    def divisor_count(self) -> int:
+        """The number of K <= self: the product of exponent + 1."""
+        count = 1
+        for _, e in self._pairs:
+            count *= e + 1
+        return count
+
+    def divisors(self) -> Dict["MultiIndex", Tuple["MultiIndex", "MultiIndex", int]]:
+        """The table K -> (K, self - K, (self)_K) over every K <= self, in
+        `sub_indices` order, made whole on first call."""
+        table = self._divs
+        if table is None:
+            table = {sub: (sub, self.subtract(sub), self.falling(sub)) for sub in self.sub_indices()}
+            _set(self, "_divs", table)
+        return table
 
     def grlex_key(self, dim: int) -> Tuple:
         return (self._degree, self.dense(dim))
@@ -167,6 +230,24 @@ class MultiIndex:
 
     def __repr__(self):
         return f"MultiIndex({dict(self._pairs)!r})"
+
+
+class _SumTable(dict):
+    """other -> owner + other for one pooled index, the owner.
+
+    A missing entry is formed once by `MultiIndex.__add__` and recorded
+    in the owner's table and, unless the other index is empty, in the
+    other's.  Only the operator kernels read these tables.
+    """
+
+    __slots__ = ("_owner",)
+
+    def __missing__(self, other: MultiIndex) -> MultiIndex:
+        owner = self._owner
+        total = self[other] = owner + other
+        if other._pairs and other is not owner:
+            other.sum_table()[owner] = total
+        return total
 
 
 _POOL: Dict[Tuple[Tuple[int, int], ...], MultiIndex] = {}
@@ -360,13 +441,14 @@ class Poly:
             raise DimensionMismatch(f"coordinate {coord} out of range for dim {self.dim}")
         terms: Dict[MultiIndex, GaussianRational] = {}
         for mi, c in self._terms.items():
-            e = mi.exponent(coord)
+            e = mi._exps.get(coord, 0)
             if e < times:
                 continue
             factor = _falling(e, times)
-            counts = dict(mi.pairs)
-            counts[coord] = e - times
-            nm = MultiIndex._from_sorted(tuple(p for p in counts.items() if p[1]))
+            nm = MultiIndex._from_sorted(tuple(
+                (cc, ee - times if cc == coord else ee)
+                for cc, ee in mi._pairs if cc != coord or ee != times
+            ))
             nc = c * factor
             acc = terms.get(nm)
             s = nc if acc is None else acc + nc

@@ -570,7 +570,7 @@ class _PairTable:
         out = self._entries.get(key)
         if out is None:
             if j == 0 and self._mult:
-                out = {a + b: ONE}
+                out = {a.sum_table()[b]: ONE}
             else:
                 out = self._C[j].apply_monomials(a, b)
             self._entries[key] = out

@@ -266,6 +266,7 @@ NESTED = "(" * 5000 + "q1" + ")" * 5000
         ("apply", MOYAL, ["--f", NESTED]),
         ("apply", MOYAL, ["--f", "q1^100000000", "--g", "q1"]),
         ("apply", MOYAL, ["--f", "(q1+p1+1)^100", "--g", "q1"]),
+        ("apply", MOYAL, ["--f", "(2/3*q1+5/7)^999", "--g", "q1"]),
     ],
     ids=[
         "natural-order-1", "order-string", "fault-list", "fault-string",
@@ -278,7 +279,7 @@ NESTED = "(" * 5000 + "q1" + ")" * 5000
         "out-missing-dir", "out-is-directory", "frame-zero-row", "curved-connection",
         "order-zero-validate", "order-zero-derive", "order-zero-apply",
         "nested-gamma-validate", "nested-gamma-derive", "nested-gamma-apply", "nested-apply-f",
-        "huge-exponent-apply-f", "huge-power-apply-f",
+        "huge-exponent-apply-f", "huge-power-apply-f", "coefficient-power-apply-f",
     ],
 )
 def test_unusable_input_exit_two_without_traceback(command, spec, flags, tmp_path, capsys):

@@ -6,6 +6,7 @@ from math import comb
 from starq.exprparse import (
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_POWER_BITS,
     MAX_POWER_TERMS,
     coordinate_names,
     parse_base_poly,
@@ -109,3 +110,24 @@ def test_power_term_bound(monkeypatch):
     for expr in ("(q1+q2+p1+p2)^17", "(q1+q2+p1+p2)^40", "(q1+1)^1000", "(q1+q2+p1+p2+1)^200"):
         with pytest.raises(ExprParseError, match=f"more than {MAX_POWER_TERMS} terms"):
             parse_phase_poly(expr, 2)
+
+
+def test_power_coefficient_bound(monkeypatch):
+    # terms x exponent x bits of the largest base coefficient, where a
+    # coefficient's bits are its numerators' plus log2 of its denominator
+    assert 1000 * 999 * 1 <= MAX_POWER_BITS < 1000 * 999 * 2
+    q1 = Poly.coordinate(2, 0)
+    assert parse_phase_poly("(2/3*q1+5/7)^5", 1) == (q1.scale(gr("2/3")) + gr("5/7")) ** 5
+    assert parse_phase_poly("(-4/9*i*q1)^3", 1) == q1.scale(gr(0, "-4/9")) ** 3
+    # a base whose coefficients come from a power is measured as formed
+    for expr in ("(q1+2^40)^999", "((2^999)^999)^2"):
+        with pytest.raises(ExprParseError, match=f"more than {MAX_POWER_BITS} coefficient bits"):
+            parse_phase_poly(expr, 1)
+
+    def refuse(self, n):
+        raise AssertionError("power formed")
+
+    monkeypatch.setattr(Poly, "__pow__", refuse)
+    for expr in ("(2/3*q1+5/7)^999", "(1/2*q1+1)^999", "(q1+2)^999", "(q1+1+i)^999"):
+        with pytest.raises(ExprParseError, match=f"more than {MAX_POWER_BITS} coefficient bits"):
+            parse_phase_poly(expr, 1)

@@ -1,17 +1,19 @@
 import copy
 import itertools
 import pickle
+from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starq.equivalence import EquivalenceMorphism, derive_equivalence
 from starq.errors import DimensionMismatch, OperatorOrderExceeded
+from starq.exprparse import parse_phase_poly
 from starq.geometry import Connection
-from starq.operators import BiDiffOp, DiffOp
-from starq.poly import EMPTY_INDEX, MultiIndex, Poly
-from starq.products import monomials_up_to, natural_cotangent_product
+from starq.operators import BiDiffOp, DiffOp, _Hits
+from starq.poly import _POOL, EMPTY_INDEX, MultiIndex, Poly
+from starq.products import PoissonTensor, monomials_up_to, moyal_product, natural_cotangent_product
 from starq.scalars import HALF, gr
 
 from helpers import tensor, term_scan_apply, term_scan_bi_apply, whole_compose
@@ -278,6 +280,67 @@ def test_apply_monomials_zero_results_and_cancellation():
     assert op.apply_monomials(d1, d1) == {}  # no derivative index divides x1 twice
     pairs = [(a, b) for a in monomials_up_to(2, 3) for b in monomials_up_to(2, 2)]
     _assert_monomial_kernel(op, pairs)
+
+
+def plain_hits(wanted, a):
+    """The hits of x^a among `wanted` by the plain filter: every wanted
+    index of degree <= |a| that divides a, in degree order."""
+    return tuple(
+        (sub, a.subtract(sub), a.falling(sub))
+        for sub in sorted(wanted, key=lambda mi: mi.degree)
+        if sub.degree <= a.degree and sub.divides(a)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(multiindices(3, 4), max_size=12, unique=True), multiindices(3, 5))
+@example([EMPTY_INDEX, MultiIndex.of(0), MultiIndex.of(1), MultiIndex.of(0, 1)], MultiIndex.of(0, 1))
+@example([MultiIndex.of(0), MultiIndex.of(1)], MultiIndex.of(0, 0, 1, 1))
+def test_hits_match_the_plain_filter_on_both_sides_of_the_gate(wanted, a):
+    want = plain_hits(wanted, a)
+    candidates = sum(sub.degree <= a.degree for sub in wanted)
+    # a's divisor table is a cache: dropping it leaves the gate to decide
+    object.__setattr__(a, "_divs", None)
+    assert _Hits(wanted)[a] == want
+    assert (a._divs is not None) == (a.divisor_count() <= candidates)
+    # with the table made, every lookup reads it
+    a.divisors()
+    assert _Hits(wanted)[a] == want
+
+
+def _table_sizes():
+    return {
+        mi: (len(mi._sums or ()), None if mi._divs is None else len(mi._divs))
+        for mi in list(_POOL.values())
+    }
+
+
+def test_tables_stay_bounded_on_a_large_operand(monkeypatch):
+    """Parsing forms no index sum through a table, and an operand of
+    many monomials gets divisor tables only where one costs no more than
+    the candidate list that asked for it."""
+    before = _table_sizes()
+    parse_phase_poly("(q1+p1+1)^43", 2)
+    f = parse_phase_poly("(q1+p1+1)^43", 1)
+    assert f.term_count() == 990
+    after = _table_sizes()
+    assert all(after[mi][0] == sizes[0] for mi, sizes in before.items())
+    assert all(after[mi][0] == 0 for mi in after.keys() - before.keys())
+
+    asked = {}
+    missing = _Hits.__missing__
+
+    def spy(self, a):
+        candidates = bisect_right(self._degrees, a.degree)
+        asked[a] = max(asked.get(a, 0), candidates)
+        return missing(self, a)
+
+    monkeypatch.setattr(_Hits, "__missing__", spy)
+    moyal_product(PoissonTensor.canonical(1), 4).apply(f, parse_phase_poly("p1^4", 1))
+    assert len(asked) >= 990
+    grown = {mi: divs for mi, (_, divs) in _table_sizes().items() if divs != after.get(mi, (0, None))[1]}
+    for mi, divs in grown.items():
+        assert divs <= asked.get(mi, 0), (mi, divs)
 
 
 def test_product_and_morphism_operators_over_a_monomial_basis():

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from math import comb, perm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +89,79 @@ def test_multiindex_compares_by_identity():
     assert a != MultiIndex.of(0, 0) and a != a.pairs
     with pytest.raises(AttributeError):
         a._pairs = ()
+
+
+# -- tables ------------------------------------------------------------------
+
+def merged(a, b):
+    """a + b, formed from dense exponents without any table."""
+    dim = max(a.max_coord(), b.max_coord()) + 1
+    return MultiIndex.from_exponents([x + y for x, y in zip(a.dense(dim), b.dense(dim))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(multiindices(5, 6), multiindices(5, 6))
+def test_sum_table_matches_merge(a, b):
+    total = a.sum_table()[b]
+    assert total is merged(a, b) and total is a + b
+    # the sum is recorded in both operands' tables, so the second read
+    # from either side is a hit
+    assert b.sum_table()[a] is total
+    assert a.sum_table().get(b) is total
+    if b is not EMPTY_INDEX:
+        assert b.sum_table().get(a) is total
+
+
+@settings(max_examples=150, deadline=None)
+@given(multiindices(5, 7), multiindices(5, 7))
+def test_exponent_map_reads_match_pairs(a, b):
+    dim = 5
+    for c in range(dim):
+        assert a.exponent(c) == dict(a.pairs).get(c, 0)
+    divides = all(x <= y for x, y in zip(b.dense(dim), a.dense(dim)))
+    assert b.divides(a) == divides
+    if divides:
+        rest = a.subtract(b)
+        assert merged(rest, b) is a
+        assert a.falling(b) == prod(perm(y, x) for x, y in zip(b.dense(dim), a.dense(dim)))
+        assert a.binomial(b) == prod(comb(y, x) for x, y in zip(b.dense(dim), a.dense(dim)))
+    else:
+        with pytest.raises(ValueError):
+            a.subtract(b)
+    for c, _ in a.pairs:
+        assert merged(a.decrement(c), MultiIndex.unit(c)) is a
+
+
+@settings(max_examples=100, deadline=None)
+@given(multiindices(4, 7))
+def test_divisor_table_lists_every_divisor(a):
+    table = a.divisors()
+    assert list(table) == list(a.sub_indices())
+    assert len(table) == a.divisor_count()
+    for sub, hit in table.items():
+        assert hit == (sub, a.subtract(sub), a.falling(sub))
+    assert a.divisors() is table
+
+
+def test_copies_of_an_index_with_filled_tables_are_the_pooled_object():
+    a = MultiIndex.of(0, 0, 2)
+    a.sum_table()[MultiIndex.of(1)]
+    a.divisors()
+    assert a._sums and a._divs
+    for copied in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert copied is a
+    assert copy.deepcopy({a: [a.sum_table()[EMPTY_INDEX]]}) == {a: [a]}
+
+
+def test_sum_tables_fill_only_when_read():
+    def tables():
+        return [None if mi._sums is None else dict(mi._sums) for mi in (a, b)]
+
+    a, b = MultiIndex.of(0, 7, 7, 9), MultiIndex.of(3, 8)
+    before = tables()
+    total = a + b
+    assert tables() == before
+    assert a.sum_table()[b] is total
 
 
 # -- arithmetic -------------------------------------------------------------
