@@ -51,7 +51,7 @@ from .errors import (
 )
 from .geometry import Connection, SymplecticConnectionSpec, canonical_poisson_entries, ricci
 from .operators import DiffOp, _acc_poly, _acc_scaled, _acc_shifted, max_op_order
-from .poly import MultiIndex, Poly
+from .poly import MultiIndex, Poly, _GrlexKeys
 from .scalars import GaussianRational, ONE
 from .series import HbarSeries
 from .products import (
@@ -106,12 +106,15 @@ class EquivalenceMorphism:
         return self.orders == other.orders
 
     def to_json(self) -> dict:
+        """Orders 1..N as `DiffOp.to_json` writes them, through one
+        grlex-key table for the whole morphism."""
+        keys = _GrlexKeys(self.dim)
         return {
             "dim": self.dim,
             "order": self.order,
             "provenance": self.provenance,
             "term_counts": [op.term_count() for op in self.orders],
-            "operators": [op.to_json() for op in self.orders[1:]],
+            "operators": [op._json(keys) for op in self.orders[1:]],
         }
 
 

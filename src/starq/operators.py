@@ -47,7 +47,7 @@ from itertools import chain
 from typing import Dict, Iterator, List, Tuple
 
 from .errors import DimensionMismatch, OperatorOrderExceeded
-from .poly import EMPTY_INDEX, MultiIndex, Poly
+from .poly import EMPTY_INDEX, MultiIndex, Poly, _GrlexKeys, _first
 from .scalars import GaussianRational, HALF, ONE
 
 _set = object.__setattr__
@@ -113,14 +113,8 @@ class _NormalForm:
     @classmethod
     def _from_raw(cls, dim: int, acc: dict):
         """The operator of a map from derivative keys to raw term maps
-        (`_acc_shifted`): each map is normalised once, and the keys whose
-        terms all cancel are dropped before the checked constructor."""
-        terms = {}
-        for key, raw in acc.items():
-            poly = _nonzero_poly(dim, raw)
-            if poly._terms:
-                terms[key] = poly
-        return cls(dim, terms)
+        (`_acc_shifted`), through the checked constructor."""
+        return cls(dim, _nonzero_terms(dim, acc))
 
     # -- accessors ----------------------------------------------------------------
 
@@ -172,14 +166,26 @@ class _NormalForm:
     # -- serialization ---------------------------------------------------------------------
 
     def to_json(self) -> dict:
-        dim, slots = self.dim, self._SLOTS
-        terms = []
-        for key, p in self.terms():
+        """The terms in `terms` order, each slot's index as a dense
+        exponent list and its coefficient as `Poly.to_json` writes it."""
+        return self._json(_GrlexKeys(self.dim))
+
+    def _json(self, keys: _GrlexKeys) -> dict:
+        """`to_json` over the grlex keys of `keys`, which the caller may
+        share across operators of its dimension: the terms are sorted
+        once, and each index's key is formed once per table."""
+        slots = self._SLOTS
+        rows = []
+        for key, p in self._terms.items():
             indices = (key,) if len(slots) == 1 else key
-            entry = {s: list(mi.dense(dim)) for s, mi in zip(slots, indices)}
-            entry["coefficient"] = p.to_json()
+            rows.append((tuple(keys[mi] for mi in indices), p))
+        rows.sort(key=_first, reverse=True)
+        terms = []
+        for grlex, p in rows:
+            entry = {s: list(g[1]) for s, g in zip(slots, grlex)}
+            entry["coefficient"] = p._json(keys)
             terms.append(entry)
-        return {"dim": dim, "terms": terms}
+        return {"dim": self.dim, "terms": terms}
 
     @classmethod
     def from_json(cls, data: dict):
@@ -532,6 +538,17 @@ def _acc_poly(acc: dict, key, poly: Poly):
         acc.pop(key, None)
     else:
         acc[key] = total
+
+
+def _nonzero_terms(dim: int, acc: dict) -> dict:
+    """Derivative key -> the polynomial of its raw term map, each map
+    normalised once and the keys whose terms all cancel dropped."""
+    terms = {}
+    for key, raw in acc.items():
+        poly = _nonzero_poly(dim, raw)
+        if poly._terms:
+            terms[key] = poly
+    return terms
 
 
 def _nonzero_poly(dim: int, acc: dict) -> Poly:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, Tuple
 
 from .errors import DimensionMismatch
@@ -526,10 +527,14 @@ class Poly:
     # -- serialization ------------------------------------------------------------------
 
     def to_json(self) -> list:
-        return [
-            {"exps": list(mi.dense(self.dim)), **c.to_json()}
-            for mi, c in self.terms()
-        ]
+        """{"exps", "re", "im"} entries in `terms` order, sorted once."""
+        return self._json(_GrlexKeys(self.dim))
+
+    def _json(self, keys: "_GrlexKeys") -> list:
+        """`to_json` over a grlex-key table the caller may share."""
+        rows = [(keys[mi], c) for mi, c in self._terms.items()]
+        rows.sort(key=_first, reverse=True)
+        return [{"exps": list(key[1]), **c.to_json()} for key, c in rows]
 
     @classmethod
     def from_json(cls, dim: int, data: list) -> "Poly":
@@ -543,6 +548,23 @@ class Poly:
         return cls(dim, terms)
 
 
+class _GrlexKeys(dict):
+    """index -> its grlex key (degree, dense exponents) in one dimension,
+    formed on first request; one table serves one serialization call, so
+    each index's key and exponent list are formed once per call."""
+
+    __slots__ = ("_dim",)
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self._dim = dim
+
+    def __missing__(self, mi: MultiIndex) -> Tuple[int, Tuple[int, ...]]:
+        key = self[mi] = (mi._degree, mi.dense(self._dim))
+        return key
+
+
+_first = itemgetter(0)
 _new = object.__new__
 _set_dim = Poly.dim.__set__
 _set_terms = Poly._terms.__set__

@@ -13,7 +13,11 @@ partials and the validated frame fields commute, a flat torsion-free
 lift has fully symmetric jets, and rank-2 jets of any torsion-free
 connection are symmetric -- so the pairing sums once per multiset of
 Poisson entries with multinomial weights and equals the ordered sum
-exactly.  `check_axioms` and
+exactly.  The tensor is antisymmetric, so the mirror of a multiset (each
+entry (mu, nu, v) taken to (nu, mu, -v)) contributes (-1)^k times the
+slot swap of its term, whatever the jets: the pairing builds only one
+multiset of each mirror pair and adds the swapped term from it, which
+gives C_k(g, f) = (-1)^k C_k(f, g) term by term.  `check_axioms` and
 `quantum_canonicity_check` validate any product against the defining
 conditions on a degree-bounded monomial basis, which is exact because
 all operators involved have finite order and polynomial coefficients.
@@ -26,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 from typing import Callable, Dict, List, Tuple
 
 from .errors import (
@@ -47,9 +51,17 @@ from .geometry import (
     ricci,
     symmetric_jet_ops,
 )
-from .operators import BiDiffOp, DiffOp, _acc_poly, _acc_scaled, _acc_shifted, _nonzero_poly
-from .poly import MultiIndex, Poly
-from .scalars import GaussianRational, HALF, HALF_I, I as IMAG, ONE
+from .operators import (
+    BiDiffOp,
+    DiffOp,
+    _acc_poly,
+    _acc_scaled,
+    _acc_shifted,
+    _nonzero_poly,
+    _nonzero_terms,
+)
+from .poly import MultiIndex, Poly, _GrlexKeys
+from .scalars import GaussianRational, HALF, HALF_I, I as IMAG, ONE, _reduced
 from .series import HbarSeries
 
 
@@ -272,11 +284,14 @@ class StarProduct:
         )
 
     def to_json(self) -> dict:
+        """Every operator as `BiDiffOp.to_json` writes it, through one
+        grlex-key table for the whole product."""
+        keys = _GrlexKeys(self.dim)
         return {
             "dim": self.dim,
             "order": self.order,
             "parity": self.parity,
-            "operators": [op.to_json() for op in self.C],
+            "operators": [op._json(keys) for op in self.C],
         }
 
 
@@ -292,29 +307,43 @@ def _pairing_product(
     lookup `jet` maps a sorted index tuple of any rank 1..order to its
     jet operator J, memoised for the order.  Every jet source fed here is
     symmetric in its indices, so all orderings of one multiset of entries
-    give the same term: the sum visits each multiset once with weight
-    (i/2)^k / prod m_e!, which is (i/2)^k / k! times its k! / prod m_e!
-    orderings, and the result is exactly the ordered sum.  Each left
-    coefficient is scaled by the weight once per multiset, and each of
-    its monomials times a right coefficient is added raw into the map of
-    the key (left, right) through `_acc_shifted`; every map is
-    normalised once.
+    give the same term: the sum visits each multiset M once with weight
+    w(M) = (i/2)^k prod v_e / prod m_e!, which is (i/2)^k / k! times its
+    k! / prod m_e! orderings, and the result is exactly the ordered sum.
+
+    The mirror sigma maps each entry (mu, nu, v) to (nu, mu, -v), an
+    entry of the same tensor since it is antisymmetric.  sigma M has the
+    multiplicities of M, so w(sigma M) = (-1)^k w(M), and its jets are
+    those of M swapped, so its term is T(sigma M) = (-1)^k swap(T(M)).
+    Only the multisets with sigma M >= M are visited (comparing their
+    sorted (mu, nu) lists): a self-mirror one adds T(M) into `acc`, any
+    other adds it into `half`, and each normalised coefficient P of
+    `half` at (left, right) is added there and, times (-1)^k, at
+    (right, left).  The argument needs a constant antisymmetric tensor
+    and the same lookup `jet` in both slots, not symmetric jets.
+
+    Each left coefficient is scaled by the weight once per multiset, and
+    each of its monomials times a right coefficient is added raw into
+    the map of the key (left, right) through `_acc_shifted`; every map
+    is normalised once.
     """
     d = p.dim
     entries = p.constant_entries()
     C = [BiDiffOp.multiplication(d)]
     for k in range(1, order + 1):
-        half_i_k = HALF_I ** k
         acc: Dict[Tuple[MultiIndex, MultiIndex], Dict[MultiIndex, GaussianRational]] = {}
+        half: Dict[Tuple[MultiIndex, MultiIndex], Dict[MultiIndex, GaussianRational]] = {}
         # every jet of order k has rank k, so the memo lasts one order
         jets: Dict[Tuple[int, ...], DiffOp] = {}
         for combo in itertools.combinations_with_replacement(entries, k):
-            repeats = prod(factorial(len(list(run))) for _, run in itertools.groupby(combo))
-            v = half_i_k * GaussianRational(Fraction(1, repeats))
-            for _, _, val in combo:
-                v = v * val
-            mus = tuple(sorted(mu for mu, _, _ in combo))
-            nus = tuple(sorted(nu for _, nu, _ in combo))
+            pairs = [(mu, nu) for mu, nu, _ in combo]
+            mirror = sorted((nu, mu) for mu, nu in pairs)
+            if mirror < pairs:
+                continue
+            into = acc if mirror == pairs else half
+            v = _pairing_weight(k, combo)
+            mus = tuple(sorted(mu for mu, _ in pairs))
+            nus = tuple(sorted(nu for _, nu in pairs))
             for idx in (mus, nus):
                 if idx not in jets:
                     jets[idx] = jet(idx)
@@ -322,11 +351,33 @@ def _pairing_product(
             for li, pa in left._terms.items():
                 scaled = [(m, c * v) for m, c in pa._terms.items()]
                 for ri, pb in right._terms.items():
-                    target = acc.setdefault((li, ri), {})
+                    target = into.setdefault((li, ri), {})
                     for m, c in scaled:
                         _acc_shifted(target, pb._terms, m, c)
-        C.append(BiDiffOp._from_raw(d, acc))
+        terms = _nonzero_terms(d, acc)
+        for (li, ri), poly in _nonzero_terms(d, half).items():
+            _acc_poly(terms, (li, ri), poly)
+            _acc_poly(terms, (ri, li), -poly if k % 2 else poly)
+        C.append(BiDiffOp(d, terms))
     return C
+
+
+def _pairing_weight(k: int, combo) -> GaussianRational:
+    """(i/2)^k prod v_e / prod m_e! of a sorted multiset of k Poisson
+    entries (mu, nu, v), m_e the multiplicity of each distinct entry,
+    with the (i/2)^k and 1 / prod m_e! parts formed on ints."""
+    v = ONE
+    repeats = 1
+    run = 0
+    for e, entry in enumerate(combo):
+        v = v * entry[2]
+        run = run + 1 if e and entry == combo[e - 1] else 1
+        repeats *= run
+    # i^k (r + i s) is one of (r, s), (-s, r), (-r, -s), (s, -r)
+    r, s = v._r, v._i
+    for _ in range(k % 4):
+        r, s = -s, r
+    return _reduced(r, s, v._d * (repeats << k))
 
 
 def moyal_product(p: PoissonTensor, order: int) -> StarProduct:

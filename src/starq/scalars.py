@@ -9,7 +9,8 @@ at most one `math.gcd(r, i, d)`, skipped when d == 1, and never enter
 `fractions`.  Results are built through one unchecked constructor,
 `_make`, that takes a triple already in normal form.  The parts `re` and
 `im` are read back as an `int` when integral and as a `Fraction`
-otherwise.  There is no floating-point mode: all arithmetic is exact and
+otherwise; `to_json` writes each part straight from the triple, with one
+`math.gcd`, as `str(Fraction)` writes it.  There is no floating-point mode: all arithmetic is exact and
 equality is bit-exact (`3` and `Fraction(3)` are equal, hash alike and
 print alike).
 """
@@ -214,7 +215,12 @@ class GaussianRational:
         return "+".join(parts).replace("+-", "-")
 
     def to_json(self) -> dict:
-        return {"re": str(self.re), "im": str(self.im)}
+        """{"re": str(re), "im": str(im)}, each part written as
+        `str(Fraction)` writes it, from the triple with one `gcd` each."""
+        d = self._d
+        if d == 1:
+            return {"re": str(self._r), "im": str(self._i)}
+        return {"re": _ratio_str(self._r, d), "im": _ratio_str(self._i, d)}
 
     @classmethod
     def from_json(cls, data: dict) -> "GaussianRational":
@@ -243,6 +249,14 @@ def _reduced(r: int, i: int, d: int) -> GaussianRational:
         if g != 1:
             return _make(r // g, i // g, d // g)
     return _make(r, i, d)
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n / d in lowest terms as `str(Fraction(n, d))` writes it, d >= 1."""
+    g = gcd(n, d)
+    if g == d:
+        return str(n // d)
+    return f"{n // g}/{d // g}"
 
 
 def gr(re: _RatLike = 0, im: _RatLike = 0) -> GaussianRational:

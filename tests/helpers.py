@@ -19,6 +19,11 @@ The whole-object builders (`whole_*`, `tensor`, `premultiply`) are the
 composition, jet recursions and pairing loop written with one `Poly` or
 `DiffOp` operation per term, as they were before the builders added raw
 term maps; they gate the raw builders on structural equality.
+`whole_pairing_operators` also sums every multiset of Poisson entries,
+not one of each mirror pair.  The `oracle_*_json` functions are the JSON
+codecs as written before serialization sorted once per operator and
+formatted each part from the stored integers; they gate the codecs on
+byte identity.
 """
 
 import itertools
@@ -776,3 +781,44 @@ def rearrangement_loop_order4(conn, cycl_mode="permutations"):
                 )
 
     return DiffOp(d, acc)
+
+
+# -- serialization oracles ---------------------------------------------------------------
+
+
+def oracle_scalar_json(c):
+    return {"re": str(c.re), "im": str(c.im)}
+
+
+def oracle_poly_json(p):
+    return [{"exps": list(mi.dense(p.dim)), **oracle_scalar_json(c)} for mi, c in p.terms()]
+
+
+def oracle_operator_json(op):
+    dim, slots = op.dim, op._SLOTS
+    terms = []
+    for key, p in op.terms():
+        indices = (key,) if len(slots) == 1 else key
+        entry = {s: list(mi.dense(dim)) for s, mi in zip(slots, indices)}
+        entry["coefficient"] = oracle_poly_json(p)
+        terms.append(entry)
+    return {"dim": dim, "terms": terms}
+
+
+def oracle_product_json(s):
+    return {
+        "dim": s.dim,
+        "order": s.order,
+        "parity": s.parity,
+        "operators": [oracle_operator_json(op) for op in s.C],
+    }
+
+
+def oracle_morphism_json(m):
+    return {
+        "dim": m.dim,
+        "order": m.order,
+        "provenance": m.provenance,
+        "term_counts": [op.term_count() for op in m.orders],
+        "operators": [oracle_operator_json(op) for op in m.orders[1:]],
+    }

@@ -48,6 +48,7 @@ from helpers import (
     index_loop_order2,
     n3_triangular_connection,
     nontriangular_n2_connection,
+    oracle_morphism_json,
     parity_reduced_rhs,
     rearrangement_loop_order4,
     term_scan_verify_intertwining,
@@ -715,6 +716,21 @@ def test_morphism_json_shape(natural_q_morphism):
     assert len(data["operators"]) == 4
     restored = DiffOp.from_json(data["operators"][1])
     assert restored == natural_q_morphism.operator(2)
+
+
+@pytest.mark.parametrize(
+    "name", ["moyal", "vector_field", "natural_cotangent", "natural_cotangent_n2",
+             "symplectic_truncated"],
+)
+def test_morphism_json_matches_the_oracle_byte_for_byte(name):
+    spec = parse_spec(json.loads((DEMOS / f"{name}.json").read_text()))
+    morphism = derive_equivalence(build_product(spec), spec.order)
+    assert json.dumps(morphism.to_json()) == json.dumps(oracle_morphism_json(morphism))
+
+
+def test_closed_form_morphism_json_matches_the_oracle():
+    morphism = flat_cotangent_morphism(gamma_one_plus_q2())
+    assert json.dumps(morphism.to_json()) == json.dumps(oracle_morphism_json(morphism))
 
 
 def test_operator_diff_report_locates_terms():

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import json
 import pickle
 from bisect import bisect_right
 
@@ -16,7 +17,14 @@ from starq.poly import _POOL, EMPTY_INDEX, MultiIndex, Poly
 from starq.products import PoissonTensor, monomials_up_to, moyal_product, natural_cotangent_product
 from starq.scalars import HALF, gr
 
-from helpers import tensor, term_scan_apply, term_scan_bi_apply, whole_compose
+from helpers import (
+    oracle_operator_json,
+    oracle_poly_json,
+    tensor,
+    term_scan_apply,
+    term_scan_bi_apply,
+    whole_compose,
+)
 from test_poly import multiindices, polys, scalars
 
 
@@ -223,6 +231,14 @@ def test_bidiff_apply_matches_term_scan(op, f, g, c):
 def _sharing_operands(fs):
     """The operands, again in reverse, and two sums of them."""
     return fs + fs[::-1] + [fs[0] + fs[-1], sum(fs, Poly.zero(2))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(multi_term_polys(3), nonzero_diffops(3, 3, 4), bidiffops(3, 3), bidiffops(2))
+def test_to_json_matches_the_oracle_byte_for_byte(f, op, bi, bi2):
+    assert json.dumps(f.to_json()) == json.dumps(oracle_poly_json(f))
+    for obj in (op, bi, bi2):
+        assert json.dumps(obj.to_json()) == json.dumps(oracle_operator_json(obj))
 
 
 @settings(max_examples=30, deadline=None)

@@ -26,6 +26,7 @@ from starq.series import HbarSeries
 from starq.products import (
     PoissonTensor,
     StarProduct,
+    _pairing_product,
     VectorFieldFrame,
     check_axioms,
     closed_form_slot_ops,
@@ -43,6 +44,8 @@ from helpers import (
     moyal_oracle,
     n3_triangular_connection,
     nontriangular_n2_connection,
+    oracle_operator_json,
+    oracle_product_json,
     ordered_pairing_operators,
     ordered_ricci_term,
     phase_symbols,
@@ -56,6 +59,7 @@ from helpers import (
     whole_covariant_jet_ops,
     whole_moyal_operators,
     whole_natural_operators,
+    whole_pairing_operators,
     whole_symplectic_operators,
     whole_vector_field_operators,
 )
@@ -659,6 +663,18 @@ def test_star_product_json(natural_q):
     assert restored == natural_q.C[2]
 
 
+def test_star_product_json_matches_the_oracle_byte_for_byte(moyal_n1, natural_q):
+    d0, d1 = MultiIndex.unit(0), MultiIndex.of(0, 1)
+    products = [
+        moyal_n1, natural_q, corrupted(moyal_n1, d0, d1, coeff=Poly.const(2, gr("-6/4", "1/6"))),
+        vector_field_product(momentum_shear_frame(), PoissonTensor.canonical(1), 3),
+    ]
+    for product in products:
+        assert json.dumps(product.to_json()) == json.dumps(oracle_product_json(product))
+        for op in product.C:
+            assert json.dumps(op.to_json()) == json.dumps(oracle_operator_json(op))
+
+
 # -- symmetric pairing kernel against the ordered sum ----------------------------------------
 
 def _moyal_against_ordered(n, casimir, order):
@@ -793,12 +809,95 @@ def _natural_against_whole(conn, order):
          "moyal-n3-o8"],
 )
 def test_raw_builders_match_whole_object_builders(case):
-    # jets, compositions and pairings added as raw term maps give the same
-    # normal form as one Poly/DiffOp operation per term
+    # jets, compositions and pairings added as raw term maps, one multiset
+    # of each mirror pair, give the same normal form as one Poly/DiffOp
+    # operation per term of every multiset
     product, reference = case()
     assert len(product.C) == len(reference)
     for k, (op, ref) in enumerate(zip(product.C, reference)):
         assert op == ref, f"C_{k} differs from the whole-object build"
+    assert swap_parity(product)
+    assert json.dumps(product.to_json()) == json.dumps(oracle_product_json(product))
+
+
+# -- the mirrored pairing against the sum over every multiset ---------------------------------
+
+
+def constant_tensor(n, casimir, values):
+    """The constant Poisson tensor with P^(mu nu) = values[(mu, nu)] for
+    mu < nu, and the antisymmetric partner below the diagonal."""
+    d = 2 * n + casimir
+    entries = {}
+    for (mu, nu), v in values.items():
+        entries[(mu, nu)] = Poly.const(d, v)
+        entries[(nu, mu)] = Poly.const(d, -v)
+    return PoissonTensor(n, casimir, entries)
+
+
+NON_CANONICAL_D3 = constant_tensor(1, 1, {
+    (0, 1): gr("3/2"), (0, 2): gr("-2/5"), (1, 2): gr("1/3", "-2/7"),
+})
+NON_CANONICAL_D4 = constant_tensor(2, 0, {
+    (0, 1): gr("3/2"), (0, 2): gr("-2/5"), (0, 3): gr(1), (1, 2): gr("7/3"),
+    (1, 3): gr("-1/2"), (2, 3): gr(0, 2),
+})
+
+
+@pytest.mark.parametrize(
+    "poisson, order",
+    [
+        (PoissonTensor.canonical(1), 8),
+        (PoissonTensor.canonical(1, 1), 8),
+        (PoissonTensor.canonical(2), 8),
+        (PoissonTensor.canonical(2, 2), 6),
+        (PoissonTensor.canonical(3, 1), 8),
+        (NON_CANONICAL_D3, 6),
+        (NON_CANONICAL_D4, 5),
+    ],
+    ids=["moyal-n1-o8", "moyal-n1-casimir1-o8", "moyal-n2-o8", "moyal-n2-casimir2-o6",
+         "moyal-n3-casimir1-o8", "non-canonical-d3-o6", "non-canonical-d4-o5"],
+)
+def test_mirrored_moyal_pairing_matches_every_multiset(poisson, order):
+    product = moyal_product(poisson, order)
+    reference = whole_moyal_operators(poisson, order)
+    assert len(product.C) == len(reference)
+    for k, (op, ref) in enumerate(zip(product.C, reference)):
+        assert op == ref, f"C_{k} differs from the sum over every multiset"
+    assert swap_parity(product)
+
+
+def _asymmetric_jets(dim, seed):
+    """A jet lookup whose operators share nothing across index orderings
+    or slots: each sorted tuple draws its own few random terms."""
+    memo = {}
+
+    def jet(idx):
+        if idx not in memo:
+            rng = random.Random(f"{seed}:{idx}")
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                der = MultiIndex.of(*(rng.randrange(dim) for _ in range(rng.randint(0, 2))))
+                coeff = Poly.monomial(
+                    dim, MultiIndex.of(*(rng.randrange(dim) for _ in range(rng.randint(0, 2)))),
+                    gr(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-2, 2)),
+                )
+                terms[der] = coeff
+            memo[idx] = DiffOp(dim, terms)
+        return memo[idx]
+
+    return jet
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mirrored_pairing_needs_no_jet_symmetry(seed):
+    # the mirror argument uses only the antisymmetric tensor and the one
+    # lookup in both slots, so any lookup of sorted index tuples will do
+    for poisson, order in ((NON_CANONICAL_D3, 4), (PoissonTensor.canonical(1, 1), 5)):
+        jet = _asymmetric_jets(poisson.dim, seed)
+        C = _pairing_product(poisson, jet, order)
+        reference = whole_pairing_operators(poisson, jet, order)
+        assert C == reference
+        assert swap_parity(StarProduct(poisson, C, parity=True))
 
 
 def test_monomial_basis_matches_the_recursive_enumeration():

@@ -4,10 +4,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starq.scalars import GaussianRational, I, ONE, ZERO, gr
+
+from helpers import oracle_scalar_json
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 scalars = st.builds(GaussianRational, rationals, rationals)
@@ -245,3 +247,32 @@ def test_copy_and_pickle_round_trips(value):
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert twin == value and hash(twin) == hash(value) and str(twin) == str(value)
         assert_normal(twin)
+
+
+# -- serialization ---------------------------------------------------------------------
+
+big_ints = st.integers(-(2 ** 90), 2 ** 90)
+json_parts = st.one_of(
+    st.just(0),
+    st.integers(-60, 60),
+    big_ints,
+    rationals,
+    st.builds(Fraction, big_ints, st.integers(1, 2 ** 70)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_parts, json_parts)
+@example(0, 0)
+@example(-7, 0)
+@example(0, Fraction(-3, 4))
+@example(Fraction(1, 2), Fraction(1, 3))  # d = 6, gcd(r, d) = 3, gcd(i, d) = 2
+@example(2, Fraction(1, 3))  # an integral part over d = 3
+@example(-4, Fraction(5, 6))  # r = -24 over d = 6
+@example(-(2 ** 90), Fraction(2 ** 80 + 1, 3 * 2 ** 40))
+def test_to_json_writes_what_fraction_writes(re, im):
+    value = GaussianRational(re, im)
+    data = value.to_json()
+    assert data == oracle_scalar_json(value)
+    assert list(data) == ["re", "im"]
+    assert GaussianRational.from_json(data) == value
