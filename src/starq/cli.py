@@ -11,9 +11,10 @@ order has a solution, not intertwining: `derive` is what checks that.
 Exit codes: 0 all checks passed, 1 a check failed, 2 unusable input;
 a reader that closes stdout early truncates the report but not the exit
 code.
-Every spec field, the --out directory and STARQ_MAX_OP_ORDER are checked
-before any engine work; a frame or connection the engine rejects
-(InvalidFrame, NonFlatConnection) is unusable input too.
+Every spec field and the --out directory are checked before any engine
+work; a frame or connection the engine rejects (InvalidFrame,
+NonFlatConnection) or an operator past its derivative-order guard
+(OperatorOrderExceeded) is unusable input too.
 Reports are byte-identical across runs for the same input when --no-timing
 is given.  See docs/problem-spec-schema.json for the input format.
 """
@@ -39,11 +40,12 @@ from .equivalence import (
     verify_intertwining,
 )
 from .errors import (
-    ExprParseError, InvalidFrame, NonFlatConnection, ProblemSpecError, StarqError
+    ExprParseError, InvalidFrame, NonFlatConnection, OperatorOrderExceeded, ProblemSpecError,
+    StarqError,
 )
 from .exprparse import coordinate_names, parse_base_poly, parse_phase_poly
 from .geometry import Connection, SymplecticConnectionSpec
-from .operators import BiDiffOp, DiffOp, max_op_order
+from .operators import MAX_OP_ORDER, BiDiffOp, DiffOp
 from .poly import MultiIndex, Poly
 from .products import (
     PoissonTensor,
@@ -193,15 +195,15 @@ def _symplectic_spec_from_spec(data: dict, n: int) -> SymplecticConnectionSpec:
 
 def _fault_index(fault: dict, key: str, dim: int) -> MultiIndex:
     exps = fault.get(key, [])
-    guard = max_op_order()
     if (
         not isinstance(exps, list)
         or len(exps) > dim
         or not all(_is_count(e) for e in exps)
-        or sum(exps) > guard
+        or sum(exps) > MAX_OP_ORDER
     ):
         raise ProblemSpecError(
-            f"fault.{key} must be a list of at most {dim} integers >= 0 summing to <= {guard}"
+            f"fault.{key} must be a list of at most {dim} integers >= 0 summing to"
+            f" <= {MAX_OP_ORDER}"
         )
     return MultiIndex.from_exponents(exps)
 
@@ -237,7 +239,7 @@ def parse_spec(data: dict) -> ProblemSpec:
     order = _require_int(data, "order", 1, 2 if kind == "symplectic-truncated" else 4)
     if kind == "symplectic-truncated" and order != 2:
         raise ProblemSpecError("symplectic-truncated products are fixed at order 2")
-    limit = min(4, max_op_order()) if kind == "natural-cotangent" else max_op_order()
+    limit = 4 if kind == "natural-cotangent" else MAX_OP_ORDER
     if order > limit:
         raise ProblemSpecError(f"{kind} products are limited to order {limit}")
     max_degree = _require_int(data, "max_degree", 0, 4)
@@ -268,7 +270,7 @@ def build_product(spec: ProblemSpec) -> StarProduct:
         at, bump = spec.product_fault
         C = list(product.C)
         C[at] = C[at] + bump
-        product = StarProduct(product.poisson, C, product.parity)
+        product = StarProduct(product.poisson, C)
     return product
 
 
@@ -440,12 +442,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _check_environment(args) -> None:
-    """Reject a malformed STARQ_MAX_OP_ORDER and an --out path that is a
-    directory or lies in a missing one, before any engine work."""
-    try:
-        max_op_order()
-    except ValueError as exc:
-        raise ProblemSpecError(str(exc)) from exc
+    """Reject an --out path that is a directory or lies in a missing one,
+    before any engine work."""
     out = args.out and os.path.abspath(args.out)
     if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out))):
         raise ProblemSpecError(f"--out must be a file in an existing directory: {args.out}")
@@ -459,7 +457,9 @@ def main(argv: List[str] | None = None) -> int:
         spec = parse_spec(load_problem(args.spec))
         report, failed = args.fn(args, spec)
         return finalize(report, args, spec, started, failed)
-    except (ProblemSpecError, ExprParseError, InvalidFrame, NonFlatConnection) as exc:
+    except (
+        ProblemSpecError, ExprParseError, InvalidFrame, NonFlatConnection, OperatorOrderExceeded
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StarqError as exc:

@@ -18,7 +18,7 @@ import itertools
 from typing import Callable, Dict, List, Tuple
 
 from .errors import DimensionMismatch, OperatorOrderExceeded
-from .operators import DiffOp, _Hits, _acc_scaled, _acc_shifted, max_op_order
+from .operators import MAX_OP_ORDER, DiffOp, _Hits, _acc_scaled, _acc_shifted
 from .poly import MultiIndex, Poly
 from .scalars import GaussianRational, ONE
 
@@ -387,7 +387,7 @@ def covariant_jet_ops(conn, rank: int) -> Dict[Tuple[int, ...], DiffOp]:
     terms are added into raw maps through `operators._acc_shifted` and
     normalised once.
     """
-    if rank > max_op_order():
+    if rank > MAX_OP_ORDER:
         raise OperatorOrderExceeded(f"jet rank {rank} exceeds the operator-order guard")
     d = conn.dim
     step = _jet_stepper(conn, tuple)
@@ -410,7 +410,7 @@ def symmetric_jet_ops(conn, order: int) -> Dict[Tuple[int, ...], DiffOp]:
     replaced index tuple is looked up by its sorted form.  Without the
     precondition the table is not the covariant jet.
     """
-    if order > max_op_order():
+    if order > MAX_OP_ORDER:
         raise OperatorOrderExceeded(f"jet rank {order} exceeds the operator-order guard")
     d = conn.dim
     step = _jet_stepper(conn, lambda idx: tuple(sorted(idx)))

@@ -5,9 +5,8 @@ map from derivative keys (one multi-index per slot: the bare index, or
 the pair (left, right)) to nonzero coefficient polynomials standing to
 the left of the derivatives, so structural equality of the term maps is
 equality of operators.  The base owns the one constructor that checks
-every slot of every key against the dimension and against a
-configurable derivative-order guard (default 12, overridable through
-the STARQ_MAX_OP_ORDER environment variable) that catches runaway
+every slot of every key against the dimension and against a fixed
+derivative-order guard (`MAX_OP_ORDER`) that catches runaway
 recursions early, and the arithmetic, equality, hashing and JSON codec
 of the term map.  The subclasses add only the action of their terms.
 
@@ -40,7 +39,6 @@ of `poly.MultiIndex`.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain
@@ -51,18 +49,8 @@ from .poly import EMPTY_INDEX, MultiIndex, Poly, _GrlexKeys, _first
 from .scalars import GaussianRational, HALF, ONE
 
 _set = object.__setattr__
-_DEFAULT_MAX_ORDER = 12
-
-
-def max_op_order() -> int:
-    """The guard: STARQ_MAX_OP_ORDER (read on every call), else 12.  A
-    variable that is not an integer >= 0 raises ValueError."""
-    raw = os.environ.get("STARQ_MAX_OP_ORDER")
-    if raw is None:
-        return _DEFAULT_MAX_ORDER
-    if not raw.strip().isdecimal():
-        raise ValueError(f"STARQ_MAX_OP_ORDER must be an integer >= 0, got {raw!r}")
-    return int(raw)
+# the derivative-order guard: no slot of any operator key may go beyond it
+MAX_OP_ORDER = 12
 
 
 class _NormalForm:
@@ -88,13 +76,12 @@ class _NormalForm:
                     raise DimensionMismatch(f"coefficient dim {poly.dim} != operator dim {dim}")
                 if poly._terms:
                     clean[key] = poly
-            guard = max_op_order()
             for mi in terms if len(self._SLOTS) == 1 else chain.from_iterable(terms):
                 if mi.max_coord() >= dim:
                     raise DimensionMismatch(f"derivative index {mi!r} out of range for dim {dim}")
-                if mi.degree > guard:
+                if mi.degree > MAX_OP_ORDER:
                     raise OperatorOrderExceeded(
-                        f"derivative order {mi.degree} exceeds guard {guard}"
+                        f"derivative order {mi.degree} exceeds guard {MAX_OP_ORDER}"
                     )
         _set(self, "dim", dim)
         _set(self, "_terms", clean)
@@ -426,29 +413,31 @@ class BiDiffOp(_NormalForm):
         bare first derivative along `coord`, and (coeff * x^coord) * d^J
         when I is empty; higher-order I kill the coordinate.
         """
-        return DiffOp(self.dim, self._fix_slots(coord, both=False))
+        return self._fix_slots(coord, both=False)
 
     def symmetric_slot_fix(self, coord: int) -> DiffOp:
         """The operator f -> (self(x^coord, f) + self(f, x^coord)) / 2: the
         left slot of (self + self.swap()) / 2 frozen at x^coord, read in
         one pass over the terms, each frozen in both slots as in
-        `slot_fix`."""
-        acc = self._fix_slots(coord, both=True)
-        return DiffOp(self.dim, {mi: p.scale(HALF) for mi, p in acc.items()})
+        `slot_fix` and halved as it is added."""
+        return self._fix_slots(coord, both=True)
 
-    def _fix_slots(self, coord: int, both: bool) -> Dict[MultiIndex, Poly]:
+    def _fix_slots(self, coord: int, both: bool) -> DiffOp:
+        """`slot_fix`, or with `both` `symmetric_slot_fix`: every term's
+        coefficient is added into one raw map per free index, times x^coord
+        through the unit index's sum table where the fixed slot is empty."""
         if not 0 <= coord < self.dim:
             raise DimensionMismatch(f"coordinate {coord} out of range for dim {self.dim}")
         unit = MultiIndex.unit(coord)
-        x = Poly.coordinate(self.dim, coord)
-        acc: Dict[MultiIndex, Poly] = {}
+        c = HALF if both else ONE
+        acc: Dict[MultiIndex, dict] = {}
         for (li, ri), coeff in self._terms.items():
             for fixed, free in ((li, ri), (ri, li)) if both else ((li, ri),):
-                if fixed == unit:
-                    _acc_poly(acc, free, coeff)
-                elif fixed.degree == 0:
-                    _acc_poly(acc, free, coeff * x)
-        return acc
+                if fixed is unit:
+                    _acc_scaled(acc.setdefault(free, {}), coeff._terms, c)
+                elif fixed is EMPTY_INDEX:
+                    _acc_shifted(acc.setdefault(free, {}), coeff._terms, unit, c)
+        return DiffOp._from_raw(self.dim, acc)
 
     def swap(self) -> "BiDiffOp":
         """(f, g) -> self(g, f)."""

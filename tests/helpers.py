@@ -441,17 +441,16 @@ def term_scan_check_axioms(s, max_degree=4):
             "every positive-order operator must differentiate both slots",
         )
     )
-    if s.parity:
-        entries.append(
-            CheckEntry(
-                "parity",
-                all(
-                    s.C[k].swap() == s.C[k].scale(GaussianRational((-1) ** k))
-                    for k in range(s.order + 1)
-                ),
-                "slot swap must rescale order k by (-1)^k",
-            )
+    entries.append(
+        CheckEntry(
+            "parity",
+            all(
+                s.C[k].swap() == s.C[k].scale(GaussianRational((-1) ** k))
+                for k in range(s.order + 1)
+            ),
+            "slot swap must rescale order k by (-1)^k",
         )
+    )
     return CheckReport(
         "star-product-axioms",
         tuple(entries),
@@ -809,7 +808,7 @@ def oracle_product_json(s):
     return {
         "dim": s.dim,
         "order": s.order,
-        "parity": s.parity,
+        "parity": True,
         "operators": [oracle_operator_json(op) for op in s.C],
     }
 

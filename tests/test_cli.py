@@ -292,21 +292,6 @@ def test_unusable_input_exit_two_without_traceback(command, spec, flags, tmp_pat
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", ["abc", "-1", "2.5", ""])
-def test_malformed_guard_variable_exit_two_before_engine_work(
-    value, spec_file, monkeypatch, capsys
-):
-    def refuse(*args):
-        raise AssertionError("the product was built before the guard was checked")
-
-    monkeypatch.setattr("starq.cli.build_product", refuse)
-    monkeypatch.setenv("STARQ_MAX_OP_ORDER", value)
-    assert main(["validate", spec_file("moyal"), "--no-timing"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: STARQ_MAX_OP_ORDER must be an integer >= 0")
-    assert "Traceback" not in err
-
-
 def test_non_utf8_spec_exit_two_without_traceback(tmp_path, capsys):
     # a JSON dump would write UTF-8, so the bytes are written directly
     path = tmp_path / "spec.json"
@@ -322,14 +307,26 @@ def test_natural_cotangent_order_limit_follows_the_guard(tmp_path, monkeypatch, 
         raise AssertionError("the product was built before the order was checked")
 
     monkeypatch.setattr("starq.cli.build_product", refuse)
-    monkeypatch.setenv("STARQ_MAX_OP_ORDER", "3")
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(NATURAL))
+    path.write_text(json.dumps(dict(NATURAL, order=5)))
     for command, flags in (("validate", []), ("derive", []), ("verify-tables", []),
                            ("apply", ["--f", "q1"])):
         assert main([command, str(path), "--no-timing"] + flags) == 2, command
         err = capsys.readouterr().err
-        assert err == "error: natural-cotangent products are limited to order 3\n", command
+        assert err == "error: natural-cotangent products are limited to order 4\n", command
+
+
+@pytest.mark.parametrize("command, flags", [("derive", []), ("apply", ["--f", "q1"])])
+def test_engine_order_guard_exit_two(command, flags, tmp_path, capsys):
+    # order 10 passes the spec check, but the product's operators reach
+    # derivative order 14, past the engine's guard: unusable input
+    spec = json.loads((DEMOS / "vector_field.json").read_text())
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(spec, order=10)))
+    assert main([command, str(path), "--no-timing"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: derivative order 14 exceeds guard 12\n"
 
 
 DEMOS =Path(__file__).parent.parent / "demos" / "specs"

@@ -304,7 +304,7 @@ def test_non_canonical_product_rejected():
     bump = BiDiffOp(2, {(MultiIndex.unit(0), MultiIndex.unit(1)): Poly.const(2, 1)})
     C = list(M.C)
     C[2] = C[2] + (bump - bump.swap())
-    bad = StarProduct(M.poisson, C, parity=False)
+    bad = StarProduct(M.poisson, C)
     with pytest.raises(CanonicityFailure):
         derive_equivalence(bad)
 
@@ -394,7 +394,7 @@ def _asymmetric_moyal():
     moyal = moyal_product(PoissonTensor.canonical(1), 4)
     C = list(moyal.C)
     C[2] = C[2] + BiDiffOp(2, {(MultiIndex.of(0, 0), MultiIndex.of(1)): Poly.const(2, 1)})
-    return StarProduct(moyal.poisson, C, parity=False), derive_equivalence(moyal)
+    return StarProduct(moyal.poisson, C), derive_equivalence(moyal)
 
 
 # With swap parity and every odd T_k zero, verify_intertwining evaluates

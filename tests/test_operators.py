@@ -12,7 +12,7 @@ from starq.equivalence import EquivalenceMorphism, derive_equivalence
 from starq.errors import DimensionMismatch, OperatorOrderExceeded
 from starq.exprparse import parse_phase_poly
 from starq.geometry import Connection
-from starq.operators import BiDiffOp, DiffOp, _Hits
+from starq.operators import MAX_OP_ORDER, BiDiffOp, DiffOp, _Hits
 from starq.poly import _POOL, EMPTY_INDEX, MultiIndex, Poly
 from starq.products import PoissonTensor, monomials_up_to, moyal_product, natural_cotangent_product
 from starq.scalars import HALF, gr
@@ -456,36 +456,21 @@ def test_structural_equality_of_leibniz_identity():
 
 # -- order guard -----------------------------------------------------------------
 
-def test_order_guard(monkeypatch):
-    monkeypatch.setenv("STARQ_MAX_OP_ORDER", "3")
+def test_order_guard():
+    assert MAX_OP_ORDER == 12
     with pytest.raises(OperatorOrderExceeded):
-        DiffOp.derivative(1, MultiIndex({0: 4}))
-    DiffOp.derivative(1, MultiIndex({0: 3}))
+        DiffOp.derivative(1, MultiIndex({0: 13}))
+    DiffOp.derivative(1, MultiIndex({0: 12}))
 
 
-def test_order_guard_env_override(monkeypatch):
-    from starq.operators import max_op_order
-
-    assert max_op_order() == 12
-    monkeypatch.setenv("STARQ_MAX_OP_ORDER", "5")
-    assert max_op_order() == 5
-    with pytest.raises(OperatorOrderExceeded):
-        DiffOp.derivative(1, MultiIndex({0: 6}))
-    for bad in ("abc", "-1", "2.5", ""):
-        monkeypatch.setenv("STARQ_MAX_OP_ORDER", bad)
-        with pytest.raises(ValueError, match="STARQ_MAX_OP_ORDER"):
-            max_op_order()
-
-
-def test_jet_rank_guard(monkeypatch):
+def test_jet_rank_guard():
     from starq.geometry import Connection, covariant_jet_ops, lift_connection, symmetric_jet_ops
 
     lifted = lift_connection(Connection.one_dim(Poly.coordinate(1, 0)))
-    monkeypatch.setenv("STARQ_MAX_OP_ORDER", "3")
     with pytest.raises(OperatorOrderExceeded):
-        covariant_jet_ops(lifted, 4)
+        covariant_jet_ops(lifted, 13)
     with pytest.raises(OperatorOrderExceeded):
-        symmetric_jet_ops(lifted, 4)
+        symmetric_jet_ops(lifted, 13)
 
 
 def test_values_are_immutable():
@@ -547,16 +532,15 @@ NORMAL_FORM_SLOTS = [
 @pytest.mark.parametrize(
     "cls, key, fields", NORMAL_FORM_SLOTS, ids=["diff", "bidiff-left", "bidiff-right"]
 )
-def test_shared_normal_form_constructor(cls, key, fields, monkeypatch):
+def test_shared_normal_form_constructor(cls, key, fields):
     q = Poly.coordinate(2, 0)
     with pytest.raises(DimensionMismatch, match="coefficient dim 3 != operator dim 2"):
         cls(2, {key(MultiIndex.of(0)): Poly.coordinate(3, 0)})
     with pytest.raises(DimensionMismatch, match="out of range for dim 2"):
         cls(2, {key(MultiIndex.of(0, 2)): q})
-    monkeypatch.setenv("STARQ_MAX_OP_ORDER", "3")
-    with pytest.raises(OperatorOrderExceeded, match="order 4 exceeds guard 3"):
-        cls(2, {key(MultiIndex.of(0, 0, 1, 1)): q})
-    assert cls(2, {key(MultiIndex.of(0, 0, 1)): q}).term_count() == 1
+    with pytest.raises(OperatorOrderExceeded, match="order 13 exceeds guard 12"):
+        cls(2, {key(MultiIndex({0: 7, 1: 6})): q})
+    assert cls(2, {key(MultiIndex({0: 6, 1: 6})): q}).term_count() == 1
 
     op = cls(
         2,

@@ -92,7 +92,7 @@ def corrupted(product, left, right, antisym=False, order=2, coeff=None):
         bump = bump - bump.swap()
     C = list(product.C)
     C[order] = C[order] + bump
-    return StarProduct(product.poisson, C, parity=False)
+    return StarProduct(product.poisson, C)
 
 
 # -- Poisson tensor -------------------------------------------------------------
@@ -411,7 +411,7 @@ def test_product_copy_and_pickle_round_trips(moyal_n1):
     for twin in (copy.copy(moyal_n1), copy.deepcopy(moyal_n1),
                  pickle.loads(pickle.dumps(moyal_n1))):
         assert twin == moyal_n1 and twin.to_json() == moyal_n1.to_json()
-        assert twin.poisson == moyal_n1.poisson and twin.parity is moyal_n1.parity
+        assert twin.poisson == moyal_n1.poisson
 
 
 # each case: the object and the state its copy must reproduce
@@ -897,7 +897,7 @@ def test_mirrored_pairing_needs_no_jet_symmetry(seed):
         C = _pairing_product(poisson, jet, order)
         reference = whole_pairing_operators(poisson, jet, order)
         assert C == reference
-        assert swap_parity(StarProduct(poisson, C, parity=True))
+        assert swap_parity(StarProduct(poisson, C))
 
 
 def test_monomial_basis_matches_the_recursive_enumeration():
