@@ -1,10 +1,12 @@
 """From a flat base connection to a star product on its phase space.
 
 Builds a flat connection by pulling the trivial one back along a
-triangular coordinate change, lifts it to phase space, certifies
-flatness and the total symmetry of the lowered symbols, and assembles
+triangular coordinate change, lifts it to phase space as lowered
+symbols, certifies flatness and their total symmetry, and assembles
 the natural star product from iterated covariant derivatives.
 """
+
+import itertools
 
 from starq import (
     Poly,
@@ -32,10 +34,13 @@ def main():
     print("   base curvature components:", len(curvature(conn)))
 
     lifted = lift_connection(conn)
-    print("\n== lifted to phase space ==")
+    print("\n== lifted to phase space: lowered symbols, one per index multiset ==")
     names = coordinate_names(n)
-    for (mu, nu, rho), sym in sorted(lifted.components().items()):
-        print(f"   symbol[{mu+1}][{nu+1}{rho+1}] = {sym.format(names)}")
+    for key in itertools.combinations_with_replacement(range(2 * n), 3):
+        sym = lifted.lowered(*key)
+        if not sym.is_zero():
+            label = ", ".join(names[mu] for mu in key)
+            print(f"   lowered({label}) = {sym.format(names)}")
     print("   lifted curvature components:", len(curvature(lifted)))
 
     sym_ok = all(

@@ -10,7 +10,6 @@ from .series import HbarSeries
 from .operators import BiDiffOp, DiffOp
 from .geometry import (
     Connection,
-    LiftedConnection,
     SymplecticConnectionSpec,
     covariant_jet,
     curvature,
@@ -56,7 +55,6 @@ __all__ = [
     "BiDiffOp",
     "DiffOp",
     "Connection",
-    "LiftedConnection",
     "SymplecticConnectionSpec",
     "covariant_jet",
     "curvature",

@@ -1,11 +1,11 @@
 """Connections on the base manifold and on phase space.
 
 The base objects are polynomial Christoffel symbols on an n-dimensional
-configuration space.  A flat base connection induces a flat symplectic
-connection on the 2n-dimensional phase space whose only nonzero
-components are the four families produced by `lift_connection`; general
-symplectic connections on phase space enter through
-`SymplecticConnectionSpec` as fully lowered, totally symmetric symbols.
+configuration space.  Every connection on the 2n-dimensional phase space
+is a `SymplecticConnectionSpec`: fully lowered, totally symmetric
+symbols, raised once by the canonical Poisson matrix.  `lift_connection`
+writes the lift of a flat base connection straight into lowered symbols;
+the lift of a curved base is not totally symmetric and is rejected.
 
 Index layout on phase space: coordinates 0..n-1 are the configuration
 directions, n..2n-1 the conjugate momentum directions (the momentum
@@ -24,7 +24,7 @@ from .scalars import GaussianRational, ONE
 
 
 # ---------------------------------------------------------------------------
-# canonical Poisson tensor / symplectic form entries
+# canonical Poisson tensor
 # ---------------------------------------------------------------------------
 
 def canonical_poisson_entries(n: int) -> Dict[Tuple[int, int], int]:
@@ -34,15 +34,6 @@ def canonical_poisson_entries(n: int) -> Dict[Tuple[int, int], int]:
     for i in range(n):
         entries[(i, n + i)] = 1
         entries[(n + i, i)] = -1
-    return entries
-
-
-def symplectic_form_entries(n: int) -> Dict[Tuple[int, int], int]:
-    """Nonzero entries of the inverse of the canonical Poisson matrix (k=0)."""
-    entries: Dict[Tuple[int, int], int] = {}
-    for i in range(n):
-        entries[(i, n + i)] = -1
-        entries[(n + i, i)] = 1
     return entries
 
 
@@ -164,81 +155,7 @@ def flat_connection_from_diffeo(targets: List[Poly]) -> Connection:
 
 
 # ---------------------------------------------------------------------------
-# lifted connection on phase space
-# ---------------------------------------------------------------------------
-
-class LiftedConnection:
-    """Symplectic connection on phase space induced by a base connection."""
-
-    __slots__ = ("n", "dim", "_symbols", "base")
-
-    def __init__(self, base: Connection, symbols: Dict[Tuple[int, int, int], Poly]):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "n", base.n)
-        object.__setattr__(self, "dim", 2 * base.n)
-        object.__setattr__(self, "_symbols", symbols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LiftedConnection is immutable")
-
-    def __reduce__(self):
-        return (LiftedConnection, (self.base, dict(self._symbols)))
-
-    def christoffel(self, mu: int, nu: int, rho: int) -> Poly:
-        return self._symbols.get((mu, nu, rho), Poly.zero(self.dim))
-
-    def components(self) -> Dict[Tuple[int, int, int], Poly]:
-        return dict(self._symbols)
-
-    def lowered(self, alpha: int, beta: int, gamma: int) -> Poly:
-        """Index-lowered symbol via the symplectic form."""
-        omega = symplectic_form_entries(self.n)
-        acc = Poly.zero(self.dim)
-        for (a, d), v in omega.items():
-            if a == alpha:
-                acc = acc + self.christoffel(d, beta, gamma).scale(v)
-        return acc
-
-
-def lift_connection(conn: Connection) -> LiftedConnection:
-    """Phase-space symbols induced by a base connection.
-
-    Exactly four component families are nonzero: base-base-base copies the
-    base symbols; the mixed families are transposed negatives; and the
-    momentum-direction family with two base lower indices is linear
-    homogeneous in the momenta.
-    """
-    n = conn.n
-    d = 2 * n
-    symbols: Dict[Tuple[int, int, int], Poly] = {}
-
-    def put(key, poly):
-        if not poly.is_zero():
-            symbols[key] = poly
-
-    for i, j, k in itertools.product(range(n), repeat=3):
-        base = conn.christoffel(i, j, k)
-        put((i, j, k), base.embed(d))
-        # momentum upper index, mixed lower indices
-        put((n + i, n + j, k), conn.christoffel(j, i, k).embed(d).scale(-1))
-        put((n + i, j, n + k), conn.christoffel(k, j, i).embed(d).scale(-1))
-    for i, j, k in itertools.product(range(n), repeat=3):
-        acc = Poly.zero(d)
-        for l in range(n):
-            p_l = Poly.coordinate(d, n + l)
-            inner = Poly.zero(n)
-            for r in range(n):
-                inner = inner + conn.christoffel(r, j, k) * conn.christoffel(l, r, i)
-                inner = inner + conn.christoffel(r, i, k) * conn.christoffel(l, r, j)
-            inner = inner - conn.christoffel(l, i, j).diff_coord(k)
-            if not inner.is_zero():
-                acc = acc + p_l * inner.embed(d)
-        put((n + i, j, k), acc)
-    return LiftedConnection(conn, symbols)
-
-
-# ---------------------------------------------------------------------------
-# symplectic connection given by lowered symbols
+# symplectic connections on phase space
 # ---------------------------------------------------------------------------
 
 class SymplecticConnectionSpec:
@@ -246,11 +163,13 @@ class SymplecticConnectionSpec:
 
     Stored as fully lowered symbols, which must be totally symmetric --
     that symmetry is exactly the torsionless+symplectic condition in
-    canonical coordinates.  The rational weight `a` multiplies the Ricci
-    term of the associated truncated product.
+    canonical coordinates.  The raised symbols are built once, by the
+    canonical rule Gamma^i = lowered (n + i, ., .) and
+    Gamma^(n+i) = -lowered (i, ., .).  The rational weight `a` multiplies
+    the Ricci term of the associated truncated product.
     """
 
-    __slots__ = ("n", "dim", "_lowered", "a")
+    __slots__ = ("n", "dim", "_lowered", "_raised", "a")
 
     def __init__(
         self,
@@ -271,9 +190,16 @@ class SymplecticConnectionSpec:
             for perm in itertools.permutations((al, be, ga)):
                 if clean.get(perm, Poly.zero(d)) != poly:
                     raise ValueError("lowered symbols must be totally symmetric")
+        raised: Dict[Tuple[int, int, int], Poly] = {}
+        for (al, be, ga), poly in clean.items():
+            if al < n:
+                raised[(n + al, be, ga)] = -poly
+            else:
+                raised[(al - n, be, ga)] = poly
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "_lowered", clean)
+        object.__setattr__(self, "_raised", raised)
         object.__setattr__(self, "a", a)
 
     def __setattr__(self, name, value):
@@ -287,7 +213,6 @@ class SymplecticConnectionSpec:
         cls, n: int, components: Dict[Tuple[int, int, int], Poly], a=GaussianRational(0)
     ) -> "SymplecticConnectionSpec":
         """Build from one representative per index multiset."""
-        d = 2 * n
         full: Dict[Tuple[int, int, int], Poly] = {}
         for key, poly in components.items():
             for perm in itertools.permutations(key):
@@ -297,29 +222,55 @@ class SymplecticConnectionSpec:
                 full[perm] = poly
         return cls(n, full, a)
 
-    @classmethod
-    def from_lifted(cls, lifted: LiftedConnection, a=GaussianRational(0)) -> "SymplecticConnectionSpec":
-        d = lifted.dim
-        lowered: Dict[Tuple[int, int, int], Poly] = {}
-        for al, be, ga in itertools.product(range(d), repeat=3):
-            val = lifted.lowered(al, be, ga)
-            if not val.is_zero():
-                lowered[(al, be, ga)] = val
-        return cls(lifted.n, lowered, a)
-
     def lowered(self, alpha: int, beta: int, gamma: int) -> Poly:
         return self._lowered.get((alpha, beta, gamma), Poly.zero(self.dim))
 
     def christoffel(self, mu: int, nu: int, rho: int) -> Poly:
-        """Raised symbol via the canonical Poisson matrix."""
-        acc = Poly.zero(self.dim)
-        for (m, al), v in canonical_poisson_entries(self.n).items():
-            if m == mu:
-                acc = acc + self.lowered(al, nu, rho).scale(v)
-        return acc
+        return self._raised.get((mu, nu, rho), Poly.zero(self.dim))
 
     def is_zero(self) -> bool:
         return not self._lowered
+
+
+def lift_connection(conn: Connection) -> SymplecticConnectionSpec:
+    """The symplectic connection on phase space induced by a flat base
+    connection, as lowered symbols with weight 0.
+
+    Raised, the lift has four component families: base-base-base copies
+    the base symbols, the two mixed families with a momentum upper index
+    are transposed negatives of them, and the momentum-direction family
+    with two base lower indices is linear homogeneous in the momenta.
+    Lowered by the canonical rule, the first three are one totally
+    symmetric family, lowered (n + i, j, k) = Gamma^i_(jk) in every index
+    order, and the fourth is
+
+        lowered (i, j, k) = sum_l p_l (d_k Gamma^l_(ij)
+            - Gamma^r_(jk) Gamma^l_(ri) - Gamma^r_(ik) Gamma^l_(rj)),
+
+    which is symmetric in (i, k) exactly when the base curvature vanishes.
+    So the lift of a curved base fails the total-symmetry check of
+    `SymplecticConnectionSpec` with ValueError.
+    """
+    n = conn.n
+    d = 2 * n
+    gamma = conn.components()
+    lowered: Dict[Tuple[int, int, int], Poly] = {}
+    for (i, j, k), sym in gamma.items():
+        sym = sym.embed(d)
+        lowered[(n + i, j, k)] = lowered[(j, n + i, k)] = lowered[(j, k, n + i)] = sym
+    for i, j, k in itertools.product(range(n), repeat=3):
+        acc = Poly.zero(d)
+        for l in range(n):
+            inner = conn.christoffel(l, i, j).diff_coord(k)
+            for r in range(n):
+                for first, second in (((r, j, k), (l, r, i)), ((r, i, k), (l, r, j))):
+                    if first in gamma and second in gamma:
+                        inner = inner - gamma[first] * gamma[second]
+            if not inner.is_zero():
+                acc = acc + Poly.coordinate(d, n + l) * inner.embed(d)
+        if not acc.is_zero():
+            lowered[(i, j, k)] = acc
+    return SymplecticConnectionSpec(n, lowered)
 
 
 # ---------------------------------------------------------------------------
@@ -480,47 +431,23 @@ def covariant_jet(conn, rank: int, f: Poly) -> Dict[Tuple[int, ...], Poly]:
 # recursive momentum-jet tensors
 # ---------------------------------------------------------------------------
 
-class FTensor:
-    """Rank-k family of base tensors generated by the jet recursion.
+def f_tensors(conn: Connection, max_rank: int) -> List[Dict[Tuple[int, ...], Poly]]:
+    """The tensor family of ranks 1..max_rank for a base connection, one
+    dict per rank.
 
-    Components carry one upper index, k ordered lower indices and one
-    trailing lower index; rank 1 is the connection symbol itself.
+    A rank-k component carries one upper index, k ordered lower indices
+    and one trailing lower index, keyed `(l, *lowers, i)`; zero components
+    are left out.  Rank 1 is the connection symbol itself, and rank k is
+
+        f^l_(lowers, i_new, i) = d_(i_new) f^l_(lowers, i)
+            + Gamma^l_(i_new j) f^j_(lowers, i)
+            - sum over slots s of Gamma^j_(lowers_s i_new) f^l_(lowers with lowers_s = j, i).
     """
-
-    __slots__ = ("n", "rank", "_components")
-
-    def __init__(self, n: int, rank: int, components: Dict[Tuple[int, ...], Poly]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_components", {
-            key: val for key, val in components.items() if not val.is_zero()
-        })
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FTensor is immutable")
-
-    def __reduce__(self):
-        return (FTensor, (self.n, self.rank, dict(self._components)))
-
-    def component(self, l: int, lowers: Tuple[int, ...], i: int) -> Poly:
-        if len(lowers) != self.rank:
-            raise ValueError(f"expected {self.rank} middle indices")
-        return self._components.get((l,) + lowers + (i,), Poly.zero(self.n))
-
-    def is_zero(self) -> bool:
-        return not self._components
-
-
-def f_tensors(conn: Connection, max_rank: int) -> List[FTensor]:
-    """The tensor family of ranks 1..max_rank for a base connection."""
     if max_rank < 1:
         raise ValueError("max_rank must be at least 1")
     n = conn.n
-    rank1 = {
-        (l, i1, i): conn.christoffel(l, i1, i)
-        for l, i1, i in itertools.product(range(n), repeat=3)
-    }
-    out = [FTensor(n, 1, rank1)]
+    zero = Poly.zero(n)
+    out = [conn.components()]
     for rank in range(2, max_rank + 1):
         prev = out[-1]
         comps: Dict[Tuple[int, ...], Poly] = {}
@@ -529,16 +456,17 @@ def f_tensors(conn: Connection, max_rank: int) -> List[FTensor]:
                 *first, i_new = lowers
                 first = tuple(first)
                 for i in range(n):
-                    val = prev.component(l, first, i).diff_coord(i_new)
+                    val = prev.get((l, *first, i), zero).diff_coord(i_new)
                     for j in range(n):
                         sym = conn.christoffel(l, i_new, j)
                         if not sym.is_zero():
-                            val = val + sym * prev.component(j, first, i)
+                            val = val + sym * prev.get((j, *first, i), zero)
                         for s in range(rank - 1):
                             drop = conn.christoffel(j, first[s], i_new)
                             if not drop.is_zero():
                                 replaced = first[:s] + (j,) + first[s + 1:]
-                                val = val - drop * prev.component(l, replaced, i)
-                    comps[(l,) + lowers + (i,)] = val
-        out.append(FTensor(n, rank, comps))
+                                val = val - drop * prev.get((l, *replaced, i), zero)
+                    if not val.is_zero():
+                        comps[(l, *lowers, i)] = val
+        out.append(comps)
     return out

@@ -44,7 +44,6 @@ from .geometry import (
     Connection,
     SymplecticConnectionSpec,
     canonical_poisson_entries,
-    covariant_jet_ops,
     f_tensors,
     is_flat,
     lift_connection,
@@ -447,11 +446,17 @@ def closed_form_slot_ops(conn: Connection, k: int) -> Dict[int, DiffOp]:
     """The operators f -> C_k(x^alpha, f) of the natural product, in closed
     form, for every phase-space coordinate alpha.
 
-    Configuration slots need only the base jets of the coordinate
-    functions; momentum slots are assembled from the recursive tensor
-    family.  This is an independent route to the same operators that
-    `natural_cotangent_product` produces, used for cross-validation.
+    Configuration slots need only the rank-k base jets of the coordinate
+    functions, read from the sorted-index table `symmetric_jet_ops`,
+    which is the covariant jet because the base is flat (a curved base
+    raises NonFlatConnection).  Momentum slots are assembled from the
+    recursive tensor family `f_tensors`, with the rank-0 component
+    f^l_i = delta^l_i.  This is an independent route to the same
+    operators that `natural_cotangent_product` produces, used for
+    cross-validation.
     """
+    if not is_flat(conn):
+        raise NonFlatConnection("the closed form needs a flat base connection")
     n = conn.n
     d = 2 * n
     out: Dict[int, DiffOp] = {}
@@ -464,20 +469,26 @@ def closed_form_slot_ops(conn: Connection, k: int) -> Dict[int, DiffOp]:
     inv_kfact = GaussianRational(Fraction(1, factorial(k)))
     inv_km1fact = GaussianRational(Fraction(1, factorial(k - 1)))
 
-    base_jets = covariant_jet_ops(conn, k)
+    base_jets = symmetric_jet_ops(conn, k)
     for i in range(n):
         qi = Poly.coordinate(n, i)
         acc: Dict[MultiIndex, Poly] = {}
-        for idx, op in base_jets.items():
-            comp = op.apply(qi)
+        for idx in itertools.product(range(n), repeat=k):
+            comp = base_jets[tuple(sorted(idx))].apply(qi)
             if comp.is_zero():
                 continue
             deriv = MultiIndex.of(*(n + j for j in idx))
             _acc_poly(acc, deriv, comp.embed(d).scale(half_i_k * inv_kfact))
         out[i] = DiffOp(d, acc)
 
-    # momentum slots: rank-0 tensor component is the Kronecker delta
-    tensors = f_tensor_lookup(conn, k)
+    family = f_tensors(conn, k)
+    zero, one = Poly.zero(n), Poly.const(n, 1)
+
+    def tensors(rank: int, l: int, lowers: Tuple[int, ...], i: int) -> Poly:
+        if rank == 0:
+            return one if l == i else zero
+        return family[rank - 1].get((l, *lowers, i), zero)
+
     for i in range(n):
         acc = {}
         # p_l d^k/dp^k part
@@ -524,19 +535,6 @@ def closed_form_slot_ops(conn: Connection, k: int) -> Dict[int, DiffOp]:
                 )
         out[n + i] = DiffOp(d, acc)
     return out
-
-
-def f_tensor_lookup(conn: Connection, max_rank: int):
-    """Component accessor for the recursive tensor family, with the rank-0
-    convention f^l_i = delta^l_i."""
-    family = f_tensors(conn, max_rank) if max_rank >= 1 else []
-
-    def lookup(rank: int, l: int, lowers: Tuple[int, ...], i: int) -> Poly:
-        if rank == 0:
-            return Poly.const(conn.n, 1) if l == i else Poly.zero(conn.n)
-        return family[rank - 1].component(l, lowers, i)
-
-    return lookup
 
 
 # ---------------------------------------------------------------------------

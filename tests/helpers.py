@@ -40,6 +40,16 @@ from starq.products import CheckEntry, CheckReport, PoissonTensor, monomials_up_
 from starq.scalars import HALF_I, I as IMAG, GaussianRational
 
 
+def symplectic_form_entries(n):
+    """Nonzero entries of the inverse of the canonical Poisson matrix, the
+    symplectic form that lowers a raised symbol's upper index."""
+    entries = {}
+    for i in range(n):
+        entries[(i, n + i)] = -1
+        entries[(n + i, i)] = 1
+    return entries
+
+
 def phase_symbols(n, casimir=0):
     names = (
         [f"q{j + 1}" for j in range(n)]

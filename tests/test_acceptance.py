@@ -270,7 +270,7 @@ def test_criterion_10_reductions():
             moyal_product(P, 3)
         )
     conn = Connection.one_dim(Poly.coordinate(1, 0))
-    spec = SymplecticConnectionSpec.from_lifted(lift_connection(conn))
+    spec = lift_connection(conn)
     assert truncated_symplectic_product(spec) == natural_cotangent_product(
         conn, 4
     ).truncate(2)

@@ -19,7 +19,6 @@ from starq.geometry import (
     lift_connection,
     ricci,
     symmetric_jet_ops,
-    symplectic_form_entries,
 )
 from starq.poly import MultiIndex, Poly
 from starq.scalars import GaussianRational
@@ -29,6 +28,7 @@ from helpers import (
     n3_triangular_connection,
     nontriangular_n2_connection,
     sympy_to_poly,
+    symplectic_form_entries,
     whole_covariant_jet_ops,
     whole_symmetric_jet_ops,
 )
@@ -163,7 +163,15 @@ def test_curved_connection_detected_and_matches_oracle():
 # -- the lift ---------------------------------------------------------------------
 
 def test_lift_zero():
-    assert not lift_connection(Connection.zero(2)).components()
+    assert not lift_connection(Connection.zero(2))._lowered
+
+
+def test_lift_of_curved_base_is_rejected():
+    # the momentum family of the lift is symmetric only when the base is flat
+    curved = Connection(2, {(0, 0, 0): Poly.coordinate(2, 1)})
+    assert not is_flat(curved)
+    with pytest.raises(ValueError, match="totally symmetric"):
+        lift_connection(curved)
 
 
 def test_lift_one_dim_hand_values():
@@ -236,12 +244,21 @@ def test_spec_raise_lower_round_trip():
 
 
 def test_lifted_to_spec_round_trip():
-    conn = Connection.one_dim(Poly.coordinate(1, 0))
-    lifted = lift_connection(conn)
-    spec = SymplecticConnectionSpec.from_lifted(lifted)
-    d = 2
-    for idx in itertools.product(range(d), repeat=3):
-        assert spec.christoffel(*idx) == lifted.christoffel(*idx)
+    # the lift is a spec of weight 0 whose raised symbols lower back to it
+    for conn in (
+        Connection.one_dim(Poly.coordinate(1, 0)),
+        random_flat_connection(2, random.Random(4), cubic=True),
+    ):
+        spec = lift_connection(conn)
+        assert type(spec) is SymplecticConnectionSpec and spec.a == GaussianRational(0)
+        d = spec.dim
+        omega = symplectic_form_entries(conn.n)
+        for idx in itertools.product(range(d), repeat=3):
+            re_lowered = Poly.zero(d)
+            for (al, de), v in omega.items():
+                if al == idx[0]:
+                    re_lowered = re_lowered + spec.christoffel(de, idx[1], idx[2]).scale(v)
+            assert re_lowered == spec.lowered(*idx)
 
 
 def test_ricci_zero_for_zero_and_constant_hand_value():
@@ -281,7 +298,7 @@ def test_ricci_symmetric_for_random_specs():
 def test_f_tensor_base_case_is_symbol():
     conn = Connection.one_dim(Poly.coordinate(1, 0))
     fam = f_tensors(conn, 1)
-    assert fam[0].component(0, (0,), 0) == Poly.coordinate(1, 0)
+    assert fam == [{(0, 0, 0): Poly.coordinate(1, 0)}]
 
 
 def test_f_tensor_rank2_hand_value():
@@ -289,36 +306,37 @@ def test_f_tensor_rank2_hand_value():
     gamma = Poly.coordinate(1, 0) ** 2
     conn = Connection.one_dim(gamma)
     fam = f_tensors(conn, 2)
-    assert fam[1].component(0, (0, 0), 0) == gamma.diff_coord(0)
+    assert fam[1] == {(0, 0, 0, 0): gamma.diff_coord(0)}
 
 
 def test_f_tensors_zero_connection():
-    fam = f_tensors(Connection.zero(2), 3)
-    assert all(t.is_zero() for t in fam)
+    assert f_tensors(Connection.zero(2), 3) == [{}, {}, {}]
 
 
 def test_f_tensor_recursion_self_consistency():
-    rng = random.Random(31)
-    conn = random_flat_connection(2, rng, cubic=True)
     n = 2
-    fam = f_tensors(conn, 3)
-    for rank in (2, 3):
-        prev, this = fam[rank - 2], fam[rank - 1]
-        for l in range(n):
-            for lowers in itertools.product(range(n), repeat=rank):
-                *first, new = lowers
-                first = tuple(first)
-                for i in range(n):
-                    expect = prev.component(l, first, i).diff_coord(new)
-                    for j in range(n):
-                        expect = expect + conn.christoffel(l, new, j) * prev.component(
-                            j, first, i
-                        )
-                        for s in range(rank - 1):
-                            expect = expect - conn.christoffel(
-                                j, first[s], new
-                            ) * prev.component(l, first[:s] + (j,) + first[s + 1 :], i)
-                    assert this.component(l, lowers, i) == expect
+    zero = Poly.zero(n)
+    for conn in (random_flat_connection(2, random.Random(31), cubic=True),
+                 nontriangular_n2_connection()):
+        fam = f_tensors(conn, 3)
+        for rank in (2, 3):
+            prev, this = fam[rank - 2], fam[rank - 1]
+            assert all(not val.is_zero() for val in this.values())
+            for l in range(n):
+                for lowers in itertools.product(range(n), repeat=rank):
+                    *first, new = lowers
+                    first = tuple(first)
+                    for i in range(n):
+                        expect = prev.get((l, *first, i), zero).diff_coord(new)
+                        for j in range(n):
+                            expect = expect + conn.christoffel(l, new, j) * prev.get(
+                                (j, *first, i), zero
+                            )
+                            for s in range(rank - 1):
+                                expect = expect - conn.christoffel(
+                                    j, first[s], new
+                                ) * prev.get((l, *first[:s], j, *first[s + 1 :], i), zero)
+                        assert this.get((l, *lowers, i), zero) == expect
 
 
 # -- covariant jets -----------------------------------------------------------------
@@ -344,7 +362,7 @@ def test_rank2_jet_of_coordinates_gives_symbols():
     # momentum second jet at (bar l, i) equals the rank-1 tensor
     jets_p = covariant_jet(lifted, 2, Poly.coordinate(d, 1))
     fam = f_tensors(conn, 1)
-    assert jets_p[(1, 0)] == fam[0].component(0, (0,), 0).embed(d)
+    assert jets_p[(1, 0)] == fam[0][(0, 0, 0)].embed(d)
 
 
 def test_momentum_jet_base_components_match_tensor_formula():
@@ -359,7 +377,7 @@ def test_momentum_jet_base_components_match_tensor_formula():
     def f_comp(rank, l, lowers, i):
         if rank == 0:
             return Poly.const(n, 1) if l == i else Poly.zero(n)
-        return fam[rank - 1].component(l, lowers, i)
+        return fam[rank - 1].get((l, *lowers, i), Poly.zero(n))
 
     for rank in (2, 3):
         jets = covariant_jet(lifted, rank, Poly.coordinate(d, n))  # p_1

@@ -11,11 +11,10 @@ import pytest
 from starq.cli import build_product, parse_spec
 from starq.errors import CanonicityFailure, InvalidFrame, NonFlatConnection
 from starq.exprparse import parse_phase_poly
-from starq.equivalence import derive_equivalence
+from starq.equivalence import derive_equivalence, flat_cotangent_order2, symplectic_order2
 from starq.geometry import (
     Connection,
     SymplecticConnectionSpec,
-    f_tensors,
     flat_connection_from_diffeo,
     lift_connection,
 )
@@ -296,6 +295,12 @@ def test_natural_rejects_curved_base():
         natural_cotangent_product(curved, 2)
 
 
+def test_closed_form_rejects_curved_base():
+    curved = Connection(2, {(0, 0, 0): Poly.coordinate(2, 1)})
+    with pytest.raises(NonFlatConnection):
+        closed_form_slot_ops(curved, 2)
+
+
 def test_natural_coordinate_slots_match_closed_form(natural_q):
     conn = Connection.one_dim(Poly.coordinate(1, 0))
     for k in range(5):
@@ -357,10 +362,32 @@ def test_symplectic_zero_symbols_is_truncated_moyal():
 
 def test_symplectic_flat_lift_matches_natural():
     conn = Connection.one_dim(Poly.coordinate(1, 0))
-    spec = SymplecticConnectionSpec.from_lifted(lift_connection(conn))
+    spec = lift_connection(conn)
     assert truncated_symplectic_product(spec) == natural_cotangent_product(
         conn, 4
     ).truncate(2)
+
+
+def _bench_style_diffeo_connection():
+    # the shape bench/workloads._diffeo_connection draws: (q1, q2 + a q1^2 + b q1^3)
+    q1, q2 = Poly.coordinate(2, 0), Poly.coordinate(2, 1)
+    return flat_connection_from_diffeo(
+        [q1, q2 + (q1 ** 2).scale(gr("-3/2")) + (q1 ** 3).scale(gr("2/5"))]
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [nontriangular_n2_connection, n3_triangular_connection, _bench_style_diffeo_connection],
+    ids=["nontriangular", "n3-triangular", "bench-diffeo"],
+)
+def test_lift_as_symplectic_spec_matches_natural_order2(make):
+    # the lift's truncated product and order-2 morphism are those of the
+    # natural product of its base
+    conn = make()
+    spec = lift_connection(conn)
+    assert truncated_symplectic_product(spec) == natural_cotangent_product(conn, 2)
+    assert symplectic_order2(spec) == flat_cotangent_order2(conn)
 
 
 def test_ricci_weight_shifts_order2_term():
@@ -423,7 +450,7 @@ ROUND_TRIP_CASES = {
     "vector-field-frame": lambda: (momentum_shear_frame(), lambda f: f.fields),
     "connection": lambda: (_cubic_pullback_n2(), lambda c: c),
     "lifted-connection": lambda: (
-        lift_connection(_cubic_pullback_n2()), lambda c: (c.base, c.n, c.dim, c.components()),
+        lift_connection(_cubic_pullback_n2()), lambda s: (s.n, s.dim, s._lowered, s._raised, s.a),
     ),
     "equivalence-morphism": lambda: (
         derive_equivalence(natural_cotangent_product(Connection.one_dim(Poly.coordinate(1, 0)), 2)),
@@ -432,9 +459,6 @@ ROUND_TRIP_CASES = {
     "symplectic-connection-spec": lambda: (
         _random_spec(1, random.Random(5), gr("-3/7")),
         lambda s: (s.n, s.dim, s._lowered, s.a),
-    ),
-    "f-tensor": lambda: (
-        f_tensors(_cubic_pullback_n2(), 2)[1], lambda t: (t.n, t.rank, t._components),
     ),
 }
 
