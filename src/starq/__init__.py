@@ -11,9 +11,7 @@ from .operators import BiDiffOp, DiffOp
 from .geometry import (
     Connection,
     SymplecticConnectionSpec,
-    covariant_jet,
     curvature,
-    f_tensors,
     flat_connection_from_diffeo,
     is_flat,
     lift_connection,
@@ -24,7 +22,6 @@ from .products import (
     StarProduct,
     VectorFieldFrame,
     check_axioms,
-    closed_form_slot_ops,
     moyal_product,
     natural_cotangent_product,
     quantum_canonicity_check,
@@ -56,9 +53,7 @@ __all__ = [
     "DiffOp",
     "Connection",
     "SymplecticConnectionSpec",
-    "covariant_jet",
     "curvature",
-    "f_tensors",
     "flat_connection_from_diffeo",
     "is_flat",
     "lift_connection",
@@ -67,7 +62,6 @@ __all__ = [
     "StarProduct",
     "VectorFieldFrame",
     "check_axioms",
-    "closed_form_slot_ops",
     "moyal_product",
     "natural_cotangent_product",
     "quantum_canonicity_check",

@@ -5,7 +5,8 @@ configuration space.  Every connection on the 2n-dimensional phase space
 is a `SymplecticConnectionSpec`: fully lowered, totally symmetric
 symbols, raised once by the canonical Poisson matrix.  `lift_connection`
 writes the lift of a flat base connection straight into lowered symbols;
-the lift of a curved base is not totally symmetric and is rejected.
+it is the one flatness check of the natural product, and rejects a
+curved base with NonFlatConnection before it builds anything.
 
 Index layout on phase space: coordinates 0..n-1 are the configuration
 directions, n..2n-1 the conjugate momentum directions (the momentum
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Tuple
 
-from .errors import DimensionMismatch, OperatorOrderExceeded
+from .errors import DimensionMismatch, NonFlatConnection, OperatorOrderExceeded
 from .operators import MAX_OP_ORDER, DiffOp, _Hits, _acc_scaled, _acc_shifted
 from .poly import MultiIndex, Poly
 from .scalars import GaussianRational, ONE
@@ -248,9 +249,15 @@ def lift_connection(conn: Connection) -> SymplecticConnectionSpec:
             - Gamma^r_(jk) Gamma^l_(ri) - Gamma^r_(ik) Gamma^l_(rj)),
 
     which is symmetric in (i, k) exactly when the base curvature vanishes.
-    So the lift of a curved base fails the total-symmetry check of
-    `SymplecticConnectionSpec` with ValueError.
+    So a curved base, whose lift would not be totally symmetric, is
+    rejected up front with NonFlatConnection.
     """
+    riem = curvature(conn)
+    if riem:
+        raise NonFlatConnection(
+            f"the base connection is curved ({len(riem)} nonzero curvature components);"
+            " the lift needs a flat one"
+        )
     n = conn.n
     d = 2 * n
     gamma = conn.components()
@@ -418,55 +425,3 @@ def _jet_stepper(conn, canon: Callable[[Tuple[int, ...]], Tuple[int, ...]]):
         return DiffOp._from_raw(d, acc)
 
     return step
-
-
-def covariant_jet(conn, rank: int, f: Poly) -> Dict[Tuple[int, ...], Poly]:
-    """Components of the rank-k iterated covariant derivative of f."""
-    if f.dim != conn.dim:
-        raise DimensionMismatch("function does not live on the connection's space")
-    return {idx: op.apply(f) for idx, op in covariant_jet_ops(conn, rank).items()}
-
-
-# ---------------------------------------------------------------------------
-# recursive momentum-jet tensors
-# ---------------------------------------------------------------------------
-
-def f_tensors(conn: Connection, max_rank: int) -> List[Dict[Tuple[int, ...], Poly]]:
-    """The tensor family of ranks 1..max_rank for a base connection, one
-    dict per rank.
-
-    A rank-k component carries one upper index, k ordered lower indices
-    and one trailing lower index, keyed `(l, *lowers, i)`; zero components
-    are left out.  Rank 1 is the connection symbol itself, and rank k is
-
-        f^l_(lowers, i_new, i) = d_(i_new) f^l_(lowers, i)
-            + Gamma^l_(i_new j) f^j_(lowers, i)
-            - sum over slots s of Gamma^j_(lowers_s i_new) f^l_(lowers with lowers_s = j, i).
-    """
-    if max_rank < 1:
-        raise ValueError("max_rank must be at least 1")
-    n = conn.n
-    zero = Poly.zero(n)
-    out = [conn.components()]
-    for rank in range(2, max_rank + 1):
-        prev = out[-1]
-        comps: Dict[Tuple[int, ...], Poly] = {}
-        for l in range(n):
-            for lowers in itertools.product(range(n), repeat=rank):
-                *first, i_new = lowers
-                first = tuple(first)
-                for i in range(n):
-                    val = prev.get((l, *first, i), zero).diff_coord(i_new)
-                    for j in range(n):
-                        sym = conn.christoffel(l, i_new, j)
-                        if not sym.is_zero():
-                            val = val + sym * prev.get((j, *first, i), zero)
-                        for s in range(rank - 1):
-                            drop = conn.christoffel(j, first[s], i_new)
-                            if not drop.is_zero():
-                                replaced = first[:s] + (j,) + first[s + 1:]
-                                val = val - drop * prev.get((l, *replaced, i), zero)
-                    if not val.is_zero():
-                        comps[(l, *lowers, i)] = val
-        out.append(comps)
-    return out

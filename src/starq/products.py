@@ -29,23 +29,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import factorial
 from typing import Callable, Dict, List, Tuple
 
-from .errors import (
-    CanonicityFailure,
-    DimensionMismatch,
-    InvalidFrame,
-    NonFlatConnection,
-    OrderMismatch,
-)
+from .errors import CanonicityFailure, DimensionMismatch, InvalidFrame, OrderMismatch
 from .geometry import (
     Connection,
     SymplecticConnectionSpec,
     canonical_poisson_entries,
-    f_tensors,
-    is_flat,
     lift_connection,
     ricci,
     symmetric_jet_ops,
@@ -406,10 +396,9 @@ def natural_cotangent_product(conn: Connection, order: int) -> StarProduct:
 
     Order k pairs the rank-k covariant jets of both arguments through k
     copies of the canonical Poisson tensor.  Associativity requires the
-    base connection to be flat, so curvature is rejected up front.
+    base connection to be flat; `lift_connection` rejects curvature
+    (NonFlatConnection) before anything is built.
     """
-    if not is_flat(conn):
-        raise NonFlatConnection("the natural product needs a flat base connection")
     lifted = lift_connection(conn)
     p = PoissonTensor.canonical(conn.n, 0)
     C = _pairing_product(p, symmetric_jet_ops(lifted, order).__getitem__, order)
@@ -436,105 +425,6 @@ def truncated_symplectic_product(spec: SymplecticConnectionSpec) -> StarProduct:
         acc[(MultiIndex.unit(nu1), MultiIndex.unit(nu2))] = ric_comp.scale(weight * v1 * v2)
     C[2] = C[2] + BiDiffOp(d, acc)
     return StarProduct(p, C)
-
-
-# ---------------------------------------------------------------------------
-# closed-form coordinate slots of the natural product
-# ---------------------------------------------------------------------------
-
-def closed_form_slot_ops(conn: Connection, k: int) -> Dict[int, DiffOp]:
-    """The operators f -> C_k(x^alpha, f) of the natural product, in closed
-    form, for every phase-space coordinate alpha.
-
-    Configuration slots need only the rank-k base jets of the coordinate
-    functions, read from the sorted-index table `symmetric_jet_ops`,
-    which is the covariant jet because the base is flat (a curved base
-    raises NonFlatConnection).  Momentum slots are assembled from the
-    recursive tensor family `f_tensors`, with the rank-0 component
-    f^l_i = delta^l_i.  This is an independent route to the same
-    operators that `natural_cotangent_product` produces, used for
-    cross-validation.
-    """
-    if not is_flat(conn):
-        raise NonFlatConnection("the closed form needs a flat base connection")
-    n = conn.n
-    d = 2 * n
-    out: Dict[int, DiffOp] = {}
-    if k == 0:
-        for alpha in range(d):
-            out[alpha] = DiffOp.multiplication(Poly.coordinate(d, alpha))
-        return out
-
-    half_i_k = HALF_I ** k
-    inv_kfact = GaussianRational(Fraction(1, factorial(k)))
-    inv_km1fact = GaussianRational(Fraction(1, factorial(k - 1)))
-
-    base_jets = symmetric_jet_ops(conn, k)
-    for i in range(n):
-        qi = Poly.coordinate(n, i)
-        acc: Dict[MultiIndex, Poly] = {}
-        for idx in itertools.product(range(n), repeat=k):
-            comp = base_jets[tuple(sorted(idx))].apply(qi)
-            if comp.is_zero():
-                continue
-            deriv = MultiIndex.of(*(n + j for j in idx))
-            _acc_poly(acc, deriv, comp.embed(d).scale(half_i_k * inv_kfact))
-        out[i] = DiffOp(d, acc)
-
-    family = f_tensors(conn, k)
-    zero, one = Poly.zero(n), Poly.const(n, 1)
-
-    def tensors(rank: int, l: int, lowers: Tuple[int, ...], i: int) -> Poly:
-        if rank == 0:
-            return one if l == i else zero
-        return family[rank - 1].get((l, *lowers, i), zero)
-
-    for i in range(n):
-        acc = {}
-        # p_l d^k/dp^k part
-        for lowers in itertools.product(range(n), repeat=k):
-            for l in range(n):
-                head = tensors(k, l, lowers, i)
-                last = lowers[-1]
-                sub = Poly.zero(n)
-                for j in range(n):
-                    sym = conn.christoffel(l, j, last)
-                    if not sym.is_zero():
-                        sub = sub + sym * tensors(k - 1, j, lowers[:-1], i)
-                total = head - sub.scale(k)
-                if total.is_zero():
-                    continue
-                coeff = (Poly.coordinate(d, n + l) * total.embed(d)).scale(
-                    half_i_k * inv_kfact
-                )
-                _acc_poly(acc, MultiIndex.of(*(n + j for j in lowers)), coeff)
-        # -f^l d_q^l d_p^(k-1) part and trailing d_p^(k-1) part
-        for lowers in itertools.product(range(n), repeat=k - 1):
-            for l in range(n):
-                val = tensors(k - 1, l, lowers, i)
-                if not val.is_zero():
-                    deriv = MultiIndex.of(l, *(n + j for j in lowers))
-                    _acc_poly(
-                        acc,
-                        deriv,
-                        val.embed(d).scale(half_i_k * inv_km1fact).scale(-1),
-                    )
-            tail = Poly.zero(n)
-            for l in range(n):
-                tail = tail + tensors(k, l, lowers + (l,), i)
-                tail = tail - tensors(k - 1, l, lowers, i).diff_coord(l)
-                for j in range(n):
-                    sym = conn.christoffel(l, l, j)
-                    if not sym.is_zero():
-                        tail = tail - sym * tensors(k - 1, j, lowers, i)
-            if not tail.is_zero():
-                _acc_poly(
-                    acc,
-                    MultiIndex.of(*(n + j for j in lowers)),
-                    tail.embed(d).scale(half_i_k * inv_km1fact),
-                )
-        out[n + i] = DiffOp(d, acc)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,16 @@ not one of each mirror pair.  The `oracle_*_json` functions are the JSON
 codecs as written before serialization sorted once per operator and
 formatted each part from the stored integers; they gate the codecs on
 byte identity.
+
+The flat-chart oracle (`chart_mismatches`, with `inverse_jacobian` and
+`cotangent_chart`) checks the natural product of a pulled-back flat
+connection against the Moyal product itself: for a polynomial map phi
+with det Dphi = 1 and its cotangent lift Phi(q, p) = (phi(q),
+Dphi(q)^-T p), every C_k(Phi*u, Phi*v) must equal Phi*(M_k(u, v)), with
+Dphi^-1 taken as the adjugate so that every pull-back is a polynomial.
+`closed_form_slot_ops` and the tensor family `f_tensors` it reads are the
+closed-form coordinate slots of the natural product, a second route to
+`C_k.slot_fix(alpha)` that the library no longer carries.
 """
 
 import itertools
@@ -33,7 +43,15 @@ from typing import Dict, Tuple
 
 import sympy as sp
 
-from starq.geometry import Connection, flat_connection_from_diffeo, lift_connection, ricci
+from starq.errors import NonFlatConnection
+from starq.geometry import (
+    Connection,
+    flat_connection_from_diffeo,
+    is_flat,
+    lift_connection,
+    ricci,
+    symmetric_jet_ops,
+)
 from starq.operators import BiDiffOp, DiffOp, _acc_poly
 from starq.poly import MultiIndex, Poly
 from starq.products import CheckEntry, CheckReport, PoissonTensor, monomials_up_to, moyal_product
@@ -148,20 +166,134 @@ def christoffel_oracle(targets, syms):
     return gamma
 
 
+def nontriangular_n2_map():
+    """(q0 + (q1 + q0^2)^2, q1 + q0^2): det Dphi = 1, not triangular."""
+    q0, q1 = Poly.coordinate(2, 0), Poly.coordinate(2, 1)
+    inner = q1 + q0 ** 2
+    return [q0 + inner ** 2, inner]
+
+
 def nontriangular_n2_connection():
-    """A flat n = 2 connection that no triangular map pulls back: its
-    symbol matrices are not simultaneously nilpotent, so trace terms such
-    as G(i,l,a) G(l,i,b) contribute."""
-    q1, q2 = sp.symbols("q1 q2")
-    gamma = christoffel_oracle([q1 + (q2 + q1 ** 2) ** 2, q2 + q1 ** 2], [q1, q2])
-    return Connection(2, {key: sympy_to_poly(expr, [q1, q2]) for key, expr in gamma.items()})
+    """A flat n = 2 connection that no triangular map pulls back, the
+    sympy pull-back along `nontriangular_n2_map`: its symbol matrices are
+    not simultaneously nilpotent, so trace terms such as
+    G(i,l,a) G(l,i,b) contribute."""
+    syms = sp.symbols("q1 q2")
+    gamma = christoffel_oracle([poly_to_sympy(t, syms) for t in nontriangular_n2_map()], syms)
+    return Connection(2, {key: sympy_to_poly(expr, syms) for key, expr in gamma.items()})
+
+
+def n3_triangular_map():
+    """(q0, q1 + q0^2, q2 + q1^2 + q0^3)."""
+    x0, x1, x2 = (Poly.coordinate(3, j) for j in range(3))
+    return [x0, x1 + x0 ** 2, x2 + x1 ** 2 + x0 ** 3]
 
 
 def n3_triangular_connection():
-    """The flat n = 3 connection pulled back along
-    (q0, q1 + q0^2, q2 + q1^2 + q0^3)."""
-    x0, x1, x2 = (Poly.coordinate(3, j) for j in range(3))
-    return flat_connection_from_diffeo([x0, x1 + x0 ** 2, x2 + x1 ** 2 + x0 ** 3])
+    """The flat n = 3 connection pulled back along `n3_triangular_map`."""
+    return flat_connection_from_diffeo(n3_triangular_map())
+
+
+def random_triangular_map(n, rng, cubic=False):
+    """A triangular polynomial map with random lower-triangular parts:
+    component a is q_a plus c q_b^2 (and, when `cubic`, c' q_b^3) for each
+    earlier b."""
+    targets = []
+    for a in range(n):
+        t = Poly.coordinate(n, a)
+        for b in range(a):
+            c1 = rng.randint(-2, 2)
+            if c1:
+                t = t + (Poly.coordinate(n, b) ** 2).scale(c1)
+            if cubic:
+                c2 = rng.randint(-1, 1)
+                if c2:
+                    t = t + (Poly.coordinate(n, b) ** 3).scale(c2)
+        targets.append(t)
+    return targets
+
+
+# -- the flat-chart oracle ----------------------------------------------------------------
+
+
+def determinant(rows, dim):
+    """Laplace expansion along the first row of a square matrix of
+    polynomials on R^dim; the empty matrix has determinant 1."""
+    if not rows:
+        return Poly.const(dim, 1)
+    acc = Poly.zero(dim)
+    for c, entry in enumerate(rows[0]):
+        if not entry.is_zero():
+            term = entry * determinant([row[:c] + row[c + 1:] for row in rows[1:]], dim)
+            acc = acc + term if c % 2 == 0 else acc - term
+    return acc
+
+
+def inverse_jacobian(phi):
+    """Dphi^-1 of a polynomial map with det Dphi = 1, as the adjugate of
+    Dphi: entry (a, b) is the (b, a) cofactor."""
+    n = len(phi)
+    jac = [[phi[a].diff_coord(b) for b in range(n)] for a in range(n)]
+    assert determinant(jac, n) == Poly.const(n, 1), "the map must have det Dphi = 1"
+
+    def cofactor(r, c):
+        minor = [row[:c] + row[c + 1:] for i, row in enumerate(jac) if i != r]
+        det = determinant(minor, n)
+        return det if (r + c) % 2 == 0 else -det
+
+    return [[cofactor(b, a) for b in range(n)] for a in range(n)]
+
+
+def cotangent_chart(phi, inv):
+    """The 2n components of Phi(q, p) = (phi(q), inv^T p) on phase space:
+    momentum component j is sum_i inv[i][j] p_i.  With
+    inv = inverse_jacobian(phi) this is the cotangent lift of phi, whose
+    momenta are Dphi^-T p."""
+    n = len(phi)
+    d = 2 * n
+    momenta = [
+        sum((Poly.coordinate(d, n + i) * inv[i][j].embed(d) for i in range(n)), Poly.zero(d))
+        for j in range(n)
+    ]
+    return [t.embed(d) for t in phi] + momenta
+
+
+def chart_mismatches(product, chart, max_degree):
+    """(k, u, v) for every order k <= product.order and every pair of
+    monomials u, v of total degree <= max_degree with
+
+        C_k(Phi*u, Phi*v) != Phi*(M_k(u, v)),
+
+    where C is the product under test, M the Moyal product and Phi* the
+    substitution of the chart's components for the coordinates.  Empty
+    exactly when, on that basis, the product is Moyal pulled back along
+    the chart.  Pulled-back monomials are memoised, one product with a
+    chart component each.
+    """
+    d = product.dim
+    moyal = moyal_product(PoissonTensor.canonical(d // 2), product.order)
+    pulled = {MultiIndex({}): Poly.const(d, 1)}
+
+    def pull_monomial(m):
+        if m not in pulled:
+            c = m.max_coord()
+            pulled[m] = pull_monomial(m.decrement(c)) * chart[c]
+        return pulled[m]
+
+    def pull(poly):
+        return sum((pull_monomial(m).scale(c) for m, c in poly.terms()), Poly.zero(d))
+
+    basis = monomials_up_to(d, max_degree)
+    out = []
+    for u, v in itertools.product(basis, repeat=2):
+        if u.degree + v.degree > max_degree:
+            continue
+        fu, fv = pull_monomial(u), pull_monomial(v)
+        mu, mv = Poly.monomial(d, u), Poly.monomial(d, v)
+        for k in range(product.order + 1):
+            if product.C[k].apply(fu, fv) != pull(moyal.C[k].apply(mu, mv)):
+                out.append((k, u, v))
+    return out
 
 
 def ordered_pairing_operators(p, jets, order):
@@ -790,6 +922,144 @@ def rearrangement_loop_order4(conn, cycl_mode="permutations"):
                 )
 
     return DiffOp(d, acc)
+
+
+# -- the closed-form slot route ---------------------------------------------------------
+
+
+def f_tensors(conn, max_rank):
+    """The tensor family of ranks 1..max_rank for a base connection, one
+    dict per rank.
+
+    A rank-k component carries one upper index, k ordered lower indices
+    and one trailing lower index, keyed `(l, *lowers, i)`; zero components
+    are left out.  Rank 1 is the connection symbol itself, and rank k is
+
+        f^l_(lowers, i_new, i) = d_(i_new) f^l_(lowers, i)
+            + Gamma^l_(i_new j) f^j_(lowers, i)
+            - sum over slots s of Gamma^j_(lowers_s i_new) f^l_(lowers with lowers_s = j, i).
+    """
+    if max_rank < 1:
+        raise ValueError("max_rank must be at least 1")
+    n = conn.n
+    zero = Poly.zero(n)
+    out = [conn.components()]
+    for rank in range(2, max_rank + 1):
+        prev = out[-1]
+        comps: Dict[Tuple[int, ...], Poly] = {}
+        for l in range(n):
+            for lowers in itertools.product(range(n), repeat=rank):
+                *first, i_new = lowers
+                first = tuple(first)
+                for i in range(n):
+                    val = prev.get((l, *first, i), zero).diff_coord(i_new)
+                    for j in range(n):
+                        sym = conn.christoffel(l, i_new, j)
+                        if not sym.is_zero():
+                            val = val + sym * prev.get((j, *first, i), zero)
+                        for s in range(rank - 1):
+                            drop = conn.christoffel(j, first[s], i_new)
+                            if not drop.is_zero():
+                                replaced = first[:s] + (j,) + first[s + 1:]
+                                val = val - drop * prev.get((l, *replaced, i), zero)
+                    if not val.is_zero():
+                        comps[(l, *lowers, i)] = val
+        out.append(comps)
+    return out
+
+
+def closed_form_slot_ops(conn, k):
+    """The operators f -> C_k(x^alpha, f) of the natural product, in closed
+    form, for every phase-space coordinate alpha.
+
+    Configuration slots need only the rank-k base jets of the coordinate
+    functions, read from the sorted-index table `symmetric_jet_ops`,
+    which is the covariant jet because the base is flat (a curved base
+    raises NonFlatConnection).  Momentum slots are assembled from the
+    recursive tensor family `f_tensors`, with the rank-0 component
+    f^l_i = delta^l_i.  This is a second route to the operators
+    C_k.slot_fix(alpha) of `natural_cotangent_product`.
+    """
+    if not is_flat(conn):
+        raise NonFlatConnection("the closed form needs a flat base connection")
+    n = conn.n
+    d = 2 * n
+    out: Dict[int, DiffOp] = {}
+    if k == 0:
+        for alpha in range(d):
+            out[alpha] = DiffOp.multiplication(Poly.coordinate(d, alpha))
+        return out
+
+    half_i_k = HALF_I ** k
+    inv_kfact = GaussianRational(Fraction(1, factorial(k)))
+    inv_km1fact = GaussianRational(Fraction(1, factorial(k - 1)))
+
+    base_jets = symmetric_jet_ops(conn, k)
+    for i in range(n):
+        qi = Poly.coordinate(n, i)
+        acc: Dict[MultiIndex, Poly] = {}
+        for idx in itertools.product(range(n), repeat=k):
+            comp = base_jets[tuple(sorted(idx))].apply(qi)
+            if comp.is_zero():
+                continue
+            deriv = MultiIndex.of(*(n + j for j in idx))
+            _acc_poly(acc, deriv, comp.embed(d).scale(half_i_k * inv_kfact))
+        out[i] = DiffOp(d, acc)
+
+    family = f_tensors(conn, k)
+    zero, one = Poly.zero(n), Poly.const(n, 1)
+
+    def tensors(rank: int, l: int, lowers: Tuple[int, ...], i: int) -> Poly:
+        if rank == 0:
+            return one if l == i else zero
+        return family[rank - 1].get((l, *lowers, i), zero)
+
+    for i in range(n):
+        acc = {}
+        # p_l d^k/dp^k part
+        for lowers in itertools.product(range(n), repeat=k):
+            for l in range(n):
+                head = tensors(k, l, lowers, i)
+                last = lowers[-1]
+                sub = Poly.zero(n)
+                for j in range(n):
+                    sym = conn.christoffel(l, j, last)
+                    if not sym.is_zero():
+                        sub = sub + sym * tensors(k - 1, j, lowers[:-1], i)
+                total = head - sub.scale(k)
+                if total.is_zero():
+                    continue
+                coeff = (Poly.coordinate(d, n + l) * total.embed(d)).scale(
+                    half_i_k * inv_kfact
+                )
+                _acc_poly(acc, MultiIndex.of(*(n + j for j in lowers)), coeff)
+        # -f^l d_q^l d_p^(k-1) part and trailing d_p^(k-1) part
+        for lowers in itertools.product(range(n), repeat=k - 1):
+            for l in range(n):
+                val = tensors(k - 1, l, lowers, i)
+                if not val.is_zero():
+                    deriv = MultiIndex.of(l, *(n + j for j in lowers))
+                    _acc_poly(
+                        acc,
+                        deriv,
+                        val.embed(d).scale(half_i_k * inv_km1fact).scale(-1),
+                    )
+            tail = Poly.zero(n)
+            for l in range(n):
+                tail = tail + tensors(k, l, lowers + (l,), i)
+                tail = tail - tensors(k - 1, l, lowers, i).diff_coord(l)
+                for j in range(n):
+                    sym = conn.christoffel(l, l, j)
+                    if not sym.is_zero():
+                        tail = tail - sym * tensors(k - 1, j, lowers, i)
+            if not tail.is_zero():
+                _acc_poly(
+                    acc,
+                    MultiIndex.of(*(n + j for j in lowers)),
+                    tail.embed(d).scale(half_i_k * inv_km1fact),
+                )
+        out[n + i] = DiffOp(d, acc)
+    return out
 
 
 # -- serialization oracles ---------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import starq.products as products
 from starq.cli import build_product, parse_spec
 from starq.errors import CanonicityFailure, InvalidFrame, NonFlatConnection
 from starq.exprparse import parse_phase_poly
@@ -28,7 +29,6 @@ from starq.products import (
     _pairing_product,
     VectorFieldFrame,
     check_axioms,
-    closed_form_slot_ops,
     monomials_up_to,
     moyal_product,
     natural_cotangent_product,
@@ -40,9 +40,15 @@ from starq.products import (
 )
 
 from helpers import (
+    chart_mismatches,
+    closed_form_slot_ops,
+    cotangent_chart,
+    inverse_jacobian,
     moyal_oracle,
     n3_triangular_connection,
+    n3_triangular_map,
     nontriangular_n2_connection,
+    nontriangular_n2_map,
     oracle_operator_json,
     oracle_product_json,
     ordered_pairing_operators,
@@ -50,6 +56,7 @@ from helpers import (
     phase_symbols,
     poisson_bracket_oracle,
     poly_to_sympy,
+    random_triangular_map,
     recursive_monomials_up_to,
     sympy_to_poly,
     term_scan_check_axioms,
@@ -317,6 +324,90 @@ def test_natural_slots_closed_form_n2():
         ops = closed_form_slot_ops(conn, k)
         for alpha in range(4):
             assert ops[alpha] == prod.C[k].slot_fix(alpha), (k, alpha)
+
+
+# -- the natural product is Moyal in the flat chart ----------------------------------------
+
+
+def _demo_n2_map():
+    """(q1, q2 + q1^2 + q1^3), the map whose pull-back is the connection of
+    demos/specs/natural_cotangent_n2.json."""
+    q1, q2 = Poly.coordinate(2, 0), Poly.coordinate(2, 1)
+    return [q1, q2 + q1 ** 2 + q1 ** 3]
+
+
+def _demo_n2_chart_case():
+    phi = _demo_n2_map()
+    conn = parse_spec(json.loads((DEMOS / "natural_cotangent_n2.json").read_text())).geometry
+    assert conn == flat_connection_from_diffeo(phi)
+    return phi, conn, 8
+
+
+def _random_chart_case(seed):
+    phi = random_triangular_map(2, random.Random(seed), cubic=True)
+    return phi, flat_connection_from_diffeo(phi), 6
+
+
+def _chart(phi):
+    return cotangent_chart(phi, inverse_jacobian(phi))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _demo_n2_chart_case,
+        lambda: (n3_triangular_map(), n3_triangular_connection(), 6),
+        lambda: (nontriangular_n2_map(), nontriangular_n2_connection(), 8),
+        lambda: _random_chart_case(2),
+        lambda: _random_chart_case(6),
+    ],
+    ids=["n2-demo-o8", "n3-triangular-o6", "nontriangular-o8", "random-n2-cubic-seed2-o6",
+         "random-n2-cubic-seed6-o6"],
+)
+def test_natural_product_is_moyal_in_the_flat_chart(case):
+    # C_k(Phi*u, Phi*v) == Phi*(M_k(u, v)) at every order, on every monomial
+    # pair of total degree <= 3
+    phi, conn, order = case()
+    assert chart_mismatches(natural_cotangent_product(conn, order), _chart(phi), 3) == []
+
+
+def test_chart_oracle_catches_a_bump_on_c3():
+    # d_q0 (x) d_p0^2 needs a linear u and a v quadratic in the momenta, so
+    # total degree 2 cannot see it and degree 3 sees it on 4 x 3 pairs
+    product = natural_cotangent_product(nontriangular_n2_connection(), 4)
+    C = list(product.C)
+    C[3] = C[3] + BiDiffOp(4, {(MultiIndex.unit(0), MultiIndex.of(2, 2)): Poly.const(4, 1)})
+    bumped = StarProduct(product.poisson, C)
+    chart = _chart(nontriangular_n2_map())
+    assert chart_mismatches(bumped, chart, 2) == []
+    mismatches = chart_mismatches(bumped, chart, 3)
+    assert len(mismatches) == 12 and {k for k, _, _ in mismatches} == {3}
+
+
+def test_chart_oracle_rejects_the_untransposed_inverse():
+    # momenta Dphi^-1 p in place of Dphi^-T p: the chart is not symplectic
+    phi = nontriangular_n2_map()
+    inv = inverse_jacobian(phi)
+    untransposed = cotangent_chart(phi, [list(row) for row in zip(*inv)])
+    product = natural_cotangent_product(nontriangular_n2_connection(), 4)
+    assert chart_mismatches(product, _chart(phi), 3) == []
+    assert chart_mismatches(product, untransposed, 3)
+
+
+def test_chart_oracle_catches_a_sign_flip_in_the_lift(monkeypatch):
+    # the momentum family lowered (i, j, k), all three indices on the base,
+    # negated: still totally symmetric, so the spec accepts it
+    def flipped(conn):
+        spec = lift_connection(conn)
+        return SymplecticConnectionSpec(
+            conn.n,
+            {key: -poly if max(key) < conn.n else poly for key, poly in spec._lowered.items()},
+        )
+
+    phi = _demo_n2_map()
+    conn = flat_connection_from_diffeo(phi)
+    monkeypatch.setattr(products, "lift_connection", flipped)
+    assert chart_mismatches(natural_cotangent_product(conn, 4), _chart(phi), 3)
 
 
 def test_natural_first_order_slot(natural_q):
