@@ -8,6 +8,10 @@ writes the lift of a flat base connection straight into lowered symbols;
 it is the one flatness check of the natural product, and rejects a
 curved base with NonFlatConnection before it builds anything.
 
+Connection and frame jets come from one step (`_jet_stepper`),
+J(t) = D_t0 o J(t[1:]) - sum Gamma J(...): D is the partials and Gamma
+the symbols for a connection, D the fields and Gamma = 0 for a frame.
+
 Index layout on phase space: coordinates 0..n-1 are the configuration
 directions, n..2n-1 the conjugate momentum directions (the momentum
 partner of base index i sits at n + i).
@@ -19,9 +23,9 @@ import itertools
 from typing import Callable, Dict, List, Tuple
 
 from .errors import DimensionMismatch, NonFlatConnection, OperatorOrderExceeded
-from .operators import MAX_OP_ORDER, DiffOp, _Hits, _acc_scaled, _acc_shifted
+from .operators import MAX_OP_ORDER, DiffOp, _acc_compose, _acc_shifted, _leibniz_splits
 from .poly import MultiIndex, Poly
-from .scalars import GaussianRational, ONE
+from .scalars import GaussianRational
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +117,8 @@ def flat_connection_from_diffeo(targets: List[Poly]) -> Connection:
     n = len(targets)
     if n == 0:
         raise ValueError("empty coordinate map")
-    for a, t in enumerate(targets):
-        if t.dim != n:
-            raise DimensionMismatch("map components must live in the base space")
+    if any(t.dim != n for t in targets):
+        raise DimensionMismatch("map components must live in the base space")
     jac = [[targets[a].diff_coord(b) for b in range(n)] for a in range(n)]
     one = Poly.const(n, 1)
     for a in range(n):
@@ -124,34 +127,22 @@ def flat_connection_from_diffeo(targets: List[Poly]) -> Connection:
         for b in range(a + 1, n):
             if not jac[a][b].is_zero():
                 raise ValueError(f"component {a} depends on later coordinate {b}: not triangular")
-    # unipotent inverse: (I + N)^-1 = sum_m (-N)^m with N strictly lower triangular
-    nil = [[jac[a][b] if a != b else Poly.zero(n) for b in range(n)] for a in range(n)]
-    inv = [[one if a == b else Poly.zero(n) for b in range(n)] for a in range(n)]
-    power = [[one if a == b else Poly.zero(n) for b in range(n)] for a in range(n)]
-    for _ in range(1, n):
-        power = [
-            [
-                sum((power[a][c] * nil[c][b] for c in range(n)), Poly.zero(n)).scale(-1)
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
-        inv = [[inv[a][b] + power[a][b] for b in range(n)] for a in range(n)]
-    gamma: Dict[Tuple[int, int, int], Poly] = {}
+    # the unipotent lower-triangular inverse by forward substitution, row
+    # by row: inv[a][b] = -sum over b <= c < a of jac[a][c] inv[c][b]
+    inv: List[List[Poly]] = []
     for a in range(n):
-        hess = [[targets[a].diff(MultiIndex.of(j, k)) for k in range(n)] for j in range(n)]
+        row = [one if b == a else Poly.zero(n) for b in range(n)]
+        for b in range(a):
+            row[b] = -sum((jac[a][c] * inv[c][b] for c in range(b, a)), Poly.zero(n))
+        inv.append(row)
+    # Gamma^i_(jk) = sum_a inv[i][a] d_j d_k targets[a]
+    gamma: Dict[Tuple[int, int, int], Poly] = {}
+    for j, k in itertools.combinations_with_replacement(range(n), 2):
+        hess = [t.diff(MultiIndex.of(j, k)) for t in targets]
         for i in range(n):
-            factor = inv[i][a]
-            if factor.is_zero():
-                continue
-            for j in range(n):
-                for k in range(j, n):
-                    contrib = factor * hess[j][k]
-                    if contrib.is_zero():
-                        continue
-                    gamma[(i, j, k)] = gamma.get((i, j, k), Poly.zero(n)) + contrib
-                    if k != j:
-                        gamma[(i, k, j)] = gamma.get((i, k, j), Poly.zero(n)) + contrib
+            gamma[(i, j, k)] = gamma[(i, k, j)] = sum(
+                (inv[i][a] * hess[a] for a in range(n)), Poly.zero(n)
+            )
     return Connection(n, gamma)
 
 
@@ -341,14 +332,12 @@ def covariant_jet_ops(conn, rank: int) -> Dict[Tuple[int, ...], DiffOp]:
 
     The recursion prepends the new index: the next jet along mu0 is the
     mu0-partial of the previous jet minus symbol contractions on each of
-    the existing slots.  Each jet is one raw step (`_jet_stepper`): its
-    terms are added into raw maps through `operators._acc_shifted` and
-    normalised once.
+    the existing slots, one raw step (`_jet_stepper`) normalised once.
     """
     if rank > MAX_OP_ORDER:
         raise OperatorOrderExceeded(f"jet rank {rank} exceeds the operator-order guard")
     d = conn.dim
-    step = _jet_stepper(conn, tuple)
+    step = _jet_stepper([DiffOp.partial(d, mu) for mu in range(d)], conn, tuple)
     jets: Dict[Tuple[int, ...], DiffOp] = {(): DiffOp.identity(d)}
     for _ in range(rank):
         jets = {(mu0,) + idx: step(jets, mu0, idx) for idx in jets for mu0 in range(d)}
@@ -368,10 +357,18 @@ def symmetric_jet_ops(conn, order: int) -> Dict[Tuple[int, ...], DiffOp]:
     replaced index tuple is looked up by its sorted form.  Without the
     precondition the table is not the covariant jet.
     """
+    d = conn.dim
+    return _sorted_jets([DiffOp.partial(d, mu) for mu in range(d)], order, conn)
+
+
+def _sorted_jets(fields: List[DiffOp], order: int, conn=None) -> Dict[Tuple[int, ...], DiffOp]:
+    """The jets of ranks 0..order keyed by sorted index tuples t, each the
+    step (`_jet_stepper`) along t[0] on t[1:] of `fields` and the symbols
+    of `conn`, or of none: a frame's compositions D_t0 o ... o D_tk."""
     if order > MAX_OP_ORDER:
         raise OperatorOrderExceeded(f"jet rank {order} exceeds the operator-order guard")
-    d = conn.dim
-    step = _jet_stepper(conn, lambda idx: tuple(sorted(idx)))
+    d = len(fields)
+    step = _jet_stepper(fields, conn, lambda idx: tuple(sorted(idx)))
     jets: Dict[Tuple[int, ...], DiffOp] = {(): DiffOp.identity(d)}
     for rank in range(1, order + 1):
         for t in itertools.combinations_with_replacement(range(d), rank):
@@ -379,44 +376,34 @@ def symmetric_jet_ops(conn, order: int) -> Dict[Tuple[int, ...], DiffOp]:
     return jets
 
 
-def _jet_stepper(conn, canon: Callable[[Tuple[int, ...]], Tuple[int, ...]]):
-    """The one step of both jet recursions, as step(jets, mu0, idx): the
+def _jet_stepper(fields: List[DiffOp], conn, canon: Callable[[Tuple[int, ...]], Tuple[int, ...]]):
+    """The one step of every jet recursion, as step(jets, mu0, idx): the
     jet along (mu0,) + idx,
 
-        d_mu0 o J(idx) - sum over slots s and lam of
+        D_mu0 o J(idx) - sum over slots s and lam of
             Gamma^lam_(mu0 idx_s) J(idx with idx_s replaced by lam),
 
-    where J(r) is jets[canon(r)].  A term c d^I of J(idx) gives
-    (d_mu0 c) d^I + c d^(I + e_mu0), with d_mu0 c read off a hit memo per
-    coordinate shared by the whole table, and each contraction adds
-    -Gamma x^m J(replaced) raw, monomial m by monomial, through
-    `_acc_shifted`; the terms go into one raw map per derivative,
-    normalised once.  The symbols are read once per stepper.
+    where D = `fields`, J(r) is jets[canon(r)] and Gamma is the symbols of
+    `conn`, none when it is None.  D_mu0 o J(idx) is added raw by the
+    Leibniz kernel of `DiffOp.compose` (`operators._acc_compose`), and
+    each contraction -Gamma x^m J(replaced) through `_acc_shifted`, into
+    one raw map per derivative, normalised once.  The fields' splits and
+    the symbols are read once per stepper.
     """
-    d = conn.dim
-    symbols: Dict[Tuple[int, int, int], Dict[MultiIndex, GaussianRational]] = {}
-    for key in itertools.product(range(d), repeat=3):
-        sym = conn.christoffel(*key)
+    d = len(fields)
+    lefts = [_leibniz_splits(field._terms) for field in fields]
+    # (mu, nu) -> (lam, -Gamma^lam_(mu nu) as a raw map) for each nonzero symbol
+    symbols: Dict[Tuple[int, int], List[Tuple[int, Dict[MultiIndex, GaussianRational]]]] = {}
+    for lam, mu, nu in itertools.product(range(d), repeat=3) if conn is not None else ():
+        sym = conn.christoffel(lam, mu, nu)
         if sym._terms:
-            symbols[key] = {m: -c for m, c in sym._terms.items()}
-    units = [MultiIndex.unit(mu) for mu in range(d)]
-    partials = [_Hits((unit,)) for unit in units]
+            symbols.setdefault((mu, nu), []).append((lam, {m: -c for m, c in sym._terms.items()}))
 
     def step(jets, mu0: int, idx: Tuple[int, ...]) -> DiffOp:
         acc: Dict[MultiIndex, Dict[MultiIndex, GaussianRational]] = {}
-        raise_mu0, partial = units[mu0].sum_table(), partials[mu0]
-        for mi, coeff in jets[idx]._terms.items():
-            _acc_scaled(acc.setdefault(raise_mu0[mi], {}), coeff._terms, ONE)
-            here = acc.setdefault(mi, {})
-            for m, c in coeff._terms.items():
-                for _, rest, e in partial[m]:
-                    v = c if e == 1 else c * e
-                    here[rest] = here[rest] + v if rest in here else v
+        _acc_compose(acc, lefts[mu0], jets[idx]._terms)
         for s, mus in enumerate(idx):
-            for lam in range(d):
-                sym = symbols.get((lam, mu0, mus))
-                if sym is None:
-                    continue
+            for lam, sym in symbols.get((mu0, mus), ()):
                 replaced = jets[canon(idx[:s] + (lam,) + idx[s + 1:])]
                 for mi, coeff in replaced._terms.items():
                     target = acc.setdefault(mi, {})

@@ -27,14 +27,14 @@ bilinear sum of that over their monomials.  Sums are kept in one raw
 term map and normalised once, so the result does not depend on the
 summation order.
 
-The same kernel builds operators.  `compose` and the product builders
-(the jet step of `geometry`, the pairing of `products`) add raw term
-maps through `_acc_shifted`, one map per derivative key, and make the
-operator once with `_from_raw`, which normalises each map; no
-intermediate `Poly` or operator is made per term.  Every index sum in
-these kernels (x^m times x^shift, the two rests of a pair of hits, a
-Leibniz remainder plus a right derivative) is read from the sum tables
-of `poly.MultiIndex`.
+The same kernel builds operators.  `compose` and the jet step of
+`geometry` share one Leibniz kernel (`_acc_compose`); it, the jet step's
+symbol contractions and the pairing of `products` add raw term maps
+through `_acc_shifted`, one map per derivative key, and make the
+operator once with `_from_raw`, which normalises each map.  Every index
+sum in these kernels (x^m times x^shift, the two rests of a pair of
+hits, a Leibniz remainder plus a right derivative) is read from the sum
+tables of `poly.MultiIndex`.
 """
 
 from __future__ import annotations
@@ -249,32 +249,12 @@ class DiffOp(_NormalForm):
         return _nonzero_poly(self.dim, acc)
 
     def compose(self, other: "DiffOp") -> "DiffOp":
-        """Normal form of self applied after `other` (generalized Leibniz).
-
-        A term a d^I after b d^J gives the sum over K <= I of
-        binom(I, K) a (d^K b) d^(I-K+J).  The splits (K, I - K, binom(I, K))
-        of each left term are listed once, and the hits (K, m - K, (m)_K)
-        of each monomial m of b are found once per left term, as in
-        `apply`; each hit adds binom(I, K) (m)_K b_m x^(m-K) a raw into
-        the map of its output derivative I - K + J.
-        """
+        """Normal form of self applied after `other` (generalized Leibniz,
+        `_acc_compose`)."""
         if other.dim != self.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
         acc: Dict[MultiIndex, Dict[MultiIndex, GaussianRational]] = {}
-        for i_idx, a in self._terms.items():
-            splits = {k: (rest.sum_table(), i_idx.binomial(k))
-                      for k, rest, _ in i_idx.divisors().values()}
-            hits = _Hits(splits)
-            a_terms = a._terms
-            for j_idx, b in other._terms.items():
-                maps = {k: (acc.setdefault(sums[j_idx], {}), mult)
-                        for k, (sums, mult) in splits.items()}
-                for m, cb in b._terms.items():
-                    for k_idx, shift, fall in hits[m]:
-                        target, mult = maps[k_idx]
-                        w = fall * mult
-                        c = cb if w == 1 else cb * w
-                        _acc_shifted(target, a_terms, shift, None if c is ONE else c)
+        _acc_compose(acc, _leibniz_splits(self._terms), other._terms)
         return DiffOp._from_raw(self.dim, acc)
 
     def commutator_with_coordinate(self, coord: int) -> "DiffOp":
@@ -488,13 +468,43 @@ class _Hits(dict):
         return hits
 
 
+def _leibniz_splits(left: dict) -> list:
+    """For each term a d^I of a `DiffOp` term map, for `_acc_compose`: the
+    raw map of a, its splits K -> (sum table of I - K, binom(I, K)) over
+    K <= I, and a hit memo over those K (`_Hits`)."""
+    out = []
+    for i_idx, a in left.items():
+        splits = {k: (rest.sum_table(), i_idx.binomial(k))
+                  for k, rest, _ in i_idx.divisors().values()}
+        out.append((a._terms, splits, _Hits(splits)))
+    return out
+
+
+def _acc_compose(acc: dict, left: list, right: dict) -> None:
+    """Add the terms of left o right into `acc` (derivative index -> raw
+    term map), `left` as `_leibniz_splits` lists it, `right` a term map:
+    a d^I after b d^J adds binom(I, K) (m)_K b_m x^(m-K) a into the map of
+    d^(I-K+J) for each hit (K, m - K, (m)_K) of each monomial m of b, read
+    off the memo of the left term as in `apply`."""
+    for a_terms, splits, hits in left:
+        for j_idx, b in right.items():
+            maps = {k: (acc.setdefault(sums[j_idx], {}), mult)
+                    for k, (sums, mult) in splits.items()}
+            for m, cb in b._terms.items():
+                for k_idx, shift, fall in hits[m]:
+                    target, mult = maps[k_idx]
+                    w = fall * mult
+                    c = cb if w == 1 else cb * w
+                    _acc_shifted(target, a_terms, shift, None if c is ONE else c)
+
+
 def _acc_shifted(acc: dict, terms: dict, shift: MultiIndex, c=None):
     """Add c x^shift times a raw term map into `acc`, or x^shift times the
     map when c is None (zeros left in place).  A constant map is added
     at `shift` itself, without filling its sum table."""
     if len(terms) == 1 and EMPTY_INDEX in terms:
         t = terms[EMPTY_INDEX]
-        v = t if c is None else t * c
+        v = t if c is None else c if t is ONE else t * c
         acc[shift] = acc[shift] + v if shift in acc else v
         return
     sums = shift.sum_table()

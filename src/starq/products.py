@@ -6,35 +6,38 @@ natural product of a flat cotangent bundle built from iterated covariant
 derivatives, and the order-2 product of a general symplectic connection
 with a Ricci-weight parameter.  All four share one pairing,
 `_pairing_product`: C_k contracts k copies of the Poisson tensor with
-rank-k jets of both factors, and the constructors differ only in the jet
-source (partials, composed frame fields, a sorted-index table of
-covariant jets).  Every jet source is symmetric in its indices --
-partials and the validated frame fields commute, a flat torsion-free
-lift has fully symmetric jets, and rank-2 jets of any torsion-free
-connection are symmetric -- so the pairing sums once per multiset of
-Poisson entries with multinomial weights and equals the ordered sum
-exactly.  The tensor is antisymmetric, so the mirror of a multiset (each
-entry (mu, nu, v) taken to (nu, mu, -v)) contributes (-1)^k times the
-slot swap of its term, whatever the jets: the pairing builds only one
-multiset of each mirror pair and adds the swapped term from it, which
-gives C_k(g, f) = (-1)^k C_k(f, g) term by term.  `check_axioms` and
-`quantum_canonicity_check` validate any product against the defining
-conditions on a degree-bounded monomial basis, which is exact because
-all operators involved have finite order and polynomial coefficients.
-Every truncated product of hbar-series, `StarProduct.apply` and those
-of both checks, is evaluated by one kernel, `_PairTable.add_star`.
+rank-k jets of both factors, read from one table keyed by sorted index
+tuples, and the constructors differ only in that table (the partials for
+Moyal; the frame's compositions and the covariant jets, both from the
+one jet recursion of `geometry`).  Every jet table is symmetric in its
+indices -- partials and the validated frame fields commute, a flat
+torsion-free lift has fully symmetric jets, and rank-2 jets of any
+torsion-free connection are symmetric -- so the pairing sums once per
+multiset of Poisson entries with multinomial weights and equals the
+ordered sum exactly.  The tensor is antisymmetric, so the mirror of a
+multiset (each entry (mu, nu, v) taken to (nu, mu, -v)) contributes
+(-1)^k times the slot swap of its term, whatever the jets: the pairing
+builds only one multiset of each mirror pair and adds the swapped term
+from it, which gives C_k(g, f) = (-1)^k C_k(f, g) term by term.
+`check_axioms` and `quantum_canonicity_check` validate any product
+against the defining conditions on a degree-bounded monomial basis,
+which is exact because all operators involved have finite order and
+polynomial coefficients.  Every truncated product of hbar-series,
+`StarProduct.apply` and those of both checks, is evaluated by one
+kernel, `_PairTable.add_star`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import CanonicityFailure, DimensionMismatch, InvalidFrame, OrderMismatch
 from .geometry import (
     Connection,
     SymplecticConnectionSpec,
+    _sorted_jets,
     canonical_poisson_entries,
     lift_connection,
     ricci,
@@ -59,7 +62,8 @@ from .series import HbarSeries
 # ---------------------------------------------------------------------------
 
 class PoissonTensor:
-    """Antisymmetric bivector with polynomial components on R^d, d = 2n + k."""
+    """Constant antisymmetric bivector on R^d, d = 2n + k, as in quantum
+    canonical coordinates; each component is a constant `Poly`."""
 
     __slots__ = ("n", "casimir", "dim", "_entries")
 
@@ -71,6 +75,8 @@ class PoissonTensor:
                 raise DimensionMismatch("Poisson index out of range")
             if poly.dim != d:
                 raise DimensionMismatch("Poisson component has wrong dimension")
+            if not poly.is_constant():
+                raise ValueError("Poisson tensor components must be constant")
             if not poly.is_zero():
                 clean[(mu, nu)] = poly
         for (mu, nu), poly in clean.items():
@@ -100,13 +106,8 @@ class PoissonTensor:
     def entry(self, mu: int, nu: int) -> Poly:
         return self._entries.get((mu, nu), Poly.zero(self.dim))
 
-    def is_constant(self) -> bool:
-        return all(p.is_constant() for p in self._entries.values())
-
     def constant_entries(self) -> List[Tuple[int, int, GaussianRational]]:
-        """Nonzero entries as scalars; requires a constant tensor."""
-        if not self.is_constant():
-            raise ValueError("Poisson tensor is not constant")
+        """Nonzero entries (mu, nu, value) as scalars, sorted."""
         return sorted(
             (mu, nu, poly.constant_term()) for (mu, nu), poly in self._entries.items()
         )
@@ -281,15 +282,15 @@ class StarProduct:
 
 def _pairing_product(
     p: PoissonTensor,
-    jet: Callable[[Tuple[int, ...]], DiffOp],
+    jets: Dict[Tuple[int, ...], DiffOp],
     order: int,
 ) -> List[BiDiffOp]:
     """Operators C_0..C_order with C_k the k-fold Poisson pairing of jets.
 
     C_k = (i/2)^k / k! sum over ordered k-tuples of Poisson entries of
     prod P^(mu_e nu_e) J(mu_1..mu_k) (x) J(nu_1..nu_k), where the one
-    lookup `jet` maps a sorted index tuple of any rank 1..order to its
-    jet operator J, memoised for the order.  Every jet source fed here is
+    table `jets` maps a sorted index tuple of any rank 1..order to its
+    jet operator J.  Every jet table fed here is
     symmetric in its indices, so all orderings of one multiset of entries
     give the same term: the sum visits each multiset M once with weight
     w(M) = (i/2)^k prod v_e / prod m_e!, which is (i/2)^k / k! times its
@@ -304,12 +305,11 @@ def _pairing_product(
     other adds it into `half`, and each normalised coefficient P of
     `half` at (left, right) is added there and, times (-1)^k, at
     (right, left).  The argument needs a constant antisymmetric tensor
-    and the same lookup `jet` in both slots, not symmetric jets.
+    and the same table `jets` in both slots, not symmetric jets.
 
     Each left coefficient is scaled by the weight once per multiset, and
-    each of its monomials times a right coefficient is added raw into
-    the map of the key (left, right) through `_acc_shifted`; every map
-    is normalised once.
+    its monomials times each right coefficient are added raw into the
+    map of (left, right) through `_acc_shifted`, normalised once.
     """
     d = p.dim
     entries = p.constant_entries()
@@ -317,8 +317,6 @@ def _pairing_product(
     for k in range(1, order + 1):
         acc: Dict[Tuple[MultiIndex, MultiIndex], Dict[MultiIndex, GaussianRational]] = {}
         half: Dict[Tuple[MultiIndex, MultiIndex], Dict[MultiIndex, GaussianRational]] = {}
-        # every jet of order k has rank k, so the memo lasts one order
-        jets: Dict[Tuple[int, ...], DiffOp] = {}
         for combo in itertools.combinations_with_replacement(entries, k):
             pairs = [(mu, nu) for mu, nu, _ in combo]
             mirror = sorted((nu, mu) for mu, nu in pairs)
@@ -326,12 +324,8 @@ def _pairing_product(
                 continue
             into = acc if mirror == pairs else half
             v = _pairing_weight(k, combo)
-            mus = tuple(sorted(mu for mu, _ in pairs))
-            nus = tuple(sorted(nu for _, nu in pairs))
-            for idx in (mus, nus):
-                if idx not in jets:
-                    jets[idx] = jet(idx)
-            left, right = jets[mus], jets[nus]
+            left = jets[tuple(sorted(mu for mu, _ in pairs))]
+            right = jets[tuple(sorted(nu for _, nu in pairs))]
             for li, pa in left._terms.items():
                 scaled = [(m, c * v) for m, c in pa._terms.items()]
                 for ri, pb in right._terms.items():
@@ -365,30 +359,20 @@ def _pairing_weight(k: int, combo) -> GaussianRational:
 
 
 def moyal_product(p: PoissonTensor, order: int) -> StarProduct:
-    """Moyal product of a constant Poisson tensor, truncated at `order`."""
-    if not p.is_constant():
-        raise ValueError("the Moyal construction needs a constant Poisson tensor")
-
-    def partials(idx: Tuple[int, ...]) -> DiffOp:
-        return DiffOp.derivative(p.dim, MultiIndex.of(*idx))
-
-    return StarProduct(p, _pairing_product(p, partials, order))
+    """Moyal product of a constant Poisson tensor, truncated at `order`:
+    the pairing of the partials d^t, t over the coordinates it pairs."""
+    paired = sorted({mu for mu, _, _ in p.constant_entries()})
+    jets = {t: DiffOp.derivative(p.dim, MultiIndex.of(*t)) for k in range(1, order + 1)
+            for t in itertools.combinations_with_replacement(paired, k)}
+    return StarProduct(p, _pairing_product(p, jets, order))
 
 
-def vector_field_product(
-    frame: VectorFieldFrame, p: PoissonTensor, order: int
-) -> StarProduct:
-    """Product generated by a commuting frame reproducing `p`."""
+def vector_field_product(frame: VectorFieldFrame, p: PoissonTensor, order: int) -> StarProduct:
+    """Product generated by a commuting frame reproducing `p`: the pairing
+    of the compositions D_t0 o ... o D_tk of its fields, the jets of a
+    connection with no symbols."""
     frame.validate(p)
-    # compositions D_mu1 o ... o D_muk, memoized on the sorted index tuple
-    comp: Dict[Tuple[int, ...], DiffOp] = {(): DiffOp.identity(p.dim)}
-
-    def composed(key: Tuple[int, ...]) -> DiffOp:
-        if key not in comp:
-            comp[key] = frame.fields[key[0]].compose(composed(key[1:]))
-        return comp[key]
-
-    return StarProduct(p, _pairing_product(p, composed, order))
+    return StarProduct(p, _pairing_product(p, _sorted_jets(frame.fields, order), order))
 
 
 def natural_cotangent_product(conn: Connection, order: int) -> StarProduct:
@@ -401,8 +385,7 @@ def natural_cotangent_product(conn: Connection, order: int) -> StarProduct:
     """
     lifted = lift_connection(conn)
     p = PoissonTensor.canonical(conn.n, 0)
-    C = _pairing_product(p, symmetric_jet_ops(lifted, order).__getitem__, order)
-    return StarProduct(p, C)
+    return StarProduct(p, _pairing_product(p, symmetric_jet_ops(lifted, order), order))
 
 
 def truncated_symplectic_product(spec: SymplecticConnectionSpec) -> StarProduct:
@@ -414,7 +397,7 @@ def truncated_symplectic_product(spec: SymplecticConnectionSpec) -> StarProduct:
     """
     d = spec.dim
     p = PoissonTensor.canonical(spec.n, 0)
-    C = _pairing_product(p, symmetric_jet_ops(spec, 2).__getitem__, 2)
+    C = _pairing_product(p, symmetric_jet_ops(spec, 2), 2)
     # Ricci term -a (i/2)^2 / 2! P^(mu1 nu1) P^(mu2 nu2) R_(mu1 mu2) d_nu1 (x) d_nu2;
     # the canonical tensor pairs each coordinate with exactly one partner
     partner = {mu: (nu, v) for mu, nu, v in p.constant_entries()}

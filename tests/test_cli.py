@@ -1,3 +1,4 @@
+import ast
 import copy
 import itertools
 import json
@@ -597,3 +598,25 @@ def test_console_script_entry_point(spec_file):
     report = json.loads(proc.stdout)
     assert report["status"] == "pass"
     assert "timing" in report
+
+
+# -- the engine imports only the standard library ------------------------------------
+
+ENGINE = Path(__file__).parent.parent / "src" / "starq"
+
+
+def test_engine_imports_only_the_standard_library():
+    outside = []
+    modules = sorted(ENGINE.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

@@ -80,25 +80,26 @@ def test_non_triangular_map_rejected():
 
 
 def test_diffeo_connection_matches_sympy_oracle():
-    rng = random.Random(11)
-    n = 3
-    syms = sp.symbols([f"x{j}" for j in range(n)])
-    for _ in range(3):
-        coeffs = [[rng.randint(-2, 2) for _ in range(a)] for a in range(n)]
-        targets = []
-        sym_targets = []
-        for a in range(n):
-            t = Poly.coordinate(n, a)
-            ts = syms[a]
-            for b, c in enumerate(coeffs[a]):
-                t = t + (Poly.coordinate(n, b) ** 2).scale(c)
-                ts = ts + c * syms[b] ** 2
-            targets.append(t)
-            sym_targets.append(ts)
-        conn = flat_connection_from_diffeo(targets)
-        oracle = christoffel_oracle(sym_targets, syms)
-        for key, expr in oracle.items():
-            assert conn.christoffel(*key) == sympy_to_poly(expr, syms, n)
+    # at n = 4 the inverse Jacobian has products of three entries
+    for n in (3, 4):
+        rng = random.Random(11)
+        syms = sp.symbols([f"x{j}" for j in range(n)])
+        for _ in range(3):
+            coeffs = [[rng.randint(-2, 2) for _ in range(a)] for a in range(n)]
+            targets = []
+            sym_targets = []
+            for a in range(n):
+                t = Poly.coordinate(n, a)
+                ts = syms[a]
+                for b, c in enumerate(coeffs[a]):
+                    t = t + (Poly.coordinate(n, b) ** 2).scale(c)
+                    ts = ts + c * syms[b] ** 2
+                targets.append(t)
+                sym_targets.append(ts)
+            conn = flat_connection_from_diffeo(targets)
+            oracle = christoffel_oracle(sym_targets, syms)
+            for key, expr in oracle.items():
+                assert conn.christoffel(*key) == sympy_to_poly(expr, syms, n)
 
 
 def test_curvature_of_diffeo_connection_vanishes():

@@ -465,12 +465,16 @@ def test_order_guard():
 
 def test_jet_rank_guard():
     from starq.geometry import Connection, covariant_jet_ops, lift_connection, symmetric_jet_ops
+    from starq.products import PoissonTensor, VectorFieldFrame, vector_field_product
 
     lifted = lift_connection(Connection.one_dim(Poly.coordinate(1, 0)))
     with pytest.raises(OperatorOrderExceeded):
         covariant_jet_ops(lifted, 13)
     with pytest.raises(OperatorOrderExceeded):
         symmetric_jet_ops(lifted, 13)
+    # a frame's jets come from the same recursion: rank 13 at order 13
+    with pytest.raises(OperatorOrderExceeded):
+        vector_field_product(VectorFieldFrame.coordinate(2), PoissonTensor.canonical(1), 13)
 
 
 def test_values_are_immutable():
