@@ -49,7 +49,7 @@ from .errors import (
     OrderMismatch,
 )
 from .geometry import Connection, SymplecticConnectionSpec, canonical_poisson_entries, ricci
-from .operators import MAX_OP_ORDER, DiffOp, _acc_poly, _acc_scaled, _acc_shifted
+from .operators import MAX_OP_ORDER, DiffOp, _acc_poly, _acc_shifted
 from .poly import MultiIndex, Poly, _GrlexKeys
 from .scalars import GaussianRational, ONE
 from .series import HbarSeries
@@ -313,11 +313,11 @@ def verify_intertwining(
     order of the deformation parameter, plus the one-sided coordinate
     relations x *_s T(f) = T(x *_Moyal f) that drive the recurrence, with
     the coordinate left bare on the s side.  Both sides are expanded
-    bilinearly over monomials into one raw series of their difference:
-    T(f *_Moyal g) over one `_PairTable` of the Moyal product and the raw
-    images T_k(x^w), then T(f) *_s T(g) subtracted by one `add_star` of
-    a `_PairTable` of s, T(f) negated; both tables and the images live
-    for this call only.  Products are visited in the order of a direct
+    bilinearly over monomials into one keyed raw series of their
+    difference: T(f *_Moyal g) from the flat pair of a `_PairTable` of the
+    Moyal product and the flat images T_0..T_N(x^w), then T(f) *_s T(g)
+    subtracted by one `add_star` of a `_PairTable` of s, T(f) negated;
+    both tables and the images live for this call only.  Products are visited in the order of a direct
     evaluation, so the first failure reported is unchanged.  A failing
     entry names its first failing product, the lowest order where the
     two sides differ and the residual T(f *_Moyal g) - T(f) * T(g) there.
@@ -341,25 +341,29 @@ def verify_intertwining(
     star = _PairTable(s)
     moyal = _PairTable(moyal_product(s.poisson, N))
     orders = morphism.orders[1:]
-    images: Dict[MultiIndex, List[dict]] = {}
+    images: Dict[MultiIndex, tuple] = {}
 
-    def image(w: MultiIndex) -> List[dict]:
-        """T_0(x^w), ..., T_N(x^w) as raw term maps."""
+    def image(w: MultiIndex) -> tuple:
+        """T_0(x^w), ..., T_N(x^w) as a flat raw series."""
         out = images.get(w)
         if out is None:
             x = Poly._normal(d, {w: ONE})
-            out = images[w] = [{w: ONE}] + [op.apply(x)._terms for op in orders]
+            out = images[w] = ((0, w, ONE),) + tuple(
+                (k, m, c) for k, op in enumerate(orders, 1) for m, c in op.apply(x)._terms.items())
         return out
 
-    def mismatch(u: MultiIndex, v: MultiIndex, fu: List[dict], gv: List[dict]) -> str | None:
+    def mismatch(u: MultiIndex, v: MultiIndex, fu: tuple, gv: tuple) -> str | None:
         """None when T(x^u *_Moyal x^v) equals fu *_s gv, else the lowest
         order where they differ and the residual there."""
-        acc: List[dict] = [{} for _ in range(N + 1)]
-        for l, t in enumerate(moyal.series(u, v)):
-            for w, c in t.items():
-                for j, tw in enumerate(image(w)[: N + 1 - l]):
-                    _acc_scaled(acc[l + j], tw, c)
-        star.add_star(acc, [{w: -c for w, c in t.items()} for t in fu], gv)
+        acc: dict = {}
+        for l, w, c in moyal.pair(u, v):
+            for j, m, t in image(w):
+                if l + j > N:
+                    break
+                t = t if c is ONE else t * c
+                key = (l + j, m)
+                acc[key] = acc[key] + t if key in acc else t
+        star.add_star(acc, [(k, w, -c) for k, w, c in fu], gv)
         failure = _first_nonzero(d, acc)
         return None if failure is None else f" at order {failure[0]}: residual {failure[1]}"
 
@@ -369,17 +373,18 @@ def verify_intertwining(
     checked = 0
     for alpha in range(d):
         e = MultiIndex.unit(alpha)
+        bare = ((0, e, ONE),)
         for fm in basis:
             checked += 2
             if coord_failure is not None:
                 continue
-            residual = mismatch(e, fm, [{e: ONE}], image(fm))
+            residual = mismatch(e, fm, bare, image(fm))
             if residual is not None:
                 coord_failure = f"coordinate {alpha} on {Poly.monomial(d, fm)}" + residual
                 continue
             if mirrored:
                 continue
-            residual = mismatch(fm, e, image(fm), [{e: ONE}])
+            residual = mismatch(fm, e, image(fm), bare)
             if residual is not None:
                 coord_failure = f"{Poly.monomial(d, fm)} on coordinate {alpha}" + residual
     entries: List[CheckEntry] = [

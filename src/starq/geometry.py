@@ -358,20 +358,21 @@ def symmetric_jet_ops(conn, order: int) -> Dict[Tuple[int, ...], DiffOp]:
     precondition the table is not the covariant jet.
     """
     d = conn.dim
-    return _sorted_jets([DiffOp.partial(d, mu) for mu in range(d)], order, conn)
+    return _sorted_jets([DiffOp.partial(d, mu) for mu in range(d)], range(d), order, conn)
 
 
-def _sorted_jets(fields: List[DiffOp], order: int, conn=None) -> Dict[Tuple[int, ...], DiffOp]:
-    """The jets of ranks 0..order keyed by sorted index tuples t, each the
-    step (`_jet_stepper`) along t[0] on t[1:] of `fields` and the symbols
-    of `conn`, or of none: a frame's compositions D_t0 o ... o D_tk."""
+def _sorted_jets(fields, coords, order: int, conn=None) -> Dict[Tuple[int, ...], DiffOp]:
+    """The jets of ranks 0..order keyed by the sorted tuples t over `coords`,
+    each the step (`_jet_stepper`) along t[0] on t[1:] of `fields` and the
+    symbols of `conn`, or of none: a frame's compositions D_t0 o ... o D_tk.
+    With symbols, `coords` must be every coordinate."""
     if order > MAX_OP_ORDER:
         raise OperatorOrderExceeded(f"jet rank {order} exceeds the operator-order guard")
     d = len(fields)
     step = _jet_stepper(fields, conn, lambda idx: tuple(sorted(idx)))
     jets: Dict[Tuple[int, ...], DiffOp] = {(): DiffOp.identity(d)}
     for rank in range(1, order + 1):
-        for t in itertools.combinations_with_replacement(range(d), rank):
+        for t in itertools.combinations_with_replacement(coords, rank):
             jets[t] = step(jets, t[0], t[1:])
     return jets
 

@@ -24,7 +24,10 @@ against the defining conditions on a degree-bounded monomial basis,
 which is exact because all operators involved have finite order and
 polynomial coefficients.  Every truncated product of hbar-series,
 `StarProduct.apply` and those of both checks, is evaluated by one
-kernel, `_PairTable.add_star`.
+kernel, `_PairTable.add_star`, on flat series of (order, monomial,
+coefficient) entries: one lookup per monomial pair (a, b) gives every
+nonzero term of C_0..C_N(x^a, x^b), added into one map keyed by
+(order, monomial).
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .operators import (
     BiDiffOp,
     DiffOp,
     _acc_poly,
-    _acc_scaled,
     _acc_shifted,
     _nonzero_poly,
     _nonzero_terms,
@@ -247,9 +249,11 @@ class StarProduct:
             raise OrderMismatch("series order must match the product order")
         if any(p.dim != self.dim for p in f.coeffs + g.coeffs):
             raise DimensionMismatch("operand dimension mismatch")
-        acc: List[dict] = [{} for _ in range(N + 1)]
-        _PairTable(self).add_star(acc, [p._terms for p in f.coeffs], [p._terms for p in g.coeffs])
-        return HbarSeries([_nonzero_poly(self.dim, t) for t in acc])
+        u, v = ([(k, m, c) for k, p in enumerate(h.coeffs) for m, c in p._terms.items()]
+                for h in (f, g))
+        acc: dict = {}
+        _PairTable(self).add_star(acc, u, v)
+        return HbarSeries(_coefficients(self.dim, N, acc))
 
     def truncate(self, order: int) -> "StarProduct":
         if order > self.order:
@@ -358,21 +362,25 @@ def _pairing_weight(k: int, combo) -> GaussianRational:
     return _reduced(r, s, v._d * (repeats << k))
 
 
+def _paired(p: PoissonTensor) -> List[int]:
+    """The coordinates a Poisson tensor pairs, the only jet indices read."""
+    return sorted({mu for mu, _, _ in p.constant_entries()})
+
+
 def moyal_product(p: PoissonTensor, order: int) -> StarProduct:
     """Moyal product of a constant Poisson tensor, truncated at `order`:
     the pairing of the partials d^t, t over the coordinates it pairs."""
-    paired = sorted({mu for mu, _, _ in p.constant_entries()})
     jets = {t: DiffOp.derivative(p.dim, MultiIndex.of(*t)) for k in range(1, order + 1)
-            for t in itertools.combinations_with_replacement(paired, k)}
+            for t in itertools.combinations_with_replacement(_paired(p), k)}
     return StarProduct(p, _pairing_product(p, jets, order))
 
 
 def vector_field_product(frame: VectorFieldFrame, p: PoissonTensor, order: int) -> StarProduct:
     """Product generated by a commuting frame reproducing `p`: the pairing
-    of the compositions D_t0 o ... o D_tk of its fields, the jets of a
-    connection with no symbols."""
+    of the compositions D_t0 o ... o D_tk of its fields over the
+    coordinates `p` pairs, the jets of a connection with no symbols."""
     frame.validate(p)
-    return StarProduct(p, _pairing_product(p, _sorted_jets(frame.fields, order), order))
+    return StarProduct(p, _pairing_product(p, _sorted_jets(frame.fields, _paired(p), order), order))
 
 
 def natural_cotangent_product(conn: Connection, order: int) -> StarProduct:
@@ -466,60 +474,71 @@ class CheckReport:
 
 
 class _PairTable:
-    """C_j(x^a, x^b) of one product as raw term maps, for one call, and the
-    one truncated star-product kernel over them, `add_star`.
+    """x^a * x^b of one product for one call, and the one truncated
+    star-product kernel over them, `add_star`.
 
-    Each (j, a, b) entry is computed on first request and kept while the
-    table lives.  C_0(x^a, x^b) is read off as x^(a+b) when C_0 is
-    pointwise multiplication.  The maps are shared: callers only read
-    them.  A raw series is a list of raw term maps, one per power of hbar.
+    A flat raw series is a sequence of (order, monomial, coefficient)
+    entries in ascending order; a keyed one maps (order, monomial) to a
+    coefficient.  `pair(a, b)` is the flat series of the nonzero terms of
+    C_0..C_N(x^a, x^b), made on first request from one `apply_monomials`
+    per order, or x^(a+b) at order 0 when C_0 is pointwise
+    multiplication, and kept while the table lives; callers only read it.
     """
 
-    __slots__ = ("_C", "_mult", "_entries")
+    __slots__ = ("_C", "_mult", "_pairs")
 
     def __init__(self, s: StarProduct):
         self._C = s.C
         self._mult = s.C[0] == BiDiffOp.multiplication(s.dim)
-        self._entries: Dict[tuple, Dict[MultiIndex, GaussianRational]] = {}
+        self._pairs: Dict[tuple, tuple] = {}
 
-    def terms(self, j: int, a: MultiIndex, b: MultiIndex) -> Dict[MultiIndex, GaussianRational]:
-        key = (j, a, b)
-        out = self._entries.get(key)
+    def pair(self, a: MultiIndex, b: MultiIndex) -> tuple:
+        """x^a * x^b as the flat raw series of C_0..C_N(x^a, x^b)."""
+        out = self._pairs.get((a, b))
         if out is None:
-            if j == 0 and self._mult:
-                out = {a.sum_table()[b]: ONE}
-            else:
-                out = self._C[j].apply_monomials(a, b)
-            self._entries[key] = out
+            head = ((0, a.sum_table()[b], ONE),) if self._mult else ()
+            out = self._pairs[(a, b)] = head + tuple(
+                (j, m, c) for j in range(len(head), len(self._C))
+                for m, c in self._C[j].apply_monomials(a, b).items())
         return out
 
-    def series(self, a: MultiIndex, b: MultiIndex) -> List[dict]:
-        """x^a * x^b as the raw series C_0(x^a, x^b), ..., C_N(x^a, x^b)."""
-        return [self.terms(j, a, b) for j in range(len(self._C))]
-
-    def add_star(self, acc: List[dict], u: List[dict], v: List[dict]) -> None:
-        """Add u * v, truncated at order N, into the raw series `acc`: the
-        sum of C_l(u_a, v_b) over l + a + b = m goes to acc[m], for
-        m <= N.  `u` and `v` are zero beyond their end."""
+    def add_star(self, acc: dict, u, v) -> None:
+        """Add u * v of flat raw series, truncated at order N, into the
+        keyed raw series `acc`: entries (i, x^w, c) of `u` and (k, x^z, e)
+        of `v` add c e C_l(x^w, x^z) at order i + k + l <= N, read from
+        `pair(w, z)` up to its first entry past that order."""
         N = len(self._C) - 1
-        terms = self.terms
-        for a, ua in enumerate(u):
-            for b, vb in enumerate(v[: N + 1 - a]):
-                for fw, fc in ua.items():
-                    for gw, gc in vb.items():
-                        # a basis monomial's factor is the shared ONE
-                        c = gc if fc is ONE else fc if gc is ONE else fc * gc
-                        for l in range(N + 1 - a - b):
-                            _acc_scaled(acc[a + b + l], terms(l, fw, gw), c)
+        pair = self.pair
+        for a, fw, fc in u:
+            for b, gw, gc in v:
+                ab = a + b
+                if ab > N:
+                    break
+                # a basis monomial's factor is the shared ONE
+                c = gc if fc is ONE else fc if gc is ONE else fc * gc
+                for l, m, t in pair(fw, gw):
+                    if ab + l > N:
+                        break
+                    t = t if c is ONE else t * c
+                    key = (ab + l, m)
+                    acc[key] = acc[key] + t if key in acc else t
 
 
-def _first_nonzero(dim: int, acc: List[dict]) -> Tuple[int, Poly] | None:
-    """The lowest order of a raw series with a nonzero coefficient, and
-    that coefficient, or None when every order is zero."""
-    for k, t in enumerate(acc):
-        if any(t.values()):
-            return k, _nonzero_poly(dim, t)
-    return None
+def _coefficients(dim: int, N: int, acc: dict) -> List[Poly]:
+    """The coefficients of hbar^0..hbar^N of a keyed raw series."""
+    maps: List[dict] = [{} for _ in range(N + 1)]
+    for (k, m), c in acc.items():
+        maps[k][m] = c
+    return [_nonzero_poly(dim, t) for t in maps]
+
+
+def _first_nonzero(dim: int, acc: dict) -> Tuple[int, Poly] | None:
+    """The lowest order of a keyed raw series with a nonzero coefficient,
+    and that coefficient, or None when every order is zero."""
+    if not any(acc.values()):
+        return None
+    k = min(j for (j, _), c in acc.items() if c)
+    return k, _nonzero_poly(dim, {m: c for (j, m), c in acc.items() if j == k})
 
 
 def swap_parity(s: StarProduct) -> bool:
@@ -534,10 +553,10 @@ def check_axioms(s: StarProduct, max_degree: int = 4) -> CheckReport:
     Associativity is verified exactly on every monomial triple of total
     degree <= max_degree, at every order of the deformation parameter;
     the remaining conditions are structural.  Each associator
-    (f*g)*h - f*(g*h) is one raw series, filled by two `add_star` calls
-    of one `_PairTable` of this call, f*g read once per pair (f, g); its
-    lowest nonzero order is the failure reported.  The triples are
-    visited in the same order as a direct evaluation, so the first
+    (f*g)*h - f*(g*h) is one keyed raw series, filled by two `add_star`
+    calls of one `_PairTable` of this call from the flat pairs f*g and
+    g*h; its lowest nonzero order is the failure reported.  The triples
+    are visited in the same order as a direct evaluation, so the first
     failure reported (order, triple, residual) is unchanged.
 
     When `swap_parity` holds, g * f is f * g with hbar -> -hbar, so the
@@ -587,18 +606,18 @@ def check_axioms(s: StarProduct, max_degree: int = 4) -> CheckReport:
         if not assoc_ok:
             break
         h_basis = basis[fi:] if parity else basis
-        minus_f = [{fm: -ONE}]
+        minus_f = ((0, fm, -ONE),)
         for gm in basis:
             if fdeg + gm.degree > max_degree or not assoc_ok:
                 break
-            fg = table.series(fm, gm)
+            fg = table.pair(fm, gm)
             for hm in h_basis:
                 if fdeg + gm.degree + hm.degree > max_degree:
                     break
                 # the associator (f*g)*h - f*(g*h), every order in one series
-                acc: List[dict] = [{} for _ in range(s.order + 1)]
-                table.add_star(acc, fg, [{hm: ONE}])
-                table.add_star(acc, minus_f, table.series(gm, hm))
+                acc: dict = {}
+                table.add_star(acc, fg, ((0, hm, ONE),))
+                table.add_star(acc, minus_f, table.pair(gm, hm))
                 failure = _first_nonzero(d, acc)
                 if failure is not None:
                     assoc_ok = False
@@ -636,8 +655,8 @@ def quantum_canonicity_check(s: StarProduct) -> CheckReport:
     """Check the deformed bracket of every coordinate pair against the
     Poisson tensor, exactly at every available order.
 
-    Every commutator x^mu * x^nu - x^nu * x^mu is one raw series, filled
-    by two `add_star` calls of one `_PairTable` of this call; the bracket
+    Every commutator x^mu * x^nu - x^nu * x^mu is one keyed raw series,
+    filled by two `add_star` calls of one `_PairTable` of this call; the bracket
     is then read off as `star_bracket` reads it.
     """
     d = s.dim
@@ -646,11 +665,11 @@ def quantum_canonicity_check(s: StarProduct) -> CheckReport:
     units = [MultiIndex.unit(mu) for mu in range(d)]
     for mu in range(d):
         for nu in range(mu + 1, d):
-            acc: List[dict] = [{} for _ in range(s.order + 1)]
-            table.add_star(acc, [{units[mu]: ONE}], [{units[nu]: ONE}])
-            table.add_star(acc, [{units[nu]: -ONE}], [{units[mu]: ONE}])
+            acc: dict = {}
+            table.add_star(acc, ((0, units[mu], ONE),), ((0, units[nu], ONE),))
+            table.add_star(acc, ((0, units[nu], -ONE),), ((0, units[mu], ONE),))
             try:
-                bracket = _bracket(HbarSeries([_nonzero_poly(d, t) for t in acc]))
+                bracket = _bracket(HbarSeries(_coefficients(d, s.order, acc)))
             except CanonicityFailure as exc:
                 entries.append(CheckEntry(f"pair-{mu}-{nu}", False, str(exc)))
                 continue

@@ -448,14 +448,14 @@ def test_verify_intertwining_gate_reads_the_odd_orders(monkeypatch, order, mirro
     moyal = moyal_product(PoissonTensor.canonical(1), 4)
     morphism = bumped_morphism(derive_equivalence(moyal), order, MultiIndex.of(0), gr(1))
     requested = set()
-    terms = _PairTable.terms
+    pair = _PairTable.pair
 
-    def recording(table, j, a, b):
+    def recording(table, a, b):
         if table._C is not moyal.C:  # the Moyal reference, fed (f, g) as given
             requested.add((a, b))
-        return terms(table, j, a, b)
+        return pair(table, a, b)
 
-    monkeypatch.setattr(_PairTable, "terms", recording)
+    monkeypatch.setattr(_PairTable, "pair", recording)
     degree = 3
     slots, pairs = verify_intertwining(morphism, moyal, degree).entries
     assert slots.detail.endswith(f"first failure: coordinate 0 on 1 at order {order}: residual 1")

@@ -669,13 +669,15 @@ def _natural_n2_bump():
         lambda: _moyal_bump((2, 0), (0, 1), 1),
         lambda: _moyal_bump((1, 1), (0, 2), 4),
         lambda: _moyal_bump((0, 0), (1, 0), 2),
+        # C_0 is not multiplication: the pair table reads it like any C_l
+        lambda: _moyal_bump((1, 0), (0, 1), 0),
         lambda: (build_product(parse_spec(FIXTURES["fault_assoc"])), FIXTURES["fault_assoc"]["max_degree"]),
         _natural_n2_bump,
         _nontriangular_n2_bump,
     ],
     ids=[
         "moyal-o2-dq-dq", "moyal-o3-dp-dq", "moyal-o1-dq2-dp", "moyal-o4-dqdp-dp2",
-        "moyal-o2-1-dq", "cli-fault-assoc", "natural-n2-o3", "natural-n2-nontriangular-o3",
+        "moyal-o2-1-dq", "moyal-o0-dq-dp", "cli-fault-assoc", "natural-n2-o3", "natural-n2-nontriangular-o3",
     ],
 )
 def test_check_axioms_matches_term_scan(case):
@@ -743,8 +745,10 @@ def _full_series(d, order, shift):
         lambda: natural_cotangent_product(nontriangular_n2_connection(), 4),
         lambda: corrupted(moyal_product(PoissonTensor.canonical(1), 4), MultiIndex.unit(0),
                           MultiIndex.of(1, 1), order=2, coeff=Poly.coordinate(2, 1)),
+        lambda: corrupted(moyal_product(PoissonTensor.canonical(1), 4), MultiIndex.unit(0),
+                          MultiIndex.unit(1), order=0, coeff=Poly.coordinate(2, 0)),
     ],
-    ids=["natural-q", "nontriangular-n2", "moyal-parity-fault"],
+    ids=["natural-q", "nontriangular-n2", "moyal-parity-fault", "moyal-order0-fault"],
 )
 def test_apply_on_full_series_matches_term_scan(make):
     s = make()
@@ -937,6 +941,32 @@ def test_raw_builders_match_whole_object_builders(case):
         assert op == ref, f"C_{k} differs from the whole-object build"
     assert swap_parity(product)
     assert json.dumps(product.to_json()) == json.dumps(oracle_product_json(product))
+
+
+# A frame over n=1 with two Casimirs: d_q, and d_mu + (d_mu d_p Phi) d_q for
+# mu = p, c1, c2, which commute and reproduce the canonical tensor for any
+# Phi(p, c1, c2).  The pairing reads jets along q and p only, so the
+# Casimir fields, though they are not plain partials, are never composed.
+def test_vector_field_product_builds_no_casimir_jets(monkeypatch):
+    p = PoissonTensor.canonical(1, 2)
+    d = p.dim
+    _, mom, c1, c2 = coords(d)
+    phi = mom * mom * mom + mom * mom * c1 - (mom * c2 * c2).scale(gr(2))
+    rows = [[Poly.const(d, 1 if a == 0 else 0) for a in range(d)]]
+    rows += [[phi.diff(MultiIndex.of(mu, 1)) if a == 0 else Poly.const(d, 1 if a == mu else 0)
+              for a in range(d)] for mu in range(1, d)]
+    frame = VectorFieldFrame.from_components(rows)
+    keys = []
+    pairing = products._pairing_product
+
+    def recording(poisson, jets, order):
+        keys.extend(jets)
+        return pairing(poisson, jets, order)
+
+    monkeypatch.setattr(products, "_pairing_product", recording)
+    product = vector_field_product(frame, p, 6)
+    assert product.C == whole_vector_field_operators(frame, p, 6)
+    assert (0, 1) in keys and not [t for t in keys if {2, 3} & set(t)]
 
 
 # -- the mirrored pairing against the sum over every multiset ---------------------------------
