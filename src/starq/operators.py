@@ -8,7 +8,9 @@ equality of operators.  The base owns the one constructor that checks
 every slot of every key against the dimension and against a fixed
 derivative-order guard (`MAX_OP_ORDER`) that catches runaway
 recursions early, and the arithmetic, equality, hashing and JSON codec
-of the term map.  The subclasses add only the action of their terms.
+of the term map.  Negation, scaling, `swap` and the pairing of `products`
+only reuse keys of checked operators and skip the check (`_unchecked`).
+The subclasses add only the action of their terms.
 
 An operator acts through one kernel, from the operand's side: for each
 monomial x^a it finds its derivative indices I <= a among those of
@@ -98,6 +100,17 @@ class _NormalForm:
         return cls(dim)
 
     @classmethod
+    def _unchecked(cls, dim: int, terms: dict):
+        """The operator of a map whose keys and coefficients all come from
+        checked operators of dimension `dim`: empty coefficients are
+        dropped, and nothing is checked again."""
+        op = object.__new__(cls)
+        _set(op, "dim", dim)
+        _set(op, "_terms", {key: p for key, p in terms.items() if p._terms})
+        _set(op, "_memo", None)
+        return op
+
+    @classmethod
     def _from_raw(cls, dim: int, acc: dict):
         """The operator of a map from derivative keys to raw term maps
         (`_acc_shifted`), through the checked constructor."""
@@ -130,7 +143,7 @@ class _NormalForm:
         return type(self)(self.dim, acc)
 
     def __neg__(self):
-        return type(self)(self.dim, {key: -p for key, p in self._terms.items()})
+        return self._unchecked(self.dim, {key: -p for key, p in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -138,7 +151,7 @@ class _NormalForm:
         return self + (-other)
 
     def scale(self, factor):
-        return type(self)(self.dim, {key: p.scale(factor) for key, p in self._terms.items()})
+        return self._unchecked(self.dim, {key: p.scale(factor) for key, p in self._terms.items()})
 
     # -- dunder -----------------------------------------------------------------------------
 
@@ -424,7 +437,7 @@ class BiDiffOp(_NormalForm):
         acc: Dict[Tuple[MultiIndex, MultiIndex], Poly] = {}
         for (li, ri), coeff in self._terms.items():
             _acc_poly(acc, (ri, li), coeff)
-        return BiDiffOp(self.dim, acc)
+        return BiDiffOp._unchecked(self.dim, acc)
 
     def __repr__(self):
         return f"BiDiffOp(dim={self.dim}, terms={self.term_count()})"

@@ -424,6 +424,20 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
+        if len(self._terms) == 2:
+            # (a x^u + b x^v)^n = sum_k C(n, k) a^k b^(n-k) x^(k u + (n-k) v),
+            # each multiple and power one step from the last; as u != v the
+            # n + 1 monomials are distinct
+            (u, a), (v, b) = self._terms.items()
+            ku, pa = [EMPTY_INDEX], [ONE]
+            for _ in range(n):
+                ku.append(ku[-1] + u)
+                pa.append(pa[-1] * a)
+            terms, kv, pb, binom = {}, EMPTY_INDEX, ONE, 1
+            for k in range(n, -1, -1):
+                terms[ku[k] + kv] = pa[k] * pb * binom
+                kv, pb, binom = kv + v, pb * b, binom * k // (n - k + 1)
+            return Poly._normal(self.dim, terms)
         result = Poly.const(self.dim, 1)
         base = self
         while n:

@@ -340,7 +340,8 @@ def _pairing_product(
         for (li, ri), poly in _nonzero_terms(d, half).items():
             _acc_poly(terms, (li, ri), poly)
             _acc_poly(terms, (ri, li), -poly if k % 2 else poly)
-        C.append(BiDiffOp(d, terms))
+        # every slot of every key is a key of a checked jet operator
+        C.append(BiDiffOp._unchecked(d, terms))
     return C
 
 

@@ -8,11 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from starq.cli import main
+from starq import cli
+from starq.cli import build_arg_parser, main, report_text
 from starq.poly import MultiIndex
+from starq.scalars import GaussianRational
 
 FIXTURES = {
     "moyal": {"kind": "moyal", "n": 1, "casimir": 0, "order": 4, "max_degree": 4},
@@ -539,6 +541,119 @@ def test_reports_byte_identical_without_timing(spec_file, tmp_path, capsys):
     assert main(["derive", spec, "--no-timing", "--out", str(out1)]) == 0
     assert main(["derive", spec, "--no-timing", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+json_strings = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "\n\t\r", "caf\u00e9", "\u2028", "\U0001f600",
+                     "\ud800", 'k\u00e9y "\\\x07'])
+)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), json_strings,
+    st.integers(), st.integers(min_value=-(10 ** 100), max_value=10 ** 100),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300]),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(json_strings, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example({})
+@example([])
+@example(())
+@example(True)
+@example(False)
+@example(None)
+@example(-0.0)
+@example("\u00e9")
+@example({"": [{}, [], ()], "\u00e9\x01\"\\": {"b": None, "a": [True, False]}})
+@example([-(10 ** 99) - 1, 10 ** 100 - 1, float("nan"), float("inf"), float("-inf"), -0.0, 1e300])
+def test_report_text_is_json_dumps(value):
+    want = json.dumps(value, indent=2, sort_keys=True)
+    assert report_text(value) == want
+    assert _written(value) == want
+
+
+def _written(value):
+    """The writer report_text selects before Python 3.13, on any version."""
+    chunks = []
+    cli._write_json(value, "\n", chunks.append)
+    return "".join(chunks)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, GaussianRational(1), {"a": [frozenset()]}, [GaussianRational(1, 2)], {"k": {3j}},
+])
+def test_report_text_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    for write in (report_text, _written):
+        with pytest.raises(TypeError):
+            write(value)
+
+
+@pytest.mark.parametrize("spec", sorted(DEMOS.glob("*.json")), ids=lambda path: path.stem)
+def test_demo_reports_are_written_as_json_dumps(spec, tmp_path, monkeypatch):
+    written = []
+
+    def record(report):
+        written.append(report)
+        return report_text(report)
+
+    monkeypatch.setattr(cli, "report_text", record)
+    commands = [["validate"], ["derive"], ["verify-tables"],
+                ["apply", "--f", "q1^2+p1", "--g", "q1*p1^2-p1"]]
+    out = tmp_path / "report.json"
+    for command in commands:
+        code = main([command[0], str(spec), "--out", str(out)] + command[1:])
+        if command == ["verify-tables"] and spec.stem in ("moyal", "vector_field"):
+            assert code == 2
+            continue
+        assert code == 0
+        assert out.read_text() == json.dumps(written[-1], indent=2, sort_keys=True) + "\n"
+    assert len(written) == (3 if spec.stem in ("moyal", "vector_field") else 4)
+
+
+def _run_in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejected the arguments
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _run_in_fresh_process(argv):
+    proc = subprocess.run([sys.executable, "-m", "starq.cli"] + argv, capture_output=True,
+                          text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_per_process_leaves_no_state_between_calls(capsys, monkeypatch):
+    # the usage text an argparse error prints is wrapped to the terminal
+    # width, so both sides get the same one
+    monkeypatch.setenv("COLUMNS", "80")
+    assert build_arg_parser() is build_arg_parser()
+    spec = str(DEMOS / "moyal.json")
+    calls = [
+        ["derive", spec, "--order", "2"], ["derive", spec],
+        ["apply", spec, "--f", "q1^2", "--g", "q1*p1"], ["apply", spec, "--f", "q1^2"],
+        ["validate", spec, "--max-degree", "2"], ["validate", spec],
+        ["derive", spec, "--order", "two"], ["derive", spec],
+    ]
+    fresh = {}
+    for argv in calls:
+        argv = argv + ["--no-timing"]
+        got = _run_in_process(argv, capsys)
+        if tuple(argv) not in fresh:
+            fresh[tuple(argv)] = _run_in_fresh_process(argv)
+        assert got == fresh[tuple(argv)], argv
+    assert [code for code, _, _ in fresh.values()] == [0, 0, 0, 0, 0, 0, 2]
 
 
 def _derive_demo_in_subprocess(hash_seed):

@@ -287,3 +287,33 @@ def test_power_squares_repeatedly():
         assert f ** n == acc
         acc = acc * f
     assert (x ** 1000).coefficient(MultiIndex({0: 1000})) == gr(1)
+
+
+def _squared_power(f, n):
+    """f^n by repeated squaring, as `**` forms it for a base of other
+    than two terms."""
+    result, base = Poly.const(f.dim, 1), f
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+nonzero_coefficients = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=12).map(GaussianRational),
+    scalars,
+).filter(bool)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.data(), st.integers(min_value=0, max_value=60))
+def test_two_term_power_is_the_binomial_expansion(dim, data, n):
+    u = data.draw(multiindices(dim))
+    v = data.draw(multiindices(dim).filter(lambda m: m != u))
+    f = Poly(dim, {u: data.draw(nonzero_coefficients), v: data.draw(nonzero_coefficients)})
+    power = f ** n
+    assert power == _squared_power(f, n)
+    assert power.term_count() == n + 1 and power.dim == dim
