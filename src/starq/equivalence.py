@@ -44,6 +44,7 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import (
     CanonicityFailure,
     DimensionMismatch,
+    FamilyKeepsConstants,
     IncompatibleFamily,
     OperatorOrderExceeded,
     OrderMismatch,
@@ -63,6 +64,7 @@ from .products import (
     moyal_product,
     quantum_canonicity_check,
     swap_parity,
+    unital,
 )
 
 
@@ -171,7 +173,8 @@ def commutator_solution_direct(family: Sequence[DiffOp]) -> DiffOp:
     Writing family[alpha] = sum_J phi_(alpha,J) d^J, the candidate is
     sum_(alpha,J) phi_(alpha,J) / (1 + |J|) d^(e_alpha + J).  Its
     commutators are always checked exactly, so a family admitting no
-    common solution raises `IncompatibleFamily`.
+    common solution raises `IncompatibleFamily`, and a family with a term
+    that does not kill constants its subclass `FamilyKeepsConstants`.
     """
     if not family:
         raise ValueError("empty operator family")
@@ -183,7 +186,7 @@ def commutator_solution_direct(family: Sequence[DiffOp]) -> DiffOp:
         if op.dim != d:
             raise DimensionMismatch("mixed dimensions in operator family")
         if not op.annihilates_constants():
-            raise ValueError(f"operator for coordinate {alpha} does not kill constants")
+            raise FamilyKeepsConstants(alpha)
         for j_idx, coeff in op.terms():
             weight = GaussianRational(Fraction(1, 1 + j_idx.degree))
             target = j_idx + MultiIndex.unit(alpha)
@@ -276,7 +279,7 @@ def derive_equivalence(s: StarProduct, order: int | None = None) -> EquivalenceM
         try:
             solution = commutator_solution_direct(_coordinate_rhs(d, slots, ops, k))
         except IncompatibleFamily as exc:
-            raise IncompatibleFamily(exc.coordinate, f"order {k}: {exc}") from None
+            raise type(exc)(exc.coordinate, f"order {k}: {exc}") from None
         ops.append(solution)
     return EquivalenceMorphism(ops, provenance="recursion")
 
@@ -329,8 +332,15 @@ def verify_intertwining(
     product then fails exactly when its mirror does, at the same lowest
     order, and the mirror comes first in the visiting order; so the
     product T(f) *_s x of each coordinate slot and every pair whose g comes
-    before f in the basis are skipped, still counted as checked, and the
-    report is unchanged.  Otherwise every product is evaluated.
+    before f in the basis are skipped.
+
+    When s is `unital` and no T_k with k >= 1 has a term without
+    derivatives, T(1) = 1 and 1 is the unit of both products (Moyal's
+    always is), so T(1 *_Moyal g) = T(g) = 1 *_s T(g) and likewise for
+    (f, 1): the pairs with f = 1 or g = 1 are skipped.  Skipped products
+    are still counted as checked, and each reduction skips only products
+    that pass or whose mirror comes first, so the report is unchanged.
+    Otherwise every product is evaluated.
     """
     d = s.dim
     if morphism.dim != d:
@@ -396,6 +406,7 @@ def verify_intertwining(
         )
     ]
 
+    unit = unital(s) and all(op.annihilates_constants() for op in orders)
     pair_failure = None
     checked = 0
     for fi, fm in enumerate(basis):
@@ -403,7 +414,8 @@ def verify_intertwining(
             if fm.degree + gm.degree > max_degree:
                 break
             checked += 1
-            if pair_failure is None and (gi >= fi or not mirrored):
+            if (pair_failure is None and (gi >= fi or not mirrored)
+                    and (fm.degree and gm.degree or not unit)):
                 residual = mismatch(fm, gm, image(fm), image(gm))
                 if residual is not None:
                     f, g = Poly.monomial(d, fm), Poly.monomial(d, gm)

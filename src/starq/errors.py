@@ -39,6 +39,17 @@ class IncompatibleFamily(StarqError):
         super().__init__(message or f"no solution for coordinate index {coordinate}")
 
 
+class FamilyKeepsConstants(IncompatibleFamily):
+    """An operator of a per-coordinate family does not kill constants, so
+    no T with T(1) = T(x^alpha) = 0 has those commutators: such a T gives
+    [T, x^alpha](1) = T(x^alpha) - x^alpha T(1) = 0."""
+
+    def __init__(self, coordinate, message=None):
+        super().__init__(
+            coordinate, message or f"operator for coordinate {coordinate} does not kill constants"
+        )
+
+
 class ExprParseError(StarqError):
     """A polynomial expression string could not be parsed."""
 

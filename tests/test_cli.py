@@ -475,6 +475,45 @@ def test_mutated_demo_specs_keep_the_exit_code_contract(mutation, tmp_path):
             assert code == 2, command
 
 
+# -- product faults at every position ----------------------------------------------
+
+UNIT_EXPONENTS = ([0, 0], [1, 0], [0, 1])
+
+
+@pytest.mark.parametrize("stem", sorted(N1_DEMOS))
+def test_product_faults_at_every_position_keep_the_exit_code_contract(stem, tmp_path, capsys):
+    # a fault 1 (x) 1, 1 (x) d, d (x) 1 or d (x) d at every order: the
+    # constant terms among them leave a right-hand side that kills no
+    # constants, which derive and apply must report as a failed check
+    spec = N1_DEMOS[stem]
+    path = tmp_path / "spec.json"
+    for order in range(spec.get("order", 2) + 1):
+        for left, right in itertools.product(UNIT_EXPONENTS, repeat=2):
+            fault = {"target": "product", "order": order, "left": left, "right": right}
+            path.write_text(json.dumps(dict(spec, fault=fault)))
+            for command, flags in (("validate", []), ("derive", []), ("verify-tables", []),
+                                   ("apply", ["--f", "q1", "--g", "p1"])):
+                code = main([command, str(path), "--no-timing"] + flags)
+                where = (order, left, right, command)
+                assert code in (0, 1, 2), where
+                err = capsys.readouterr().err
+                assert err == "" or err.startswith("error: ") and err.count("\n") == 1, where
+
+
+CONSTANT_FAULT = dict(PRODUCT_FAULT, order=1, left=[0, 0], right=[0, 0])
+
+
+def test_constant_product_fault_exits_one_without_traceback(tmp_path):
+    # C_1 + 1 (x) 1 keeps the coordinate brackets, but F^q at order 1 then
+    # has a constant term, and no T with T(1) = T(q) = 0 has [T, q] = F^q
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(MOYAL, fault=CONSTANT_FAULT)))
+    for argv in (["derive", str(path)], ["apply", str(path), "--f", "q1", "--g", "p1"]):
+        code, out, err = _run_in_fresh_process(argv + ["--no-timing"])
+        assert (code, out) == (1, ""), argv
+        assert err == "error: order 1: operator for coordinate 0 does not kill constants\n"
+
+
 def test_zero_flags_are_honoured(spec_file, capsys):
     code, report = run_cli(
         ["derive", spec_file("natural_q"), "--order", "0", "--max-degree", "0", "--no-timing"],

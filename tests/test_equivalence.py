@@ -7,7 +7,13 @@ import pytest
 
 from starq import equivalence
 from starq.cli import build_product, parse_spec
-from starq.errors import CanonicityFailure, IncompatibleFamily, OrderMismatch
+from starq.errors import (
+    CanonicityFailure,
+    FamilyKeepsConstants,
+    IncompatibleFamily,
+    OrderMismatch,
+    StarqError,
+)
 from starq.geometry import (
     Connection,
     SymplecticConnectionSpec,
@@ -54,7 +60,7 @@ from helpers import (
     term_scan_verify_intertwining,
 )
 from test_geometry import random_flat_connection
-from test_products import DEMOS, momentum_shear_frame
+from test_products import DEMOS, corrupted, momentum_shear_frame
 
 
 def gamma_q():
@@ -117,8 +123,10 @@ def test_incompatible_family_reports_coordinate():
 
 def test_family_must_kill_constants():
     family = [DiffOp.identity(2), DiffOp.zero(2)]
-    with pytest.raises(ValueError):
+    with pytest.raises(FamilyKeepsConstants) as err:
         commutator_solution_direct(family)
+    assert isinstance(err.value, StarqError) and err.value.coordinate == 0
+    assert str(err.value) == "operator for coordinate 0 does not kill constants"
 
 
 def test_solution_normalization():
@@ -437,33 +445,111 @@ def test_verify_intertwining_mirror_reduction_matches_term_scan(
     assert report.to_json() == term_scan_verify_intertwining(bad, product, 3).to_json()
 
 
-# d/dx0 is a derivation of the Moyal product, so 1 + hbar^k d/dx0 with
-# 2k > 4 intertwines the order-4 Moyal product with itself on every pair
-# and every pair is evaluated; only the coordinate slots fail, on their
-# first product, since d/dx0 does not kill x0.  The mirror reduction
-# needs every odd T_k zero: a lone T_3 bump must turn it off, a lone T_4
-# bump must leave it on.
-@pytest.mark.parametrize("order, mirrored", [(3, False), (4, True)], ids=["T3-odd", "T4-even"])
-def test_verify_intertwining_gate_reads_the_odd_orders(monkeypatch, order, mirrored):
-    moyal = moyal_product(PoissonTensor.canonical(1), 4)
-    morphism = bumped_morphism(derive_equivalence(moyal), order, MultiIndex.of(0), gr(1))
+def _record_reference_pairs(monkeypatch, s):
+    """The set of (f, g) fed to the Moyal reference's pair table, which
+    verify_intertwining reads once per product it evaluates."""
     requested = set()
     pair = _PairTable.pair
 
     def recording(table, a, b):
-        if table._C is not moyal.C:  # the Moyal reference, fed (f, g) as given
+        if table._C is not s.C:  # the Moyal reference, fed (f, g) as given
             requested.add((a, b))
         return pair(table, a, b)
 
     monkeypatch.setattr(_PairTable, "pair", recording)
+    return requested
+
+
+# d/dx0 is a derivation of the Moyal product, so 1 + hbar^k d/dx0 with
+# 2k > 4 intertwines the order-4 Moyal product with itself on every pair;
+# only the coordinate slots fail, on their first product, since d/dx0 does
+# not kill x0.  T(1) = 1 and Moyal is unital, so no pair with f = 1 or
+# g = 1 is evaluated.  The mirror reduction needs every odd T_k zero: a
+# lone T_3 bump must turn it off, a lone T_4 bump must leave it on.
+@pytest.mark.parametrize("order, mirrored", [(3, False), (4, True)], ids=["T3-odd", "T4-even"])
+def test_verify_intertwining_gate_reads_the_odd_orders(monkeypatch, order, mirrored):
+    moyal = moyal_product(PoissonTensor.canonical(1), 4)
+    morphism = bumped_morphism(derive_equivalence(moyal), order, MultiIndex.of(0), gr(1))
+    requested = _record_reference_pairs(monkeypatch, moyal)
     degree = 3
     slots, pairs = verify_intertwining(morphism, moyal, degree).entries
     assert slots.detail.endswith(f"first failure: coordinate 0 on 1 at order {order}: residual 1")
     assert pairs.passed and pairs.detail == "35 pairs checked"
+    x0, x1 = MultiIndex.unit(0), MultiIndex.unit(1)
+    mirror_pairs = {
+        (x1, x1), (x1, x0), (x1, MultiIndex.of(1, 1)), (x1, MultiIndex.of(0, 1)),
+        (x1, MultiIndex.of(0, 0)), (x0, x0), (x0, MultiIndex.of(1, 1)),
+        (x0, MultiIndex.of(0, 1)), (x0, MultiIndex.of(0, 0)),
+    }
+    evaluated = mirror_pairs if mirrored else mirror_pairs | {(g, f) for f, g in mirror_pairs}
+    assert len(evaluated) == (9 if mirrored else 16)
+    assert requested == evaluated | {(x0, EMPTY_INDEX)}
+
+
+def _scaled_moyal(c):
+    """T = 1 + hbar^2 c, c a constant, carries Moyal to the product
+    (1 - hbar^2 c + hbar^4 c^2) f *_Moyal g at order 4: T(1) != 1 and C_2
+    does not kill constants, yet every monomial pair passes."""
+    moyal = moyal_product(PoissonTensor.canonical(1), 4)
+    unit = BiDiffOp.multiplication(2)
+    C = list(moyal.C)
+    C[2] = C[2] - unit.scale(c)
+    C[3] = C[3] - moyal.C[1].scale(c)
+    C[4] = C[4] - moyal.C[2].scale(c) + unit.scale(c * c)
+    morphism = EquivalenceMorphism(
+        [DiffOp.identity(2), DiffOp.zero(2), DiffOp.identity(2).scale(c), DiffOp.zero(2), DiffOp.zero(2)],
+        "recursion",
+    )
+    return StarProduct(moyal.poisson, C), morphism
+
+
+# With 1 not the unit of s and T(1) != 1 the unit reduction is off: every
+# pair the mirror reduction keeps, those with f = 1 included, is evaluated
+def test_verify_intertwining_visits_unit_pairs_when_the_gate_is_off(monkeypatch):
+    s, morphism = _scaled_moyal(gr("1/3"))
+    requested = _record_reference_pairs(monkeypatch, s)
+    degree = 3
+    report = verify_intertwining(morphism, s, degree)
+    slots, pairs = report.entries
+    # x *_s T(1) = x while T(x *_Moyal 1) = x + hbar^2 c x
+    assert slots.detail.endswith("first failure: coordinate 0 on 1 at order 2: residual 1/3*x0")
+    assert pairs.passed and pairs.detail == "35 pairs checked"
     basis = monomials_up_to(2, degree)
-    evaluated = {(f, g) for i, f in enumerate(basis) for g in basis[i if mirrored else 0:]
-                 if f.degree + g.degree <= degree}
+    evaluated = {(f, g) for i, f in enumerate(basis) for g in basis[i:] if f.degree + g.degree <= degree}
+    assert len(evaluated) == 19 and (EMPTY_INDEX, EMPTY_INDEX) in evaluated
     assert requested == evaluated | {(MultiIndex.unit(0), EMPTY_INDEX)}
+    monkeypatch.undo()
+    assert report.to_json() == term_scan_verify_intertwining(morphism, s, degree).to_json()
+
+
+# The pairs with f = 1 or g = 1 are skipped only when 1 is the unit of s
+# and T(1) = 1.  A unit fault 2/3 d^l (x) d^r of s at an order k >= 1
+# (under the morphism derived before the fault), or 2/3 added to T_2,
+# turns that off, and each first fails on a pair with a constant factor,
+# by -2/3 at order k: on Moyal and on the natural product alike.
+@pytest.mark.parametrize(
+    "left, right, k, pair",
+    [(left, right, k, pair)
+     for left, right, pair in (((0, 0), (0, 1), "(1, x1)"), ((1, 0), (0, 0), "(x0, 1)"),
+                               ((0, 0), (0, 0), "(1, 1)"))
+     for k in range(1, 5)] + [(None, None, 2, "(1, 1)")],
+    ids=[f"{name}-o{k}" for name in ("1-d1", "d0-1", "1-1") for k in range(1, 5)] + ["T2-constant"],
+)
+def test_verify_intertwining_unit_faults_match_term_scan(
+    natural_q_product, natural_q_morphism, left, right, k, pair
+):
+    moyal = moyal_product(PoissonTensor.canonical(1), 4)
+    for product, morphism in ((moyal, derive_equivalence(moyal)),
+                              (natural_q_product, natural_q_morphism)):
+        if left is None:
+            morphism = bumped_morphism(morphism, k, EMPTY_INDEX, gr("2/3"))
+        else:
+            product = corrupted(product, MultiIndex.from_exponents(left),
+                                MultiIndex.from_exponents(right), order=k, coeff=Poly.const(2, gr("2/3")))
+        report = verify_intertwining(morphism, product, 3)
+        assert report.entries[1].detail == (
+            f"35 pairs checked; first failure: {pair} at order {k}: residual -2/3")
+        assert report.to_json() == term_scan_verify_intertwining(morphism, product, 3).to_json()
 
 
 @pytest.mark.parametrize("bump", [None, (4, MultiIndex.of(0), gr(1))], ids=["derived", "T4-d0-bumped"])

@@ -36,6 +36,7 @@ from starq.products import (
     star_bracket,
     swap_parity,
     truncated_symplectic_product,
+    unital,
     vector_field_product,
 )
 
@@ -716,6 +717,50 @@ def test_check_axioms_parity_reduction_matches_term_scan(
     assoc = next(e for e in report.entries if e.name == "associativity")
     assert not assoc.passed and f" on {first}: " in assoc.detail
     assert report.to_json() == term_scan_check_axioms(bad, 4).to_json()
+
+
+# check_axioms skips the triples with a constant factor only when 1 is the
+# unit.  A unit fault, 1 (x) d, d (x) 1 or 1 (x) 1 at an order k >= 1,
+# turns that off; 1 (x) d1 first fails on the triple (1, 1, x1), at order
+# k, on Moyal and on the natural product alike.
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "left, right, first",
+    [((0, 0), (0, 1), "(1, 1, x1)"), ((1, 0), (0, 0), None), ((0, 0), (0, 0), None)],
+    ids=["1-d1", "d0-1", "1-1"],
+)
+def test_check_axioms_unit_faults_match_term_scan(moyal_n1, natural_q, order, left, right, first):
+    for product in (moyal_n1, natural_q):
+        bad = corrupted(product, MultiIndex.from_exponents(left), MultiIndex.from_exponents(right),
+                        order=order, coeff=Poly.const(2, gr("2/3")))
+        assert unital(product) and not unital(bad)
+        report = check_axioms(bad, 3)
+        entries = {e.name: e for e in report.entries}
+        assert not entries["unit-annihilation"].passed
+        if first is not None:
+            assert f"at order {order} on {first}: " in entries["associativity"].detail
+        assert report.to_json() == term_scan_check_axioms(bad, 3).to_json()
+
+
+def test_check_axioms_visits_no_constant_factor_when_unital(moyal_n1, monkeypatch):
+    # each associator is two add_star calls, (f*g) * h then (-f) * (g*h):
+    # the first one's right operand is h, the second one's left is -f
+    seen = []
+    add_star = products._PairTable.add_star
+
+    def recording(table, acc, u, v):
+        seen.append((u, v))
+        return add_star(table, acc, u, v)
+
+    monkeypatch.setattr(products._PairTable, "add_star", recording)
+    assert check_axioms(moyal_n1, 3).passed
+    basis = monomials_up_to(2, 3)[1:]
+    triples = [(f, g, h) for i, f in enumerate(basis) for g in basis for h in basis[i:]
+               if f.degree + g.degree + h.degree <= 3]
+    assert len(seen) == 2 * len(triples) == 2 * 6
+    assert [(minus_f, h) for (_, h), (minus_f, _) in zip(seen[::2], seen[1::2])] == [
+        (((0, f, gr(-1)),), ((0, h, gr(1)),)) for f, _, h in triples
+    ]
 
 
 def test_swap_parity_of_builders_and_faults(moyal_n1, natural_q):
