@@ -8,9 +8,14 @@ writes the lift of a flat base connection straight into lowered symbols;
 it is the one flatness check of the natural product, and rejects a
 curved base with NonFlatConnection before it builds anything.
 
-Connection and frame jets come from one step (`_jet_stepper`),
-J(t) = D_t0 o J(t[1:]) - sum Gamma J(...): D is the partials and Gamma
-the symbols for a connection, D the fields and Gamma = 0 for a frame.
+Every jet table comes from one step (`_jet_stepper`),
+J(t) = D_t0 o J(t[1:]) - sum Gamma J(...), with D the partials and Gamma
+the symbols of a connection: a lifted base connection, a symplectic one,
+or the flat connection of a vector-field frame, whose symbols
+Gamma^a_(bc) = -sum_mu (d_b e_mu^a) (e^-1)^mu_c keep the fields parallel
+(`products._frame_connection`).  A frame on a tensor that pairs some
+coordinate with more than one partner instead takes D its fields and
+Gamma = 0: the compositions of the fields.
 
 Index layout on phase space: coordinates 0..n-1 are the configuration
 directions, n..2n-1 the conjugate momentum directions (the momentum
@@ -47,10 +52,9 @@ def canonical_poisson_entries(n: int) -> Dict[Tuple[int, int], int]:
 # ---------------------------------------------------------------------------
 
 class Connection:
-    """Linear connection on the base manifold with polynomial symbols.
-
-    Components depend on the configuration coordinates only and are
-    symmetric in the two lower indices.
+    """Linear connection on R^n with polynomial symbols, symmetric in the
+    two lower indices: a base connection, whose components depend on the
+    configuration coordinates only, or the flat connection of a frame.
     """
 
     __slots__ = ("n", "_gamma")
@@ -365,7 +369,8 @@ def _sorted_jets(fields, coords, order: int, conn=None) -> Dict[Tuple[int, ...],
     """The jets of ranks 0..order keyed by the sorted tuples t over `coords`,
     each the step (`_jet_stepper`) along t[0] on t[1:] of `fields` and the
     symbols of `conn`, or of none: a frame's compositions D_t0 o ... o D_tk.
-    With symbols, `coords` must be every coordinate."""
+    `coords` must be closed under the symbols: every Gamma^lam_(mu nu)
+    with mu and nu in `coords` has lam in `coords`."""
     if order > MAX_OP_ORDER:
         raise OperatorOrderExceeded(f"jet rank {order} exceeds the operator-order guard")
     d = len(fields)

@@ -8,10 +8,11 @@ with a Ricci-weight parameter.  All four share one pairing,
 `_pairing_product`: C_k contracts k copies of the Poisson tensor with
 rank-k jets of both factors, read from one table keyed by sorted index
 tuples, and the constructors differ only in that table (the partials for
-Moyal; the frame's compositions and the covariant jets, both from the
-one jet recursion of `geometry`).  Every jet table is symmetric in its
-indices -- partials and the validated frame fields commute, a flat
-torsion-free lift has fully symmetric jets, and rank-2 jets of any
+Moyal; covariant jets from the one jet recursion of `geometry` for the
+others, a frame's taken of its flat connection).  Every jet table is
+symmetric in its indices -- partials commute, a flat torsion-free
+connection (a flat lift, or the connection that keeps commuting frame
+fields parallel) has fully symmetric jets, and rank-2 jets of any
 torsion-free connection are symmetric -- so the pairing sums once per
 multiset of Poisson entries with multinomial weights and equals the
 ordered sum exactly.  The tensor is antisymmetric, so the mirror of a
@@ -317,6 +318,8 @@ def _pairing_product(
     its monomials times each right coefficient are added raw into the
     map of (left, right) through `_acc_shifted`, normalised once.
     """
+    if order < 0:
+        raise OrderMismatch(f"a product has order 0 or more, not {order}")
     d = p.dim
     entries = p.constant_entries()
     C = [BiDiffOp.multiplication(d)]
@@ -378,12 +381,70 @@ def moyal_product(p: PoissonTensor, order: int) -> StarProduct:
     return StarProduct(p, _pairing_product(p, jets, order))
 
 
+def _partners(p: PoissonTensor) -> Dict[int, Tuple[int, GaussianRational]] | None:
+    """The one partner nu and the entry P^(mu nu) of each coordinate mu that
+    `p` pairs, or None when some coordinate has more than one partner."""
+    partner: Dict[int, Tuple[int, GaussianRational]] = {}
+    for mu, nu, v in p.constant_entries():
+        if mu in partner:
+            return None
+        partner[mu] = (nu, v)
+    return partner
+
+
+def _frame_connection(frame: VectorFieldFrame, partner, dim: int) -> Connection:
+    """The flat torsion-free connection that keeps the paired fields
+    e_mu = sum_a e_mu^a d_a parallel, on the paired coordinates:
+
+        Gamma^a_(bc) = -sum_mu (d_b e_mu^a) (e^-1)^mu_c,
+
+    formed only where d_b e_mu^a != 0.  `partner` is `_partners(p)`.
+    With one partner per coordinate, P^-1[c][pc] = -1 / P[c][pc], so
+    e^-1 = P^-1 e^T P reads (e^-1)^mu_c = e_(p mu)^(pc) P[mu][p mu] / P[c][pc]."""
+    inverse: Dict[int, List[Tuple[int, Poly]]] = {}
+    for mu, (pmu, vmu) in partner.items():
+        for c, (pc, vc) in partner.items():
+            e = frame.component(pmu, pc)
+            if not e.is_zero():
+                inverse.setdefault(mu, []).append((c, e.scale(vmu / vc)))
+    gamma: Dict[Tuple[int, int, int], Poly] = {}
+    for mu, row in inverse.items():
+        for a in partner:
+            e = frame.component(mu, a)
+            for b in partner:
+                de = e.diff_coord(b)
+                if de.is_zero():
+                    continue
+                for c, inv in row:
+                    gamma[(a, b, c)] = gamma.get((a, b, c), Poly.zero(dim)) - de * inv
+    return Connection(dim, gamma)
+
+
 def vector_field_product(frame: VectorFieldFrame, p: PoissonTensor, order: int) -> StarProduct:
     """Product generated by a commuting frame reproducing `p`: the pairing
     of the compositions D_t0 o ... o D_tk of its fields over the
-    coordinates `p` pairs, the jets of a connection with no symbols."""
+    coordinates `p` pairs.
+
+    The fields are parallel for one flat torsion-free connection nabla,
+    so D_mu1 o ... o D_muk = e_mu1^a1 ... e_muk^ak nabla^k_(a1...ak), and
+    sum P^(mu nu) e_mu^a e_nu^b = P^(ab): the product is the pairing of
+    the covariant jets of nabla, and no division is needed.  `validate`
+    checks e^T P e = P, which gives e^-1 = P^-1 e^T P on the paired
+    coordinates and leaves the paired fields no component along a
+    Casimir direction, so the symbols and jets stay on those coordinates.
+    This route is taken when `p` pairs each coordinate with one partner,
+    where P^-1 is read entry by entry (`_frame_connection`); for any
+    other tensor the jets are the compositions themselves, a recursion
+    with no symbols.  Both routes give the same operators."""
     frame.validate(p)
-    return StarProduct(p, _pairing_product(p, _sorted_jets(frame.fields, _paired(p), order), order))
+    coords = _paired(p)
+    partner = _partners(p)
+    if partner is None:
+        jets = _sorted_jets(frame.fields, coords, order)
+    else:
+        partials = [DiffOp.partial(p.dim, a) for a in range(p.dim)]
+        jets = _sorted_jets(partials, coords, order, _frame_connection(frame, partner, p.dim))
+    return StarProduct(p, _pairing_product(p, jets, order))
 
 
 def natural_cotangent_product(conn: Connection, order: int) -> StarProduct:
@@ -411,7 +472,7 @@ def truncated_symplectic_product(spec: SymplecticConnectionSpec) -> StarProduct:
     C = _pairing_product(p, symmetric_jet_ops(spec, 2), 2)
     # Ricci term -a (i/2)^2 / 2! P^(mu1 nu1) P^(mu2 nu2) R_(mu1 mu2) d_nu1 (x) d_nu2;
     # the canonical tensor pairs each coordinate with exactly one partner
-    partner = {mu: (nu, v) for mu, nu, v in p.constant_entries()}
+    partner = _partners(p)
     weight = -(HALF_I ** 2) * HALF * spec.a
     acc: Dict[Tuple[MultiIndex, MultiIndex], Poly] = {}
     for (mu1, mu2), ric_comp in ricci(spec).items():
@@ -440,6 +501,8 @@ def _bracket(comm: HbarSeries) -> HbarSeries:
     """The deformed bracket of the commutator series f*g - g*f."""
     if not comm[0].is_zero():
         raise CanonicityFailure(f"order-0 commutator {comm[0]} is nonzero")
+    if comm.order == 0:
+        raise CanonicityFailure("an order-0 product has no deformed bracket")
     shifted = comm.shift_down()
     return shifted.scale(-IMAG)  # 1/i == -i
 

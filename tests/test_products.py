@@ -10,7 +10,7 @@ import pytest
 
 import starq.products as products
 from starq.cli import build_product, parse_spec
-from starq.errors import CanonicityFailure, InvalidFrame, NonFlatConnection
+from starq.errors import CanonicityFailure, InvalidFrame, NonFlatConnection, OrderMismatch
 from starq.exprparse import parse_phase_poly
 from starq.equivalence import derive_equivalence, flat_cotangent_order2, symplectic_order2
 from starq.geometry import (
@@ -230,10 +230,13 @@ def test_axiom_iii_on_coordinates(moyal_n1):
 # -- vector-field products -------------------------------------------------------------
 
 def test_coordinate_frame_reproduces_moyal():
-    for n, casimir in ((1, 0), (2, 0), (1, 1)):
-        p = PoissonTensor.canonical(n, casimir)
+    # the non-canonical tensors pair a coordinate with more than one
+    # partner, so their frame jets are the compositions of the fields
+    for p, order in ((PoissonTensor.canonical(1), 3), (PoissonTensor.canonical(2), 3),
+                     (PoissonTensor.canonical(1, 1), 3), (NON_CANONICAL_D3, 6),
+                     (NON_CANONICAL_D4, 5)):
         frame = VectorFieldFrame.coordinate(p.dim)
-        assert vector_field_product(frame, p, 3) == moyal_product(p, 3)
+        assert vector_field_product(frame, p, order) == moyal_product(p, order)
 
 
 def test_non_commuting_frame_rejected():
@@ -277,6 +280,37 @@ def momentum_shear_frame():
             [p * p, Poly.const(d, 1)],
         ]
     )
+
+
+# pushes the coordinate fields forward by (q, p) -> (q + p^2, p), then by
+# (q, p) -> (q, p + q^2): no field is a coordinate field
+NONTRIANGULAR_FRAME = [["1", "2*q1"], ["2*p1 - 2*q1^2", "4*p1*q1 - 4*q1^3 + 1"]]
+
+
+def frame_from_strings(rows, n):
+    return VectorFieldFrame.from_components([[parse_phase_poly(e, n) for e in row] for row in rows])
+
+
+def cubic_frame(n, phi):
+    """d_q_i, d_p_i + sum_j (d^2 phi / dp_i dp_j) d_q_j for a cubic phi(p),
+    the shape of the benchmark's frames."""
+    d = 2 * n
+    phi = parse_phase_poly(phi, n)
+    rows = [[Poly.const(d, 1) if a == mu else Poly.zero(d) for a in range(d)] for mu in range(d)]
+    for i in range(n, d):
+        for j in range(n):
+            rows[i][j] = phi.diff(MultiIndex.of(i, n + j))
+    return VectorFieldFrame.from_components(rows)
+
+
+def shear_frame(poisson, c, g):
+    """d_mu for mu != c, and d_c + g sum_a P^(a c) d_a for a polynomial g of
+    x_c alone: the fields commute and reproduce any constant tensor."""
+    d = poisson.dim
+    rows = [[Poly.const(d, 1) if a == mu else Poly.zero(d) for a in range(d)] for mu in range(d)]
+    for a in range(d):
+        rows[c][a] = rows[c][a] + poisson.entry(a, c) * g
+    return VectorFieldFrame.from_components(rows)
 
 
 def test_momentum_shear_frame_product_is_canonical():
@@ -852,18 +886,9 @@ def _moyal_against_ordered(n, casimir, order):
 
 
 def _cubic_frame_against_ordered(n, phi, order):
-    """Frame d_q_i, d_p_i + sum_j (d^2 phi / dp_i dp_j) d_q_j for a cubic phi(p)."""
-    d = 2 * n
-    phi = parse_phase_poly(phi, n)
-    rows = []
-    for i in range(d):
-        row = [Poly.const(d, 1) if j == i else Poly.zero(d) for j in range(d)]
-        if i >= n:
-            for j in range(n):
-                row[j] = phi.diff(MultiIndex.of(i, n + j))
-        rows.append(row)
-    frame = VectorFieldFrame.from_components(rows)
+    frame = cubic_frame(n, phi)
     p = PoissonTensor.canonical(n)
+    d = 2 * n
 
     comp = {(): DiffOp.identity(d)}
 
@@ -960,6 +985,10 @@ def _natural_against_whole(conn, order):
     return natural_cotangent_product(conn, order), whole_natural_operators(conn, order)
 
 
+def _frame_against_whole(frame, poisson, order):
+    return vector_field_product(frame, poisson, order), whole_vector_field_operators(frame, poisson, order)
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -971,10 +1000,27 @@ def _natural_against_whole(conn, order):
         lambda: _natural_against_whole(nontriangular_n2_connection(), 6),
         lambda: (moyal_product(PoissonTensor.canonical(3), 8),
                  whole_moyal_operators(PoissonTensor.canonical(3), 8)),
+        # the jets of the frame's flat connection against its compositions
+        *(lambda order=order: _frame_against_whole(
+            frame_from_strings(NONTRIANGULAR_FRAME, 1), PoissonTensor.canonical(1), order)
+          for order in (2, 4, 6)),
+        # the read-off P^-1[c][pc] = -1 / P[c][pc] with entries other than 1
+        lambda: _frame_against_whole(cubic_frame(2, "p1^3 + 2*p1^2*p2 - 3*p2^3"),
+                                     constant_tensor(2, 0, {(0, 2): gr("3/2"), (1, 3): gr("3/2")}), 4),
+        lambda: _frame_against_whole(cubic_frame(1, "2*p1^3 - 3*p1^2"),
+                                     constant_tensor(1, 0, {(0, 1): gr("3/2")}), 6),
+        # a coordinate with more than one partner: the compositions, where
+        # the one-partner read-off of P^-1 would be wrong
+        lambda: _frame_against_whole(shear_frame(NON_CANONICAL_D4, 0, Poly.coordinate(4, 0)),
+                                     NON_CANONICAL_D4, 4),
+        lambda: _frame_against_whole(shear_frame(NON_CANONICAL_D3, 2, Poly.coordinate(3, 2) ** 2),
+                                     NON_CANONICAL_D3, 4),
     ],
     ids=["demo-moyal", "demo-vector-field", "demo-natural", "demo-natural-n2",
          "demo-symplectic", "natural-n3-triangular-o6", "natural-n2-nontriangular-o6",
-         "moyal-n3-o8"],
+         "moyal-n3-o8", "frame-nontriangular-o2", "frame-nontriangular-o4",
+         "frame-nontriangular-o6", "frame-cubic-n2-3/2-o4", "frame-cubic-n1-3/2-o6",
+         "frame-shear-non-canonical-d4-o4", "frame-shear-non-canonical-d3-o4"],
 )
 def test_raw_builders_match_whole_object_builders(case):
     # jets, compositions and pairings added as raw term maps, one multiset
@@ -1058,6 +1104,32 @@ def test_mirrored_moyal_pairing_matches_every_multiset(poisson, order):
     for k, (op, ref) in enumerate(zip(product.C, reference)):
         assert op == ref, f"C_{k} differs from the sum over every multiset"
     assert swap_parity(product)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: moyal_product(PoissonTensor.canonical(1), -1),
+        lambda: vector_field_product(momentum_shear_frame(), PoissonTensor.canonical(1), -3),
+        lambda: natural_cotangent_product(Connection.zero(1), -2),
+    ],
+    ids=["moyal", "vector-field", "natural-cotangent"],
+)
+def test_builder_rejects_a_negative_order(build):
+    with pytest.raises(OrderMismatch):
+        build()
+
+
+def test_an_order_0_product_fails_canonicity():
+    product = moyal_product(PoissonTensor.canonical(1), 0)
+    report = quantum_canonicity_check(product)
+    assert not report.passed
+    assert [e.name for e in report.failures()] == ["pair-0-1"]
+    with pytest.raises(CanonicityFailure):
+        derive_equivalence(product)
+    q, p = coords(2)
+    with pytest.raises(CanonicityFailure):
+        star_bracket(product, q, p)
 
 
 class _AsymmetricJets(dict):
