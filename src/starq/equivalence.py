@@ -49,7 +49,7 @@ from .errors import (
     OperatorOrderExceeded,
     OrderMismatch,
 )
-from .geometry import Connection, SymplecticConnectionSpec, canonical_poisson_entries, ricci
+from .geometry import Connection, SymplecticConnectionSpec, ricci
 from .operators import MAX_OP_ORDER, DiffOp, _acc_poly, _acc_shifted
 from .poly import MultiIndex, Poly, _GrlexKeys
 from .scalars import GaussianRational, ONE
@@ -57,6 +57,7 @@ from .series import HbarSeries
 from .products import (
     CheckEntry,
     CheckReport,
+    PoissonTensor,
     StarProduct,
     _PairTable,
     _first_nonzero,
@@ -262,12 +263,12 @@ def derive_equivalence(s: StarProduct, order: int | None = None) -> EquivalenceM
     `commutator_solution_direct`, whose exact commutator check makes the
     result the unique solution.  A right-hand side with no common
     solution raises `IncompatibleFamily` naming the order and the
-    coordinate.
+    coordinate.  An `order` outside 0..s.order raises `OrderMismatch`.
     """
     if order is None:
         order = s.order
-    if order > s.order:
-        raise ValueError(f"product only carries operators up to order {s.order}")
+    if not 0 <= order <= s.order:
+        raise OrderMismatch(f"derive order {order} is outside 0..{s.order}, the product's orders")
     canon = quantum_canonicity_check(s)
     if not canon.passed:
         bad = ", ".join(e.name for e in canon.failures())
@@ -579,18 +580,12 @@ def flat_cotangent_order4(conn: Connection, cycl_mode: str = "permutations") -> 
     return _contract(conn, _ORDER4, cycl_mode)
 
 
-def flat_cotangent_morphism(conn: Connection, order: int = 4) -> EquivalenceMorphism:
-    """Morphism assembled from the closed forms instead of the recursion.
-
-    Odd orders vanish by parity; orders beyond 4 have no closed form.
-    """
-    if order > 4:
-        raise ValueError("closed forms are available up to order 4")
+def flat_cotangent_morphism(conn: Connection) -> EquivalenceMorphism:
+    """Morphism of orders 0..4 assembled from the closed forms instead of
+    the recursion; odd orders vanish by parity."""
     d = 2 * conn.n
-    closed = {2: flat_cotangent_order2, 4: flat_cotangent_order4}
-    ops = [DiffOp.identity(d)] + [
-        closed[k](conn) if k in closed else DiffOp.zero(d) for k in range(1, order + 1)
-    ]
+    zero = DiffOp.zero(d)
+    ops = [DiffOp.identity(d), zero, flat_cotangent_order2(conn), zero, flat_cotangent_order4(conn)]
     return EquivalenceMorphism(ops, provenance="closed-form")
 
 
@@ -602,16 +597,13 @@ def symplectic_order2(spec: SymplecticConnectionSpec) -> DiffOp:
     """Closed form of the order-2 morphism term for a torsionless
     symplectic connection with Ricci weight `a`.
 
-    Derivative slots are raised through the Poisson tensor; the quadratic
-    symbol contraction and the weighted Ricci tensor sit in the order-2
-    coefficient.
+    Each derivative slot alpha is raised to its one partner nu through
+    the canonical Poisson tensor, with the entry P^(alpha nu) as factor
+    (`PoissonTensor._partner`); the quadratic symbol contraction and the
+    weighted Ricci tensor sit in the order-2 coefficient.
     """
-    n = spec.n
     d = spec.dim
-    p_entries = canonical_poisson_entries(n)
-    raised: Dict[int, List[Tuple[int, GaussianRational]]] = {}
-    for (mu, nu), v in p_entries.items():
-        raised.setdefault(mu, []).append((nu, GaussianRational(v)))
+    partner = PoissonTensor.canonical(spec.n)._partner
 
     acc: Dict[MultiIndex, Poly] = {}
     w3 = GaussianRational(Fraction(-1, 24))
@@ -621,14 +613,8 @@ def symplectic_order2(spec: SymplecticConnectionSpec) -> DiffOp:
         low = spec.lowered(al, be, ga)
         if low.is_zero():
             continue
-        for b1, v1 in raised.get(al, ()):
-            for b2, v2 in raised.get(be, ()):
-                for b3, v3 in raised.get(ga, ()):
-                    _acc_poly(
-                        acc,
-                        MultiIndex.of(b1, b2, b3),
-                        low.scale(w3 * v1 * v2 * v3),
-                    )
+        (b1, v1), (b2, v2), (b3, v3) = partner[al], partner[be], partner[ga]
+        _acc_poly(acc, MultiIndex.of(b1, b2, b3), low.scale(w3 * v1 * v2 * v3))
 
     ric = ricci(spec)
     for al, be in itertools.product(range(d), repeat=2):
@@ -640,9 +626,8 @@ def symplectic_order2(spec: SymplecticConnectionSpec) -> DiffOp:
             coeff = coeff + ric_comp.scale(spec.a)
         if coeff.is_zero():
             continue
-        for b1, v1 in raised.get(al, ()):
-            for b2, v2 in raised.get(be, ()):
-                _acc_poly(acc, MultiIndex.of(b1, b2), coeff.scale(w2 * v1 * v2))
+        (b1, v1), (b2, v2) = partner[al], partner[be]
+        _acc_poly(acc, MultiIndex.of(b1, b2), coeff.scale(w2 * v1 * v2))
 
     return DiffOp(d, acc)
 

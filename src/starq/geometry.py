@@ -34,20 +34,6 @@ from .scalars import GaussianRational
 
 
 # ---------------------------------------------------------------------------
-# canonical Poisson tensor
-# ---------------------------------------------------------------------------
-
-def canonical_poisson_entries(n: int) -> Dict[Tuple[int, int], int]:
-    """Nonzero entries of the canonical Poisson matrix: the block
-    ((0, I), (-I, 0)) on the first 2n coordinates."""
-    entries: Dict[Tuple[int, int], int] = {}
-    for i in range(n):
-        entries[(i, n + i)] = 1
-        entries[(n + i, i)] = -1
-    return entries
-
-
-# ---------------------------------------------------------------------------
 # base connection
 # ---------------------------------------------------------------------------
 

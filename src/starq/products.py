@@ -9,7 +9,9 @@ with a Ricci-weight parameter.  All four share one pairing,
 rank-k jets of both factors, read from one table keyed by sorted index
 tuples, and the constructors differ only in that table (the partials for
 Moyal; covariant jets from the one jet recursion of `geometry` for the
-others, a frame's taken of its flat connection).  Every jet table is
+others, a frame's taken of its flat connection).  What they read of the
+tensor, its sorted entries, paired coordinates and partners, it works
+out once, when it is made (`PoissonTensor`).  Every jet table is
 symmetric in its indices -- partials commute, a flat torsion-free
 connection (a flat lift, or the connection that keeps commuting frame
 fields parallel) has fully symmetric jets, and rank-2 jets of any
@@ -44,7 +46,6 @@ from .geometry import (
     Connection,
     SymplecticConnectionSpec,
     _sorted_jets,
-    canonical_poisson_entries,
     lift_connection,
     ricci,
     symmetric_jet_ops,
@@ -68,12 +69,18 @@ from .series import HbarSeries
 
 class PoissonTensor:
     """Constant antisymmetric bivector on R^d, d = 2n + k, as in quantum
-    canonical coordinates; each component is a constant `Poly`."""
+    canonical coordinates; each component is a constant `Poly`.
 
-    __slots__ = ("n", "casimir", "dim", "_entries")
+    What every builder reads is worked out once, here: the nonzero entries
+    (mu, nu, value) as sorted scalars (`constant_entries`), the sorted
+    paired coordinates, the only jet indices a pairing reads (`_paired`),
+    and the map mu -> (nu, P^(mu nu)) of each one's partner (`_partner`),
+    None when some coordinate has more than one (never when canonical)."""
+
+    __slots__ = ("n", "casimir", "dim", "_entries", "_scalars", "_paired", "_partner")
 
     def __init__(self, n: int, casimir: int, entries: Dict[Tuple[int, int], Poly]):
-        d = 2 * n + casimir
+        d = _phase_dim(n, casimir)
         clean: Dict[Tuple[int, int], Poly] = {}
         for (mu, nu), poly in entries.items():
             if not (0 <= mu < d and 0 <= nu < d):
@@ -87,10 +94,17 @@ class PoissonTensor:
         for (mu, nu), poly in clean.items():
             if clean.get((nu, mu), Poly.zero(d)) != -poly:
                 raise ValueError("Poisson tensor must be antisymmetric")
+        scalars = tuple(sorted((mu, nu, poly.constant_term()) for (mu, nu), poly in clean.items()))
+        # one key per paired coordinate, in sorted order; fewer keys than
+        # entries when some coordinate has more than one partner
+        partner = {mu: (nu, v) for mu, nu, v in scalars}
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "casimir", casimir)
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "_entries", clean)
+        object.__setattr__(self, "_scalars", scalars)
+        object.__setattr__(self, "_paired", tuple(partner))
+        object.__setattr__(self, "_partner", partner if len(partner) == len(scalars) else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PoissonTensor is immutable")
@@ -100,22 +114,18 @@ class PoissonTensor:
 
     @classmethod
     def canonical(cls, n: int, casimir: int = 0) -> "PoissonTensor":
-        """Block form: symplectic 2n x 2n block plus `casimir` null directions."""
-        d = 2 * n + casimir
-        entries = {
-            (mu, nu): Poly.const(d, v)
-            for (mu, nu), v in canonical_poisson_entries(n).items()
-        }
-        return cls(n, casimir, entries)
+        """Block form: the symplectic block ((0, I), (-I, 0)) on the first
+        2n coordinates plus `casimir` null directions."""
+        d = _phase_dim(n, casimir)
+        return cls(n, casimir, {(a, b): Poly.const(d, 1 if a < b else -1)
+                                for i in range(n) for a, b in ((i, n + i), (n + i, i))})
 
     def entry(self, mu: int, nu: int) -> Poly:
         return self._entries.get((mu, nu), Poly.zero(self.dim))
 
-    def constant_entries(self) -> List[Tuple[int, int, GaussianRational]]:
+    def constant_entries(self) -> Tuple[Tuple[int, int, GaussianRational], ...]:
         """Nonzero entries (mu, nu, value) as scalars, sorted."""
-        return sorted(
-            (mu, nu, poly.constant_term()) for (mu, nu), poly in self._entries.items()
-        )
+        return self._scalars
 
     def bracket(self, f: Poly, g: Poly) -> Poly:
         """Classical Poisson bracket sum P^(mu nu) d_mu f d_nu g."""
@@ -147,6 +157,13 @@ class PoissonTensor:
             and self.casimir == other.casimir
             and self._entries == other._entries
         )
+
+
+def _phase_dim(n: int, casimir: int) -> int:
+    """d = 2n + casimir, with no negative count and at least one coordinate."""
+    if n < 0 or casimir < 0 or 2 * n + casimir < 1:
+        raise DimensionMismatch(f"no phase space has n={n} pairs and {casimir} Casimirs")
+    return 2 * n + casimir
 
 
 # ---------------------------------------------------------------------------
@@ -368,39 +385,24 @@ def _pairing_weight(k: int, combo) -> GaussianRational:
     return _reduced(r, s, v._d * (repeats << k))
 
 
-def _paired(p: PoissonTensor) -> List[int]:
-    """The coordinates a Poisson tensor pairs, the only jet indices read."""
-    return sorted({mu for mu, _, _ in p.constant_entries()})
-
-
 def moyal_product(p: PoissonTensor, order: int) -> StarProduct:
     """Moyal product of a constant Poisson tensor, truncated at `order`:
     the pairing of the partials d^t, t over the coordinates it pairs."""
     jets = {t: DiffOp.derivative(p.dim, MultiIndex.of(*t)) for k in range(1, order + 1)
-            for t in itertools.combinations_with_replacement(_paired(p), k)}
+            for t in itertools.combinations_with_replacement(p._paired, k)}
     return StarProduct(p, _pairing_product(p, jets, order))
 
 
-def _partners(p: PoissonTensor) -> Dict[int, Tuple[int, GaussianRational]] | None:
-    """The one partner nu and the entry P^(mu nu) of each coordinate mu that
-    `p` pairs, or None when some coordinate has more than one partner."""
-    partner: Dict[int, Tuple[int, GaussianRational]] = {}
-    for mu, nu, v in p.constant_entries():
-        if mu in partner:
-            return None
-        partner[mu] = (nu, v)
-    return partner
-
-
-def _frame_connection(frame: VectorFieldFrame, partner, dim: int) -> Connection:
+def _frame_connection(frame: VectorFieldFrame, p: PoissonTensor) -> Connection:
     """The flat torsion-free connection that keeps the paired fields
     e_mu = sum_a e_mu^a d_a parallel, on the paired coordinates:
 
         Gamma^a_(bc) = -sum_mu (d_b e_mu^a) (e^-1)^mu_c,
 
-    formed only where d_b e_mu^a != 0.  `partner` is `_partners(p)`.
-    With one partner per coordinate, P^-1[c][pc] = -1 / P[c][pc], so
+    formed only where d_b e_mu^a != 0.  `p` must pair each coordinate with
+    one partner (its `_partner` map); then P^-1[c][pc] = -1 / P[c][pc], so
     e^-1 = P^-1 e^T P reads (e^-1)^mu_c = e_(p mu)^(pc) P[mu][p mu] / P[c][pc]."""
+    partner = p._partner
     inverse: Dict[int, List[Tuple[int, Poly]]] = {}
     for mu, (pmu, vmu) in partner.items():
         for c, (pc, vc) in partner.items():
@@ -416,8 +418,8 @@ def _frame_connection(frame: VectorFieldFrame, partner, dim: int) -> Connection:
                 if de.is_zero():
                     continue
                 for c, inv in row:
-                    gamma[(a, b, c)] = gamma.get((a, b, c), Poly.zero(dim)) - de * inv
-    return Connection(dim, gamma)
+                    gamma[(a, b, c)] = gamma.get((a, b, c), Poly.zero(p.dim)) - de * inv
+    return Connection(p.dim, gamma)
 
 
 def vector_field_product(frame: VectorFieldFrame, p: PoissonTensor, order: int) -> StarProduct:
@@ -437,13 +439,11 @@ def vector_field_product(frame: VectorFieldFrame, p: PoissonTensor, order: int) 
     other tensor the jets are the compositions themselves, a recursion
     with no symbols.  Both routes give the same operators."""
     frame.validate(p)
-    coords = _paired(p)
-    partner = _partners(p)
-    if partner is None:
-        jets = _sorted_jets(frame.fields, coords, order)
+    if p._partner is None:
+        jets = _sorted_jets(frame.fields, p._paired, order)
     else:
         partials = [DiffOp.partial(p.dim, a) for a in range(p.dim)]
-        jets = _sorted_jets(partials, coords, order, _frame_connection(frame, partner, p.dim))
+        jets = _sorted_jets(partials, p._paired, order, _frame_connection(frame, p))
     return StarProduct(p, _pairing_product(p, jets, order))
 
 
@@ -472,7 +472,7 @@ def truncated_symplectic_product(spec: SymplecticConnectionSpec) -> StarProduct:
     C = _pairing_product(p, symmetric_jet_ops(spec, 2), 2)
     # Ricci term -a (i/2)^2 / 2! P^(mu1 nu1) P^(mu2 nu2) R_(mu1 mu2) d_nu1 (x) d_nu2;
     # the canonical tensor pairs each coordinate with exactly one partner
-    partner = _partners(p)
+    partner = p._partner
     weight = -(HALF_I ** 2) * HALF * spec.a
     acc: Dict[Tuple[MultiIndex, MultiIndex], Poly] = {}
     for (mu1, mu2), ric_comp in ricci(spec).items():

@@ -122,6 +122,13 @@ def canonical_pairs(n):
     return out
 
 
+def canonical_poisson_entries(n):
+    """The canonical Poisson matrix as written by hand, the oracle of
+    `PoissonTensor.canonical`: the block ((0, I), (-I, 0)) on the first 2n
+    coordinates, as (mu, nu) -> value."""
+    return {(mu, nu): v for mu, nu, v in canonical_pairs(n)}
+
+
 def moyal_oracle(f_expr, g_expr, syms, n, order):
     """Brute-force Moyal product, one sympy expression per order."""
     pairs = canonical_pairs(n)

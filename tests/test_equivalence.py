@@ -17,7 +17,6 @@ from starq.errors import (
 from starq.geometry import (
     Connection,
     SymplecticConnectionSpec,
-    canonical_poisson_entries,
     flat_connection_from_diffeo,
     ricci,
 )
@@ -51,6 +50,7 @@ from starq.equivalence import (
 )
 
 from helpers import (
+    canonical_poisson_entries,
     index_loop_order2,
     n3_triangular_connection,
     nontriangular_n2_connection,
@@ -567,6 +567,19 @@ def test_verify_intertwining_at_degree_zero(natural_q_product, natural_q_morphis
         assert slots.detail.endswith("first failure: coordinate 0 on 1 at order 4: residual 1")
 
 
+@pytest.mark.parametrize("order", [-2, -1, 5])
+def test_derive_rejects_an_order_outside_the_product(order):
+    product = moyal_product(PoissonTensor.canonical(1), 4)
+    with pytest.raises(OrderMismatch, match=f"derive order {order} is outside 0..4"):
+        derive_equivalence(product, order)
+
+
+def test_derive_reaches_both_ends_of_the_product_orders():
+    product = moyal_product(PoissonTensor.canonical(1), 4)
+    assert derive_equivalence(product, 0) == EquivalenceMorphism([DiffOp.identity(2)], "recursion")
+    assert derive_equivalence(product, 4).order == 4
+
+
 def test_verify_intertwining_rejects_order_mismatch(natural_q_product, natural_q_morphism):
     short = EquivalenceMorphism(natural_q_morphism.orders[:3], "recursion")
     with pytest.raises(OrderMismatch):
@@ -788,7 +801,7 @@ def test_symplectic_order2_matches_derivation():
 
 def test_closed_form_morphism_matches_recursion(natural_q_product, natural_q_morphism):
     closed = flat_cotangent_morphism(gamma_q())
-    assert closed.provenance == "closed-form"
+    assert closed.provenance == "closed-form" and closed.order == 4
     assert closed == natural_q_morphism
     assert verify_intertwining(closed, natural_q_product, 3).passed
 

@@ -9,7 +9,6 @@ from starq.errors import DimensionMismatch, NonFlatConnection
 from starq.geometry import (
     Connection,
     SymplecticConnectionSpec,
-    canonical_poisson_entries,
     covariant_jet_ops,
     curvature,
     flat_connection_from_diffeo,
@@ -22,6 +21,7 @@ from starq.poly import MultiIndex, Poly
 from starq.scalars import GaussianRational
 
 from helpers import (
+    canonical_poisson_entries,
     christoffel_oracle,
     f_tensors,
     n3_triangular_connection,

@@ -10,9 +10,20 @@ import pytest
 
 import starq.products as products
 from starq.cli import build_product, parse_spec
-from starq.errors import CanonicityFailure, InvalidFrame, NonFlatConnection, OrderMismatch
+from starq.errors import (
+    CanonicityFailure,
+    DimensionMismatch,
+    InvalidFrame,
+    NonFlatConnection,
+    OrderMismatch,
+)
 from starq.exprparse import parse_phase_poly
-from starq.equivalence import derive_equivalence, flat_cotangent_order2, symplectic_order2
+from starq.equivalence import (
+    EquivalenceMorphism,
+    derive_equivalence,
+    flat_cotangent_order2,
+    symplectic_order2,
+)
 from starq.geometry import (
     Connection,
     SymplecticConnectionSpec,
@@ -41,6 +52,7 @@ from starq.products import (
 )
 
 from helpers import (
+    canonical_poisson_entries,
     chart_mismatches,
     closed_form_slot_ops,
     cotangent_chart,
@@ -111,6 +123,78 @@ def test_canonical_block_form():
     assert p.entry(2, 0) == Poly.const(5, -1)
     assert p.entry(0, 4).is_zero()
     assert p.entry(4, 4).is_zero()
+    # every entry against the block written by hand
+    for n, casimir in ((0, 1), (1, 0), (2, 1), (3, 2)):
+        p = PoissonTensor.canonical(n, casimir)
+        d = 2 * n + casimir
+        assert p.dim == d
+        written = {key: p.entry(*key) for key in itertools.product(range(d), repeat=2)}
+        assert {key: e for key, e in written.items() if not e.is_zero()} == {
+            key: Poly.const(d, v) for key, v in canonical_poisson_entries(n).items()}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PoissonTensor(-1, 0, {}),
+        lambda: PoissonTensor(1, -2, {}),
+        lambda: PoissonTensor(0, 0, {}),
+        lambda: PoissonTensor.canonical(0),
+        lambda: PoissonTensor.canonical(-1, 3),
+        lambda: PoissonTensor.canonical(1, -3),
+    ],
+    ids=["negative-n", "negative-casimir", "empty", "canonical-empty",
+         "canonical-negative-n", "canonical-negative-casimir"],
+)
+def test_tensor_rejects_a_degenerate_dimension(make):
+    with pytest.raises(DimensionMismatch):
+        make()
+
+
+def test_casimir_only_tensor_is_a_phase_space():
+    # one null direction: nothing is paired, and every morphism order is 0
+    p = PoissonTensor.canonical(0, 1)
+    assert (p.dim, p.constant_entries(), p._paired, p._partner) == (1, (), (), {})
+    zero = DiffOp.zero(1)
+    assert derive_equivalence(moyal_product(p, 2)) == EquivalenceMorphism(
+        [DiffOp.identity(1), zero, zero], "recursion")
+
+
+def test_canonical_structure_leaves_the_casimirs_unpaired():
+    # q1 q2 p1 p2 c1 c2: each q pairs with its p, the Casimirs with nothing
+    p = PoissonTensor.canonical(2, 2)
+    one, minus = gr(1), gr(-1)
+    assert p.constant_entries() == ((0, 2, one), (1, 3, one), (2, 0, minus), (3, 1, minus))
+    assert p._paired == (0, 1, 2, 3)
+    assert p._partner == {0: (2, one), 1: (3, one), 2: (0, minus), 3: (1, minus)}
+
+
+def test_rescaled_block_keeps_its_entries_as_partner_factors():
+    p = constant_tensor(2, 0, {(0, 2): gr("3/2"), (1, 3): gr("3/2")})
+    half3, minus = gr("3/2"), gr("-3/2")
+    assert p._partner == {0: (2, half3), 1: (3, half3), 2: (0, minus), 3: (1, minus)}
+
+
+def test_several_partners_give_no_partner_map():
+    for p in (NON_CANONICAL_D3, NON_CANONICAL_D4):
+        assert p._partner is None
+        assert p._paired == tuple(range(p.dim))
+
+
+def test_tensor_copy_and_pickle_keep_the_structure():
+    for p in (PoissonTensor.canonical(2, 2), NON_CANONICAL_D4):
+        for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert twin == p
+            assert twin.constant_entries() == p.constant_entries()
+            assert (twin._paired, twin._partner) == (p._paired, p._partner)
+
+
+def test_tensor_structure_is_read_only():
+    p = PoissonTensor.canonical(1)
+    assert isinstance(p.constant_entries(), tuple)
+    for name in ("dim", "_scalars", "_paired", "_partner", "extra"):
+        with pytest.raises(AttributeError, match="PoissonTensor is immutable"):
+            setattr(p, name, None)
 
 
 def test_classical_bracket_matches_oracle():
@@ -531,7 +615,7 @@ def test_ricci_weight_shifts_order2_term():
     assert s1.C[1] == s2.C[1]
     diff = s1.C[2] - s2.C[2]
     # the difference is the Ricci coupling alone
-    from starq.geometry import canonical_poisson_entries, ricci
+    from starq.geometry import ricci
 
     entries = canonical_poisson_entries(1)
     expect_terms = {}
