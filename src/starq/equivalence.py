@@ -46,6 +46,7 @@ from .errors import (
     DimensionMismatch,
     FamilyKeepsConstants,
     IncompatibleFamily,
+    InvalidArgument,
     OperatorOrderExceeded,
     OrderMismatch,
 )
@@ -59,10 +60,9 @@ from .products import (
     CheckReport,
     PoissonTensor,
     StarProduct,
-    _PairTable,
+    _MoyalPairs,
     _first_nonzero,
     monomials_up_to,
-    moyal_product,
     quantum_canonicity_check,
     swap_parity,
     unital,
@@ -76,10 +76,10 @@ class EquivalenceMorphism:
 
     def __init__(self, orders: Sequence[DiffOp], provenance: str):
         if not orders:
-            raise ValueError("a morphism needs at least the order-0 operator")
+            raise OrderMismatch("a morphism needs at least the order-0 operator")
         dim = orders[0].dim
         if orders[0] != DiffOp.identity(dim):
-            raise ValueError("the order-0 operator must be the identity")
+            raise InvalidArgument("the order-0 operator must be the identity")
         if any(op.dim != dim for op in orders):
             raise DimensionMismatch("mixed dimensions in morphism orders")
         object.__setattr__(self, "dim", dim)
@@ -178,10 +178,10 @@ def commutator_solution_direct(family: Sequence[DiffOp]) -> DiffOp:
     that does not kill constants its subclass `FamilyKeepsConstants`.
     """
     if not family:
-        raise ValueError("empty operator family")
+        raise DimensionMismatch("a family has one operator per coordinate, got none")
     d = family[0].dim
     if len(family) != d:
-        raise ValueError(f"expected one operator per coordinate, got {len(family)}")
+        raise DimensionMismatch(f"expected one operator per coordinate, got {len(family)}")
     acc: Dict[MultiIndex, Poly] = {}
     for alpha, op in enumerate(family):
         if op.dim != d:
@@ -208,7 +208,7 @@ def commutator_solution_nested(family: Sequence[DiffOp]) -> DiffOp:
     order by one, which makes the sum finite for finite-order input.
     """
     if not family:
-        raise ValueError("empty operator family")
+        raise DimensionMismatch("a family has one operator per coordinate, got none")
     d = family[0].dim
     total = DiffOp.zero(d)
     # level m holds [x^(a_1),...,[x^(a_(m-1)), F^(a_m)]] keyed by
@@ -318,13 +318,16 @@ def verify_intertwining(
     relations x *_s T(f) = T(x *_Moyal f) that drive the recurrence, with
     the coordinate left bare on the s side.  Both sides are expanded
     bilinearly over monomials into one keyed raw series of their
-    difference: T(f *_Moyal g) from the flat pair of a `_PairTable` of the
-    Moyal product and the flat images T_0..T_N(x^w), then T(f) *_s T(g)
-    subtracted by one `add_star` of a `_PairTable` of s, T(f) negated;
-    both tables and the images live for this call only.  Products are visited in the order of a direct
-    evaluation, so the first failure reported is unchanged.  A failing
-    entry names its first failing product, the lowest order where the
-    two sides differ and the residual T(f *_Moyal g) - T(f) * T(g) there.
+    difference: T(f *_Moyal g) from the flat Moyal pair and the flat
+    images T_0..T_N(x^w), then T(f) *_s T(g) subtracted by one `add_star`
+    of the pair table of s, T(f) negated.  The Moyal pairs are read in
+    closed form from the entries of `s.poisson` (`_MoyalPairs`), with no
+    Moyal product built; they and the images are kept for this call, the
+    pairs of s as long as s.  Products are visited in the order of a
+    direct evaluation, so the first failure reported is unchanged.  A
+    failing entry names its first failing product, the lowest order where
+    the two sides differ and the residual T(f *_Moyal g) - T(f) * T(g)
+    there.
 
     When s has `swap_parity` and every odd T_k is zero, write eps for
     hbar -> -hbar: g * f = eps(f * g) for both products and T commutes
@@ -349,8 +352,10 @@ def verify_intertwining(
     N = s.order
     if morphism.order != N:
         raise OrderMismatch(f"morphism order {morphism.order} differs from product order {N}")
-    star = _PairTable(s)
-    moyal = _PairTable(moyal_product(s.poisson, N))
+    if max_degree < 0:
+        raise InvalidArgument(f"a degree bound is 0 or more, not {max_degree}")
+    star = s._pairs()
+    moyal = _MoyalPairs(s.poisson, N)
     orders = morphism.orders[1:]
     images: Dict[MultiIndex, tuple] = {}
 

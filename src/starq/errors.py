@@ -5,6 +5,12 @@ class StarqError(Exception):
     """Base class for all engine errors."""
 
 
+class InvalidArgument(StarqError):
+    """An argument lies outside what a library call accepts: a negative
+    degree bound, a morphism whose order-0 operator is not the identity,
+    connection symbols that are not symmetric in the lower indices."""
+
+
 class DimensionMismatch(StarqError):
     """Operands live on phase spaces of different dimension."""
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Tuple
 
-from .errors import DimensionMismatch, NonFlatConnection, OperatorOrderExceeded
+from .errors import DimensionMismatch, InvalidArgument, NonFlatConnection, OperatorOrderExceeded
 from .operators import MAX_OP_ORDER, DiffOp, _acc_compose, _acc_shifted, _leibniz_splits
 from .poly import MultiIndex, Poly
 from .scalars import GaussianRational
@@ -46,6 +46,8 @@ class Connection:
     __slots__ = ("n", "_gamma")
 
     def __init__(self, n: int, gamma: Dict[Tuple[int, int, int], Poly] | None = None):
+        if n < 0:
+            raise DimensionMismatch(f"a connection lives on R^n with n >= 0, not n={n}")
         clean: Dict[Tuple[int, int, int], Poly] = {}
         for (i, j, k), poly in (gamma or {}).items():
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
@@ -56,7 +58,7 @@ class Connection:
                 clean[(i, j, k)] = poly
         for (i, j, k), poly in clean.items():
             if clean.get((i, k, j), Poly.zero(n)) != poly:
-                raise ValueError("connection symbols must be symmetric in the lower indices")
+                raise InvalidArgument("connection symbols must be symmetric in the lower indices")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_gamma", clean)
 
@@ -159,6 +161,8 @@ class SymplecticConnectionSpec:
         lowered: Dict[Tuple[int, int, int], Poly],
         a: GaussianRational = GaussianRational(0),
     ):
+        if n < 0:
+            raise DimensionMismatch(f"a phase space R^(2n) has n >= 0, not n={n}")
         d = 2 * n
         clean: Dict[Tuple[int, int, int], Poly] = {}
         for (al, be, ga), poly in lowered.items():

@@ -30,9 +30,16 @@ polynomial coefficients.  Every truncated product of hbar-series,
 kernel, `_PairTable.add_star`, on flat series of (order, monomial,
 coefficient) entries: one lookup per monomial pair (a, b) gives every
 nonzero term of C_0..C_k(x^a, x^b), filled up to the order k that the
-truncation reads, added into one map keyed by (order, monomial).  When
-1 is the unit of the product, `check_axioms` skips the triples with a
-constant factor, whose associators the unit laws already prove zero.
+truncation reads, added into one map keyed by (order, monomial).  A
+product has one such table, made on first use and living as long as the
+product, so `apply`, `star_bracket`, both checks and the intertwining
+check of `equivalence` share its pairs, and its structural verdicts
+(`unital`, `swap_parity`) are each decided once; `==`, copy and pickle
+ignore it.  When 1 is the unit of the product, `check_axioms` skips the
+triples with a constant factor, whose associators the unit laws already
+prove zero.  The Moyal pairs that the intertwining check compares with
+are read in closed form from the tensor's entries (`_MoyalPairs`), with
+no operator built.
 """
 
 from __future__ import annotations
@@ -41,7 +48,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .errors import CanonicityFailure, DimensionMismatch, InvalidFrame, OrderMismatch
+from .errors import (
+    CanonicityFailure,
+    DimensionMismatch,
+    InvalidArgument,
+    InvalidFrame,
+    OrderMismatch,
+)
 from .geometry import (
     Connection,
     SymplecticConnectionSpec,
@@ -241,11 +254,13 @@ class VectorFieldFrame:
 class StarProduct:
     """Truncated product f * g = sum_k hbar^k C_k(f, g)."""
 
-    __slots__ = ("dim", "order", "C", "poisson")
+    # _table is the product's one `_PairTable`, made on first use; it is
+    # a pure cache, which `==`, copy and pickle ignore
+    __slots__ = ("dim", "order", "C", "poisson", "_table")
 
     def __init__(self, poisson: PoissonTensor, C: List[BiDiffOp]):
         if not C:
-            raise ValueError("need at least the order-0 operator")
+            raise OrderMismatch("a product needs at least the order-0 operator")
         dim = poisson.dim
         for op in C:
             if op.dim != dim:
@@ -254,6 +269,7 @@ class StarProduct:
         object.__setattr__(self, "order", len(C) - 1)
         object.__setattr__(self, "C", list(C))
         object.__setattr__(self, "poisson", poisson)
+        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("StarProduct is immutable")
@@ -272,13 +288,25 @@ class StarProduct:
         u, v = ([(k, m, c) for k, p in enumerate(h.coeffs) for m, c in p._terms.items()]
                 for h in (f, g))
         acc: dict = {}
-        _PairTable(self).add_star(acc, u, v)
+        self._pairs().add_star(acc, u, v)
         return HbarSeries(_coefficients(self.dim, N, acc))
 
+    def _pairs(self) -> "_PairTable":
+        """The product's one pair table, made on first use."""
+        table = self._table
+        if table is None:
+            table = _PairTable(self)
+            object.__setattr__(self, "_table", table)
+        return table
+
     def truncate(self, order: int) -> "StarProduct":
+        """The product of orders 0..order; the product itself, and so its
+        pair table, at its own order."""
         if order > self.order:
             raise OrderMismatch(f"cannot extend order {self.order} to {order}")
-        return StarProduct(self.poisson, self.C[: order + 1])
+        if order < 0:
+            raise OrderMismatch(f"a product has order 0 or more, not {order}")
+        return self if order == self.order else StarProduct(self.poisson, self.C[: order + 1])
 
     def __eq__(self, other):
         if not isinstance(other, StarProduct):
@@ -391,6 +419,67 @@ def moyal_product(p: PoissonTensor, order: int) -> StarProduct:
     jets = {t: DiffOp.derivative(p.dim, MultiIndex.of(*t)) for k in range(1, order + 1)
             for t in itertools.combinations_with_replacement(p._paired, k)}
     return StarProduct(p, _pairing_product(p, jets, order))
+
+
+class _MoyalPairs:
+    """x^u *_Moyal x^v of a constant Poisson tensor up to order N, read in
+    closed form with no operator built; the pair oracle is
+    `_PairTable(moyal_product(p, N)).pair`.
+
+    C_l of Moyal sums, over the multisets M of l Poisson entries, the
+    term w(M) d^L (x) d^R, with w the pairing weight and L, R the
+    multisets of the entries' left and right indices.  So C_l(x^u, x^v)
+    is the sum of w(M) (u)_L (v)_R x^(u-L+v-R) over the M with L <= u and
+    R <= v, the falling factorials read from the divisor tables of u and
+    v.  Every term of C_l differentiates both slots l times, so only the
+    orders l <= min(|u|, |v|, N) are formed, and the (L, R, w) list of an
+    order is built the first time a pair reads it.  A pair is the flat
+    raw series of `_PairTable.pair`, kept while this table lives.
+    """
+
+    __slots__ = ("_entries", "_N", "_orders", "_pairs")
+
+    def __init__(self, p: PoissonTensor, N: int):
+        self._entries = p.constant_entries()
+        self._N = N
+        # order l -> (L, R, w(M)) of every multiset M of l entries
+        self._orders: List[tuple] = [()]
+        self._pairs: Dict[tuple, tuple] = {}
+
+    def _order(self, l: int) -> tuple:
+        orders = self._orders
+        while len(orders) <= l:
+            k = len(orders)
+            orders.append(tuple(
+                (MultiIndex.of(*(e[0] for e in combo)), MultiIndex.of(*(e[1] for e in combo)),
+                 _pairing_weight(k, combo))
+                for combo in itertools.combinations_with_replacement(self._entries, k)))
+        return orders[l]
+
+    def pair(self, u: MultiIndex, v: MultiIndex) -> tuple:
+        """x^u *_Moyal x^v as the flat raw series of C_0..C_N(x^u, x^v)."""
+        got = self._pairs.get((u, v))
+        if got is None:
+            out = [(0, u.sum_table()[v], ONE)]
+            top = min(u.degree, v.degree, self._N)
+            if top:
+                du, dv = u.divisors(), v.divisors()
+            for l in range(1, top + 1):
+                acc: Dict[MultiIndex, GaussianRational] = {}
+                for L, R, w in self._order(l):
+                    hu = du.get(L)
+                    if hu is None:
+                        continue
+                    hv = dv.get(R)
+                    if hv is None:
+                        continue
+                    m = hu[1].sum_table()[hv[1]]
+                    f = hu[2] * hv[2]
+                    c = w if f == 1 else w * f
+                    acc[m] = acc[m] + c if m in acc else c
+                out += [(l, m, c) for m, c in acc.items() if c]
+            got = self._pairs[(u, v)] = tuple(out)
+        return got
 
 
 def _frame_connection(frame: VectorFieldFrame, p: PoissonTensor) -> Connection:
@@ -540,8 +629,10 @@ class CheckReport:
 
 
 class _PairTable:
-    """x^a * x^b of one product for one call, and the one truncated
-    star-product kernel over them, `add_star`.
+    """x^a * x^b of one product, the one truncated star-product kernel
+    over them, `add_star`, and what the checks decide of the product's
+    operators; one per product (`StarProduct._pairs`), made on first use
+    and living as long as the product.
 
     A flat raw series is a sequence of (order, monomial, coefficient)
     entries in ascending order; a keyed one maps (order, monomial) to a
@@ -550,16 +641,33 @@ class _PairTable:
     order 0 when C_0 is pointwise multiplication.  It is filled only up
     to the highest order k read from it so far, and a later request that
     reads further extends it; filled orders are kept while the table
-    lives, and callers only read them.
+    lives, and callers only read them.  The structural verdicts, C_0 is
+    multiplication (`_mult`), every C_k with k >= 1 kills constants
+    (`kills_constants`) and the slot-swap parity (`parity`), are each
+    decided once.
     """
 
-    __slots__ = ("_C", "_mult", "_pairs")
+    __slots__ = ("_C", "_mult", "_kills", "_parity", "_pairs")
 
     def __init__(self, s: StarProduct):
         self._C = s.C
         self._mult = s.C[0] == BiDiffOp.multiplication(s.dim)
+        self._kills: bool | None = None
+        self._parity: bool | None = None
         # (a, b) -> (highest filled order, flat raw series up to it)
         self._pairs: Dict[tuple, tuple] = {}
+
+    def kills_constants(self) -> bool:
+        """Every C_k with k >= 1 vanishes on constants."""
+        if self._kills is None:
+            self._kills = all(op.vanishes_on_constants() for op in self._C[1:])
+        return self._kills
+
+    def parity(self) -> bool:
+        """C_k.swap() == C_k.scale((-1)^k) for every k."""
+        if self._parity is None:
+            self._parity = all(op.swap() == (-op if k % 2 else op) for k, op in enumerate(self._C))
+        return self._parity
 
     def pair(self, a: MultiIndex, b: MultiIndex) -> tuple:
         """x^a * x^b as the flat raw series of C_0..C_N(x^a, x^b)."""
@@ -624,15 +732,16 @@ def _first_nonzero(dim: int, acc: dict) -> Tuple[int, Poly] | None:
 def unital(s: StarProduct) -> bool:
     """True when 1 * u = u * 1 = u for every series u: C_0 is pointwise
     multiplication and every C_k with k >= 1 vanishes on constants,
-    decided structurally."""
-    return s.C[0] == BiDiffOp.multiplication(s.dim) and all(
-        op.vanishes_on_constants() for op in s.C[1:])
+    decided structurally, once per product."""
+    table = s._pairs()
+    return table._mult and table.kills_constants()
 
 
 def swap_parity(s: StarProduct) -> bool:
     """True when every operator satisfies C_k(g, f) = (-1)^k C_k(f, g),
-    decided structurally: C_k.swap() == C_k.scale((-1)^k)."""
-    return all(op.swap() == (-op if k % 2 else op) for k, op in enumerate(s.C))
+    decided structurally, once per product:
+    C_k.swap() == C_k.scale((-1)^k)."""
+    return s._pairs().parity()
 
 
 def check_axioms(s: StarProduct, max_degree: int = 4) -> CheckReport:
@@ -642,9 +751,9 @@ def check_axioms(s: StarProduct, max_degree: int = 4) -> CheckReport:
     degree <= max_degree, at every order of the deformation parameter;
     the remaining conditions are structural.  Each associator
     (f*g)*h - f*(g*h) is one keyed raw series, filled by two `add_star`
-    calls of one `_PairTable` of this call from the flat pairs f*g and
-    g*h; its lowest nonzero order is the failure reported.  The triples
-    are visited in the same order as a direct evaluation, so the first
+    calls of the product's `_PairTable` from the flat pairs f*g and g*h;
+    its lowest nonzero order is the failure reported.  The triples are
+    visited in the same order as a direct evaluation, so the first
     failure reported (order, triple, residual) is unchanged.
 
     When the product is `unital` (the structural entries
@@ -662,7 +771,10 @@ def check_axioms(s: StarProduct, max_degree: int = 4) -> CheckReport:
     first, and keeps the visiting order, so the report is that of the
     full enumeration.
     """
+    if max_degree < 0:
+        raise InvalidArgument(f"a degree bound is 0 or more, not {max_degree}")
     d = s.dim
+    table = s._pairs()
     entries: List[CheckEntry] = []
 
     entries.append(
@@ -673,7 +785,7 @@ def check_axioms(s: StarProduct, max_degree: int = 4) -> CheckReport:
         )
     )
 
-    mult = s.C[0] == BiDiffOp.multiplication(d)
+    mult = table._mult
     entries.append(
         CheckEntry(
             "order0-multiplication",
@@ -693,9 +805,8 @@ def check_axioms(s: StarProduct, max_degree: int = 4) -> CheckReport:
         )
     )
 
-    parity = swap_parity(s)
-    unit_ok = all(s.C[k].vanishes_on_constants() for k in range(1, s.order + 1))
-    table = _PairTable(s)
+    parity = table.parity()
+    unit_ok = table.kills_constants()
     basis = monomials_up_to(d, max_degree)
     # `unital` from the two entries: the constant, first in the basis, is
     # then never visited
@@ -756,12 +867,12 @@ def quantum_canonicity_check(s: StarProduct) -> CheckReport:
     Poisson tensor, exactly at every available order.
 
     Every commutator x^mu * x^nu - x^nu * x^mu is one keyed raw series,
-    filled by two `add_star` calls of one `_PairTable` of this call; the bracket
-    is then read off as `star_bracket` reads it.
+    filled by two `add_star` calls of the product's `_PairTable`; the
+    bracket is then read off as `star_bracket` reads it.
     """
     d = s.dim
     entries: List[CheckEntry] = []
-    table = _PairTable(s)
+    table = s._pairs()
     units = [MultiIndex.unit(mu) for mu in range(d)]
     for mu in range(d):
         for nu in range(mu + 1, d):

@@ -9,8 +9,10 @@ from starq import equivalence
 from starq.cli import build_product, parse_spec
 from starq.errors import (
     CanonicityFailure,
+    DimensionMismatch,
     FamilyKeepsConstants,
     IncompatibleFamily,
+    InvalidArgument,
     OrderMismatch,
     StarqError,
 )
@@ -27,7 +29,9 @@ from starq.series import HbarSeries
 from starq.products import (
     PoissonTensor,
     StarProduct,
+    _MoyalPairs,
     _PairTable,
+    check_axioms,
     monomials_up_to,
     moyal_product,
     natural_cotangent_product,
@@ -60,7 +64,14 @@ from helpers import (
     term_scan_verify_intertwining,
 )
 from test_geometry import random_flat_connection
-from test_products import DEMOS, corrupted, momentum_shear_frame
+from test_products import (
+    DEMOS,
+    NON_CANONICAL_D3,
+    NON_CANONICAL_D4,
+    bumped_morphism,
+    corrupted,
+    momentum_shear_frame,
+)
 
 
 def gamma_q():
@@ -373,13 +384,6 @@ def test_perturbed_morphism_fails_with_location(natural_q_product, natural_q_mor
     assert any("first failure" in e.detail for e in failing)
 
 
-def bumped_morphism(morphism, order, index, coeff):
-    """The morphism with coeff * d^index added to its order-`order` operator."""
-    orders = list(morphism.orders)
-    orders[order] = orders[order] + DiffOp.derivative(morphism.dim, index, coeff)
-    return EquivalenceMorphism(orders, "recursion")
-
-
 # T_2 + (1/7) d^2/dx1^2 kills coordinates; T_4 + d/dx0 does not, so only
 # it tells the bare coordinate x *_s T(f) of the coordinate slots from
 # T(x) *_s T(f)
@@ -445,18 +449,17 @@ def test_verify_intertwining_mirror_reduction_matches_term_scan(
     assert report.to_json() == term_scan_verify_intertwining(bad, product, 3).to_json()
 
 
-def _record_reference_pairs(monkeypatch, s):
-    """The set of (f, g) fed to the Moyal reference's pair table, which
+def _record_reference_pairs(monkeypatch):
+    """The set of (f, g) fed to the closed-form Moyal reference, which
     verify_intertwining reads once per product it evaluates."""
     requested = set()
-    pair = _PairTable.pair
+    pair = _MoyalPairs.pair
 
     def recording(table, a, b):
-        if table._C is not s.C:  # the Moyal reference, fed (f, g) as given
-            requested.add((a, b))
+        requested.add((a, b))
         return pair(table, a, b)
 
-    monkeypatch.setattr(_PairTable, "pair", recording)
+    monkeypatch.setattr(_MoyalPairs, "pair", recording)
     return requested
 
 
@@ -470,7 +473,7 @@ def _record_reference_pairs(monkeypatch, s):
 def test_verify_intertwining_gate_reads_the_odd_orders(monkeypatch, order, mirrored):
     moyal = moyal_product(PoissonTensor.canonical(1), 4)
     morphism = bumped_morphism(derive_equivalence(moyal), order, MultiIndex.of(0), gr(1))
-    requested = _record_reference_pairs(monkeypatch, moyal)
+    requested = _record_reference_pairs(monkeypatch)
     degree = 3
     slots, pairs = verify_intertwining(morphism, moyal, degree).entries
     assert slots.detail.endswith(f"first failure: coordinate 0 on 1 at order {order}: residual 1")
@@ -507,7 +510,7 @@ def _scaled_moyal(c):
 # pair the mirror reduction keeps, those with f = 1 included, is evaluated
 def test_verify_intertwining_visits_unit_pairs_when_the_gate_is_off(monkeypatch):
     s, morphism = _scaled_moyal(gr("1/3"))
-    requested = _record_reference_pairs(monkeypatch, s)
+    requested = _record_reference_pairs(monkeypatch)
     degree = 3
     report = verify_intertwining(morphism, s, degree)
     slots, pairs = report.entries
@@ -578,6 +581,60 @@ def test_derive_reaches_both_ends_of_the_product_orders():
     product = moyal_product(PoissonTensor.canonical(1), 4)
     assert derive_equivalence(product, 0) == EquivalenceMorphism([DiffOp.identity(2)], "recursion")
     assert derive_equivalence(product, 4).order == 4
+
+
+# The closed-form Moyal pairs equal the pairs of the built Moyal product,
+# entry for entry, on tensors with one partner per coordinate (canonical,
+# with a Casimir, scaled) and with several (the non-canonical d = 3, 4)
+@pytest.mark.parametrize("order", range(1, 7))
+@pytest.mark.parametrize(
+    "poisson",
+    [PoissonTensor.canonical(1), PoissonTensor.canonical(2), PoissonTensor.canonical(1, 1),
+     PoissonTensor(1, 0, {key: entry.scale(gr("3/2"))
+                          for key, entry in PoissonTensor.canonical(1)._entries.items()}),
+     NON_CANONICAL_D3, NON_CANONICAL_D4],
+    ids=["canonical-1", "canonical-2", "canonical-1-1", "canonical-1-x3/2", "non-canonical-d3",
+         "non-canonical-d4"],
+)
+def test_closed_form_moyal_pairs_match_the_built_product(poisson, order):
+    oracle = _PairTable(moyal_product(poisson, order))
+    closed = _MoyalPairs(poisson, order)
+    basis = monomials_up_to(poisson.dim, 4)
+    for u in basis:
+        for v in basis:
+            got = closed.pair(u, v)
+            keyed = {(l, m): c for l, m, c in got}
+            assert len(keyed) == len(got) and all(c for _, _, c in got)
+            assert keyed == {(l, m): c for l, m, c in oracle.pair(u, v)}, (u, v)
+
+
+# Each library entry point meets a degenerate input with a StarqError
+# subclass where the input is made, not with a bare ValueError or a
+# passing report over an empty basis
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: check_axioms(moyal_product(PoissonTensor.canonical(1), 2), -1), InvalidArgument),
+        (lambda: verify_intertwining(
+            EquivalenceMorphism([DiffOp.identity(2)] * 3, "recursion"),
+            moyal_product(PoissonTensor.canonical(1), 2), -1), InvalidArgument),
+        (lambda: EquivalenceMorphism([], "recursion"), OrderMismatch),
+        (lambda: EquivalenceMorphism([DiffOp.zero(2)], "recursion"), InvalidArgument),
+        (lambda: commutator_solution_nested([]), DimensionMismatch),
+        (lambda: commutator_solution_direct([]), DimensionMismatch),
+        (lambda: StarProduct(PoissonTensor.canonical(1), []), OrderMismatch),
+        (lambda: moyal_product(PoissonTensor.canonical(1), 2).truncate(-2), OrderMismatch),
+        (lambda: Connection(-1), DimensionMismatch),
+        (lambda: SymplecticConnectionSpec(-1, {}), DimensionMismatch),
+        (lambda: Connection(2, {(0, 0, 1): Poly.const(2, 1)}), InvalidArgument),
+    ],
+    ids=["check-axioms-degree", "intertwining-degree", "morphism-empty", "morphism-head",
+         "nested-empty", "direct-empty", "product-empty", "truncate-negative", "connection-dim",
+         "symplectic-dim", "connection-asymmetric"],
+)
+def test_entry_points_reject_bad_input(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_verify_intertwining_rejects_order_mismatch(natural_q_product, natural_q_morphism):

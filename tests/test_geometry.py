@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from starq.errors import DimensionMismatch, NonFlatConnection
+from starq.errors import DimensionMismatch, InvalidArgument, NonFlatConnection
 from starq.geometry import (
     Connection,
     SymplecticConnectionSpec,
@@ -117,7 +117,7 @@ def test_one_dim_always_flat():
 
 def test_symbol_symmetry_enforced():
     b = Poly.const(2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         Connection(2, {(0, 0, 1): b})  # missing the (0,1,0) mirror
 
 

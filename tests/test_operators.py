@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starq.equivalence import EquivalenceMorphism, derive_equivalence
-from starq.errors import DimensionMismatch, OperatorOrderExceeded
+from starq.errors import DimensionMismatch, InvalidArgument, OperatorOrderExceeded, OrderMismatch
 from starq.exprparse import parse_phase_poly
 from starq.geometry import Connection
 from starq.operators import MAX_OP_ORDER, BiDiffOp, DiffOp, _Hits
@@ -586,9 +586,9 @@ def test_copy_and_pickle_rebuild_without_memos(cls, key, fields):
 # -- the morphism as an operator series ------------------------------------------
 
 def test_operator_series_identity_head():
-    with pytest.raises(ValueError):
+    with pytest.raises(OrderMismatch):
         EquivalenceMorphism([], "recursion")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         EquivalenceMorphism([DiffOp.zero(2)], "recursion")
     with pytest.raises(DimensionMismatch):
         EquivalenceMorphism([DiffOp.identity(2), DiffOp.partial(3, 0)], "recursion")

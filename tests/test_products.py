@@ -16,6 +16,7 @@ from starq.errors import (
     InvalidFrame,
     NonFlatConnection,
     OrderMismatch,
+    StarqError,
 )
 from starq.exprparse import parse_phase_poly
 from starq.equivalence import (
@@ -23,6 +24,7 @@ from starq.equivalence import (
     derive_equivalence,
     flat_cotangent_order2,
     symplectic_order2,
+    verify_intertwining,
 )
 from starq.geometry import (
     Connection,
@@ -31,7 +33,7 @@ from starq.geometry import (
     lift_connection,
 )
 from starq.operators import BiDiffOp, DiffOp
-from starq.poly import MultiIndex, Poly
+from starq.poly import EMPTY_INDEX, MultiIndex, Poly
 from starq.scalars import GaussianRational, gr
 from starq.series import HbarSeries
 from starq.products import (
@@ -650,6 +652,76 @@ def test_product_copy_and_pickle_round_trips(moyal_n1):
                  pickle.loads(pickle.dumps(moyal_n1))):
         assert twin == moyal_n1 and twin.to_json() == moyal_n1.to_json()
         assert twin.poisson == moyal_n1.poisson
+
+
+def bumped_morphism(morphism, order, index, coeff):
+    """The morphism with coeff * d^index added to its order-`order` operator."""
+    orders = list(morphism.orders)
+    orders[order] = orders[order] + DiffOp.derivative(morphism.dim, index, coeff)
+    return EquivalenceMorphism(orders, "recursion")
+
+
+def _moyal_n1_o4():
+    return moyal_product(PoissonTensor.canonical(1), 4)
+
+
+# each case: a factory of fresh products and the morphism verify_intertwining
+# checks; a demo spec with its derived morphism, Moyal with a d0 (x) d1 bump at
+# C_2 under the Moyal morphism, and Moyal under a morphism with 2/3 added to T_2
+SHARED_STATE_CASES = {
+    **{spec.stem: (lambda spec=spec: build_product(parse_spec(json.loads(spec.read_text()))), None)
+       for spec in sorted(DEMOS.glob("*.json"))},
+    "moyal-c2-bump": (
+        lambda: corrupted(_moyal_n1_o4(), MultiIndex.unit(0), MultiIndex.unit(1)),
+        lambda: derive_equivalence(_moyal_n1_o4()),
+    ),
+    "moyal-t2-bump": (
+        _moyal_n1_o4,
+        lambda: bumped_morphism(derive_equivalence(_moyal_n1_o4()), 2, EMPTY_INDEX, gr("2/3")),
+    ),
+}
+
+
+def _outcome(run):
+    """What a call gives: its value, or the StarqError it raises."""
+    try:
+        return run()
+    except StarqError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _shared_state_calls(morphism, d):
+    """Each reader of a product's pair table and verdicts, as name -> call."""
+    x = [Poly.coordinate(d, j) for j in range(d)]
+    f, g = x[0] * x[0] * x[d - 1] + x[1], x[0] * x[1] * x[1] + Poly.const(d, gr("1/3"))
+    return {
+        "axioms": lambda s: check_axioms(s, 3).to_json(),
+        "canonicity": lambda s: quantum_canonicity_check(s).to_json(),
+        "derive": lambda s: _outcome(lambda: derive_equivalence(s).to_json()),
+        "intertwining": lambda s: verify_intertwining(morphism, s, 3).to_json(),
+        "apply": lambda s: s.apply(f, g),
+        "bracket": lambda s: _outcome(lambda: star_bracket(s, f, g)),
+    }
+
+
+# A product fills one pair table and decides its verdicts once, for every
+# check that reads it; nothing a call returns may depend on what ran before
+@pytest.mark.parametrize("name", sorted(SHARED_STATE_CASES))
+def test_shared_pair_table_is_invisible(name):
+    build, morphism = SHARED_STATE_CASES[name]
+    morphism = derive_equivalence(build()) if morphism is None else morphism()
+    calls = _shared_state_calls(morphism, build().dim)
+    alone = {call: run(build()) for call, run in calls.items()}
+    for order in (list(calls), list(reversed(calls))):
+        s = build()
+        assert {call: calls[call](s) for call in order} == alone
+    s = build()
+    assert s.truncate(s.order) is s
+    check_axioms(s, 2)
+    assert s._table is not None
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert twin == s and twin._table is None
+        assert twin.to_json() == s.to_json()
 
 
 # each case: the object and the state its copy must reproduce
