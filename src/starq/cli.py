@@ -44,8 +44,8 @@ from .equivalence import (
     verify_intertwining,
 )
 from .errors import (
-    ExprParseError, InvalidFrame, NonFlatConnection, OperatorOrderExceeded, ProblemSpecError,
-    StarqError,
+    ExprParseError, InvalidArgument, InvalidFrame, NonFlatConnection, OperatorOrderExceeded,
+    ProblemSpecError, StarqError,
 )
 from .exprparse import coordinate_names, parse_base_poly, parse_phase_poly
 from .geometry import Connection, SymplecticConnectionSpec
@@ -193,7 +193,7 @@ def _symplectic_spec_from_spec(data: dict, n: int) -> SymplecticConnectionSpec:
     a = _rational(data.get("a", "0"), "Ricci weight a")
     try:
         return SymplecticConnectionSpec.from_symmetric_components(n, comps, a)
-    except ValueError as exc:
+    except InvalidArgument as exc:
         raise ProblemSpecError(str(exc)) from exc
 
 

@@ -133,7 +133,7 @@ def coordinate_rhs(s: StarProduct, lower: Sequence[DiffOp], k: int) -> List[Diff
     Every returned operator kills constants, because each C_l does.
     """
     if len(lower) < k:
-        raise ValueError(f"need the {k} lower orders, got {len(lower)}")
+        raise OrderMismatch(f"need the {k} lower orders, got {len(lower)}")
     return _coordinate_rhs(s.dim, _symmetric_slots(s, k), lower, k)
 
 
@@ -581,7 +581,7 @@ def flat_cotangent_order4(conn: Connection, cycl_mode: str = "permutations") -> 
     the permutation reading reproduces the recursively derived operator.
     """
     if cycl_mode not in ("rotations", "permutations"):
-        raise ValueError("cycl_mode must be 'rotations' or 'permutations'")
+        raise InvalidArgument("cycl_mode must be 'rotations' or 'permutations'")
     return _contract(conn, _ORDER4, cycl_mode)
 
 

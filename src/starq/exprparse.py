@@ -26,17 +26,16 @@ MAX_NESTING = 100
 # Largest exponent accepted; the cost of a power grows with it.
 MAX_EXPONENT = 1000
 # Most terms a power may have before it is formed: a base of t terms to
-# the e has at most binomial(t + e - 1, e) of them, one per multiset of e
-# base terms.  (q1+q2+p1+p2)^16, at 969, takes about 0.2 s; ^40, at
-# 12,341, about 12 s.
+# the e has at most binomial(t + e - 1, e), one per multiset of e base
+# terms, as `Poly.__pow__` forms them.  Forming is cheap, (q1+q2+p1+p2)^16
+# (969) about 6 ms and ^40 (12,341) about 80 ms; the bound caps what every
+# later product and morphism image of the operand pays term by term.
 MAX_POWER_TERMS = 1000
 # Most bits the coefficients of a power may hold in all before it is
-# formed, estimated as its term bound times the exponent times the bits
-# of the base's largest coefficient (numerators plus log2 of the
-# denominator): each coefficient of the power sums products of exponent
-# many base coefficients.  The term bound alone lets the coefficients
-# grow: (q1+1)^999, at 999,000, takes about 2 s; (2/3*q1+5/7)^999, at
-# 4,995,000, about 30 s.
+# formed, estimated as its term bound times the exponent times the bits of
+# the base's largest coefficient (numerators plus log2 of the denominator),
+# which later products pay for: (q1+1)^999, at 999,000, forms in about 4 ms,
+# (2/3*q1+5/7)^999, at 4,995,000, in 50 ms with 2,600-5,300 bits a coefficient.
 MAX_POWER_BITS = 1_000_000
 
 _TOKEN_RE = re.compile(

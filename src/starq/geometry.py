@@ -108,17 +108,17 @@ def flat_connection_from_diffeo(targets: List[Poly]) -> Connection:
     """
     n = len(targets)
     if n == 0:
-        raise ValueError("empty coordinate map")
+        raise DimensionMismatch("empty coordinate map")
     if any(t.dim != n for t in targets):
         raise DimensionMismatch("map components must live in the base space")
     jac = [[targets[a].diff_coord(b) for b in range(n)] for a in range(n)]
     one = Poly.const(n, 1)
     for a in range(n):
         if jac[a][a] != one:
-            raise ValueError(f"component {a} must have unit coefficient on its own coordinate")
+            raise InvalidArgument(f"component {a} must have unit coefficient on its own coordinate")
         for b in range(a + 1, n):
             if not jac[a][b].is_zero():
-                raise ValueError(f"component {a} depends on later coordinate {b}: not triangular")
+                raise InvalidArgument(f"component {a} depends on later coordinate {b}: not triangular")
     # the unipotent lower-triangular inverse by forward substitution, row
     # by row: inv[a][b] = -sum over b <= c < a of jac[a][c] inv[c][b]
     inv: List[List[Poly]] = []
@@ -175,7 +175,7 @@ class SymplecticConnectionSpec:
         for (al, be, ga), poly in clean.items():
             for perm in itertools.permutations((al, be, ga)):
                 if clean.get(perm, Poly.zero(d)) != poly:
-                    raise ValueError("lowered symbols must be totally symmetric")
+                    raise InvalidArgument("lowered symbols must be totally symmetric")
         raised: Dict[Tuple[int, int, int], Poly] = {}
         for (al, be, ga), poly in clean.items():
             if al < n:
@@ -204,7 +204,7 @@ class SymplecticConnectionSpec:
             for perm in itertools.permutations(key):
                 existing = full.get(perm)
                 if existing is not None and existing != poly:
-                    raise ValueError(f"conflicting values for symmetric index set {key}")
+                    raise InvalidArgument(f"conflicting values for symmetric index set {key}")
                 full[perm] = poly
         return cls(n, full, a)
 

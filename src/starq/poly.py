@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Dict, Iterable, Iterator, Tuple
 
 from .errors import DimensionMismatch
@@ -272,6 +272,11 @@ def _falling(n: int, k: int) -> int:
     return result
 
 
+def _times(mi: MultiIndex, k: int) -> MultiIndex:
+    """k times an index, in one pass where k - 1 sums would merge maps."""
+    return MultiIndex._from_sorted(tuple([(c, e * k) for c, e in mi._pairs])) if k else EMPTY_INDEX
+
+
 class Poly:
     """Multivariate polynomial over GaussianRational in `dim` coordinates."""
 
@@ -422,31 +427,33 @@ class Poly:
         return Poly._normal(self.dim, {mi: c * factor for mi, c in self._terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
+        """The n-th power by the multinomial theorem, sum over k_1 + ... + k_t = n
+        of n!/prod k_j! prod a_j^k_j x^(sum k_j u_j); prefixes k_1..k_j wait on a stack."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        if len(self._terms) == 2:
-            # (a x^u + b x^v)^n = sum_k C(n, k) a^k b^(n-k) x^(k u + (n-k) v),
-            # each multiple and power one step from the last; as u != v the
-            # n + 1 monomials are distinct
-            (u, a), (v, b) = self._terms.items()
-            ku, pa = [EMPTY_INDEX], [ONE]
-            for _ in range(n):
-                ku.append(ku[-1] + u)
-                pa.append(pa[-1] * a)
-            terms, kv, pb, binom = {}, EMPTY_INDEX, ONE, 1
-            for k in range(n, -1, -1):
-                terms[ku[k] + kv] = pa[k] * pb * binom
-                kv, pb, binom = kv + v, pb * b, binom * k // (n - k + 1)
-            return Poly._normal(self.dim, terms)
-        result = Poly.const(self.dim, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        *heads, (v, b) = self._terms.items() or [(EMPTY_INDEX, ZERO)]  # 0 as a constant; 0^0 = 1
+        # k u and a^k, k = 0..n, per term but the last; a lone term's stand-in takes none
+        pows = [([_times(u, k) for k in range(n + 1)], list(itertools.accumulate(
+            [a] * n, mul, initial=ONE))) for u, a in heads] or [((EMPTY_INDEX,), (ONE,))]
+        terms, stack, inner = {}, [(n, 0, EMPTY_INDEX, 1)], len(heads) - 1
+        while stack:
+            r, j, idx, c = stack.pop()  # factors left, term j next, index, coefficient
+            for i in range(j, inner if r else j):  # middle term i takes k > 0, j..i-1 none
+                ku, pa = pows[i]
+                binom = r
+                for k in range(1, r + 1):
+                    stack.append((r - k, i + 1, idx + ku[k], pa[k] * (c * binom)))
+                    binom = binom * (r - k) // (k + 1)
+            ku, pa = pows[inner]  # or none does: term inner takes k = top..0, the last the rest
+            top = min(r, len(ku) - 1)  # binom starts at C(r, top) = 1
+            kv, pb, binom = _times(v, r - top), b ** (r - top), 1
+            for k in range(top, -1, -1):
+                mi, s = ku[k] + kv + idx, pa[k] * pb * (c * binom)
+                terms[mi] = terms[mi] + s if mi in terms else s
+                if k:  # the last term takes one factor more
+                    kv, pb = kv + v, pb * b
+                binom = binom * k // (r - k + 1)
+        return Poly._normal(self.dim, {mi: s for mi, s in terms.items() if s})
 
     # -- calculus -----------------------------------------------------------------
 

@@ -101,12 +101,12 @@ class PoissonTensor:
             if poly.dim != d:
                 raise DimensionMismatch("Poisson component has wrong dimension")
             if not poly.is_constant():
-                raise ValueError("Poisson tensor components must be constant")
+                raise InvalidArgument("Poisson tensor components must be constant")
             if not poly.is_zero():
                 clean[(mu, nu)] = poly
         for (mu, nu), poly in clean.items():
             if clean.get((nu, mu), Poly.zero(d)) != -poly:
-                raise ValueError("Poisson tensor must be antisymmetric")
+                raise InvalidArgument("Poisson tensor must be antisymmetric")
         scalars = tuple(sorted((mu, nu, poly.constant_term()) for (mu, nu), poly in clean.items()))
         # one key per paired coordinate, in sorted order; fewer keys than
         # entries when some coordinate has more than one partner
@@ -230,21 +230,19 @@ class VectorFieldFrame:
         """Pairwise commutation and reproduction of the Poisson tensor."""
         if p.dim != self.dim:
             raise DimensionMismatch("frame and Poisson tensor dimensions differ")
-        for mu in range(self.dim):
-            for nu in range(mu + 1, self.dim):
-                a, b = self.fields[mu], self.fields[nu]
-                if a.compose(b) != b.compose(a):
-                    raise InvalidFrame(f"fields {mu} and {nu} do not commute")
+        comps = [[self.component(mu, a) for a in range(self.dim)] for mu in range(self.dim)]
+        for mu, nu in itertools.combinations(range(self.dim), 2):
+            a, b = self.fields[mu], self.fields[nu]
+            # [e_mu, e_nu]^c = e_mu(e_nu^c) - e_nu(e_mu^c); second-order parts cancel
+            if any(a.apply(comps[nu][c]) != b.apply(comps[mu][c]) for c in range(self.dim)):
+                raise InvalidFrame(f"fields {mu} and {nu} do not commute")
         entries = p.constant_entries()
         for a in range(self.dim):
             for b in range(self.dim):
-                acc = Poly.zero(self.dim)
-                for mu, nu, v in entries:
-                    acc = acc + (self.component(mu, a) * self.component(nu, b)).scale(v)
+                acc = sum(((comps[mu][a] * comps[nu][b]).scale(v) for mu, nu, v in entries),
+                          Poly.zero(self.dim))
                 if acc != p.entry(a, b):
-                    raise InvalidFrame(
-                        f"frame does not reproduce the Poisson tensor at ({a},{b})"
-                    )
+                    raise InvalidFrame(f"frame does not reproduce the Poisson tensor at ({a},{b})")
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +277,18 @@ class StarProduct:
 
     def apply(self, f, g) -> HbarSeries:
         """f * g for Poly or HbarSeries arguments, truncated at the order."""
-        N = self.order
-        f, g = (HbarSeries.from_constant(h, N) if isinstance(h, Poly) else h for h in (f, g))
-        if f.order != N or g.order != N:
-            raise OrderMismatch("series order must match the product order")
-        if any(p.dim != self.dim for p in f.coeffs + g.coeffs):
-            raise DimensionMismatch("operand dimension mismatch")
-        u, v = ([(k, m, c) for k, p in enumerate(h.coeffs) for m, c in p._terms.items()]
-                for h in (f, g))
         acc: dict = {}
-        self._pairs().add_star(acc, u, v)
-        return HbarSeries(_coefficients(self.dim, N, acc))
+        self._pairs().add_star(acc, *self._operands(f, g))
+        return HbarSeries(_coefficients(self.dim, self.order, acc))
+
+    def _operands(self, f, g):
+        """The flat raw series of two operands, checked against the product."""
+        if any(isinstance(h, HbarSeries) and h.order != self.order for h in (f, g)):
+            raise OrderMismatch("series order must match the product order")
+        f, g = ([h] if isinstance(h, Poly) else h.coeffs for h in (f, g))  # a Poly is order 0
+        if any(p.dim != self.dim for p in f + g):
+            raise DimensionMismatch("operand dimension mismatch")
+        return [[(k, m, x) for k, p in enumerate(h) for m, x in p._terms.items()] for h in (f, g)]
 
     def _pairs(self) -> "_PairTable":
         """The product's one pair table, made on first use."""
@@ -578,12 +577,17 @@ def truncated_symplectic_product(spec: SymplecticConnectionSpec) -> StarProduct:
 def star_bracket(s: StarProduct, f, g) -> HbarSeries:
     """Deformed bracket (f*g - g*f) / (i hbar), one order shorter.
 
-    The division is a series shift; the order-0 commutator coefficient
+    The commutator is one keyed raw series, f * g plus (-g) * f.  The
+    division is a series shift; the order-0 commutator coefficient
     vanishes when the order-0 operator is symmetric, as pointwise
     multiplication is.  When it does not, there is no bracket and
     CanonicityFailure is raised.
     """
-    return _bracket(s.apply(f, g) - s.apply(g, f))
+    u, v = s._operands(f, g)
+    acc: dict = {}
+    s._pairs().add_star(acc, u, v)
+    s._pairs().add_star(acc, [(k, m, -x) for k, m, x in v], u)
+    return _bracket(HbarSeries(_coefficients(s.dim, s.order, acc)))
 
 
 def _bracket(comm: HbarSeries) -> HbarSeries:
@@ -863,31 +867,21 @@ def check_axioms(s: StarProduct, max_degree: int = 4) -> CheckReport:
 
 
 def quantum_canonicity_check(s: StarProduct) -> CheckReport:
-    """Check the deformed bracket of every coordinate pair against the
-    Poisson tensor, exactly at every available order.
-
-    Every commutator x^mu * x^nu - x^nu * x^mu is one keyed raw series,
-    filled by two `add_star` calls of the product's `_PairTable`; the
-    bracket is then read off as `star_bracket` reads it.
-    """
+    """Check the `star_bracket` of every coordinate pair against the
+    Poisson tensor, exactly at every available order."""
     d = s.dim
     entries: List[CheckEntry] = []
-    table = s._pairs()
-    units = [MultiIndex.unit(mu) for mu in range(d)]
-    for mu in range(d):
-        for nu in range(mu + 1, d):
-            acc: dict = {}
-            table.add_star(acc, ((0, units[mu], ONE),), ((0, units[nu], ONE),))
-            table.add_star(acc, ((0, units[nu], -ONE),), ((0, units[mu], ONE),))
-            try:
-                bracket = _bracket(HbarSeries(_coefficients(d, s.order, acc)))
-            except CanonicityFailure as exc:
-                entries.append(CheckEntry(f"pair-{mu}-{nu}", False, str(exc)))
-                continue
-            expected = HbarSeries.from_constant(s.poisson.entry(mu, nu), bracket.order)
-            ok = bracket == expected
-            detail = "" if ok else f"bracket = {bracket}"
-            entries.append(CheckEntry(f"pair-{mu}-{nu}", ok, detail))
+    coords = [Poly.coordinate(d, mu) for mu in range(d)]
+    for mu, nu in itertools.combinations(range(d), 2):
+        try:
+            bracket = star_bracket(s, coords[mu], coords[nu])
+        except CanonicityFailure as exc:
+            entries.append(CheckEntry(f"pair-{mu}-{nu}", False, str(exc)))
+            continue
+        expected = HbarSeries.from_constant(s.poisson.entry(mu, nu), bracket.order)
+        ok = bracket == expected
+        detail = "" if ok else f"bracket = {bracket}"
+        entries.append(CheckEntry(f"pair-{mu}-{nu}", ok, detail))
     return CheckReport("quantum-canonicity", tuple(entries), {"dim": d, "order": s.order})
 
 

@@ -235,7 +235,7 @@ def test_rhs_order1_is_symmetrized_first_operator(natural_q_product):
 
 
 def test_rhs_requires_lower_orders(natural_q_product):
-    with pytest.raises(ValueError):
+    with pytest.raises(OrderMismatch):
         coordinate_rhs(natural_q_product, [], 1)
 
 
@@ -627,10 +627,25 @@ def test_closed_form_moyal_pairs_match_the_built_product(poisson, order):
         (lambda: Connection(-1), DimensionMismatch),
         (lambda: SymplecticConnectionSpec(-1, {}), DimensionMismatch),
         (lambda: Connection(2, {(0, 0, 1): Poly.const(2, 1)}), InvalidArgument),
+        (lambda: PoissonTensor(1, 0, {(0, 1): Poly.coordinate(2, 0),
+                                      (1, 0): -Poly.coordinate(2, 0)}), InvalidArgument),
+        (lambda: PoissonTensor(1, 0, {(0, 1): Poly.const(2, 1)}), InvalidArgument),
+        (lambda: flat_connection_from_diffeo([]), DimensionMismatch),
+        (lambda: flat_connection_from_diffeo([Poly.coordinate(1, 0).scale(2)]), InvalidArgument),
+        (lambda: flat_connection_from_diffeo([Poly.coordinate(2, 0) + Poly.coordinate(2, 1) ** 2,
+                                              Poly.coordinate(2, 1)]), InvalidArgument),
+        (lambda: SymplecticConnectionSpec(1, {(0, 0, 1): Poly.const(2, 1)}), InvalidArgument),
+        (lambda: SymplecticConnectionSpec.from_symmetric_components(
+            1, {(0, 0, 1): Poly.const(2, 1), (0, 1, 0): Poly.const(2, 2)}), InvalidArgument),
+        (lambda: flat_cotangent_order4(Connection.zero(1), "cycles"), InvalidArgument),
+        (lambda: coordinate_rhs(moyal_product(PoissonTensor.canonical(1), 2), [], 1),
+         OrderMismatch),
     ],
     ids=["check-axioms-degree", "intertwining-degree", "morphism-empty", "morphism-head",
          "nested-empty", "direct-empty", "product-empty", "truncate-negative", "connection-dim",
-         "symplectic-dim", "connection-asymmetric"],
+         "symplectic-dim", "connection-asymmetric", "poisson-nonconstant", "poisson-asymmetric",
+         "diffeo-empty", "diffeo-unit", "diffeo-triangular", "symplectic-asymmetric",
+         "symplectic-conflict", "order4-mode", "rhs-lower-orders"],
 )
 def test_entry_points_reject_bad_input(call, error):
     with pytest.raises(error):

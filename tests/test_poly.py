@@ -279,7 +279,7 @@ def test_poly_copy_and_pickle_round_trips():
             assert twin._terms is not p._terms
 
 
-def test_power_squares_repeatedly():
+def test_power_matches_repeated_multiplication():
     x = Poly.coordinate(1, 0)
     f = x + Poly.const(1, gr("1/2", 1))
     acc = Poly.const(1, 1)
@@ -290,8 +290,8 @@ def test_power_squares_repeatedly():
 
 
 def _squared_power(f, n):
-    """f^n by repeated squaring, as `**` forms it for a base of other
-    than two terms."""
+    """f^n by repeated squaring, the oracle for the multinomial expansion
+    of `**`."""
     result, base = Poly.const(f.dim, 1), f
     while n:
         if n & 1:
@@ -306,14 +306,57 @@ nonzero_coefficients = st.one_of(
     st.fractions(min_value=-9, max_value=9, max_denominator=12).map(GaussianRational),
     scalars,
 ).filter(bool)
+# 1, q1, p1 and q1*p1 in dim 2: sums of their multiples collide, and with
+# coefficients +-1 and +-2 some collisions cancel
+COLLIDING = [EMPTY_INDEX, MultiIndex.unit(0), MultiIndex.unit(1), MultiIndex.of(0, 1)]
+small_coefficients = st.sampled_from([gr(1), gr(-1), gr(2), gr(-2), gr(0, 1)])
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=1, max_value=3), st.data(), st.integers(min_value=0, max_value=60))
-def test_two_term_power_is_the_binomial_expansion(dim, data, n):
-    u = data.draw(multiindices(dim))
-    v = data.draw(multiindices(dim).filter(lambda m: m != u))
-    f = Poly(dim, {u: data.draw(nonzero_coefficients), v: data.draw(nonzero_coefficients)})
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.booleans(), st.data())
+def test_power_is_the_multinomial_expansion(terms, colliding, data):
+    if colliding:
+        dim = 2
+        monomials = data.draw(st.permutations(COLLIDING))[:terms]
+        coefficients = small_coefficients
+    else:
+        dim = data.draw(st.integers(min_value=1, max_value=3))
+        monomials = data.draw(st.lists(multiindices(dim), min_size=terms, max_size=terms,
+                                       unique=True))
+        coefficients = nonzero_coefficients
+    f = Poly(dim, {m: data.draw(coefficients) for m in monomials})
+    n = data.draw(st.integers(min_value=0, max_value=60 if terms <= 2 else 12))
     power = f ** n
-    assert power == _squared_power(f, n)
-    assert power.term_count() == n + 1 and power.dim == dim
+    assert power == _squared_power(f, n) and power.dim == dim
+    if terms == 2:
+        assert power.term_count() == n + 1
+
+
+def test_power_prunes_cancelled_collisions():
+    q, p = Poly.coordinate(2, 0), Poly.coordinate(2, 1)
+    f = Poly.const(2, 1) + q + p - q * p
+    # q*p comes from 2 q p and from 2 (1)(-q*p)
+    assert (f ** 2).coefficient(MultiIndex.of(0, 1)) == gr(0)
+    assert f ** 2 == f * f and (f ** 2).term_count() == 8
+    assert (f ** 5) == _squared_power(f, 5)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_power_of_the_zero_base(n):
+    power = Poly.zero(2) ** n
+    assert power == (Poly.const(2, 1) if n == 0 else Poly.zero(2)) and power.dim == 2
+
+
+def test_power_of_a_base_with_many_terms():
+    # the walk over the middle terms keeps its own stack, so a base of
+    # hundreds of terms needs no deeper recursion than one of two
+    f = Poly(3, {MultiIndex.from_exponents((a % 7, a // 7 % 6, a // 42)): gr(a % 5 - 2 or 3, a % 3)
+                 for a in range(300)})
+    assert f.term_count() == 300
+    assert f ** 2 == f * f
+
+
+@pytest.mark.parametrize("n", [-1, 1.5, "2"])
+def test_power_rejects_a_bad_exponent(n):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        Poly.coordinate(1, 0) ** n

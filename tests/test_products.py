@@ -13,6 +13,7 @@ from starq.cli import build_product, parse_spec
 from starq.errors import (
     CanonicityFailure,
     DimensionMismatch,
+    InvalidArgument,
     InvalidFrame,
     NonFlatConnection,
     OrderMismatch,
@@ -39,6 +40,7 @@ from starq.series import HbarSeries
 from starq.products import (
     PoissonTensor,
     StarProduct,
+    _bracket,
     _pairing_product,
     VectorFieldFrame,
     check_axioms,
@@ -283,7 +285,7 @@ def test_moyal_requires_constant_tensor():
     d = 2
     q = Poly.coordinate(d, 0)
     entries = {(0, 1): q, (1, 0): -q}
-    with pytest.raises(ValueError, match="must be constant"):
+    with pytest.raises(InvalidArgument, match="must be constant"):
         PoissonTensor(1, 0, entries)
 
 
@@ -405,6 +407,58 @@ def test_momentum_shear_frame_product_is_canonical():
     assert prod != moyal_product(PoissonTensor.canonical(1), 4)
     assert quantum_canonicity_check(prod).passed
     assert check_axioms(prod, 5).passed
+
+
+def first_noncommuting_pair(frame):
+    """The first (mu, nu) whose fields' two compositions differ, or None:
+    the oracle for the bracket check of `VectorFieldFrame.validate`."""
+    for mu in range(frame.dim):
+        for nu in range(mu + 1, frame.dim):
+            a, b = frame.fields[mu], frame.fields[nu]
+            if a.compose(b) != b.compose(a):
+                return mu, nu
+    return None
+
+
+def _sheared_coordinate_frame(d, field, extra):
+    """The coordinate frame with `extra` (a row of components) added to
+    one field: the fields stop commuting unless `extra` is constant along
+    the other fields."""
+    rows = [[Poly.const(d, 1) if a == mu else Poly.zero(d) for a in range(d)] for mu in range(d)]
+    rows[field] = [r + e for r, e in zip(rows[field], extra)]
+    return VectorFieldFrame.from_components(rows)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (VectorFieldFrame.coordinate(4), PoissonTensor.canonical(2)),
+    lambda: (momentum_shear_frame(), PoissonTensor.canonical(1)),
+    lambda: (frame_from_strings(NONTRIANGULAR_FRAME, 1), PoissonTensor.canonical(1)),
+    lambda: (cubic_frame(2, "p1^3 + 2*p1^2*p2 - 3*p2^3"), PoissonTensor.canonical(2)),
+    lambda: (shear_frame(NON_CANONICAL_D4, 1, Poly.coordinate(4, 1) ** 2), NON_CANONICAL_D4),
+    lambda: (VectorFieldFrame.from_components([[Poly.const(2, 1), Poly.zero(2)],
+                                               [Poly.coordinate(2, 0), Poly.const(2, 1)]]),
+             PoissonTensor.canonical(1)),
+    # field 1 gains x2 d_0: [e_1, e_2] = -d_0, the first failing pair (1, 2)
+    lambda: (_sheared_coordinate_frame(4, 1, [Poly.coordinate(4, 2)] + [Poly.zero(4)] * 3),
+             PoissonTensor.canonical(2)),
+    # field 2 gains x0^2 d_3: [e_0, e_2] = 2 x0 d_3, the first failing pair (0, 2),
+    # seen only in the last component
+    lambda: (_sheared_coordinate_frame(4, 2, [Poly.zero(4)] * 3 + [Poly.coordinate(4, 0) ** 2]),
+             PoissonTensor.canonical(2)),
+], ids=["coordinate", "momentum-shear", "nontriangular", "cubic", "shear-d4", "q-shear",
+        "x2-shear", "last-component-shear"])
+def test_frame_bracket_check_matches_composition(build):
+    frame, poisson = build()
+    expected = first_noncommuting_pair(frame)
+    try:
+        frame.validate(poisson)
+        verdict = None
+    except InvalidFrame as exc:
+        verdict = str(exc)
+    if expected is None:
+        assert verdict is None or "do not commute" not in verdict
+    else:
+        assert verdict == f"fields {expected[0]} and {expected[1]} do not commute"
 
 
 # -- natural cotangent product ---------------------------------------------------------
@@ -771,6 +825,24 @@ def test_bracket_leading_term_is_classical(moyal_n1, natural_q):
     for s in (moyal_n1, natural_q):
         bracket = star_bracket(s, f, g)
         assert bracket[0] == s.poisson.bracket(f, g)
+
+
+def test_bracket_is_the_difference_of_two_products(moyal_n1, natural_q):
+    # star_bracket adds f * g and (-g) * f into one keyed series; the
+    # oracle subtracts two `apply` series, on sound products, an order-2
+    # fault that bends the bracket and an order-0 fault that has none
+    q, p = coords(2)
+    q1, p1 = MultiIndex.unit(0), MultiIndex.unit(1)
+    bent = corrupted(moyal_n1, q1, p1, antisym=True, coeff=Poly.coordinate(2, 0))
+    no_bracket = corrupted(moyal_n1, q1, p1, order=0, coeff=Poly.const(2, gr("1/3")))
+    series = HbarSeries([q * p, q, Poly.zero(2), p * p, Poly.const(2, gr(0, 1))])
+    pairs = [(q, p), (p, q), (q * q * p, q * p * p + p), (series, q * q), (q, q)]
+    for s in (moyal_n1, natural_q, bent, no_bracket):
+        for f, g in pairs:
+            expected = _outcome(lambda: _bracket(s.apply(f, g) - s.apply(g, f)))
+            assert _outcome(lambda: star_bracket(s, f, g)) == expected
+    assert _outcome(lambda: star_bracket(no_bracket, q, p)) == (
+        "CanonicityFailure", "order-0 commutator 1/3 is nonzero")
 
 
 # -- axiom checking and fault injection --------------------------------------------------------
