@@ -25,7 +25,7 @@ partner of base index i sits at n + i).
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import DimensionMismatch, InvalidArgument, NonFlatConnection, OperatorOrderExceeded
 from .operators import MAX_OP_ORDER, DiffOp, _acc_compose, _acc_shifted, _leibniz_splits
@@ -331,7 +331,7 @@ def covariant_jet_ops(conn, rank: int) -> Dict[Tuple[int, ...], DiffOp]:
     if rank > MAX_OP_ORDER:
         raise OperatorOrderExceeded(f"jet rank {rank} exceeds the operator-order guard")
     d = conn.dim
-    step = _jet_stepper([DiffOp.partial(d, mu) for mu in range(d)], conn, tuple)
+    step = _jet_stepper([DiffOp.partial(d, mu) for mu in range(d)], conn, False)
     jets: Dict[Tuple[int, ...], DiffOp] = {(): DiffOp.identity(d)}
     for _ in range(rank):
         jets = {(mu0,) + idx: step(jets, mu0, idx) for idx in jets for mu0 in range(d)}
@@ -364,7 +364,7 @@ def _sorted_jets(fields, coords, order: int, conn=None) -> Dict[Tuple[int, ...],
     if order > MAX_OP_ORDER:
         raise OperatorOrderExceeded(f"jet rank {order} exceeds the operator-order guard")
     d = len(fields)
-    step = _jet_stepper(fields, conn, lambda idx: tuple(sorted(idx)))
+    step = _jet_stepper(fields, conn, True)
     jets: Dict[Tuple[int, ...], DiffOp] = {(): DiffOp.identity(d)}
     for rank in range(1, order + 1):
         for t in itertools.combinations_with_replacement(coords, rank):
@@ -372,19 +372,19 @@ def _sorted_jets(fields, coords, order: int, conn=None) -> Dict[Tuple[int, ...],
     return jets
 
 
-def _jet_stepper(fields: List[DiffOp], conn, canon: Callable[[Tuple[int, ...]], Tuple[int, ...]]):
+def _jet_stepper(fields: List[DiffOp], conn, sort: bool):
     """The one step of every jet recursion, as step(jets, mu0, idx): the
     jet along (mu0,) + idx,
 
         D_mu0 o J(idx) - sum over slots s and lam of
             Gamma^lam_(mu0 idx_s) J(idx with idx_s replaced by lam),
 
-    where D = `fields`, J(r) is jets[canon(r)] and Gamma is the symbols of
-    `conn`, none when it is None.  D_mu0 o J(idx) is added raw by the
-    Leibniz kernel of `DiffOp.compose` (`operators._acc_compose`), and
-    each contraction -Gamma x^m J(replaced) through `_acc_shifted`, into
-    one raw map per derivative, normalised once.  The fields' splits and
-    the symbols are read once per stepper.
+    where D = `fields`, J(r) is jets[r], or jets[sorted(r)] when `sort`
+    (each value of the sorted idx is then contracted once, times its
+    slots), and Gamma the symbols of `conn`, none when it is None.
+    D_mu0 o J(idx) is added raw by the Leibniz kernel of `DiffOp.compose`
+    (`operators._acc_compose`), and each -Gamma x^m J(replaced) through
+    `_acc_shifted`, into one raw map per derivative, normalised once.
     """
     d = len(fields)
     lefts = [_leibniz_splits(field._terms) for field in fields]
@@ -399,12 +399,16 @@ def _jet_stepper(fields: List[DiffOp], conn, canon: Callable[[Tuple[int, ...]], 
         acc: Dict[MultiIndex, Dict[MultiIndex, GaussianRational]] = {}
         _acc_compose(acc, lefts[mu0], jets[idx]._terms)
         for s, mus in enumerate(idx):
+            if sort and s and mus == idx[s - 1]:
+                continue
+            times = idx.count(mus) if sort else 1
             for lam, sym in symbols.get((mu0, mus), ()):
-                replaced = jets[canon(idx[:s] + (lam,) + idx[s + 1:])]
+                replaced = idx[:s] + (lam,) + idx[s + 1:]
+                replaced = jets[tuple(sorted(replaced)) if sort else replaced]
                 for mi, coeff in replaced._terms.items():
                     target = acc.setdefault(mi, {})
                     for m, c in sym.items():
-                        _acc_shifted(target, coeff._terms, m, c)
+                        _acc_shifted(target, coeff._terms, m, c if times == 1 else c * times)
         return DiffOp._from_raw(d, acc)
 
     return step

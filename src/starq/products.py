@@ -4,20 +4,19 @@ Four constructors are provided: the Moyal product of a constant Poisson
 tensor, the product induced by a commuting vector-field frame, the
 natural product of a flat cotangent bundle built from iterated covariant
 derivatives, and the order-2 product of a general symplectic connection
-with a Ricci-weight parameter.  All four share one pairing,
-`_pairing_product`: C_k contracts k copies of the Poisson tensor with
-rank-k jets of both factors, read from one table keyed by sorted index
-tuples, and the constructors differ only in that table (the partials for
-Moyal; covariant jets from the one jet recursion of `geometry` for the
-others, a frame's taken of its flat connection).  What they read of the
-tensor, its sorted entries, paired coordinates and partners, it works
-out once, when it is made (`PoissonTensor`).  Every jet table is
-symmetric in its indices -- partials commute, a flat torsion-free
-connection (a flat lift, or the connection that keeps commuting frame
-fields parallel) has fully symmetric jets, and rank-2 jets of any
-torsion-free connection are symmetric -- so the pairing sums once per
-multiset of Poisson entries with multinomial weights and equals the
-ordered sum exactly.  The tensor is antisymmetric, so the mirror of a
+with a Ricci-weight parameter.  C_k contracts k copies of the Poisson
+tensor with rank-k jets of both factors.  Every jet is symmetric in its
+indices -- partials commute, a flat torsion-free connection (a flat
+lift, or the connection that keeps commuting frame fields parallel) has
+fully symmetric jets, and rank-2 jets of any torsion-free connection
+are symmetric -- so C_k sums once per multiset of Poisson entries, with
+the weights of one walk over them (`_entry_multisets`), and equals the
+ordered sum exactly.  Moyal's C_k is read straight off the walk; the
+others share one pairing, `_pairing_product`, of jets keyed by sorted
+index tuples from the one jet recursion of `geometry` (a frame's of its
+flat connection).  What they read of the tensor, its sorted entries,
+paired coordinates and partners, it works out once (`PoissonTensor`).
+The tensor is antisymmetric, so the mirror of a
 multiset (each entry (mu, nu, v) taken to (nu, mu, -v)) contributes
 (-1)^k times the slot swap of its term, whatever the jets: the pairing
 builds only one multiset of each mirror pair and adds the swapped term
@@ -38,15 +37,15 @@ check of `equivalence` share its pairs, and its structural verdicts
 ignore it.  When 1 is the unit of the product, `check_axioms` skips the
 triples with a constant factor, whose associators the unit laws already
 prove zero.  The Moyal pairs that the intertwining check compares with
-are read in closed form from the tensor's entries (`_MoyalPairs`), with
-no operator built.
+are read in closed form from the same walk (`_MoyalPairs`), with no
+operator built.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .errors import (
     CanonicityFailure,
@@ -71,8 +70,8 @@ from .operators import (
     _nonzero_poly,
     _nonzero_terms,
 )
-from .poly import MultiIndex, Poly, _GrlexKeys
-from .scalars import GaussianRational, HALF, HALF_I, I as IMAG, ONE, _reduced
+from .poly import EMPTY_INDEX, MultiIndex, Poly, _GrlexKeys
+from .scalars import GaussianRational, HALF, HALF_I, I as IMAG, ONE
 from .series import HbarSeries
 
 
@@ -340,12 +339,10 @@ def _pairing_product(
 
     C_k = (i/2)^k / k! sum over ordered k-tuples of Poisson entries of
     prod P^(mu_e nu_e) J(mu_1..mu_k) (x) J(nu_1..nu_k), where the one
-    table `jets` maps a sorted index tuple of any rank 1..order to its
-    jet operator J.  Every jet table fed here is
-    symmetric in its indices, so all orderings of one multiset of entries
-    give the same term: the sum visits each multiset M once with weight
-    w(M) = (i/2)^k prod v_e / prod m_e!, which is (i/2)^k / k! times its
-    k! / prod m_e! orderings, and the result is exactly the ordered sum.
+    table `jets` maps a sorted index tuple of any rank 1..order to its jet
+    J.  Every table fed here is symmetric in its indices, so the sum visits
+    each multiset M once with weight w(M) (`_entry_multisets`), (i/2)^k /
+    k! times its k! / prod m_e! orderings: exactly the ordered sum.
 
     The mirror sigma maps each entry (mu, nu, v) to (nu, mu, -v), an
     entry of the same tensor since it is antisymmetric.  sigma M has the
@@ -362,21 +359,18 @@ def _pairing_product(
     its monomials times each right coefficient are added raw into the
     map of (left, right) through `_acc_shifted`, normalised once.
     """
-    if order < 0:
-        raise OrderMismatch(f"a product has order 0 or more, not {order}")
     d = p.dim
     entries = p.constant_entries()
     C = [BiDiffOp.multiplication(d)]
-    for k in range(1, order + 1):
+    for k, level in enumerate(_entry_multisets(p, order), 1):
         acc: Dict[Tuple[MultiIndex, MultiIndex], Dict[MultiIndex, GaussianRational]] = {}
         half: Dict[Tuple[MultiIndex, MultiIndex], Dict[MultiIndex, GaussianRational]] = {}
-        for combo in itertools.combinations_with_replacement(entries, k):
+        for combo, (_, _, v) in zip(itertools.combinations_with_replacement(entries, k), level):
             pairs = [(mu, nu) for mu, nu, _ in combo]
             mirror = sorted((nu, mu) for mu, nu in pairs)
             if mirror < pairs:
                 continue
             into = acc if mirror == pairs else half
-            v = _pairing_weight(k, combo)
             left = jets[tuple(sorted(mu for mu, _ in pairs))]
             right = jets[tuple(sorted(nu for _, nu in pairs))]
             for li, pa in left._terms.items():
@@ -394,66 +388,66 @@ def _pairing_product(
     return C
 
 
-def _pairing_weight(k: int, combo) -> GaussianRational:
-    """(i/2)^k prod v_e / prod m_e! of a sorted multiset of k Poisson
-    entries (mu, nu, v), m_e the multiplicity of each distinct entry,
-    with the (i/2)^k and 1 / prod m_e! parts formed on ints."""
-    v = ONE
-    repeats = 1
-    run = 0
-    for e, entry in enumerate(combo):
-        v = v * entry[2]
-        run = run + 1 if e and entry == combo[e - 1] else 1
-        repeats *= run
-    # i^k (r + i s) is one of (r, s), (-s, r), (-r, -s), (s, -r)
-    r, s = v._r, v._i
-    for _ in range(k % 4):
-        r, s = -s, r
-    return _reduced(r, s, v._d * (repeats << k))
+def _entry_multisets(p: PoissonTensor, order: int) -> Iterator[tuple]:
+    """Levels k = 1..order of the multisets M of k Poisson entries, as
+    tuples of (L, R, w(M)) in `combinations_with_replacement` order: L, R
+    the multisets of the entries' left and right indices, w(M) =
+    (i/2)^k prod v_e / prod m_e!, m_e the multiplicity of entry e.  M is
+    its prefix plus a last entry e, kept with the length r of e's run: L
+    and R gain e's indices through the sum tables, w gains (i/2) v_e / r."""
+    if order < 0:
+        raise OrderMismatch(f"a product has order 0 or more, not {order}")
+    units = [(MultiIndex.unit(mu), MultiIndex.unit(nu), [HALF_I * v / r for r in range(1, order + 1)])
+             for mu, nu, v in p.constant_entries()]
+    level, ends = ((EMPTY_INDEX, EMPTY_INDEX, ONE),), [(0, 0)]
+    for _ in range(order):
+        grown, grown_ends = [], []
+        for (L, R, w), (last, run) in zip(level, ends):
+            lsum, rsum = L.sum_table(), R.sum_table()
+            for j in range(last, len(units)):
+                mu, nu, steps = units[j]
+                r = run + 1 if j == last else 1
+                grown.append((lsum[mu], rsum[nu], w * steps[r - 1]))
+                grown_ends.append((j, r))
+        level, ends = tuple(grown), grown_ends
+        yield level
 
 
 def moyal_product(p: PoissonTensor, order: int) -> StarProduct:
     """Moyal product of a constant Poisson tensor, truncated at `order`:
-    the pairing of the partials d^t, t over the coordinates it pairs."""
-    jets = {t: DiffOp.derivative(p.dim, MultiIndex.of(*t)) for k in range(1, order + 1)
-            for t in itertools.combinations_with_replacement(p._paired, k)}
-    return StarProduct(p, _pairing_product(p, jets, order))
+    C_k, the pairing of the partials, sums w(M) d^L (x) d^R over level k
+    of `_entry_multisets`; the operator constructor's guard bounds k."""
+    C = [BiDiffOp.multiplication(p.dim)]
+    for level in _entry_multisets(p, order):
+        terms: Dict[Tuple[MultiIndex, MultiIndex], Poly] = {}
+        for L, R, w in level:  # multisets share a key where a coordinate has two partners
+            _acc_poly(terms, (L, R), Poly._normal(p.dim, {EMPTY_INDEX: w}))
+        C.append(BiDiffOp(p.dim, terms))
+    return StarProduct(p, C)
 
 
 class _MoyalPairs:
     """x^u *_Moyal x^v of a constant Poisson tensor up to order N, read in
-    closed form with no operator built; the pair oracle is
-    `_PairTable(moyal_product(p, N)).pair`.
+    closed form with no operator built; the tests' oracle is the pair
+    table of the Moyal product paired from partial-derivative jets.
 
-    C_l of Moyal sums, over the multisets M of l Poisson entries, the
-    term w(M) d^L (x) d^R, with w the pairing weight and L, R the
-    multisets of the entries' left and right indices.  So C_l(x^u, x^v)
-    is the sum of w(M) (u)_L (v)_R x^(u-L+v-R) over the M with L <= u and
-    R <= v, the falling factorials read from the divisor tables of u and
-    v.  Every term of C_l differentiates both slots l times, so only the
-    orders l <= min(|u|, |v|, N) are formed, and the (L, R, w) list of an
-    order is built the first time a pair reads it.  A pair is the flat
-    raw series of `_PairTable.pair`, kept while this table lives.
+    C_l of Moyal sums w(M) d^L (x) d^R over level l of `_entry_multisets`,
+    so C_l(x^u, x^v) is the sum of w(M) (u)_L (v)_R x^(u-L+v-R) over the M
+    with L <= u and R <= v, the falling factorials read from the divisor
+    tables of u and v.  Every term of C_l differentiates both slots l
+    times, so only the orders l <= min(|u|, |v|, N) are formed, each level
+    taken the first time a pair reads it.  A pair is the flat raw series
+    of `_PairTable.pair`, kept while this table lives.
     """
 
-    __slots__ = ("_entries", "_N", "_orders", "_pairs")
+    __slots__ = ("_levels", "_N", "_orders", "_pairs")
 
     def __init__(self, p: PoissonTensor, N: int):
-        self._entries = p.constant_entries()
+        self._levels = _entry_multisets(p, N)
         self._N = N
         # order l -> (L, R, w(M)) of every multiset M of l entries
         self._orders: List[tuple] = [()]
         self._pairs: Dict[tuple, tuple] = {}
-
-    def _order(self, l: int) -> tuple:
-        orders = self._orders
-        while len(orders) <= l:
-            k = len(orders)
-            orders.append(tuple(
-                (MultiIndex.of(*(e[0] for e in combo)), MultiIndex.of(*(e[1] for e in combo)),
-                 _pairing_weight(k, combo))
-                for combo in itertools.combinations_with_replacement(self._entries, k)))
-        return orders[l]
 
     def pair(self, u: MultiIndex, v: MultiIndex) -> tuple:
         """x^u *_Moyal x^v as the flat raw series of C_0..C_N(x^u, x^v)."""
@@ -464,8 +458,10 @@ class _MoyalPairs:
             if top:
                 du, dv = u.divisors(), v.divisors()
             for l in range(1, top + 1):
+                if l == len(self._orders):  # the levels are read in order
+                    self._orders.append(next(self._levels))
                 acc: Dict[MultiIndex, GaussianRational] = {}
-                for L, R, w in self._order(l):
+                for L, R, w in self._orders[l]:
                     hu = du.get(L)
                     if hu is None:
                         continue

@@ -20,10 +20,13 @@ composition, jet recursions and pairing loop written with one `Poly` or
 `DiffOp` operation per term, as they were before the builders added raw
 term maps; they gate the raw builders on structural equality.
 `whole_pairing_operators` also sums every multiset of Poisson entries,
-not one of each mirror pair.  The `oracle_*_json` functions are the JSON
-codecs as written before serialization sorted once per operator and
-formatted each part from the stored integers; they gate the codecs on
-byte identity.
+not one of each mirror pair, with its weight formed from the whole
+multiset (`multiset_weight`); `whole_moyal_operators`, its pairing of
+partial-derivative jets, is the reference of the Moyal builder, which
+forms each multiset's derivative keys and weight from its prefix.  The
+`oracle_*_json` functions are the JSON codecs as written before
+serialization sorted once per operator and formatted each part from the
+stored integers; they gate the codecs on byte identity.
 
 The flat-chart oracle (`chart_mismatches`, with `inverse_jacobian` and
 `cotangent_chart`) checks the natural product of a pulled-back flat
@@ -393,6 +396,18 @@ def whole_symmetric_jet_ops(conn, order):
     return jets
 
 
+def multiset_weight(combo):
+    """(i/2)^k prod v_e / prod m_e! of a sorted multiset of k Poisson
+    entries (mu, nu, v), m_e the multiplicity of each distinct entry."""
+    repeats = 1
+    for _, run in itertools.groupby(combo):
+        repeats *= factorial(len(list(run)))
+    v = (HALF_I ** len(combo)) * GaussianRational(Fraction(1, repeats))
+    for _, _, val in combo:
+        v = v * val
+    return v
+
+
 def whole_pairing_operators(p, jet, order):
     """C_0..C_order summed once per multiset of Poisson entries, one
     `(pa * pb).scale(v)` per pair of jet terms."""
@@ -402,12 +417,7 @@ def whole_pairing_operators(p, jet, order):
     for k in range(1, order + 1):
         acc = {}
         for combo in itertools.combinations_with_replacement(entries, k):
-            repeats = 1
-            for _, run in itertools.groupby(combo):
-                repeats *= factorial(len(list(run)))
-            v = (HALF_I ** k) * GaussianRational(Fraction(1, repeats))
-            for _, _, val in combo:
-                v = v * val
+            v = multiset_weight(combo)
             left = jet(tuple(sorted(mu for mu, _, _ in combo)))
             right = jet(tuple(sorted(nu for _, nu, _ in combo)))
             for li, pa in left._terms.items():

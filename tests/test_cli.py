@@ -19,6 +19,8 @@ from starq.scalars import GaussianRational
 FIXTURES = {
     "moyal": {"kind": "moyal", "n": 1, "casimir": 0, "order": 4, "max_degree": 4},
     "moyal_casimir": {"kind": "moyal", "n": 1, "casimir": 1, "order": 3, "max_degree": 3},
+    "moyal_n2_casimir_o6": {"kind": "moyal", "n": 2, "casimir": 1, "order": 6, "max_degree": 3},
+    "moyal_o12": {"kind": "moyal", "n": 1, "order": 12, "max_degree": 4},
     "natural_q": {
         "kind": "natural-cotangent",
         "n": 1,
@@ -152,6 +154,16 @@ def test_derive_natural_q(spec_file, capsys):
     assert counts[2] > 0 and counts[4] > 0
     assert report["checks"][0]["title"] == "intertwining"
     assert report["checks"][0]["passed"]
+
+
+# Moyal past the n = 1, order-4 demo: two pairs and a Casimir, and the
+# highest order the derivative-order guard admits
+@pytest.mark.parametrize("name", ["moyal_n2_casimir_o6", "moyal_o12"])
+def test_moyal_beyond_the_demo_passes_every_command(name, spec_file, capsys):
+    spec = spec_file(name)
+    for command in (["validate"], ["derive"], ["apply", "--f", "q1^2+p1", "--g", "q1*p1^2-p1"]):
+        code, report = run_cli([command[0], spec, "--no-timing"] + command[1:], capsys)
+        assert code == 0 and report is not None, command
 
 
 def test_derive_moyal_all_zero(spec_file, capsys):

@@ -16,6 +16,7 @@ from starq.errors import (
     InvalidArgument,
     InvalidFrame,
     NonFlatConnection,
+    OperatorOrderExceeded,
     OrderMismatch,
     StarqError,
 )
@@ -33,7 +34,7 @@ from starq.geometry import (
     flat_connection_from_diffeo,
     lift_connection,
 )
-from starq.operators import BiDiffOp, DiffOp
+from starq.operators import MAX_OP_ORDER, BiDiffOp, DiffOp
 from starq.poly import EMPTY_INDEX, MultiIndex, Poly
 from starq.scalars import GaussianRational, gr
 from starq.series import HbarSeries
@@ -62,6 +63,7 @@ from helpers import (
     cotangent_chart,
     inverse_jacobian,
     moyal_oracle,
+    multiset_weight,
     n3_triangular_connection,
     n3_triangular_map,
     nontriangular_n2_connection,
@@ -1346,6 +1348,53 @@ def test_mirrored_moyal_pairing_matches_every_multiset(poisson, order):
 def test_builder_rejects_a_negative_order(build):
     with pytest.raises(OrderMismatch):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda order: moyal_product(PoissonTensor.canonical(1), order),
+        lambda order: vector_field_product(momentum_shear_frame(), PoissonTensor.canonical(1), order),
+        lambda order: natural_cotangent_product(Connection.zero(1), order),
+    ],
+    ids=["moyal", "vector-field", "natural-cotangent"],
+)
+def test_builder_rejects_an_order_past_the_derivative_guard(build):
+    # C_k differentiates each slot k times
+    with pytest.raises(OperatorOrderExceeded):
+        build(MAX_OP_ORDER + 1)
+
+
+# tensors with one partner per coordinate (canonical, with a Casimir,
+# scaled) and with several (the non-canonical d = 3, 4)
+MOYAL_TENSORS = [
+    PoissonTensor.canonical(2), PoissonTensor.canonical(1, 1),
+    constant_tensor(1, 0, {(0, 1): gr("3/2")}), NON_CANONICAL_D3, NON_CANONICAL_D4,
+]
+MOYAL_TENSOR_IDS = ["canonical-2", "canonical-1-1", "canonical-1-x3/2", "non-canonical-d3",
+                    "non-canonical-d4"]
+
+
+@pytest.mark.parametrize("poisson", MOYAL_TENSORS, ids=MOYAL_TENSOR_IDS)
+def test_entry_multiset_walk_matches_the_combos(poisson):
+    # each multiset is formed from its prefix; the reference forms its
+    # indices and weight from the whole multiset
+    entries = poisson.constant_entries()
+    for k, level in enumerate(products._entry_multisets(poisson, 6), 1):
+        assert level == tuple(
+            (MultiIndex.of(*(mu for mu, _, _ in combo)), MultiIndex.of(*(nu for _, nu, _ in combo)),
+             multiset_weight(combo))
+            for combo in itertools.combinations_with_replacement(entries, k)), k
+
+
+@pytest.mark.parametrize("poisson", MOYAL_TENSORS, ids=MOYAL_TENSOR_IDS)
+def test_moyal_builder_matches_the_pairing_of_partials(poisson):
+    reference = whole_moyal_operators(poisson, 6)
+    for order in range(7):
+        product = moyal_product(poisson, order)
+        expected = StarProduct(poisson, reference[: order + 1])
+        assert product == expected, order
+        assert json.dumps(product.to_json()) == json.dumps(expected.to_json()), order
 
 
 def test_an_order_0_product_fails_canonicity():
