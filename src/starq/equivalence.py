@@ -51,7 +51,8 @@ from .errors import (
     OrderMismatch,
 )
 from .geometry import Connection, SymplecticConnectionSpec, ricci
-from .operators import MAX_OP_ORDER, DiffOp, _acc_poly, _acc_shifted
+from .operators import MAX_OP_ORDER, DiffOp, _acc_compose, _acc_poly, _acc_scaled, _acc_shifted
+from .operators import _leibniz_splits, _nonzero_terms
 from .poly import MultiIndex, Poly, _GrlexKeys
 from .scalars import GaussianRational, ONE
 from .series import HbarSeries
@@ -61,6 +62,7 @@ from .products import (
     PoissonTensor,
     StarProduct,
     _MoyalPairs,
+    _coordinate_slots,
     _first_nonzero,
     monomials_up_to,
     quantum_canonicity_check,
@@ -137,30 +139,22 @@ def coordinate_rhs(s: StarProduct, lower: Sequence[DiffOp], k: int) -> List[Diff
     return _coordinate_rhs(s.dim, _symmetric_slots(s, k), lower, k)
 
 
-def _symmetric_slots(s: StarProduct, order: int) -> List[List[DiffOp]]:
-    """Row l holds S_l(x^alpha, .) for every coordinate alpha, l <= order
-    (row 0 is empty)."""
-    d = s.dim
-    return [[]] + [
-        [s.C[l].symmetric_slot_fix(alpha) for alpha in range(d)] for l in range(1, order + 1)
-    ]
+def _symmetric_slots(s: StarProduct, order: int) -> List[list]:
+    """Row l holds the Leibniz splits of S_l(x^alpha, .) for every alpha,
+    l <= order (row 0 is empty), read in one pass over C_l, split once."""
+    return [[]] + [[_leibniz_splits(slot._terms) for slot in _coordinate_slots(s.C[l])]
+                   for l in range(1, order + 1)]
 
 
-def _coordinate_rhs(
-    d: int, slots: List[List[DiffOp]], lower: Sequence[DiffOp], k: int
-) -> List[DiffOp]:
-    """`coordinate_rhs` read off a table of `_symmetric_slots`."""
+def _coordinate_rhs(d: int, slots: List[list], lower: Sequence[DiffOp], k: int) -> List[DiffOp]:
+    """`coordinate_rhs` off a table of `_symmetric_slots`, each S_l^alpha o
+    T_(k-l) added raw into one map per alpha (`_acc_compose`)."""
     out = []
     for alpha in range(d):
-        acc = DiffOp.zero(d)
+        acc: Dict[MultiIndex, dict] = {}
         for l in range(1, k + 1):
-            t = lower[k - l]
-            if t.is_zero():
-                continue
-            slot = slots[l][alpha]
-            if not slot.is_zero():
-                acc = acc + slot.compose(t)
-        out.append(acc)
+            _acc_compose(acc, slots[l][alpha], lower[k - l]._terms)
+        out.append(DiffOp._from_raw(d, acc))
     return out
 
 
@@ -168,33 +162,40 @@ def _coordinate_rhs(
 # the solver and its oracle
 # ---------------------------------------------------------------------------
 
+_WEIGHTS = tuple(GaussianRational(Fraction(1, 1 + j)) for j in range(MAX_OP_ORDER + 1))
+
+
 def commutator_solution_direct(family: Sequence[DiffOp]) -> DiffOp:
     """Unique T with [T, x^alpha] = family[alpha], T(1) = T(x^alpha) = 0.
 
     Writing family[alpha] = sum_J phi_(alpha,J) d^J, the candidate is
-    sum_(alpha,J) phi_(alpha,J) / (1 + |J|) d^(e_alpha + J).  Its
-    commutators are always checked exactly, so a family admitting no
-    common solution raises `IncompatibleFamily`, and a family with a term
-    that does not kill constants its subclass `FamilyKeepsConstants`.
+    sum_(alpha,J) phi_(alpha,J) / (1 + |J|) d^(e_alpha + J) (`_WEIGHTS`).
+    Its d commutators, formed in one pass, are always checked exactly, so
+    a family admitting no common solution raises `IncompatibleFamily`, and
+    one with a term that does not kill constants `FamilyKeepsConstants`.
     """
     if not family:
         raise DimensionMismatch("a family has one operator per coordinate, got none")
     d = family[0].dim
     if len(family) != d:
         raise DimensionMismatch(f"expected one operator per coordinate, got {len(family)}")
-    acc: Dict[MultiIndex, Poly] = {}
+    acc: Dict[MultiIndex, dict] = {}
     for alpha, op in enumerate(family):
         if op.dim != d:
             raise DimensionMismatch("mixed dimensions in operator family")
         if not op.annihilates_constants():
             raise FamilyKeepsConstants(alpha)
-        for j_idx, coeff in op.terms():
-            weight = GaussianRational(Fraction(1, 1 + j_idx.degree))
-            target = j_idx + MultiIndex.unit(alpha)
-            _acc_poly(acc, target, coeff.scale(weight))
-    solution = DiffOp(d, acc)
+        unit = MultiIndex.unit(alpha)
+        for j_idx, coeff in op._terms.items():
+            _acc_scaled(acc.setdefault(j_idx.sum_table()[unit], {}), coeff._terms,
+                        _WEIGHTS[j_idx.degree])
+    solution = DiffOp._from_raw(d, acc)
+    comms: List[Dict[MultiIndex, dict]] = [{} for _ in range(d)]  # [T, x^c], raw
+    for mi, coeff in solution._terms.items():
+        for c, e in mi.pairs:
+            _acc_scaled(comms[c].setdefault(mi.decrement(c), {}), coeff._terms, ONE if e == 1 else e)
     for alpha, op in enumerate(family):
-        if solution.commutator_with_coordinate(alpha) != op:
+        if _nonzero_terms(d, comms[alpha]) != op._terms:
             raise IncompatibleFamily(alpha)
     return solution
 

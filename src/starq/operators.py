@@ -29,14 +29,14 @@ bilinear sum of that over their monomials.  Sums are kept in one raw
 term map and normalised once, so the result does not depend on the
 summation order.
 
-The same kernel builds operators.  `compose` and the jet step of
-`geometry` share one Leibniz kernel (`_acc_compose`); it, the jet step's
-symbol contractions and the pairing of `products` add raw term maps
-through `_acc_shifted`, one map per derivative key, and make the
-operator once with `_from_raw`, which normalises each map.  Every index
-sum in these kernels (x^m times x^shift, the two rests of a pair of
-hits, a Leibniz remainder plus a right derivative) is read from the sum
-tables of `poly.MultiIndex`.
+The same kernel builds operators.  `compose`, the jet step of
+`geometry` and the right-hand sides of `equivalence` share one Leibniz
+kernel (`_acc_compose`); it, the jet step's symbol contractions and the
+pairing of `products` add raw term maps through `_acc_shifted`, one map
+per derivative key, and make the operator once with `_from_raw`, which
+normalises each map.  Every index sum in these kernels (x^m times
+x^shift, the two rests of a pair of hits, a Leibniz remainder plus a
+right derivative) is read from the sum tables of `poly.MultiIndex`.
 """
 
 from __future__ import annotations
@@ -175,17 +175,15 @@ class _NormalForm:
         share across operators of its dimension: the terms are sorted
         once, and each index's key is formed once per table."""
         slots = self._SLOTS
-        rows = []
-        for key, p in self._terms.items():
-            indices = (key,) if len(slots) == 1 else key
-            rows.append((tuple(keys[mi] for mi in indices), p))
+        rows = [((keys[key],) if len(slots) == 1 else (keys[key[0]], keys[key[1]]), p)
+                for key, p in self._terms.items()]
         rows.sort(key=_first, reverse=True)
-        terms = []
-        for grlex, p in rows:
-            entry = {s: list(g[1]) for s, g in zip(slots, grlex)}
-            entry["coefficient"] = p._json(keys)
-            terms.append(entry)
-        return {"dim": self.dim, "terms": terms}
+        if len(slots) == 1:
+            return {"dim": self.dim, "terms": [
+                {slots[0]: list(g[1]), "coefficient": p._json(keys)} for (g,), p in rows]}
+        return {"dim": self.dim, "terms": [
+            {slots[0]: list(g[1]), slots[1]: list(h[1]), "coefficient": p._json(keys)}
+            for (g, h), p in rows]}
 
     @classmethod
     def from_json(cls, data: dict):

@@ -46,7 +46,7 @@ from operator import itemgetter, mul
 from typing import Dict, Iterable, Iterator, Tuple
 
 from .errors import DimensionMismatch
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, ONE, ZERO, _make
 
 
 class MultiIndex:
@@ -553,9 +553,9 @@ class Poly:
 
     def _json(self, keys: "_GrlexKeys") -> list:
         """`to_json` over a grlex-key table the caller may share."""
-        rows = [(keys[mi], c) for mi, c in self._terms.items()]
+        rows = [(keys[mi], keys[c._r, c._i, c._d]) for mi, c in self._terms.items()]
         rows.sort(key=_first, reverse=True)
-        return [{"exps": list(key[1]), **c.to_json()} for key, c in rows]
+        return [{"exps": list(key[1]), "re": re, "im": im} for key, (re, im) in rows]
 
     @classmethod
     def from_json(cls, dim: int, data: list) -> "Poly":
@@ -570,9 +570,10 @@ class Poly:
 
 
 class _GrlexKeys(dict):
-    """index -> its grlex key (degree, dense exponents) in one dimension,
-    formed on first request; one table serves one serialization call, so
-    each index's key and exponent list are formed once per call."""
+    """index -> its grlex key (degree, dense exponents) in one dimension, and
+    a scalar's (r, i, d) triple (its hash builds `Fraction`s) -> the (re, im)
+    `GaussianRational.to_json` writes, each formed on first request; one
+    table serves one serialization call, so each is formed once per call."""
 
     __slots__ = ("_dim",)
 
@@ -580,9 +581,13 @@ class _GrlexKeys(dict):
         super().__init__()
         self._dim = dim
 
-    def __missing__(self, mi: MultiIndex) -> Tuple[int, Tuple[int, ...]]:
-        key = self[mi] = (mi._degree, mi.dense(self._dim))
-        return key
+    def __missing__(self, key):
+        if isinstance(key, MultiIndex):
+            got = self[key] = (key._degree, key.dense(self._dim))
+        else:
+            data = _make(*key).to_json()
+            got = self[key] = (data["re"], data["im"])
+        return got
 
 
 _first = itemgetter(0)

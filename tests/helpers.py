@@ -27,6 +27,9 @@ forms each multiset's derivative keys and weight from its prefix.  The
 `oracle_*_json` functions are the JSON codecs as written before
 serialization sorted once per operator and formatted each part from the
 stored integers; they gate the codecs on byte identity.
+`merged_scalar_json` is the writer as it was before each serialization
+call kept one written copy of every distinct coefficient: every term
+merges its own `GaussianRational.to_json()` into its entry.
 
 The flat-chart oracle (`chart_mismatches`, with `inverse_jacobian` and
 `cotangent_chart`) checks the natural product of a pulled-back flat
@@ -57,7 +60,14 @@ from starq.geometry import (
 )
 from starq.operators import BiDiffOp, DiffOp, _acc_poly
 from starq.poly import MultiIndex, Poly
-from starq.products import CheckEntry, CheckReport, PoissonTensor, monomials_up_to, moyal_product
+from starq.products import (
+    CheckEntry,
+    CheckReport,
+    PoissonTensor,
+    StarProduct,
+    monomials_up_to,
+    moyal_product,
+)
 from starq.scalars import HALF_I, I as IMAG, GaussianRational
 
 
@@ -1118,3 +1128,24 @@ def oracle_morphism_json(m):
         "term_counts": [op.term_count() for op in m.orders],
         "operators": [oracle_operator_json(op) for op in m.orders[1:]],
     }
+
+
+def merged_scalar_json(obj):
+    """The JSON of a product, morphism, operator or polynomial with every
+    term written as {"exps": ..., **c.to_json()}, one scalar at a time."""
+    if isinstance(obj, Poly):
+        return [{"exps": list(mi.dense(obj.dim)), **c.to_json()} for mi, c in obj.terms()]
+    if isinstance(obj, (DiffOp, BiDiffOp)):
+        terms = []
+        for key, p in obj.terms():
+            indices = (key,) if isinstance(obj, DiffOp) else key
+            entry = {s: list(mi.dense(obj.dim)) for s, mi in zip(obj._SLOTS, indices)}
+            entry["coefficient"] = merged_scalar_json(p)
+            terms.append(entry)
+        return {"dim": obj.dim, "terms": terms}
+    if isinstance(obj, StarProduct):
+        return {"dim": obj.dim, "order": obj.order, "parity": True,
+                "operators": [merged_scalar_json(op) for op in obj.C]}
+    return {"dim": obj.dim, "order": obj.order, "provenance": obj.provenance,
+            "term_counts": [op.term_count() for op in obj.orders],
+            "operators": [merged_scalar_json(op) for op in obj.orders[1:]]}

@@ -56,6 +56,7 @@ from starq.equivalence import (
 from helpers import (
     canonical_poisson_entries,
     index_loop_order2,
+    merged_scalar_json,
     n3_triangular_connection,
     nontriangular_n2_connection,
     oracle_morphism_json,
@@ -209,18 +210,22 @@ def test_derive_rejects_a_rhs_with_no_common_solution(natural_q_product, monkeyp
     assert str(err.value) == "order 2: no solution for coordinate index 0"
 
 
-def test_derive_fixes_each_slot_once(natural_q_product, monkeypatch):
-    calls = []
-    real = BiDiffOp.symmetric_slot_fix
+def test_derive_fixes_each_slot_once(monkeypatch):
+    # the slots of every coordinate are read in one pass over each C_l,
+    # l >= 1, and the canonicity check only looks up keys: no operator
+    # builds its application index, and no pair table is made
+    s = natural_cotangent_product(gamma_q(), 4)
+    reads = []
+    real = equivalence._coordinate_slots
 
-    def counted(op, coord):
-        calls.append(coord)
-        return real(op, coord)
+    def counted(op):
+        reads.append(op)
+        return real(op)
 
-    monkeypatch.setattr(BiDiffOp, "symmetric_slot_fix", counted)
-    s = natural_q_product
+    monkeypatch.setattr(equivalence, "_coordinate_slots", counted)
     derive_equivalence(s)
-    assert len(calls) == s.order * s.dim
+    assert [id(op) for op in reads] == [id(op) for op in s.C[1:]]
+    assert s._table is None and all(op._memo is None for op in s.C)
 
 
 # -- recurrence right-hand side -----------------------------------------------
@@ -891,6 +896,37 @@ def test_morphism_json_matches_the_oracle_byte_for_byte(name):
     spec = parse_spec(json.loads((DEMOS / f"{name}.json").read_text()))
     morphism = derive_equivalence(build_product(spec), spec.order)
     assert json.dumps(morphism.to_json()) == json.dumps(oracle_morphism_json(morphism))
+
+
+def _same_json(obj):
+    """`to_json` equals the writer that merges each term's scalar JSON, as
+    objects, as written bytes and as the CLI writes them (sorted keys)."""
+    data, merged = obj.to_json(), merged_scalar_json(obj)
+    assert data == merged
+    assert json.dumps(data) == json.dumps(merged)
+    assert json.dumps(data, sort_keys=True) == json.dumps(merged, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "name", ["moyal", "vector_field", "natural_cotangent", "natural_cotangent_n2",
+             "symplectic_truncated"],
+)
+def test_json_writes_each_scalar_as_its_own_to_json(name):
+    spec = parse_spec(json.loads((DEMOS / f"{name}.json").read_text()))
+    product = build_product(spec)
+    _same_json(product)
+    _same_json(derive_equivalence(product, spec.order))
+
+
+def test_json_writes_non_integral_complex_scalars_as_their_own_to_json(natural_q_morphism):
+    # one table serves a whole product or morphism, so (2/3 + i) is
+    # written once and read back for its every term
+    q, p = (Poly.coordinate(2, j) for j in range(2))
+    bump = q.scale(gr("2/3", 1)) + p * p + Poly.const(2, gr("2/3", 1))
+    moyal = moyal_product(PoissonTensor.canonical(1), 4)
+    _same_json(corrupted(moyal, MultiIndex.unit(0), MultiIndex.of(0, 1), coeff=bump))
+    _same_json(corrupted(moyal, EMPTY_INDEX, MultiIndex.unit(1), order=3, coeff=bump.scale(gr("-1/6"))))
+    _same_json(bumped_morphism(natural_q_morphism, 2, MultiIndex.of(0, 1), gr("2/3", 1)))
 
 
 def test_closed_form_morphism_json_matches_the_oracle():

@@ -887,7 +887,9 @@ def bracket_per_pair_report(s):
 
 def test_canonicity_reads_one_pair_table(monkeypatch):
     # an order-0 fault with a nonzero commutator on (q1, p1), and an
-    # antisymmetric order-2 fault that bends the bracket of (q1, q2)
+    # antisymmetric order-2 fault that bends the bracket of (q1, q2); the
+    # commutators are read off the operators' keys, so the check makes no
+    # pair table
     moyal = moyal_product(PoissonTensor.canonical(2), 3)
     q1, q2, p1 = MultiIndex.unit(0), MultiIndex.unit(1), MultiIndex.unit(2)
     bad = corrupted(moyal, q1, p1, order=0, coeff=Poly.const(4, gr("1/3")))
@@ -897,12 +899,64 @@ def test_canonicity_reads_one_pair_table(monkeypatch):
     monkeypatch.setattr(BiDiffOp, "multiplication",
                         classmethod(lambda cls, d: builds.append(d) or real(cls, d)))
     report = quantum_canonicity_check(bad).to_json()
-    assert builds == [4]
+    assert builds == [] and bad._table is None
     monkeypatch.undo()
     assert report["entries"] == bracket_per_pair_report(bad)
     details = {e["name"]: e["detail"] for e in report["entries"] if not e["passed"]}
     assert details["pair-0-2"] == "order-0 commutator 1/3 is nonzero"
     assert details["pair-0-1"].startswith("bracket = ")
+
+
+def _demo_product(name):
+    return build_product(parse_spec(json.loads((DEMOS / f"{name}.json").read_text())))
+
+
+def _casimir_frame_product():
+    # a momentum field that depends on the Casimir coordinate
+    return build_product(parse_spec({
+        "kind": "vector-field", "n": 1, "casimir": 1, "order": 4,
+        "frame": [["1", "0", "0"], ["6*p1 + 2*c1", "1", "0"], ["2*p1", "0", "1"]]}))
+
+
+# every kind of product the tests build, with the faults the coordinates
+# see: a 1/3 d_q1 (x) d_p1 at order 0, an antisymmetric p2 d_q1 (x) d_q2 at
+# order 2, (q1 + 2/3) 1 (x) d_p1 at order 2 and 1 (x) 1 at order 1
+COORDINATE_CASES = {
+    **{name: (lambda name=name: _demo_product(name)) for name in (
+        "moyal", "vector_field", "natural_cotangent", "natural_cotangent_n2",
+        "symplectic_truncated")},
+    "moyal-casimir": lambda: moyal_product(PoissonTensor.canonical(2, 2), 4),
+    "frame-casimir": _casimir_frame_product,
+    "moyal-non-canonical-d4": lambda: moyal_product(NON_CANONICAL_D4, 4),
+    "frame-non-canonical-d4": lambda: vector_field_product(
+        shear_frame(NON_CANONICAL_D4, 1, Poly.coordinate(4, 1) ** 2), NON_CANONICAL_D4, 3),
+    "order0-fault": lambda: corrupted(
+        moyal_product(PoissonTensor.canonical(2), 3), MultiIndex.unit(0), MultiIndex.unit(2),
+        order=0, coeff=Poly.const(4, gr("1/3"))),
+    "antisymmetric-order2-fault": lambda: corrupted(
+        moyal_product(PoissonTensor.canonical(2), 3), MultiIndex.unit(0), MultiIndex.unit(1),
+        antisym=True, coeff=Poly.coordinate(4, 3)),
+    "empty-slot-fault": lambda: corrupted(
+        moyal_product(PoissonTensor.canonical(1), 4), EMPTY_INDEX, MultiIndex.unit(1),
+        coeff=Poly.coordinate(2, 0) + Poly.const(2, gr("2/3"))),
+    "unit-fault": lambda: corrupted(
+        moyal_product(PoissonTensor.canonical(1), 4), EMPTY_INDEX, EMPTY_INDEX, order=1),
+}
+
+
+@pytest.mark.parametrize("build", COORDINATE_CASES.values(), ids=COORDINATE_CASES.keys())
+def test_coordinate_slots_are_the_symmetric_slot_fixes(build):
+    # every C_l, C_0 included, whose 1 (x) 1 term freezes to x^a in both slots
+    for op in build().C:
+        assert products._coordinate_slots(op) == [op.symmetric_slot_fix(a) for a in range(op.dim)]
+
+
+@pytest.mark.parametrize("build", COORDINATE_CASES.values(), ids=COORDINATE_CASES.keys())
+def test_canonicity_report_is_that_of_the_star_bracket(build):
+    s = build()
+    report = quantum_canonicity_check(s).to_json()
+    assert s._table is None
+    assert report["entries"] == bracket_per_pair_report(s)
 
 
 def _moyal_bump(left, right, order):
@@ -1290,7 +1344,7 @@ def test_vector_field_product_builds_no_casimir_jets(monkeypatch):
     assert (0, 1) in keys and not [t for t in keys if {2, 3} & set(t)]
 
 
-# -- the mirrored pairing against the sum over every multiset ---------------------------------
+# -- the Moyal walk against the sum over every multiset ---------------------------------------
 
 
 def constant_tensor(n, casimir, values):
@@ -1327,7 +1381,7 @@ NON_CANONICAL_D4 = constant_tensor(2, 0, {
     ids=["moyal-n1-o8", "moyal-n1-casimir1-o8", "moyal-n2-o8", "moyal-n2-casimir2-o6",
          "moyal-n3-casimir1-o8", "non-canonical-d3-o6", "non-canonical-d4-o5"],
 )
-def test_mirrored_moyal_pairing_matches_every_multiset(poisson, order):
+def test_moyal_walk_matches_every_multiset(poisson, order):
     product = moyal_product(poisson, order)
     reference = whole_moyal_operators(poisson, order)
     assert len(product.C) == len(reference)
