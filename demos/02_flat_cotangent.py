@@ -92,7 +92,7 @@ def main():
 
     print("\n== one slot operator in full ==")
     print("   C_2 at the first momentum coordinate:")
-    print("  ", product.C[2].slot_fix(n).format(names))
+    print("  ", product.C[2].coordinate_slots()[n].format(names))
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from starq.exprparse import coordinate_names, parse_phase_poly
 
 def main():
     n = 1
-    d = 2 * n
     names = coordinate_names(n)
 
     components = {
@@ -50,11 +49,7 @@ def main():
             print(f"   Ricci[{mu+1}{nu+1}] = {comp.format(names)}")
         print("   order-2 term:", closed.format(names))
         print("   equals the recursive derivation:", closed == derived)
-        identity = all(
-            closed.commutator_with_coordinate(alpha)
-            == product.C[2].slot_fix(alpha)
-            for alpha in range(d)
-        )
+        identity = closed.coordinate_commutators() == product.C[2].coordinate_slots()
         print("   coordinate commutators match the product slots:", identity)
 
 

@@ -421,12 +421,9 @@ def cmd_verify_tables(args, spec: ProblemSpec) -> Tuple[dict, bool]:
     comparisons = [_compare("order-2", morphism.operator(2), closed)]
     failed = not comparisons[0]["match"]
     if spec.kind == "symplectic-truncated":
-        c2 = product.C[2]
-        entries = [
-            {"coordinate": alpha,
-             "match": closed.commutator_with_coordinate(alpha) == c2.slot_fix(alpha)}
-            for alpha in range(product.dim)
-        ]
+        pairs = zip(closed.coordinate_commutators(), product.C[2].coordinate_slots())
+        entries = [{"coordinate": alpha, "match": comm == slot}
+                   for alpha, (comm, slot) in enumerate(pairs)]
         comparisons.append(
             {"name": "coordinate-commutators", "match": all(e["match"] for e in entries),
              "entries": entries}

@@ -7,16 +7,16 @@ the coordinate-commutator equations
 
     [T_k, x^alpha] = F_k^alpha,
 
-whose right-hand side is assembled from the product's operators and the
-lower morphism orders by one formula, for every order of every product:
-no declared property of the product selects another.  (For a product
-with slot-swap parity the odd orders vanish and the even ones reduce to
-the paper's one-sided sum by themselves.)  The solution is unique, so
-the derivation runs one solver: a direct weighted reconstruction from the
-coefficients of the family, whose commutators are then checked exactly
-against the family.  The paper's systematic construction, a
-nested-commutator expansion, is kept beside it as an independent oracle
-for the tests.
+whose right-hand side is assembled from the symmetric coordinate slots
+of the product's operators (`BiDiffOp.coordinate_slots`) and the lower
+morphism orders by one formula, for every order of every product: no
+declared property of the product selects another.  (For a product with
+slot-swap parity the odd orders vanish and the even ones reduce to the
+paper's one-sided sum by themselves.)  The solution is unique, so the
+derivation runs one solver: a direct weighted reconstruction from the
+family, checked exactly by `DiffOp.coordinate_commutators`.  The
+paper's systematic construction, a nested-commutator expansion, is kept
+beside it as an independent oracle for the tests.
 
 The module also carries closed-form expressions for the order-2/order-4
 operators over a flat cotangent bundle and for the order-2 operator of a
@@ -52,7 +52,7 @@ from .errors import (
 )
 from .geometry import Connection, SymplecticConnectionSpec, ricci
 from .operators import MAX_OP_ORDER, DiffOp, _acc_compose, _acc_poly, _acc_scaled, _acc_shifted
-from .operators import _leibniz_splits, _nonzero_terms
+from .operators import _leibniz_splits
 from .poly import MultiIndex, Poly, _GrlexKeys
 from .scalars import GaussianRational, ONE
 from .series import HbarSeries
@@ -62,7 +62,6 @@ from .products import (
     PoissonTensor,
     StarProduct,
     _MoyalPairs,
-    _coordinate_slots,
     _first_nonzero,
     monomials_up_to,
     quantum_canonicity_check,
@@ -129,7 +128,7 @@ class EquivalenceMorphism:
 def coordinate_rhs(s: StarProduct, lower: Sequence[DiffOp], k: int) -> List[DiffOp]:
     """The operators F^alpha = sum_l S_l(x^alpha, T_(k-l) .) for
     1 <= l <= k, with S_l = (C_l + C_l.swap()) / 2 the symmetric part of
-    C_l (`BiDiffOp.symmetric_slot_fix`).
+    C_l (`BiDiffOp.coordinate_slots(symmetric=True)`).
 
     `lower` must hold the morphism orders 0..k-1 (order 0 the identity).
     Every returned operator kills constants, because each C_l does.
@@ -142,7 +141,7 @@ def coordinate_rhs(s: StarProduct, lower: Sequence[DiffOp], k: int) -> List[Diff
 def _symmetric_slots(s: StarProduct, order: int) -> List[list]:
     """Row l holds the Leibniz splits of S_l(x^alpha, .) for every alpha,
     l <= order (row 0 is empty), read in one pass over C_l, split once."""
-    return [[]] + [[_leibniz_splits(slot._terms) for slot in _coordinate_slots(s.C[l])]
+    return [[]] + [[_leibniz_splits(slot._terms) for slot in s.C[l].coordinate_slots(symmetric=True)]
                    for l in range(1, order + 1)]
 
 
@@ -170,9 +169,10 @@ def commutator_solution_direct(family: Sequence[DiffOp]) -> DiffOp:
 
     Writing family[alpha] = sum_J phi_(alpha,J) d^J, the candidate is
     sum_(alpha,J) phi_(alpha,J) / (1 + |J|) d^(e_alpha + J) (`_WEIGHTS`).
-    Its d commutators, formed in one pass, are always checked exactly, so
-    a family admitting no common solution raises `IncompatibleFamily`, and
-    one with a term that does not kill constants `FamilyKeepsConstants`.
+    Its d commutators, formed in one pass (`DiffOp.coordinate_commutators`),
+    are always checked exactly, so a family admitting no common solution
+    raises `IncompatibleFamily`, and one with a term that does not kill
+    constants `FamilyKeepsConstants`.
     """
     if not family:
         raise DimensionMismatch("a family has one operator per coordinate, got none")
@@ -190,12 +190,8 @@ def commutator_solution_direct(family: Sequence[DiffOp]) -> DiffOp:
             _acc_scaled(acc.setdefault(j_idx.sum_table()[unit], {}), coeff._terms,
                         _WEIGHTS[j_idx.degree])
     solution = DiffOp._from_raw(d, acc)
-    comms: List[Dict[MultiIndex, dict]] = [{} for _ in range(d)]  # [T, x^c], raw
-    for mi, coeff in solution._terms.items():
-        for c, e in mi.pairs:
-            _acc_scaled(comms[c].setdefault(mi.decrement(c), {}), coeff._terms, ONE if e == 1 else e)
-    for alpha, op in enumerate(family):
-        if _nonzero_terms(d, comms[alpha]) != op._terms:
+    for alpha, (comm, op) in enumerate(zip(solution.coordinate_commutators(), family)):
+        if comm != op:
             raise IncompatibleFamily(alpha)
     return solution
 
@@ -233,13 +229,11 @@ def commutator_solution_nested(family: Sequence[DiffOp]) -> DiffOp:
             total = total + term
         nxt: Dict[Tuple[Tuple[int, ...], int], DiffOp] = {}
         for (prefix, am), op in level.items():
-            for a0 in range(d):
-                # [x^a, T] = -[T, x^a]
-                bumped = op.commutator_with_coordinate(a0).scale(-1)
-                if bumped.is_zero():
-                    continue
-                # symmetric in the prefix: any arrival order gives the same op
-                nxt.setdefault((tuple(sorted(prefix + (a0,))), am), bumped)
+            for a0, comm in enumerate(op.coordinate_commutators()):
+                # [x^a, T] = -[T, x^a], symmetric in the prefix: any
+                # arrival order gives the same op
+                if not comm.is_zero():
+                    nxt.setdefault((tuple(sorted(prefix + (a0,))), am), -comm)
         level = nxt
         m += 1
     return total

@@ -27,8 +27,8 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Tuple
 
-from .errors import DimensionMismatch, InvalidArgument, NonFlatConnection, OperatorOrderExceeded
-from .operators import MAX_OP_ORDER, DiffOp, _acc_compose, _acc_shifted, _leibniz_splits
+from .errors import DimensionMismatch, InvalidArgument, NonFlatConnection
+from .operators import DiffOp, _acc_compose, _acc_shifted, _check_order, _leibniz_splits
 from .poly import MultiIndex, Poly
 from .scalars import GaussianRational
 
@@ -328,8 +328,7 @@ def covariant_jet_ops(conn, rank: int) -> Dict[Tuple[int, ...], DiffOp]:
     mu0-partial of the previous jet minus symbol contractions on each of
     the existing slots, one raw step (`_jet_stepper`) normalised once.
     """
-    if rank > MAX_OP_ORDER:
-        raise OperatorOrderExceeded(f"jet rank {rank} exceeds the operator-order guard")
+    _check_order(rank)
     d = conn.dim
     step = _jet_stepper([DiffOp.partial(d, mu) for mu in range(d)], conn, False)
     jets: Dict[Tuple[int, ...], DiffOp] = {(): DiffOp.identity(d)}
@@ -361,8 +360,7 @@ def _sorted_jets(fields, coords, order: int, conn=None) -> Dict[Tuple[int, ...],
     symbols of `conn`, or of none: a frame's compositions D_t0 o ... o D_tk.
     `coords` must be closed under the symbols: every Gamma^lam_(mu nu)
     with mu and nu in `coords` has lam in `coords`."""
-    if order > MAX_OP_ORDER:
-        raise OperatorOrderExceeded(f"jet rank {order} exceeds the operator-order guard")
+    _check_order(order)
     d = len(fields)
     step = _jet_stepper(fields, conn, True)
     jets: Dict[Tuple[int, ...], DiffOp] = {(): DiffOp.identity(d)}

@@ -6,11 +6,14 @@ the pair (left, right)) to nonzero coefficient polynomials standing to
 the left of the derivatives, so structural equality of the term maps is
 equality of operators.  The base owns the one constructor that checks
 every slot of every key against the dimension and against a fixed
-derivative-order guard (`MAX_OP_ORDER`) that catches runaway
-recursions early, and the arithmetic, equality, hashing and JSON codec
-of the term map.  Negation, scaling, `swap` and the pairing of `products`
-only reuse keys of checked operators and skip the check (`_unchecked`).
-The subclasses add only the action of their terms.
+derivative-order guard (`_check_order`, shared with the jet builders
+and the Moyal walk) that catches runaway recursions early, and the
+arithmetic, equality, hashing and JSON codec of the term map.  Negation,
+scaling, `swap` and the pairing of `products` only reuse keys of checked
+operators and skip the check (`_unchecked`).  The subclasses add the
+action of their terms and, for every coordinate in one pass, what they
+are at the coordinate functions (`DiffOp.coordinate_commutators`,
+`BiDiffOp.coordinate_slots`).
 
 An operator acts through one kernel, from the operand's side: for each
 monomial x^a it finds its derivative indices I <= a among those of
@@ -55,6 +58,12 @@ _set = object.__setattr__
 MAX_OP_ORDER = 12
 
 
+def _check_order(order: int) -> None:
+    """Raise `OperatorOrderExceeded` for a derivative order past the guard."""
+    if order > MAX_OP_ORDER:
+        raise OperatorOrderExceeded(f"derivative order {order} exceeds guard {MAX_OP_ORDER}")
+
+
 class _NormalForm:
     """A map from derivative keys to nonzero coefficient polynomials.
 
@@ -81,10 +90,7 @@ class _NormalForm:
             for mi in terms if len(self._SLOTS) == 1 else chain.from_iterable(terms):
                 if mi.max_coord() >= dim:
                     raise DimensionMismatch(f"derivative index {mi!r} out of range for dim {dim}")
-                if mi.degree > MAX_OP_ORDER:
-                    raise OperatorOrderExceeded(
-                        f"derivative order {mi.degree} exceeds guard {MAX_OP_ORDER}"
-                    )
+                _check_order(mi.degree)
         _set(self, "dim", dim)
         _set(self, "_terms", clean)
         _set(self, "_memo", None)
@@ -268,21 +274,16 @@ class DiffOp(_NormalForm):
         _acc_compose(acc, _leibniz_splits(self._terms), other._terms)
         return DiffOp._from_raw(self.dim, acc)
 
-    def commutator_with_coordinate(self, coord: int) -> "DiffOp":
-        """[self, x^coord] in normal form.
-
-        Equals self o (x^coord *) - (x^coord *) o self; for a term
-        coeff * d^I it is coeff * I_coord * d^(I - e_coord), so the result
-        is strictly lower order.
-        """
-        if not 0 <= coord < self.dim:
-            raise DimensionMismatch(f"coordinate {coord} out of range for dim {self.dim}")
-        acc: Dict[MultiIndex, Poly] = {}
+    def coordinate_commutators(self) -> List["DiffOp"]:
+        """[self, x^c] = self o (x^c *) - (x^c *) o self for every coordinate
+        c, in one pass: a term coeff * d^I adds coeff * I_c * d^(I - e_c) to
+        it, so each is strictly lower order."""
+        d = self.dim
+        accs: List[Dict[MultiIndex, dict]] = [{} for _ in range(d)]
         for mi, coeff in self._terms.items():
-            e = mi.exponent(coord)
-            if e:
-                _acc_poly(acc, mi.decrement(coord), coeff.scale(e))
-        return DiffOp(self.dim, acc)
+            for c, e in mi.pairs:
+                _acc_scaled(accs[c].setdefault(mi.decrement(c), {}), coeff._terms, ONE if e == 1 else e)
+        return [DiffOp._unchecked(d, _nonzero_terms(d, acc)) for acc in accs]
 
     # -- arithmetic ---------------------------------------------------------------------
 
@@ -396,39 +397,26 @@ class BiDiffOp(_NormalForm):
             _set(self, "_memo", index)
         return index
 
-    def slot_fix(self, coord: int) -> DiffOp:
-        """The operator f -> self(x^coord, f), the left slot frozen at the
-        coordinate function x^coord.
+    def coordinate_slots(self, symmetric: bool = False) -> List[DiffOp]:
+        """For every coordinate a, the operator f -> self(x^a, f), or with
+        `symmetric` f -> (self(x^a, f) + self(f, x^a)) / 2, in one pass.
 
-        A term coeff * d^I (x) d^J contributes coeff * d^J when I is the
-        bare first derivative along `coord`, and (coeff * x^coord) * d^J
-        when I is empty; higher-order I kill the coordinate.
+        A term c d^I (x) d^J adds c d^J to slot a when I = e_a, and
+        (c x^a) d^J to every slot when I is empty; with `symmetric` it is
+        read again with I and J swapped, and each contribution is halved.
         """
-        return self._fix_slots(coord, both=False)
-
-    def symmetric_slot_fix(self, coord: int) -> DiffOp:
-        """The operator f -> (self(x^coord, f) + self(f, x^coord)) / 2: the
-        left slot of (self + self.swap()) / 2 frozen at x^coord, read in
-        one pass over the terms, each frozen in both slots as in
-        `slot_fix` and halved as it is added."""
-        return self._fix_slots(coord, both=True)
-
-    def _fix_slots(self, coord: int, both: bool) -> DiffOp:
-        """`slot_fix`, or with `both` `symmetric_slot_fix`: every term's
-        coefficient is added into one raw map per free index, times x^coord
-        through the unit index's sum table where the fixed slot is empty."""
-        if not 0 <= coord < self.dim:
-            raise DimensionMismatch(f"coordinate {coord} out of range for dim {self.dim}")
-        unit = MultiIndex.unit(coord)
-        c = HALF if both else ONE
-        acc: Dict[MultiIndex, dict] = {}
+        d = self.dim
+        coord = {MultiIndex.unit(a): a for a in range(d)}
+        c = HALF if symmetric else ONE
+        accs: List[Dict[MultiIndex, dict]] = [{} for _ in range(d)]
         for (li, ri), coeff in self._terms.items():
-            for fixed, free in ((li, ri), (ri, li)) if both else ((li, ri),):
-                if fixed is unit:
-                    _acc_scaled(acc.setdefault(free, {}), coeff._terms, c)
-                elif fixed is EMPTY_INDEX:
-                    _acc_shifted(acc.setdefault(free, {}), coeff._terms, unit, c)
-        return DiffOp._from_raw(self.dim, acc)
+            for fixed, free in ((li, ri), (ri, li)) if symmetric else ((li, ri),):
+                if fixed is EMPTY_INDEX:
+                    for unit, acc in zip(coord, accs):
+                        _acc_shifted(acc.setdefault(free, {}), coeff._terms, unit, c)
+                elif fixed in coord:
+                    _acc_scaled(accs[coord[fixed]].setdefault(free, {}), coeff._terms, c)
+        return [DiffOp._unchecked(d, _nonzero_terms(d, acc)) for acc in accs]
 
     def swap(self) -> "BiDiffOp":
         """(f, g) -> self(g, f)."""

@@ -78,7 +78,9 @@ class MultiIndex:
 
     @classmethod
     def unit(cls, coord: int) -> "MultiIndex":
-        return cls(((coord, 1),))
+        if coord < 0:
+            raise ValueError(f"invalid multi-index entry ({coord}, 1)")
+        return cls._from_sorted(((coord, 1),))
 
     @classmethod
     def of(cls, *coords: int) -> "MultiIndex":

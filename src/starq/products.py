@@ -36,7 +36,7 @@ check of `equivalence` share its pairs, and its structural verdicts
 (`unital`, `swap_parity`) are each decided once; `==`, copy and pickle
 ignore it.  The canonicity check and the derivation read the terms the
 coordinates see straight off each C_l (`_coordinate_commutator`,
-`_coordinate_slots`) and fill no table.  When 1 is the unit of the
+`BiDiffOp.coordinate_slots`) and fill no table.  When 1 is the unit of the
 product, `check_axioms` skips the triples with a constant factor, whose
 associators the unit laws already prove zero.  The Moyal pairs that the
 intertwining check compares with are read in closed form from the same
@@ -68,8 +68,8 @@ from .operators import (
     BiDiffOp,
     DiffOp,
     _acc_poly,
-    _acc_scaled,
     _acc_shifted,
+    _check_order,
     _nonzero_poly,
     _nonzero_terms,
 )
@@ -397,9 +397,11 @@ def _entry_multisets(p: PoissonTensor, order: int) -> Iterator[tuple]:
     the multisets of the entries' left and right indices, w(M) =
     (i/2)^k prod v_e / prod m_e!, m_e the multiplicity of entry e.  M is
     its prefix plus a last entry e, kept with the length r of e's run: L
-    and R gain e's indices through the sum tables, w gains (i/2) v_e / r."""
+    and R gain e's indices through the sum tables, w gains (i/2) v_e / r.
+    The derivative-order guard bounds the order before any level is made."""
     if order < 0:
         raise OrderMismatch(f"a product has order 0 or more, not {order}")
+    _check_order(order)
     units = [(MultiIndex.unit(mu), MultiIndex.unit(nu), [HALF_I * v / r for r in range(1, order + 1)])
              for mu, nu, v in p.constant_entries()]
     level, ends = ((EMPTY_INDEX, EMPTY_INDEX, ONE),), [(0, 0)]
@@ -419,7 +421,7 @@ def _entry_multisets(p: PoissonTensor, order: int) -> Iterator[tuple]:
 def moyal_product(p: PoissonTensor, order: int) -> StarProduct:
     """Moyal product of a constant Poisson tensor, truncated at `order`:
     C_k, the pairing of the partials, sums w(M) d^L (x) d^R over level k
-    of `_entry_multisets`; the operator constructor's guard bounds k."""
+    of `_entry_multisets`, which bounds k by the derivative-order guard."""
     C = [BiDiffOp.multiplication(p.dim)]
     for level in _entry_multisets(p, order):
         terms: Dict[Tuple[MultiIndex, MultiIndex], Poly] = {}
@@ -614,24 +616,6 @@ def _coordinate_commutator(s: StarProduct, a: int, b: int) -> List[Poly]:
                 _acc_shifted(acc, op._terms[key]._terms, shift, sign)
         out.append(_nonzero_poly(s.dim, acc))
     return out
-
-
-def _coordinate_slots(op: BiDiffOp) -> List[DiffOp]:
-    """`op.symmetric_slot_fix(a)` for every coordinate a in one pass: a term
-    c d^I (x) d^J adds c/2 d^J to slot a when I = e_a, (c x^a / 2) d^J to
-    every slot when I is empty, and likewise with I and J swapped."""
-    d = op.dim
-    units = [MultiIndex.unit(a) for a in range(d)]
-    coord = {unit: a for a, unit in enumerate(units)}
-    accs: List[Dict[MultiIndex, dict]] = [{} for _ in range(d)]
-    for (li, ri), coeff in op._terms.items():
-        for fixed, free in ((li, ri), (ri, li)):
-            if fixed is EMPTY_INDEX:
-                for acc, unit in zip(accs, units):
-                    _acc_shifted(acc.setdefault(free, {}), coeff._terms, unit, HALF)
-            elif fixed in coord:
-                _acc_scaled(accs[coord[fixed]].setdefault(free, {}), coeff._terms, HALF)
-    return [DiffOp._unchecked(d, _nonzero_terms(d, acc)) for acc in accs]
 
 
 @dataclass(frozen=True)

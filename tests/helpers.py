@@ -39,7 +39,7 @@ Dphi(q)^-T p), every C_k(Phi*u, Phi*v) must equal Phi*(M_k(u, v)), with
 Dphi^-1 taken as the adjugate so that every pull-back is a polynomial.
 `closed_form_slot_ops` and the tensor family `f_tensors` it reads are the
 closed-form coordinate slots of the natural product, a second route to
-`C_k.slot_fix(alpha)` that the library no longer carries.
+`C_k.coordinate_slots()` that the library no longer carries.
 """
 
 import itertools
@@ -542,12 +542,10 @@ def recursive_monomials_up_to(dim, max_degree):
 def parity_reduced_rhs(s, lower, k):
     """F^alpha = sum over even l of C_l(x^alpha, T_(k-l) .), the left slot
     alone, for an even order k of a parity product."""
-    out = []
-    for alpha in range(s.dim):
-        acc = DiffOp.zero(s.dim)
-        for l in range(2, k + 1, 2):
-            acc = acc + s.C[l].slot_fix(alpha).compose(lower[k - l])
-        out.append(acc)
+    out = [DiffOp.zero(s.dim)] * s.dim
+    for l in range(2, k + 1, 2):
+        for alpha, slot in enumerate(s.C[l].coordinate_slots()):
+            out[alpha] = out[alpha] + slot.compose(lower[k - l])
     return out
 
 
@@ -1005,7 +1003,7 @@ def closed_form_slot_ops(conn, k):
     raises NonFlatConnection).  Momentum slots are assembled from the
     recursive tensor family `f_tensors`, with the rank-0 component
     f^l_i = delta^l_i.  This is a second route to the operators
-    C_k.slot_fix(alpha) of `natural_cotangent_product`.
+    C_k.coordinate_slots() of `natural_cotangent_product`.
     """
     if not is_flat(conn):
         raise NonFlatConnection("the closed form needs a flat base connection")

@@ -152,8 +152,7 @@ def test_criterion_03_order4_closed_form(flat_cases):
             family = coordinate_rhs(
                 product, [morphism.operator(k) for k in range(4)], 4
             )
-            for alpha, f in enumerate(family):
-                assert derived.commutator_with_coordinate(alpha) == f
+            assert derived.coordinate_commutators() == family
             assert verify_intertwining(morphism, product, 4).passed
             diff = operator_diff_report(derived, closed)
             pytest.fail(f"{name}: table mismatch, term diff: {diff}")
@@ -170,10 +169,7 @@ def test_criterion_04_symplectic_order2(symplectic_cases):
     started = time.monotonic()
     for spec, product in symplectic_cases:
         closed = symplectic_order2(spec)
-        for alpha in range(2):
-            assert closed.commutator_with_coordinate(alpha) == product.C[2].slot_fix(
-                alpha
-            ), f"coordinate {alpha}, a={spec.a}"
+        assert closed.coordinate_commutators() == product.C[2].coordinate_slots(), f"a={spec.a}"
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"budget exceeded: {elapsed:.2f}s"
     announce(4, "symplectic order-2 commutator identity (15 spec/weight cases)", started)

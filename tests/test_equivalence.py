@@ -147,7 +147,7 @@ def test_solution_normalization():
     # starts at derivative order 2, and so kills 1 and coordinates
     x0, x1 = Poly.coordinate(2, 0), Poly.coordinate(2, 1)
     op = DiffOp(2, {MultiIndex.of(0, 1, 1): x0, MultiIndex.of(0, 0): x1 * x1})
-    family = [op.commutator_with_coordinate(alpha) for alpha in range(2)]
+    family = op.coordinate_commutators()
     sol = commutator_solution_direct(family)
     assert sol == op
     one = Poly.const(2, 1)
@@ -168,8 +168,7 @@ def test_solvers_agree_on_derivation_families(natural_q_product):
         nested = commutator_solution_nested(family)
         assert direct == nested
         # defining relations hold
-        for alpha, f in enumerate(family):
-            assert direct.commutator_with_coordinate(alpha) == f
+        assert direct.coordinate_commutators() == family
         ops.append(direct)
 
 
@@ -216,15 +215,15 @@ def test_derive_fixes_each_slot_once(monkeypatch):
     # builds its application index, and no pair table is made
     s = natural_cotangent_product(gamma_q(), 4)
     reads = []
-    real = equivalence._coordinate_slots
+    real = BiDiffOp.coordinate_slots
 
-    def counted(op):
-        reads.append(op)
-        return real(op)
+    def counted(op, symmetric=False):
+        reads.append((id(op), symmetric))
+        return real(op, symmetric)
 
-    monkeypatch.setattr(equivalence, "_coordinate_slots", counted)
+    monkeypatch.setattr(BiDiffOp, "coordinate_slots", counted)
     derive_equivalence(s)
-    assert [id(op) for op in reads] == [id(op) for op in s.C[1:]]
+    assert reads == [(id(op), True) for op in s.C[1:]]
     assert s._table is None and all(op._memo is None for op in s.C)
 
 
@@ -233,9 +232,9 @@ def test_derive_fixes_each_slot_once(monkeypatch):
 def test_rhs_order1_is_symmetrized_first_operator(natural_q_product):
     s = natural_q_product
     family = coordinate_rhs(s, [DiffOp.identity(2)], 1)
+    left, right = s.C[1].coordinate_slots(), s.C[1].swap().coordinate_slots()
     for alpha in range(2):
-        expect = (s.C[1].slot_fix(alpha) + s.C[1].swap().slot_fix(alpha)).scale(gr("1/2"))
-        assert family[alpha] == expect
+        assert family[alpha] == (left[alpha] + right[alpha]).scale(gr("1/2"))
         # parity products have antisymmetric order-1 operators
         assert family[alpha].is_zero()
 
@@ -320,8 +319,7 @@ def test_defining_relation_for_derived_orders(natural_q_product, natural_q_morph
     ops = [natural_q_morphism.operator(k) for k in range(5)]
     for k in range(1, 5):
         family = coordinate_rhs(natural_q_product, ops[:k], k)
-        for alpha in range(2):
-            assert ops[k].commutator_with_coordinate(alpha) == family[alpha]
+        assert ops[k].coordinate_commutators() == family
 
 
 def test_non_canonical_product_rejected():
@@ -857,8 +855,7 @@ def test_symplectic_order2_commutator_identity_random():
             spec = _random_spec(1, rng, a)
             prod = truncated_symplectic_product(spec)
             closed = symplectic_order2(spec)
-            for alpha in range(2):
-                assert closed.commutator_with_coordinate(alpha) == prod.C[2].slot_fix(alpha)
+            assert closed.coordinate_commutators() == prod.C[2].coordinate_slots()
 
 
 def test_symplectic_order2_matches_derivation():

@@ -166,26 +166,26 @@ def test_compose_associative(a, b, c):
 
 def test_canonical_commutator():
     dq = DiffOp.partial(2, 0)
-    assert dq.commutator_with_coordinate(0) == DiffOp.identity(2)
-    assert dq.commutator_with_coordinate(1).is_zero()
+    assert dq.coordinate_commutators() == [DiffOp.identity(2), DiffOp.zero(2)]
 
 
 def test_half_square_commutator():
     op = DiffOp.derivative(2, MultiIndex.of(0, 0), gr("1/2"))
-    assert op.commutator_with_coordinate(0) == DiffOp.partial(2, 0)
+    assert op.coordinate_commutators() == [DiffOp.partial(2, 0), DiffOp.zero(2)]
 
 
 def test_multiplication_operators_commute():
     mq = DiffOp.multiplication(Poly.coordinate(2, 0))
-    assert mq.commutator_with_coordinate(0).is_zero()
+    assert all(comm.is_zero() for comm in mq.coordinate_commutators())
 
 
 @settings(max_examples=25, deadline=None)
 @given(nonzero_diffops(2))
 def test_commutator_equals_composition_difference(op):
+    comms = op.coordinate_commutators()
     for coord in range(2):
         x = DiffOp.multiplication(Poly.coordinate(2, coord))
-        assert op.commutator_with_coordinate(coord) == op.compose(x) - x.compose(op)
+        assert comms[coord] == op.compose(x) - x.compose(op)
 
 
 @settings(max_examples=25, deadline=None)
@@ -195,7 +195,7 @@ def test_repeated_commutation_terminates(op):
     steps = 0
     while not current.is_zero() and steps < 10:
         order_before = current.order
-        current = current.commutator_with_coordinate(steps % 2)
+        current = current.coordinate_commutators()[steps % 2]
         steps += 1
         if not current.is_zero():
             assert current.order < order_before or order_before == 0
@@ -389,51 +389,53 @@ def test_vanishing_on_constants():
     assert not D.vanishes_on_constants()
 
 
-def test_slot_fix_zero():
-    assert BiDiffOp.zero(2).slot_fix(0).is_zero()
-    assert BiDiffOp.zero(2).symmetric_slot_fix(0).is_zero()
+def test_coordinate_slots_of_zero():
+    assert BiDiffOp.zero(2).coordinate_slots() == [DiffOp.zero(2)] * 2
+    assert BiDiffOp.zero(2).coordinate_slots(symmetric=True) == [DiffOp.zero(2)] * 2
 
 
-def test_slot_fix_coefficient_substitution():
-    # a term with an empty left slot picks up the coordinate as a factor
+def test_coordinate_slots_coefficient_substitution():
+    # a term with an empty left slot picks up each coordinate as a factor
     C = BiDiffOp(2, {(EMPTY_INDEX, MultiIndex.unit(1)): Poly.const(2, 1)})
-    fixed = C.slot_fix(0)
-    assert fixed == DiffOp(2, {MultiIndex.unit(1): Poly.coordinate(2, 0)})
+    assert C.coordinate_slots() == [
+        DiffOp(2, {MultiIndex.unit(1): Poly.coordinate(2, a)}) for a in range(2)]
 
 
 @settings(max_examples=25, deadline=None)
 @given(nonzero_diffops(2, 2, 2), nonzero_diffops(2, 2, 2), multi_term_polys(2))
-def test_slot_fix_matches_bidiff_apply(a, b, f):
+def test_coordinate_slots_match_bidiff_apply(a, b, f):
     C = tensor(a, b)
+    left, right = C.coordinate_slots(), C.swap().coordinate_slots()
     for coord in range(2):
         x = Poly.coordinate(2, coord)
-        assert C.slot_fix(coord).apply(f) == C.apply(x, f)
-        assert C.swap().slot_fix(coord).apply(f) == C.apply(f, x)
+        assert left[coord].apply(f) == C.apply(x, f)
+        assert right[coord].apply(f) == C.apply(f, x)
 
 
 @settings(max_examples=40, deadline=None)
 @given(bidiffops(2, 2, 6), multi_term_polys(2))
-def test_symmetric_slot_fix_is_the_slot_of_the_symmetric_part(C, f):
+def test_symmetric_coordinate_slots_are_the_slots_of_the_symmetric_part(C, f):
     # random operators break the slot-swap parity in general
+    sym = C.coordinate_slots(symmetric=True)
+    left, right = C.coordinate_slots(), C.swap().coordinate_slots()
     for coord in range(2):
         x = Poly.coordinate(2, coord)
-        sym = C.symmetric_slot_fix(coord)
-        assert sym == (C.slot_fix(coord) + C.swap().slot_fix(coord)).scale(HALF)
-        assert sym.apply(f) == (C.apply(x, f) + C.apply(f, x)).scale(HALF)
+        assert sym[coord] == (left[coord] + right[coord]).scale(HALF)
+        assert sym[coord].apply(f) == (C.apply(x, f) + C.apply(f, x)).scale(HALF)
 
 
-def test_symmetric_slot_fix_reads_both_slots_of_one_term():
+def test_symmetric_coordinate_slots_read_both_slots_of_one_term():
     # at x0: d0 (x) d0 gives d0 through both slots, 1 (x) d1 gives x0 d1
-    # through its left slot, d0 (x) 1 gives 1 and x0 d0 through its two
+    # through its left slot, d0 (x) 1 gives 1 and x0 d0 through its two;
+    # at x1: 1 (x) d1 gives x1 d1 and 1, d0 (x) 1 gives x1 d0
     one = Poly.const(2, 1)
     d0, d1 = MultiIndex.unit(0), MultiIndex.unit(1)
     C = BiDiffOp(2, {(d0, d0): one, (EMPTY_INDEX, d1): one, (d0, EMPTY_INDEX): one})
-    x0 = Poly.coordinate(2, 0)
-    assert C.symmetric_slot_fix(0) == DiffOp(
-        2, {d0: one + x0.scale(HALF), d1: x0.scale(HALF), EMPTY_INDEX: one.scale(HALF)}
-    )
-    with pytest.raises(DimensionMismatch):
-        C.symmetric_slot_fix(2)
+    x0, x1 = Poly.coordinate(2, 0), Poly.coordinate(2, 1)
+    assert C.coordinate_slots(symmetric=True) == [
+        DiffOp(2, {d0: one + x0.scale(HALF), d1: x0.scale(HALF), EMPTY_INDEX: one.scale(HALF)}),
+        DiffOp(2, {d0: x1.scale(HALF), d1: x1.scale(HALF), EMPTY_INDEX: one.scale(HALF)}),
+    ]
 
 
 def test_swap_round_trip():

@@ -81,6 +81,13 @@ def test_multiindex_one_object_per_index():
     assert copy.deepcopy({EMPTY_INDEX: [target]}) == {EMPTY_INDEX: [target]}
 
 
+def test_multiindex_unit_rejects_a_negative_coordinate():
+    with pytest.raises(ValueError, match=r"invalid multi-index entry \(-1, 1\)"):
+        MultiIndex.unit(-1)
+    with pytest.raises(ValueError, match=r"invalid multi-index entry \(-1, 1\)"):
+        MultiIndex(((-1, 1),))
+
+
 def test_multiindex_compares_by_identity():
     assert not hasattr(MultiIndex, "_hash")
     assert "__eq__" not in vars(MultiIndex) and "__hash__" not in vars(MultiIndex)

@@ -36,7 +36,7 @@ from starq.geometry import (
 )
 from starq.operators import MAX_OP_ORDER, BiDiffOp, DiffOp
 from starq.poly import EMPTY_INDEX, MultiIndex, Poly
-from starq.scalars import GaussianRational, gr
+from starq.scalars import HALF, GaussianRational, gr
 from starq.series import HbarSeries
 from starq.products import (
     PoissonTensor,
@@ -291,15 +291,13 @@ def test_moyal_requires_constant_tensor():
         PoissonTensor(1, 0, entries)
 
 
-# -- slot fixing on products --------------------------------------------------------
+# -- coordinate slots of products ----------------------------------------------------
 
-def test_moyal_slot_fix(moyal_n1):
-    assert moyal_n1.C[1].slot_fix(0) == DiffOp.derivative(
-        2, MultiIndex.unit(1), gr(0, "1/2")
-    )
-    assert moyal_n1.C[1].slot_fix(1) == DiffOp.derivative(
-        2, MultiIndex.unit(0), gr(0, "-1/2")
-    )
+def test_moyal_coordinate_slots(moyal_n1):
+    assert moyal_n1.C[1].coordinate_slots() == [
+        DiffOp.derivative(2, MultiIndex.unit(1), gr(0, "1/2")),
+        DiffOp.derivative(2, MultiIndex.unit(0), gr(0, "-1/2")),
+    ]
 
 
 def test_axiom_v_via_slots(moyal_n1, natural_q):
@@ -490,8 +488,7 @@ def test_natural_coordinate_slots_match_closed_form(natural_q):
     conn = Connection.one_dim(Poly.coordinate(1, 0))
     for k in range(5):
         ops = closed_form_slot_ops(conn, k)
-        for alpha in range(2):
-            assert ops[alpha] == natural_q.C[k].slot_fix(alpha), (k, alpha)
+        assert [ops[alpha] for alpha in range(2)] == natural_q.C[k].coordinate_slots(), k
 
 
 def test_natural_slots_closed_form_n2():
@@ -500,8 +497,7 @@ def test_natural_slots_closed_form_n2():
     prod = natural_cotangent_product(conn, 3)
     for k in range(4):
         ops = closed_form_slot_ops(conn, k)
-        for alpha in range(4):
-            assert ops[alpha] == prod.C[k].slot_fix(alpha), (k, alpha)
+        assert [ops[alpha] for alpha in range(4)] == prod.C[k].coordinate_slots(), k
 
 
 # -- the natural product is Moyal in the flat chart ----------------------------------------
@@ -590,7 +586,7 @@ def test_chart_oracle_catches_a_sign_flip_in_the_lift(monkeypatch):
 
 def test_natural_first_order_slot(natural_q):
     # order-1 slot at a configuration coordinate is (i/2) d_p
-    assert natural_q.C[1].slot_fix(0) == DiffOp.derivative(
+    assert natural_q.C[1].coordinate_slots()[0] == DiffOp.derivative(
         2, MultiIndex.unit(1), gr(0, "1/2")
     )
 
@@ -945,10 +941,18 @@ COORDINATE_CASES = {
 
 
 @pytest.mark.parametrize("build", COORDINATE_CASES.values(), ids=COORDINATE_CASES.keys())
-def test_coordinate_slots_are_the_symmetric_slot_fixes(build):
-    # every C_l, C_0 included, whose 1 (x) 1 term freezes to x^a in both slots
+def test_coordinate_slots_match_their_definition(build):
+    # every C_l, C_0 included, whose 1 (x) 1 term freezes to x^a in both
+    # slots, on every monomial of degree <= 3
     for op in build().C:
-        assert products._coordinate_slots(op) == [op.symmetric_slot_fix(a) for a in range(op.dim)]
+        d = op.dim
+        basis = [Poly.monomial(d, m) for m in monomials_up_to(d, 3)]
+        left, sym = op.coordinate_slots(), op.coordinate_slots(symmetric=True)
+        for a in range(d):
+            x = Poly.coordinate(d, a)
+            for f in basis:
+                assert left[a].apply(f) == op.apply(x, f)
+                assert sym[a].apply(f) == (op.apply(x, f) + op.apply(f, x)).scale(HALF)
 
 
 @pytest.mark.parametrize("build", COORDINATE_CASES.values(), ids=COORDINATE_CASES.keys())
@@ -1410,13 +1414,16 @@ def test_builder_rejects_a_negative_order(build):
         lambda order: moyal_product(PoissonTensor.canonical(1), order),
         lambda order: vector_field_product(momentum_shear_frame(), PoissonTensor.canonical(1), order),
         lambda order: natural_cotangent_product(Connection.zero(1), order),
+        # no entries: no term reaches the guard, the order does
+        lambda order: moyal_product(PoissonTensor.canonical(0, 1), order),
     ],
-    ids=["moyal", "vector-field", "natural-cotangent"],
+    ids=["moyal", "vector-field", "natural-cotangent", "moyal-casimir-only"],
 )
 def test_builder_rejects_an_order_past_the_derivative_guard(build):
     # C_k differentiates each slot k times
-    with pytest.raises(OperatorOrderExceeded):
+    with pytest.raises(OperatorOrderExceeded) as err:
         build(MAX_OP_ORDER + 1)
+    assert str(err.value) == "derivative order 13 exceeds guard 12"
 
 
 # tensors with one partner per coordinate (canonical, with a Casimir,
