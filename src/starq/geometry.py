@@ -30,7 +30,7 @@ from typing import Dict, List, Tuple
 from .errors import DimensionMismatch, InvalidArgument, NonFlatConnection
 from .operators import DiffOp, _acc_compose, _acc_shifted, _check_order, _leibniz_splits
 from .poly import MultiIndex, Poly
-from .scalars import GaussianRational
+from .scalars import ONE, GaussianRational
 
 
 # ---------------------------------------------------------------------------
@@ -98,36 +98,49 @@ class Connection:
         return self.n == other.n and self._gamma == other._gamma
 
 
-def flat_connection_from_diffeo(targets: List[Poly]) -> Connection:
-    """Pull the trivial connection back along a triangular polynomial map.
+def determinant(rows: List[List[Poly]], dim: int) -> Poly:
+    """Laplace expansion along the first row of a square matrix of
+    polynomials on R^dim; the empty matrix has determinant 1."""
+    if not rows:
+        return Poly.const(dim, 1)
+    acc = Poly.zero(dim)
+    for c, entry in enumerate(rows[0]):
+        if not entry.is_zero():
+            term = entry * determinant([row[:c] + row[c + 1:] for row in rows[1:]], dim)
+            acc = acc + term if c % 2 == 0 else acc - term
+    return acc
 
-    `targets[a]` is the a-th component of the map; it must equal the a-th
-    coordinate plus a polynomial in the strictly earlier coordinates, which
-    makes the Jacobian unipotent lower-triangular and hence polynomially
-    invertible.  The result has identically zero curvature.
-    """
+
+def inverse_jacobian(targets: List[Poly]) -> List[List[Poly]]:
+    """Dphi^-1 of a polynomial map phi whose Jacobian determinant is a
+    nonzero constant c, as adj(Dphi) / c: entry (a, b) is the (b, a)
+    cofactor over c, a polynomial."""
     n = len(targets)
     if n == 0:
         raise DimensionMismatch("empty coordinate map")
     if any(t.dim != n for t in targets):
         raise DimensionMismatch("map components must live in the base space")
-    jac = [[targets[a].diff_coord(b) for b in range(n)] for a in range(n)]
-    one = Poly.const(n, 1)
-    for a in range(n):
-        if jac[a][a] != one:
-            raise InvalidArgument(f"component {a} must have unit coefficient on its own coordinate")
-        for b in range(a + 1, n):
-            if not jac[a][b].is_zero():
-                raise InvalidArgument(f"component {a} depends on later coordinate {b}: not triangular")
-    # the unipotent lower-triangular inverse by forward substitution, row
-    # by row: inv[a][b] = -sum over b <= c < a of jac[a][c] inv[c][b]
-    inv: List[List[Poly]] = []
-    for a in range(n):
-        row = [one if b == a else Poly.zero(n) for b in range(n)]
-        for b in range(a):
-            row[b] = -sum((jac[a][c] * inv[c][b] for c in range(b, a)), Poly.zero(n))
-        inv.append(row)
-    # Gamma^i_(jk) = sum_a inv[i][a] d_j d_k targets[a]
+    jac = [[t.diff_coord(b) for b in range(n)] for t in targets]
+    det = determinant(jac, n)
+    if det.is_zero() or not det.is_constant():
+        raise InvalidArgument(f"det Dphi = {det} is not a nonzero constant")
+    scale = ONE / det.constant_term()
+
+    def cofactor(r: int, c: int) -> Poly:
+        minor = [row[:c] + row[c + 1:] for i, row in enumerate(jac) if i != r]
+        return determinant(minor, n).scale(scale if (r + c) % 2 == 0 else -scale)
+
+    return [[cofactor(b, a) for b in range(n)] for a in range(n)]
+
+
+def flat_connection_from_diffeo(targets: List[Poly]) -> Connection:
+    """Pull the trivial connection back along the polynomial map phi with
+    components `targets`, whose Jacobian determinant must be a nonzero
+    constant: Gamma^i_(jk) = sum_a (Dphi^-1)^i_a d_j d_k phi^a, with the
+    polynomial Dphi^-1 of `inverse_jacobian`.  The result is flat.
+    """
+    n = len(targets)
+    inv = inverse_jacobian(targets)
     gamma: Dict[Tuple[int, int, int], Poly] = {}
     for j, k in itertools.combinations_with_replacement(range(n), 2):
         hess = [t.diff(MultiIndex.of(j, k)) for t in targets]

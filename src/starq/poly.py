@@ -14,8 +14,8 @@ They are pure caches: their contents never change a result, they never
 travel with a copy or a pickle, and nothing is filled at import.
 
 * The exponent map, coordinate -> exponent, made when the index is
-  interned; `exponent`, `divides`, `subtract`, `decrement`, `falling`,
-  `binomial` and `Poly.diff_coord` read it.
+  interned; `divides`, `subtract`, `decrement`, `falling`, `binomial`
+  and `Poly.diff_coord` read it.
 * The sum table (`sum_table`), other -> self + other, filled as it is
   read: a missing sum is formed once by `__add__` and recorded in both
   operands' tables.  Only the operator kernels read it (the shifted
@@ -118,9 +118,6 @@ class MultiIndex:
     @property
     def pairs(self) -> Tuple[Tuple[int, int], ...]:
         return self._pairs
-
-    def exponent(self, coord: int) -> int:
-        return self._exps.get(coord, 0)
 
     def max_coord(self) -> int:
         """Largest coordinate with a nonzero exponent, or -1."""

@@ -31,12 +31,13 @@ stored integers; they gate the codecs on byte identity.
 call kept one written copy of every distinct coefficient: every term
 merges its own `GaussianRational.to_json()` into its entry.
 
-The flat-chart oracle (`chart_mismatches`, with `inverse_jacobian` and
-`cotangent_chart`) checks the natural product of a pulled-back flat
-connection against the Moyal product itself: for a polynomial map phi
-with det Dphi = 1 and its cotangent lift Phi(q, p) = (phi(q),
-Dphi(q)^-T p), every C_k(Phi*u, Phi*v) must equal Phi*(M_k(u, v)), with
-Dphi^-1 taken as the adjugate so that every pull-back is a polynomial.
+The flat-chart oracle (`chart_mismatches`, with `cotangent_chart`)
+checks the natural product of a pulled-back flat connection against the
+Moyal product itself: for a polynomial map phi whose Jacobian
+determinant is a nonzero constant and its cotangent lift
+Phi(q, p) = (phi(q), Dphi(q)^-T p), every C_k(Phi*u, Phi*v) must equal
+Phi*(M_k(u, v)), with Dphi^-1 taken from `geometry.inverse_jacobian`, the
+adjugate over the determinant, so that every pull-back is a polynomial.
 `closed_form_slot_ops` and the tensor family `f_tensors` it reads are the
 closed-form coordinate slots of the natural product, a second route to
 `C_k.coordinate_slots()` that the library no longer carries.
@@ -51,8 +52,8 @@ import sympy as sp
 
 from starq.errors import NonFlatConnection
 from starq.geometry import (
-    Connection,
     flat_connection_from_diffeo,
+    inverse_jacobian,
     is_flat,
     lift_connection,
     ricci,
@@ -195,12 +196,17 @@ def nontriangular_n2_map():
 
 def nontriangular_n2_connection():
     """A flat n = 2 connection that no triangular map pulls back, the
-    sympy pull-back along `nontriangular_n2_map`: its symbol matrices are
-    not simultaneously nilpotent, so trace terms such as
-    G(i,l,a) G(l,i,b) contribute."""
-    syms = sp.symbols("q1 q2")
-    gamma = christoffel_oracle([poly_to_sympy(t, syms) for t in nontriangular_n2_map()], syms)
-    return Connection(2, {key: sympy_to_poly(expr, syms) for key, expr in gamma.items()})
+    pull-back along `nontriangular_n2_map`: its symbol matrices are not
+    simultaneously nilpotent, so trace terms such as G(i,l,a) G(l,i,b)
+    contribute."""
+    return flat_connection_from_diffeo(nontriangular_n2_map())
+
+
+def det2_n2_map():
+    """(2 q0 + q1^2, q1): det Dphi = 2, so a missing division by the
+    determinant shows."""
+    q0, q1 = Poly.coordinate(2, 0), Poly.coordinate(2, 1)
+    return [q0.scale(2) + q1 ** 2, q1]
 
 
 def n3_triangular_map():
@@ -233,42 +239,30 @@ def random_triangular_map(n, rng, cubic=False):
     return targets
 
 
+def random_nontriangular_map(n, rng):
+    """U o L for a lower-triangular L, whose component a is q_a plus
+    c q_b^2 for each earlier b, and an upper-triangular U, whose component
+    a is y_a plus c y_b^2 for each later b, every c drawn from
+    {-2, -1, 1, 2}: det Dphi = 1, and for n >= 2 the Jacobian has entries
+    above and below the diagonal.  `nontriangular_n2_map` is the n = 2
+    draw with both c = 1."""
+    q = [Poly.coordinate(n, a) for a in range(n)]
+
+    def squares(ys, coords):
+        return sum(((ys[b] ** 2).scale(rng.choice((-2, -1, 1, 2))) for b in coords), Poly.zero(n))
+
+    lower = [q[a] + squares(q, range(a)) for a in range(n)]
+    return [lower[a] + squares(lower, range(a + 1, n)) for a in range(n)]
+
+
 # -- the flat-chart oracle ----------------------------------------------------------------
-
-
-def determinant(rows, dim):
-    """Laplace expansion along the first row of a square matrix of
-    polynomials on R^dim; the empty matrix has determinant 1."""
-    if not rows:
-        return Poly.const(dim, 1)
-    acc = Poly.zero(dim)
-    for c, entry in enumerate(rows[0]):
-        if not entry.is_zero():
-            term = entry * determinant([row[:c] + row[c + 1:] for row in rows[1:]], dim)
-            acc = acc + term if c % 2 == 0 else acc - term
-    return acc
-
-
-def inverse_jacobian(phi):
-    """Dphi^-1 of a polynomial map with det Dphi = 1, as the adjugate of
-    Dphi: entry (a, b) is the (b, a) cofactor."""
-    n = len(phi)
-    jac = [[phi[a].diff_coord(b) for b in range(n)] for a in range(n)]
-    assert determinant(jac, n) == Poly.const(n, 1), "the map must have det Dphi = 1"
-
-    def cofactor(r, c):
-        minor = [row[:c] + row[c + 1:] for i, row in enumerate(jac) if i != r]
-        det = determinant(minor, n)
-        return det if (r + c) % 2 == 0 else -det
-
-    return [[cofactor(b, a) for b in range(n)] for a in range(n)]
 
 
 def cotangent_chart(phi, inv):
     """The 2n components of Phi(q, p) = (phi(q), inv^T p) on phase space:
     momentum component j is sum_i inv[i][j] p_i.  With
-    inv = inverse_jacobian(phi) this is the cotangent lift of phi, whose
-    momenta are Dphi^-T p."""
+    inv = geometry.inverse_jacobian(phi) this is the cotangent lift of
+    phi, whose momenta are Dphi^-T p."""
     n = len(phi)
     d = 2 * n
     momenta = [

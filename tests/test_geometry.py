@@ -11,7 +11,9 @@ from starq.geometry import (
     SymplecticConnectionSpec,
     covariant_jet_ops,
     curvature,
+    determinant,
     flat_connection_from_diffeo,
+    inverse_jacobian,
     is_flat,
     lift_connection,
     ricci,
@@ -23,9 +25,13 @@ from starq.scalars import GaussianRational
 from helpers import (
     canonical_poisson_entries,
     christoffel_oracle,
+    det2_n2_map,
     f_tensors,
     n3_triangular_connection,
     nontriangular_n2_connection,
+    nontriangular_n2_map,
+    poly_to_sympy,
+    random_nontriangular_map,
     random_triangular_map,
     sympy_to_poly,
     symplectic_form_entries,
@@ -71,12 +77,43 @@ def test_quadratic_map_hand_value():
     assert is_flat(conn)
 
 
-def test_non_triangular_map_rejected():
+def sympy_pullback(targets):
+    """The connection `christoffel_oracle` pulls back along `targets`."""
+    n = len(targets)
+    syms = sp.symbols([f"x{j}" for j in range(n)])
+    oracle = christoffel_oracle([poly_to_sympy(t, syms) for t in targets], syms)
+    return Connection(n, {key: sympy_to_poly(expr, syms, n) for key, expr in oracle.items()})
+
+
+def test_diffeo_accepts_exactly_the_nonzero_constant_determinants():
     x0, x1 = (Poly.coordinate(2, j) for j in range(2))
-    with pytest.raises(InvalidArgument):
-        flat_connection_from_diffeo([x0 + x1 * x1, x1])
-    with pytest.raises(InvalidArgument):
-        flat_connection_from_diffeo([x0.scale(2), x1])
+    # not triangular, det 1
+    upper = [x0 + x1 * x1, x1]
+    assert flat_connection_from_diffeo(upper) == sympy_pullback(upper)
+    # linear, det 2: the zero connection
+    assert flat_connection_from_diffeo([x0.scale(2), x1]).is_zero()
+    with pytest.raises(InvalidArgument, match="det Dphi = 0 is not a nonzero constant"):
+        flat_connection_from_diffeo([x0 + x1, x0 + x1])
+    with pytest.raises(InvalidArgument, match="is not a nonzero constant"):
+        flat_connection_from_diffeo([Poly.coordinate(1, 0) + Poly.coordinate(1, 0) ** 2])
+
+
+def test_inverse_jacobian_is_the_adjugate_over_the_determinant():
+    rng = random.Random(7)
+    cases = [(det2_n2_map(), 2), (random_nontriangular_map(3, rng), 1),
+             (random_triangular_map(4, rng, cubic=True), 1)]
+    for phi, det in cases:
+        n = len(phi)
+        jac = [[t.diff_coord(b) for b in range(n)] for t in phi]
+        assert determinant(jac, n) == Poly.const(n, det)
+        inv = inverse_jacobian(phi)
+        for a, b in itertools.product(range(n), repeat=2):
+            entry = sum((jac[a][c] * inv[c][b] for c in range(n)), Poly.zero(n))
+            assert entry == Poly.const(n, 1 if a == b else 0)
+    with pytest.raises(DimensionMismatch):
+        inverse_jacobian([])
+    with pytest.raises(DimensionMismatch):
+        inverse_jacobian([Poly.coordinate(2, 0), Poly.coordinate(3, 1)])
 
 
 def test_diffeo_connection_matches_sympy_oracle():
@@ -100,6 +137,19 @@ def test_diffeo_connection_matches_sympy_oracle():
             oracle = christoffel_oracle(sym_targets, syms)
             for key, expr in oracle.items():
                 assert conn.christoffel(*key) == sympy_to_poly(expr, syms, n)
+    # maps with Jacobian entries on both sides of the diagonal, and one
+    # whose determinant is 2
+    rng = random.Random(3)
+    maps = [random_nontriangular_map(n, rng) for n in (2, 2, 3, 3)]
+    for phi in maps:
+        n = len(phi)
+        jac = [[t.diff_coord(b) for b in range(n)] for t in phi]
+        assert any(jac[a][b] for a in range(n) for b in range(a))
+        assert any(jac[a][b] for a in range(n) for b in range(a + 1, n))
+    for phi in [*maps, nontriangular_n2_map(), det2_n2_map()]:
+        conn = flat_connection_from_diffeo(phi)
+        assert conn == sympy_pullback(phi)
+        assert is_flat(conn)
 
 
 def test_curvature_of_diffeo_connection_vanishes():

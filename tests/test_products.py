@@ -25,6 +25,7 @@ from starq.equivalence import (
     EquivalenceMorphism,
     derive_equivalence,
     flat_cotangent_order2,
+    flat_cotangent_order4,
     symplectic_order2,
     verify_intertwining,
 )
@@ -61,6 +62,7 @@ from helpers import (
     chart_mismatches,
     closed_form_slot_ops,
     cotangent_chart,
+    det2_n2_map,
     inverse_jacobian,
     moyal_oracle,
     multiset_weight,
@@ -75,6 +77,7 @@ from helpers import (
     phase_symbols,
     poisson_bracket_oracle,
     poly_to_sympy,
+    random_nontriangular_map,
     random_triangular_map,
     recursive_monomials_up_to,
     sympy_to_poly,
@@ -543,6 +546,24 @@ def test_natural_product_is_moyal_in_the_flat_chart(case):
     # pair of total degree <= 3
     phi, conn, order = case()
     assert chart_mismatches(natural_cotangent_product(conn, order), _chart(phi), 3) == []
+
+
+@pytest.mark.parametrize(
+    "make_map",
+    [lambda seed=seed: random_nontriangular_map(2, random.Random(seed)) for seed in range(3)]
+    + [det2_n2_map],
+    ids=["nontriangular-seed0", "nontriangular-seed1", "nontriangular-seed2", "det2"],
+)
+def test_closed_forms_and_chart_on_drawn_maps(make_map):
+    # maps that are not triangular, where the trace terms of the closed
+    # forms contribute, and one whose Jacobian determinant is 2
+    phi = make_map()
+    conn = flat_connection_from_diffeo(phi)
+    product = natural_cotangent_product(conn, 4)
+    morphism = derive_equivalence(product)
+    assert morphism.operator(2) == flat_cotangent_order2(conn)
+    assert morphism.operator(4) == flat_cotangent_order4(conn, "permutations")
+    assert chart_mismatches(product, _chart(phi), 3) == []
 
 
 def test_chart_oracle_catches_a_bump_on_c3():
