@@ -1460,13 +1460,25 @@ MOYAL_TENSOR_IDS = ["canonical-2", "canonical-1-1", "canonical-1-x3/2", "non-can
 @pytest.mark.parametrize("poisson", MOYAL_TENSORS, ids=MOYAL_TENSOR_IDS)
 def test_entry_multiset_walk_matches_the_combos(poisson):
     # each multiset is formed from its prefix; the reference forms its
-    # indices and weight from the whole multiset
+    # indices and weight from the whole multiset, sums the weights per key
+    # (L, R) and drops the zero sums, keys in first-seen order
     entries = poisson.constant_entries()
     for k, level in enumerate(products._entry_multisets(poisson, 6), 1):
-        assert level == tuple(
-            (MultiIndex.of(*(mu for mu, _, _ in combo)), MultiIndex.of(*(nu for _, nu, _ in combo)),
-             multiset_weight(combo))
-            for combo in itertools.combinations_with_replacement(entries, k)), k
+        keyed = {}
+        for combo in itertools.combinations_with_replacement(entries, k):
+            key = (MultiIndex.of(*(mu for mu, _, _ in combo)), MultiIndex.of(*(nu for _, nu, _ in combo)))
+            keyed[key] = keyed.get(key, gr(0)) + multiset_weight(combo)
+        assert list(level.items()) == [(key, w) for key, w in keyed.items() if w], k
+
+
+@pytest.mark.parametrize("poisson", MOYAL_TENSORS, ids=MOYAL_TENSOR_IDS)
+def test_entry_multiset_keys_come_in_mirror_pairs(poisson):
+    # the pairing visits one key of each mirror pair and adds the other
+    # from it: W(R, L) = (-1)^k W(L, R), so no key (L, L) is left at odd k
+    for k, level in enumerate(products._entry_multisets(poisson, 6), 1):
+        for (L, R), w in level.items():
+            assert level.get((R, L)) == (-w if k % 2 else w), (k, L, R)
+            assert not (k % 2 and L is R), (k, L)
 
 
 @pytest.mark.parametrize("poisson", MOYAL_TENSORS, ids=MOYAL_TENSOR_IDS)
