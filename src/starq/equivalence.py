@@ -8,8 +8,9 @@ the coordinate-commutator equations
     [T_k, x^alpha] = F_k^alpha,
 
 whose right-hand side is assembled from the symmetric coordinate slots
-of the product's operators (`BiDiffOp.coordinate_slots`) and the lower
-morphism orders by one formula, for every order of every product: no
+of the product (`_symmetric_slots`, read off its operators or, before
+they are built, off its jets) and the lower morphism orders by one
+formula, for every order of every product: no
 declared property of the product selects another.  (For a product with
 slot-swap parity the odd orders vanish and the even ones reduce to the
 paper's one-sided sum by themselves.)  The solution is unique, so the
@@ -31,12 +32,15 @@ in 0..n-1; each ordered assignment of them adds the term's value to the
 coefficient of d_(q^i) for each configuration label i and d_(p_a) for
 each momentum label a, with family weight count / (denominator * k!)
 for k momentum labels: the rearrangement sum counts each ordering k!
-times (all permutations) or k times (cyclic rotations only).
+times (all permutations) or k times (cyclic rotations only).  A table is
+compiled once per process, on first use, into a join plan (`_join_plan`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Sequence, Tuple
@@ -52,7 +56,7 @@ from .errors import (
 )
 from .geometry import Connection, SymplecticConnectionSpec, ricci
 from .operators import MAX_OP_ORDER, DiffOp, _acc_compose, _acc_poly, _acc_scaled, _acc_shifted
-from .operators import _leibniz_splits
+from .operators import _leibniz_splits, _nonzero_terms
 from .poly import MultiIndex, Poly, _GrlexKeys
 from .scalars import GaussianRational, ONE
 from .series import HbarSeries
@@ -62,6 +66,8 @@ from .products import (
     PoissonTensor,
     StarProduct,
     _MoyalPairs,
+    _coordinate_parts,
+    _entry_multisets,
     _first_nonzero,
     monomials_up_to,
     quantum_canonicity_check,
@@ -128,25 +134,66 @@ class EquivalenceMorphism:
 def coordinate_rhs(s: StarProduct, lower: Sequence[DiffOp], k: int) -> List[DiffOp]:
     """The operators F^alpha = sum_l S_l(x^alpha, T_(k-l) .) for
     1 <= l <= k, with S_l = (C_l + C_l.swap()) / 2 the symmetric part of
-    C_l (`BiDiffOp.coordinate_slots(symmetric=True)`).
+    C_l (`_symmetric_slots`).
 
     `lower` must hold the morphism orders 0..k-1 (order 0 the identity).
     Every returned operator kills constants, because each C_l does.
     """
     if len(lower) < k:
         raise OrderMismatch(f"need the {k} lower orders, got {len(lower)}")
-    return _coordinate_rhs(s.dim, _symmetric_slots(s, k), lower, k)
+    return _coordinate_rhs(s.dim, _slot_splits(s, k), lower, k)
 
 
-def _symmetric_slots(s: StarProduct, order: int) -> List[list]:
-    """Row l holds the Leibniz splits of S_l(x^alpha, .) for every alpha,
-    l <= order (row 0 is empty), read in one pass over C_l, split once."""
-    return [[]] + [[_leibniz_splits(slot._terms) for slot in s.C[l].coordinate_slots(symmetric=True)]
-                   for l in range(1, order + 1)]
+def _symmetric_slots(s: StarProduct, order: int) -> List[List[DiffOp]]:
+    """Row l holds S_l(x^alpha, .) for every alpha, l <= order (row 0 is
+    empty), read off the representation `s` holds.
+
+    From C_l, in one pass (`BiDiffOp.coordinate_slots(symmetric=True)`).
+    From the jets, C_l is sum W(L, R) J_L (x) J_R over the keys of level l
+    of `_entry_multisets`, and the pairing gives C_l.swap() = (-1)^l C_l:
+    S_l is zero at odd l, and at even l it is C_l(x^alpha, .) =
+    sum_R (sum_L W(L, R) J_L(x^alpha)) J_R, the inner sums formed once per
+    R and multiplied into J_R's coefficients."""
+    jets = s._jets
+    if jets is None:
+        return [[]] + [s.C[l].coordinate_slots(symmetric=True) for l in range(1, order + 1)]
+    d = s.dim
+    zero = DiffOp.zero(d)
+    parts = _coordinate_parts(jets, d)
+    rows: List[List[DiffOp]] = [[]]
+    for l, level in enumerate(_entry_multisets(s.poisson, order), 1):
+        if l % 2:
+            rows.append([zero] * d)
+            continue
+        # R -> alpha -> sum_L W(L, R) J_L(x^alpha) as a raw map
+        inner: Dict[MultiIndex, Dict[int, dict]] = {}
+        for (L, R), w in level.items():
+            left = parts(L)
+            if left:
+                by_alpha = inner.setdefault(R, {})
+                for alpha, c in left:
+                    _acc_scaled(by_alpha.setdefault(alpha, {}), c, w)
+        accs: List[Dict[MultiIndex, dict]] = [{} for _ in range(d)]
+        for R, by_alpha in inner.items():
+            right = jets[tuple(R.coords())]._terms
+            for alpha, raw in by_alpha.items():
+                coeff = [(m, c) for m, c in raw.items() if c]
+                for ri, pb in right.items():
+                    target = accs[alpha].setdefault(ri, {})
+                    for m, c in coeff:
+                        _acc_shifted(target, pb._terms, m, c)
+        rows.append([DiffOp._unchecked(d, _nonzero_terms(d, acc)) for acc in accs])
+    return rows
+
+
+def _slot_splits(s: StarProduct, order: int) -> List[list]:
+    """`_symmetric_slots` with each slot's terms split once for
+    `_acc_compose` (`_leibniz_splits`)."""
+    return [[_leibniz_splits(slot._terms) for slot in row] for row in _symmetric_slots(s, order)]
 
 
 def _coordinate_rhs(d: int, slots: List[list], lower: Sequence[DiffOp], k: int) -> List[DiffOp]:
-    """`coordinate_rhs` off a table of `_symmetric_slots`, each S_l^alpha o
+    """`coordinate_rhs` off a table of `_slot_splits`, each S_l^alpha o
     T_(k-l) added raw into one map per alpha (`_acc_compose`)."""
     out = []
     for alpha in range(d):
@@ -270,7 +317,7 @@ def derive_equivalence(s: StarProduct, order: int | None = None) -> EquivalenceM
         raise CanonicityFailure(f"coordinates are not quantum canonical: {bad}")
     d = s.dim
     ops: List[DiffOp] = [DiffOp.identity(d)]
-    slots = _symmetric_slots(s, order)
+    slots = _slot_splits(s, order)
     for k in range(1, order + 1):
         try:
             solution = commutator_solution_direct(_coordinate_rhs(d, slots, ops, k))
@@ -336,10 +383,18 @@ def verify_intertwining(
     When s is `unital` and no T_k with k >= 1 has a term without
     derivatives, T(1) = 1 and 1 is the unit of both products (Moyal's
     always is), so T(1 *_Moyal g) = T(g) = 1 *_s T(g) and likewise for
-    (f, 1): the pairs with f = 1 or g = 1 are skipped.  Skipped products
-    are still counted as checked, and each reduction skips only products
-    that pass or whose mirror comes first, so the report is unchanged.
-    Otherwise every product is evaluated.
+    (f, 1): the pairs with f = 1 or g = 1 are skipped.
+
+    When the coordinate entry passed and no T_k with k >= 1 has a term of
+    derivative order <= 1 (the paper's normalization, which every derived
+    morphism meets), T(x^a) = x^a: the pair (x^a, g) is the one-sided
+    product x^a *_s T(g) that the coordinate entry passed, and (f, x^a)
+    is its mirror or the other one-sided product, which it also passed.
+    The pairs with a factor of degree 1 are then skipped.
+
+    Skipped products are still counted as checked, and each reduction
+    skips only products that pass or whose mirror comes first, so the
+    report is unchanged.  Otherwise every product is evaluated.
     """
     d = s.dim
     if morphism.dim != d:
@@ -408,6 +463,9 @@ def verify_intertwining(
     ]
 
     unit = unital(s) and all(op.annihilates_constants() for op in orders)
+    # T fixes every coordinate: the coordinate entry decided each pair
+    # with a factor of degree 1
+    fixed = coord_failure is None and all(i.degree > 1 for op in orders for i in op._terms)
     pair_failure = None
     checked = 0
     for fi, fm in enumerate(basis):
@@ -416,7 +474,8 @@ def verify_intertwining(
                 break
             checked += 1
             if (pair_failure is None and (gi >= fi or not mirrored)
-                    and (fm.degree and gm.degree or not unit)):
+                    and (fm.degree and gm.degree or not unit)
+                    and (fm.degree != 1 and gm.degree != 1 or not fixed)):
                 residual = mismatch(fm, gm, image(fm), image(gm))
                 if residual is not None:
                     f, g = Poly.monomial(d, fm), Poly.monomial(d, gm)
@@ -442,13 +501,13 @@ def verify_intertwining(
 
 # The closed-form term tables; the notation is in the module docstring.
 _ORDER2 = (
-    (8, "i", "ab", [(1, "G(i,a,b)")]),
-    (8, "", "ab", [(1, "G(i,l,a) G(l,i,b)")]),
-    (24, "", "abc", [(2, "G(i,m,c) G(m,a,b) p(i)"), (-1, "G(i,a,b|c) p(i)")]),
+    (8, "i", "ab", ((1, "G(i,a,b)"),)),
+    (8, "", "ab", ((1, "G(i,l,a) G(l,i,b)"),)),
+    (24, "", "abc", ((2, "G(i,m,c) G(m,a,b) p(i)"), (-1, "G(i,a,b|c) p(i)"))),
 )
 
 _ORDER4 = (
-    (384, "", "abcd", [  # A
+    (384, "", "abcd", (  # A
         (-3, "G(k,a,l) G(l,b,c|d,k)"),
         (-1, "G(k,a,l) G(l,k,b|c,d)"),
         (-1, "G(k,m,a) G(l,b,c) G(m,k,l|d)"),
@@ -460,8 +519,8 @@ _ORDER4 = (
         (3, "G(k,m,a) G(l,t,b) G(m,k,l) G(t,c,d)"),
         (3, "G(k,l,a) G(l,k,b) G(m,t,c) G(t,m,d)"),
         (-1, "G(k,m,a) G(l,k,b) G(m,t,c) G(t,l,d)"),
-    ]),
-    (384, "i", "abcd", [  # B
+    )),
+    (384, "i", "abcd", (  # B
         (-1, "G(i,a,b|c,d)"),
         (4, "G(k,a,b) G(i,c,d|k)"),
         (1, "G(k,a,b) G(i,k,c|d)"),
@@ -469,9 +528,9 @@ _ORDER4 = (
         (6, "G(k,l,a) G(l,k,b) G(i,c,d)"),
         (1, "G(k,l,a) G(l,b,c) G(i,k,d)"),
         (1, "G(k,a,b) G(l,c,d) G(i,k,l)"),
-    ]),
-    (128, "ij", "abcd", [(1, "G(i,a,b) G(j,c,d)")]),  # C
-    (1920, "", "abcde", [  # D
+    )),
+    (128, "ij", "abcd", ((1, "G(i,a,b) G(j,c,d)"),)),  # C
+    (1920, "", "abcde", (  # D
         (1, "G(r,a,b|c,d,e) p(r)"),
         (-7, "G(k,a,b) G(r,c,d|e,k) p(r)"),
         (-2, "G(k,a,b) G(r,k,c|d,e) p(r)"),
@@ -489,75 +548,117 @@ _ORDER4 = (
         (20, "G(r,k,a) G(k,b,c) G(l,m,d) G(m,l,e) p(r)"),
         (8, "G(r,k,m) G(k,a,b) G(l,c,d) G(m,l,e) p(r)"),
         (8, "G(r,k,a) G(k,m,b) G(l,c,d) G(m,l,e) p(r)"),
-    ]),
-    (192, "i", "abcde", [  # E
+    )),
+    (192, "i", "abcde", (  # E
         (-1, "G(i,a,b) G(r,c,d|e) p(r)"),
         (2, "G(r,k,a) G(k,b,c) G(i,d,e) p(r)"),
-    ]),
-    (1152, "", "abcdef", [  # F
+    )),
+    (1152, "", "abcdef", (  # F
         (1, "G(r,a,b|c) G(s,d,e|f) p(r) p(s)"),
         (-4, "G(r,k,a) G(k,b,c) G(s,d,e|f) p(r) p(s)"),
         (4, "G(r,k,a) G(s,l,b) G(k,c,d) G(l,e,f) p(r) p(s)"),
-    ]),
+    )),
 )
+
+
+@functools.cache
+def _join_plan(families: tuple) -> tuple:
+    """A term table compiled once per process, on first use: each term as
+    (its weight in each reading, configuration labels, momentum labels,
+    shift labels, symbol factors), a symbol factor as (labels, lookup key,
+    exchange groups).
+
+    The lookup key lists the positions whose labels earlier factors bound.
+    A label is exchangeable when it occurs in one symbol slot of the term
+    and in no shift; an exchange group is a set of at least two
+    exchangeable positions of one symmetric slot group of the factor (the
+    two lower indices, or the derivative indices after the bar) whose
+    labels play one role (configuration, momentum or neither).  The
+    factor and the derivative and shift of an assignment do not change
+    when a group's values are permuted."""
+    plan = []
+    for denominator, config, momenta, table in families:
+        k = len(momenta)
+        for coeff, text in table:
+            weights = {mode: GaussianRational(Fraction(coeff * count, denominator * factorial(k)))
+                       for mode, count in (("permutations", factorial(k)), ("rotations", k))}
+            factors = text.split()  # "G(a,b,c|J)" or "p(r)"
+            shifts = tuple(f[2:-1] for f in factors if f.startswith("p("))
+            labelled = [tuple(f[2:-1].replace("|", ",").split(",")) for f in factors
+                        if not f.startswith("p(")]
+            seen = Counter(label for labels in labelled for label in labels)
+            role = {**{c: 0 for c in config}, **{m: 1 for m in momenta}}
+            symbols, bound = [], set()
+            for labels in labelled:
+                key = tuple(pos for pos, label in enumerate(labels) if label in bound)
+                groups = []
+                for slots in ((1, 2), tuple(range(3, len(labels)))):
+                    free = [pos for pos in slots
+                            if seen[labels[pos]] == 1 and labels[pos] not in shifts]
+                    for r in sorted({role.get(labels[pos], 2) for pos in free}):
+                        group = tuple(pos for pos in free if role.get(labels[pos], 2) == r)
+                        if len(group) > 1:
+                            groups.append(group)
+                symbols.append((labels, key, tuple(groups)))
+                bound.update(labels)
+            plan.append((weights, config, momenta, shifts, tuple(symbols)))
+    return tuple(plan)
 
 
 def _contract(conn: Connection, families, cycl_mode: str) -> DiffOp:
     """Sum a term table over every index assignment of nonzero symbols.
 
-    The G factors of a term are joined in order, each looked up by the
-    labels that earlier factors bound in one sparse table of the nonzero
-    d^J G^a_(bc) at the ranks |J| the table uses, so no zero product is
-    formed; each assignment adds into the coefficient of its derivative.
+    The table is read through its `_join_plan`.  The G factors of a term
+    are joined in order, each looked up by the labels that earlier factors
+    bound in one sparse table of the nonzero d^J G^a_(bc) at the ranks |J|
+    the table uses, so no zero product is formed; each assignment adds
+    into the coefficient of its derivative.  An exchange group's values
+    are joined once per multiset, in non-decreasing order, weighted by the
+    multiset's number of distinct orderings.
     """
     n = conn.n
-    terms = []
-    for denominator, config, momenta, table in families:
-        k = len(momenta)
-        count = factorial(k) if cycl_mode == "permutations" else k
-        for coeff, text in table:
-            weight = GaussianRational(Fraction(coeff * count, denominator * factorial(k)))
-            symbols, shifts, bound = [], [], set()
-            for factor in text.split():  # "G(a,b,c|J)" or "p(r)"
-                if factor.startswith("p("):
-                    shifts.append(factor[2:-1])
-                    continue
-                labels = tuple(factor[2:-1].replace("|", ",").split(","))
-                key = tuple(pos for pos, label in enumerate(labels) if label in bound)
-                symbols.append((labels, key))
-                bound.update(labels)
-            terms.append((weight, config, momenta, shifts, symbols))
-
-    lookups = {(len(labels), key): {} for *_, symbols in terms for labels, key in symbols}
-    ranks = {size - 3 for size, _ in lookups}
+    plan = _join_plan(families)
+    lookups = {(len(labels), key, groups): {}
+               for *_, symbols in plan for labels, key, groups in symbols}
+    ranks = {size - 3 for size, _, _ in lookups}
     jets: Dict[Tuple[int, ...], Poly] = {}
     for upper_lower, symbol in conn.components().items():
         for js in (js for rank in ranks for js in itertools.product(range(n), repeat=rank)):
             jet = symbol.diff(MultiIndex.of(*js))
             if not jet.is_zero():
                 jets[upper_lower + js] = jet
-    for (size, key), lookup in lookups.items():
+    for (size, key, groups), lookup in lookups.items():
         for vals, jet in jets.items():
-            if len(vals) == size:
-                lookup.setdefault(tuple(vals[pos] for pos in key), []).append((vals, jet))
+            if len(vals) != size:
+                continue
+            mult = 1
+            for group in groups:
+                values = tuple(vals[pos] for pos in group)
+                if any(x > y for x, y in zip(values, values[1:])):
+                    break
+                mult *= _permutation_count(values)
+            else:
+                lookup.setdefault(tuple(vals[pos] for pos in key), []).append((vals, jet, mult))
 
     out: Dict[MultiIndex, Dict[MultiIndex, GaussianRational]] = {}
 
-    def join(term, env: Dict[str, int], depth: int, prod: Poly | None):
-        weight, config, momenta, shifts, symbols = term
+    def join(term, env: Dict[str, int], depth: int, prod: Poly | None, mult: int):
+        weights, config, momenta, shifts, symbols = term
         if depth < len(symbols):
-            labels, key = symbols[depth]
-            lookup = lookups[(len(labels), key)]
-            for vals, jet in lookup.get(tuple(env[labels[pos]] for pos in key), ()):
+            labels, key, groups = symbols[depth]
+            lookup = lookups[(len(labels), key, groups)]
+            for vals, jet, m in lookup.get(tuple(env[labels[pos]] for pos in key), ()):
                 env.update(zip(labels, vals))
-                join(term, env, depth + 1, jet if prod is None else prod * jet)
+                join(term, env, depth + 1, jet if prod is None else prod * jet, mult * m)
             return
         deriv = MultiIndex.of(*(env[c] for c in config), *(n + env[m] for m in momenta))
         shift = MultiIndex.of(*(n + env[r] for r in shifts))
-        _acc_shifted(out.setdefault(deriv, {}), prod._terms, shift, weight)
+        weight = weights[cycl_mode]
+        _acc_shifted(out.setdefault(deriv, {}), prod._terms, shift,
+                     weight if mult == 1 else weight * mult)
 
-    for term in terms:
-        join(term, {}, 0, None)
+    for term in plan:
+        join(term, {}, 0, None, 1)
     d = 2 * n
     return DiffOp(d, {deriv: Poly(d, acc) for deriv, acc in out.items()})
 

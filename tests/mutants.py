@@ -60,6 +60,14 @@ MUTANTS = [
     ("solver: weight 1/(2+|J|)", "equivalence.py",
      "GaussianRational(Fraction(1, 1 + j))", "GaussianRational(Fraction(1, 2 + j))",
      ["tests/test_equivalence.py::test_solvers_on_single_direction_family"]),
+    ("jets slot reader: multiset weight W dropped", "equivalence.py",
+     "_acc_scaled(by_alpha.setdefault(alpha, {}), c, w)",
+     "_acc_scaled(by_alpha.setdefault(alpha, {}), c, ONE)",
+     ["tests/test_products.py::test_jets_give_the_coordinate_data_of_the_operators[natural_cotangent]"]),
+    ("closed-form plan: multiplicity weight dropped", "equivalence.py",
+     "weight if mult == 1 else weight * mult", "weight",
+     ["tests/test_equivalence.py::test_order4_multiset_sum_matches_rearrangement_loop"
+      "[n2-nontriangular-permutations]"]),
     ("inverse_jacobian: division by the determinant dropped", "geometry.py",
      "scale = ONE / det.constant_term()", "scale = ONE",
      ["tests/test_geometry.py::test_inverse_jacobian_is_the_adjugate_over_the_determinant"]),

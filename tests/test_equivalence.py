@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,7 @@ from helpers import (
     n3_triangular_connection,
     nontriangular_n2_connection,
     oracle_morphism_json,
+    random_nontriangular_map,
     parity_reduced_rhs,
     rearrangement_loop_order4,
     term_scan_verify_intertwining,
@@ -210,10 +212,12 @@ def test_derive_rejects_a_rhs_with_no_common_solution(natural_q_product, monkeyp
 
 
 def test_derive_fixes_each_slot_once(monkeypatch):
-    # the slots of every coordinate are read in one pass over each C_l,
-    # l >= 1, and the canonicity check only looks up keys: no operator
-    # builds its application index, and no pair table is made
-    s = natural_cotangent_product(gamma_q(), 4)
+    # on a product that holds its operators, the slots of every coordinate
+    # are read in one pass over each C_l, l >= 1, and the canonicity check
+    # only looks up keys: no operator builds its application index, and no
+    # pair table is made; one that holds its jets reads no operator at all
+    s, unbuilt = natural_cotangent_product(gamma_q(), 4), natural_cotangent_product(gamma_q(), 4)
+    built = s.C
     reads = []
     real = BiDiffOp.coordinate_slots
 
@@ -223,8 +227,12 @@ def test_derive_fixes_each_slot_once(monkeypatch):
 
     monkeypatch.setattr(BiDiffOp, "coordinate_slots", counted)
     derive_equivalence(s)
-    assert reads == [(id(op), True) for op in s.C[1:]]
-    assert s._table is None and all(op._memo is None for op in s.C)
+    assert reads == [(id(op), True) for op in built[1:]]
+    assert s._table is None and all(op._memo is None for op in built)
+    reads.clear()
+    assert derive_equivalence(unbuilt) == derive_equivalence(s)
+    assert reads == [(id(op), True) for op in built[1:]]  # s's second derivation
+    assert unbuilt._C is None and unbuilt._table is None
 
 
 # -- recurrence right-hand side -----------------------------------------------
@@ -451,6 +459,35 @@ def test_verify_intertwining_mirror_reduction_matches_term_scan(
     if slot is not None:
         assert f"first failure: {slot}" in slots.detail
     assert report.to_json() == term_scan_verify_intertwining(bad, product, 3).to_json()
+
+
+# C_2 bumped by d0^2 (x) d1^2, alone or with its mirror d1^2 (x) d0^2: no
+# coordinate sees it, so the coordinate entry passes and the pairs with a
+# factor of degree 1 are skipped; from D = 4 the pair entry first fails on
+# a pair of two degree-2 monomials, at order 2 or, through T, above it
+# (D = 5 on the n2 demo is left out: its term scan takes 8 s a case)
+@pytest.mark.parametrize("mirror", [False, True], ids=["alone", "mirrored"])
+@pytest.mark.parametrize("name, degree", [
+    (name, degree) for name in ("natural_cotangent", "vector_field", "moyal") for degree in (3, 4, 5)
+] + [("natural_cotangent_n2", 3), ("natural_cotangent_n2", 4)])
+def test_pair_only_fault_matches_term_scan(name, degree, mirror):
+    product = build_product(parse_spec(json.loads((DEMOS / f"{name}.json").read_text())))
+    morphism = derive_equivalence(product)
+    d = product.dim
+    left, right = MultiIndex.of(0, 0), MultiIndex.of(1, 1)
+    terms = {(left, right): Poly.const(d, 1)}
+    if mirror:
+        terms[(right, left)] = Poly.const(d, 1)
+    C = list(product.C)
+    C[2] = C[2] + BiDiffOp(d, terms)
+    bumped = StarProduct(product.poisson, C)
+    report = verify_intertwining(morphism, bumped, degree)
+    slots, pairs = report.entries
+    assert slots.passed and pairs.passed == (degree < 4)
+    if degree >= 4:
+        pair = re.search(r"first failure: \((\S+), (\S+)\)", pairs.detail).groups()
+        assert [sum(int(e or 1) for e in re.findall(r"x\d+(?:\^(\d+))?", m)) for m in pair] == [2, 2]
+    assert report.to_json() == term_scan_verify_intertwining(morphism, bumped, degree).to_json()
 
 
 def _record_reference_pairs(monkeypatch):
@@ -760,13 +797,18 @@ def random_cubic_n2_connection():
     return conn
 
 
+def random_nontriangular_connection(n, seed):
+    return flat_connection_from_diffeo(random_nontriangular_map(n, random.Random(seed)))
+
+
 @pytest.mark.parametrize("cycl_mode", ["permutations", "rotations"])
 @pytest.mark.parametrize(
     "conn_factory",
     [gamma_q, gamma_cubic, demo_n2_connection, diffeo_n2_connection,
-     nontriangular_n2_connection, random_cubic_n2_connection],
+     nontriangular_n2_connection, random_cubic_n2_connection,
+     lambda: random_nontriangular_connection(2, 0), lambda: random_nontriangular_connection(2, 1)],
     ids=["gamma=q", "gamma=cubic", "demo-n2", "n2-diffeo-quartic", "n2-nontriangular",
-         "random-flat-n2"],
+         "random-flat-n2", "random-nontriangular-n2-seed0", "random-nontriangular-n2-seed1"],
 )
 def test_order4_multiset_sum_matches_rearrangement_loop(conn_factory, cycl_mode):
     # the term tables summed over ordered index assignments with weight
@@ -775,6 +817,14 @@ def test_order4_multiset_sum_matches_rearrangement_loop(conn_factory, cycl_mode)
     closed = flat_cotangent_order4(conn, cycl_mode)
     reference = rearrangement_loop_order4(conn, cycl_mode)
     assert closed == reference, operator_diff_report(closed, reference)
+    closed, reference = flat_cotangent_order2(conn), index_loop_order2(conn)
+    assert closed == reference, operator_diff_report(closed, reference)
+
+
+def test_order2_closed_form_matches_index_loop_on_a_nontriangular_n3_draw():
+    # order 4 is left out at n = 3: on the seed-2 draw the order-4 closed
+    # form alone took 51 s (2-vCPU VM, CPython 3.11)
+    conn = random_nontriangular_connection(3, 0)
     closed, reference = flat_cotangent_order2(conn), index_loop_order2(conn)
     assert closed == reference, operator_diff_report(closed, reference)
 
