@@ -8,9 +8,8 @@ the coordinate-commutator equations
     [T_k, x^alpha] = F_k^alpha,
 
 whose right-hand side is assembled from the symmetric coordinate slots
-of the product (`_symmetric_slots`, read off its operators or, before
-they are built, off its jets) and the lower morphism orders by one
-formula, for every order of every product: no
+of the product's operators (`BiDiffOp.coordinate_slots`) and the lower
+morphism orders by one formula, for every order of every product: no
 declared property of the product selects another.  (For a product with
 slot-swap parity the odd orders vanish and the even ones reduce to the
 paper's one-sided sum by themselves.)  The solution is unique, so the
@@ -56,7 +55,7 @@ from .errors import (
 )
 from .geometry import Connection, SymplecticConnectionSpec, ricci
 from .operators import MAX_OP_ORDER, DiffOp, _acc_compose, _acc_poly, _acc_scaled, _acc_shifted
-from .operators import _leibniz_splits, _nonzero_terms
+from .operators import _leibniz_splits
 from .poly import MultiIndex, Poly, _GrlexKeys
 from .scalars import GaussianRational, ONE
 from .series import HbarSeries
@@ -66,8 +65,6 @@ from .products import (
     PoissonTensor,
     StarProduct,
     _MoyalPairs,
-    _coordinate_parts,
-    _entry_multisets,
     _first_nonzero,
     monomials_up_to,
     quantum_canonicity_check,
@@ -134,66 +131,25 @@ class EquivalenceMorphism:
 def coordinate_rhs(s: StarProduct, lower: Sequence[DiffOp], k: int) -> List[DiffOp]:
     """The operators F^alpha = sum_l S_l(x^alpha, T_(k-l) .) for
     1 <= l <= k, with S_l = (C_l + C_l.swap()) / 2 the symmetric part of
-    C_l (`_symmetric_slots`).
+    C_l (`BiDiffOp.coordinate_slots(symmetric=True)`).
 
     `lower` must hold the morphism orders 0..k-1 (order 0 the identity).
     Every returned operator kills constants, because each C_l does.
     """
     if len(lower) < k:
         raise OrderMismatch(f"need the {k} lower orders, got {len(lower)}")
-    return _coordinate_rhs(s.dim, _slot_splits(s, k), lower, k)
+    return _coordinate_rhs(s.dim, _symmetric_slots(s, k), lower, k)
 
 
-def _symmetric_slots(s: StarProduct, order: int) -> List[List[DiffOp]]:
-    """Row l holds S_l(x^alpha, .) for every alpha, l <= order (row 0 is
-    empty), read off the representation `s` holds.
-
-    From C_l, in one pass (`BiDiffOp.coordinate_slots(symmetric=True)`).
-    From the jets, C_l is sum W(L, R) J_L (x) J_R over the keys of level l
-    of `_entry_multisets`, and the pairing gives C_l.swap() = (-1)^l C_l:
-    S_l is zero at odd l, and at even l it is C_l(x^alpha, .) =
-    sum_R (sum_L W(L, R) J_L(x^alpha)) J_R, the inner sums formed once per
-    R and multiplied into J_R's coefficients."""
-    jets = s._jets
-    if jets is None:
-        return [[]] + [s.C[l].coordinate_slots(symmetric=True) for l in range(1, order + 1)]
-    d = s.dim
-    zero = DiffOp.zero(d)
-    parts = _coordinate_parts(jets, d)
-    rows: List[List[DiffOp]] = [[]]
-    for l, level in enumerate(_entry_multisets(s.poisson, order), 1):
-        if l % 2:
-            rows.append([zero] * d)
-            continue
-        # R -> alpha -> sum_L W(L, R) J_L(x^alpha) as a raw map
-        inner: Dict[MultiIndex, Dict[int, dict]] = {}
-        for (L, R), w in level.items():
-            left = parts(L)
-            if left:
-                by_alpha = inner.setdefault(R, {})
-                for alpha, c in left:
-                    _acc_scaled(by_alpha.setdefault(alpha, {}), c, w)
-        accs: List[Dict[MultiIndex, dict]] = [{} for _ in range(d)]
-        for R, by_alpha in inner.items():
-            right = jets[tuple(R.coords())]._terms
-            for alpha, raw in by_alpha.items():
-                coeff = [(m, c) for m, c in raw.items() if c]
-                for ri, pb in right.items():
-                    target = accs[alpha].setdefault(ri, {})
-                    for m, c in coeff:
-                        _acc_shifted(target, pb._terms, m, c)
-        rows.append([DiffOp._unchecked(d, _nonzero_terms(d, acc)) for acc in accs])
-    return rows
-
-
-def _slot_splits(s: StarProduct, order: int) -> List[list]:
-    """`_symmetric_slots` with each slot's terms split once for
-    `_acc_compose` (`_leibniz_splits`)."""
-    return [[_leibniz_splits(slot._terms) for slot in row] for row in _symmetric_slots(s, order)]
+def _symmetric_slots(s: StarProduct, order: int) -> List[list]:
+    """Row l holds the Leibniz splits of S_l(x^alpha, .) for every alpha,
+    l <= order (row 0 is empty), read in one pass over C_l, split once."""
+    return [[]] + [[_leibniz_splits(slot._terms) for slot in s.C[l].coordinate_slots(symmetric=True)]
+                   for l in range(1, order + 1)]
 
 
 def _coordinate_rhs(d: int, slots: List[list], lower: Sequence[DiffOp], k: int) -> List[DiffOp]:
-    """`coordinate_rhs` off a table of `_slot_splits`, each S_l^alpha o
+    """`coordinate_rhs` off a table of `_symmetric_slots`, each S_l^alpha o
     T_(k-l) added raw into one map per alpha (`_acc_compose`)."""
     out = []
     for alpha in range(d):
@@ -317,7 +273,7 @@ def derive_equivalence(s: StarProduct, order: int | None = None) -> EquivalenceM
         raise CanonicityFailure(f"coordinates are not quantum canonical: {bad}")
     d = s.dim
     ops: List[DiffOp] = [DiffOp.identity(d)]
-    slots = _slot_splits(s, order)
+    slots = _symmetric_slots(s, order)
     for k in range(1, order + 1):
         try:
             solution = commutator_solution_direct(_coordinate_rhs(d, slots, ops, k))

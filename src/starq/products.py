@@ -33,11 +33,9 @@ product has one such table, made on first use and living as long as the
 product, so `apply`, `star_bracket`, `check_axioms` and the intertwining
 check of `equivalence` share its pairs, and its structural verdicts
 (`unital`, `swap_parity`) are each decided once; `==`, copy and pickle
-ignore it.  The two pairing builders keep the jet table and pair it only
-when C is first read (`StarProduct.C`).  The canonicity check and the
-derivation read the terms the coordinates see off whichever the product
-holds, each C_l or the jets and one walk (`_coordinate_commutators`,
-`equivalence._symmetric_slots`), and fill no table.  When 1 is the unit of the
+ignore it.  The canonicity check and the derivation read the terms the
+coordinates see straight off each C_l (`_coordinate_commutator`,
+`BiDiffOp.coordinate_slots`) and fill no table.  When 1 is the unit of the
 product, `check_axioms` skips the triples with a constant factor, whose
 associators the unit laws already prove zero.  The Moyal pairs that the
 intertwining check compares with are read in closed form from the same
@@ -253,22 +251,11 @@ class VectorFieldFrame:
 # ---------------------------------------------------------------------------
 
 class StarProduct:
-    """Truncated product f * g = sum_k hbar^k C_k(f, g).
+    """Truncated product f * g = sum_k hbar^k C_k(f, g)."""
 
-    A product holds one representation at a time: its operators C_0..C_N,
-    or, as `natural_cotangent_product` and `vector_field_product` make it,
-    the jet table that `_pairing_product` pairs (`_from_jets`).  Then the
-    operators are formed the first time `C` is read (by `apply`,
-    `check_axioms`, `star_bracket`, `to_json`, `==`, copy or pickle) and
-    the jets are dropped.  The coordinate data of the derivation and of
-    the canonicity check are read off whichever is held, so neither
-    builds an operator; `truncate` keeps an unbuilt product unbuilt.
-    """
-
-    # _C is None exactly while _jets holds the table; _table is the
-    # product's one `_PairTable`, made on first use, a pure cache that
-    # `==`, copy and pickle ignore
-    __slots__ = ("dim", "order", "poisson", "_C", "_jets", "_table")
+    # _table is the product's one `_PairTable`, made on first use; it is
+    # a pure cache, which `==`, copy and pickle ignore
+    __slots__ = ("dim", "order", "C", "poisson", "_table")
 
     def __init__(self, poisson: PoissonTensor, C: List[BiDiffOp]):
         if not C:
@@ -277,36 +264,11 @@ class StarProduct:
         for op in C:
             if op.dim != dim:
                 raise DimensionMismatch("operator dimension differs from phase space")
-        self._hold(poisson, len(C) - 1, list(C), None)
-
-    @classmethod
-    def _from_jets(cls, poisson: PoissonTensor, jets: Dict[Tuple[int, ...], DiffOp],
-                   order: int) -> "StarProduct":
-        """The product whose C is `_pairing_product(poisson, jets, order)`,
-        formed when first read."""
-        if order < 0:
-            raise OrderMismatch(f"a product has order 0 or more, not {order}")
-        s = object.__new__(cls)
-        s._hold(poisson, order, None, jets)
-        return s
-
-    def _hold(self, poisson, order, C, jets):
-        object.__setattr__(self, "dim", poisson.dim)
-        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "order", len(C) - 1)
+        object.__setattr__(self, "C", list(C))
         object.__setattr__(self, "poisson", poisson)
-        object.__setattr__(self, "_C", C)
-        object.__setattr__(self, "_jets", jets)
         object.__setattr__(self, "_table", None)
-
-    @property
-    def C(self) -> List[BiDiffOp]:
-        """The operators C_0..C_N, paired from the jets on first read."""
-        C = self._C
-        if C is None:
-            C = _pairing_product(self.poisson, self._jets, self.order)
-            object.__setattr__(self, "_C", C)
-            object.__setattr__(self, "_jets", None)
-        return C
 
     def __setattr__(self, name, value):
         raise AttributeError("StarProduct is immutable")
@@ -339,18 +301,12 @@ class StarProduct:
 
     def truncate(self, order: int) -> "StarProduct":
         """The product of orders 0..order; the product itself, and so its
-        pair table, at its own order.  An unbuilt product's truncation
-        pairs the same jets, only up to `order`."""
+        pair table, at its own order."""
         if order > self.order:
             raise OrderMismatch(f"cannot extend order {self.order} to {order}")
         if order < 0:
             raise OrderMismatch(f"a product has order 0 or more, not {order}")
-        if order == self.order:
-            return self
-        jets = self._jets
-        if jets is not None:
-            return StarProduct._from_jets(self.poisson, jets, order)
-        return StarProduct(self.poisson, self._C[: order + 1])
+        return self if order == self.order else StarProduct(self.poisson, self.C[: order + 1])
 
     def __eq__(self, other):
         if not isinstance(other, StarProduct):
@@ -572,7 +528,7 @@ def vector_field_product(frame: VectorFieldFrame, p: PoissonTensor, order: int) 
     else:
         partials = [DiffOp.partial(p.dim, a) for a in range(p.dim)]
         jets = _sorted_jets(partials, p._paired, order, _frame_connection(frame, p))
-    return StarProduct._from_jets(p, jets, order)
+    return StarProduct(p, _pairing_product(p, jets, order))
 
 
 def natural_cotangent_product(conn: Connection, order: int) -> StarProduct:
@@ -585,7 +541,7 @@ def natural_cotangent_product(conn: Connection, order: int) -> StarProduct:
     """
     lifted = lift_connection(conn)
     p = PoissonTensor.canonical(conn.n, 0)
-    return StarProduct._from_jets(p, symmetric_jet_ops(lifted, order), order)
+    return StarProduct(p, _pairing_product(p, symmetric_jet_ops(lifted, order), order))
 
 
 def truncated_symplectic_product(spec: SymplecticConnectionSpec) -> StarProduct:
@@ -640,78 +596,21 @@ def _bracket(comm: HbarSeries) -> HbarSeries:
     return shifted.scale(-IMAG)  # 1/i == -i
 
 
-def _coordinate_commutators(s: StarProduct) -> Dict[Tuple[int, int], List[Poly]]:
-    """C_l(x^a, x^b) - C_l(x^b, x^a) for every l and every pair a < b, read
-    off the representation `s` holds.
-
-    From C_l, the keys (e_a, 0), (0, e_b), (e_a, e_b) and those of the
-    reversed pair, negated: no other term sees both coordinates, and
-    (0, 0) cancels.  From the jets, C_l is sum W(L, R) J_L (x) J_R over
-    the keys of level l of `_entry_multisets`, and the pairing gives
-    C_l(g, f) = (-1)^l C_l(f, g): the commutator is
-    2 sum W(L, R) J_L(x^a) J_R(x^b) at odd l and zero at even l."""
-    d, N = s.dim, s.order
-    pairs = list(itertools.combinations(range(d), 2))
-    jets = s._jets
-    if jets is None:
-        return {(a, b): _commutator_terms(s.C, a, b) for a, b in pairs}
-    zero = Poly.zero(d)
-    out = {pair: [zero] * (N + 1) for pair in pairs}
-    parts = _coordinate_parts(jets, d)
-    for l, level in enumerate(_entry_multisets(s.poisson, N), 1):
-        if not l % 2:
-            continue
-        accs: Dict[Tuple[int, int], Dict[MultiIndex, GaussianRational]] = {}
-        for (L, R), w in level.items():
-            right = parts(R)
-            if not right:
-                continue
-            w2 = w + w
-            for a, ca in parts(L):
-                scaled = [(m, c * w2) for m, c in ca.items()]
-                for b, cb in right:
-                    if a < b:
-                        acc = accs.setdefault((a, b), {})
-                        for m, c in scaled:
-                            _acc_shifted(acc, cb, m, c)
-        for pair, acc in accs.items():
-            out[pair][l] = _nonzero_poly(d, acc)
-    return out
-
-
-def _commutator_terms(C: List[BiDiffOp], a: int, b: int) -> List[Poly]:
-    """op(x^a, x^b) - op(x^b, x^a) for each op of C, from the three keys
-    of op that see both coordinates and those of the reversed pair."""
+def _coordinate_commutator(s: StarProduct, a: int, b: int) -> List[Poly]:
+    """C_l(x^a, x^b) - C_l(x^b, x^a) for every l, read off the keys (e_a, 0),
+    (0, e_b), (e_a, e_b) of C_l and those of the reversed pair, negated: no
+    other term sees both coordinates, and (0, 0) cancels."""
     ea, eb = MultiIndex.unit(a), MultiIndex.unit(b)
     reads = [(key, shift, sign) for u, v, sign in ((ea, eb, None), (eb, ea, -ONE))
              for key, shift in (((u, EMPTY_INDEX), v), ((EMPTY_INDEX, v), u), ((u, v), EMPTY_INDEX))]
     out = []
-    for op in C:
+    for op in s.C:
         acc: Dict[MultiIndex, GaussianRational] = {}
         for key, shift, sign in reads:
             if key in op._terms:
                 _acc_shifted(acc, op._terms[key]._terms, shift, sign)
-        out.append(_nonzero_poly(op.dim, acc))
+        out.append(_nonzero_poly(s.dim, acc))
     return out
-
-
-def _coordinate_parts(jets: Dict[Tuple[int, ...], DiffOp], d: int):
-    """A memo over a pairing's jet table: the slot index L -> the pairs
-    (a, raw map of J_L(x^a)) with J_L(x^a) != 0, J the jet of the sorted
-    coordinates of L.  A jet of rank >= 1 kills constants, so J(x^a) is
-    the coefficient of d_a."""
-    units = {MultiIndex.unit(a): a for a in range(d)}
-    memo: Dict[MultiIndex, tuple] = {}
-
-    def parts(L: MultiIndex) -> tuple:
-        got = memo.get(L)
-        if got is None:
-            got = memo[L] = tuple((units[key], poly._terms)
-                                  for key, poly in jets[tuple(L.coords())]._terms.items()
-                                  if key in units)
-        return got
-
-    return parts
 
 
 @dataclass(frozen=True)
@@ -982,14 +881,14 @@ def check_axioms(s: StarProduct, max_degree: int = 4) -> CheckReport:
 
 def quantum_canonicity_check(s: StarProduct) -> CheckReport:
     """Check the deformed bracket of every coordinate pair against the Poisson
-    tensor, exactly at every order, with no pair table and no operator made:
-    a pair passes when its commutator (`_coordinate_commutators`, off the
-    operators or the jets the product holds) is i P^(ab) hbar; only a failing pair
+    tensor, exactly at every order, with no pair table made: a pair passes
+    when its `_coordinate_commutator` is i P^(ab) hbar; only a failing pair
     forms its `_bracket` (as `star_bracket` does) for the detail."""
     d = s.dim
     entries: List[CheckEntry] = []
     zero = Poly.zero(d)
-    for (mu, nu), comm in _coordinate_commutators(s).items():
+    for mu, nu in itertools.combinations(range(d), 2):
+        comm = _coordinate_commutator(s, mu, nu)
         if comm == [zero, s.poisson.entry(mu, nu).scale(IMAG)] + [zero] * (s.order - 1):
             entries.append(CheckEntry(f"pair-{mu}-{nu}", True))
             continue

@@ -60,10 +60,9 @@ MUTANTS = [
     ("solver: weight 1/(2+|J|)", "equivalence.py",
      "GaussianRational(Fraction(1, 1 + j))", "GaussianRational(Fraction(1, 2 + j))",
      ["tests/test_equivalence.py::test_solvers_on_single_direction_family"]),
-    ("jets slot reader: multiset weight W dropped", "equivalence.py",
-     "_acc_scaled(by_alpha.setdefault(alpha, {}), c, w)",
-     "_acc_scaled(by_alpha.setdefault(alpha, {}), c, ONE)",
-     ["tests/test_products.py::test_jets_give_the_coordinate_data_of_the_operators[natural_cotangent]"]),
+    ("intertwining: degree-1 pair skip without its coordinate-entry gate", "equivalence.py",
+     "fixed = coord_failure is None and all(", "fixed = all(",
+     ["tests/test_equivalence.py::test_verify_intertwining_matches_term_scan[T2-bumped]"]),
     ("closed-form plan: multiplicity weight dropped", "equivalence.py",
      "weight if mult == 1 else weight * mult", "weight",
      ["tests/test_equivalence.py::test_order4_multiset_sum_matches_rearrangement_loop"

@@ -10,7 +10,6 @@ import pytest
 
 import starq.products as products
 from starq.cli import build_product, parse_spec
-from starq.cli import main as cli_main
 from starq.errors import (
     CanonicityFailure,
     DimensionMismatch,
@@ -24,7 +23,6 @@ from starq.errors import (
 from starq.exprparse import parse_phase_poly
 from starq.equivalence import (
     EquivalenceMorphism,
-    _symmetric_slots,
     derive_equivalence,
     flat_cotangent_order2,
     flat_cotangent_order4,
@@ -984,95 +982,6 @@ def test_canonicity_report_is_that_of_the_star_bracket(build):
     report = quantum_canonicity_check(s).to_json()
     assert s._table is None
     assert report["entries"] == bracket_per_pair_report(s)
-
-
-# every pairing product the tests build, as the builders return it: held
-# as its jet table, its operators formed only when C is read
-PAIRING_CASES = {
-    **{name: (lambda name=name: _demo_product(name)) for name in (
-        "vector_field", "natural_cotangent", "natural_cotangent_n2")},
-    "frame-casimir": _casimir_frame_product,
-    "frame-non-canonical-d4": lambda: vector_field_product(
-        shear_frame(NON_CANONICAL_D4, 1, Poly.coordinate(4, 1) ** 2), NON_CANONICAL_D4, 3),
-    **{f"nontriangular-o{k}": (lambda k=k: natural_cotangent_product(
-        nontriangular_n2_connection(), k)) for k in range(7)},
-    **{f"n3-triangular-o{k}": (lambda k=k: natural_cotangent_product(
-        n3_triangular_connection(), k)) for k in range(7)},
-}
-
-
-@pytest.mark.parametrize("build", PAIRING_CASES.values(), ids=PAIRING_CASES.keys())
-def test_jets_give_the_coordinate_data_of_the_operators(build):
-    # the symmetric slots and the canonicity report of an unbuilt product,
-    # read off its jets, against those of the same product once C was
-    # read, at its order and at every truncation; neither read builds C
-    unbuilt, built = build(), build()
-    assert built.C and built._jets is None
-    for k in range(unbuilt.order + 1):
-        u, b = unbuilt.truncate(k), built.truncate(k)
-        assert _symmetric_slots(u, k) == _symmetric_slots(b, k)
-        assert quantum_canonicity_check(u).to_json() == quantum_canonicity_check(b).to_json()
-        assert u._C is None and b._jets is None
-    assert unbuilt._C is None
-
-
-def test_no_pairing_where_no_operator_is_read(monkeypatch, capsys):
-    # the derivation, verify-tables and apply without --g read no C_k
-    def refuse(*args):
-        raise AssertionError("the jets were paired")
-
-    monkeypatch.setattr(products, "_pairing_product", refuse)
-    derive_equivalence(natural_cotangent_product(nontriangular_n2_connection(), 4))
-    for name in ("natural_cotangent", "natural_cotangent_n2"):
-        assert cli_main(["verify-tables", str(DEMOS / f"{name}.json"), "--no-timing"]) == 0
-    for name in ("vector_field", "natural_cotangent", "natural_cotangent_n2"):
-        argv = ["apply", str(DEMOS / f"{name}.json"), "--f", "q1^2+p1", "--no-timing"]
-        assert cli_main(argv) == 0
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("argv, orders", [
-    (["validate"], [4]),
-    (["derive"], [4]),
-    (["derive", "--order", "2"], [2]),
-    (["apply", "--f", "q1^2+p1", "--g", "q1*p1^2-p1"], [4]),
-], ids=["validate", "derive", "derive-order-2", "apply-f-g"])
-def test_commands_that_read_the_operators_pair_once(monkeypatch, capsys, argv, orders):
-    # a truncation of an unbuilt product pairs only up to its own order
-    paired = []
-    pairing = products._pairing_product
-
-    def recording(p, jets, order):
-        paired.append(order)
-        return pairing(p, jets, order)
-
-    monkeypatch.setattr(products, "_pairing_product", recording)
-    spec = str(DEMOS / "natural_cotangent_n2.json")
-    assert cli_main(argv[:1] + [spec] + argv[1:] + ["--no-timing"]) == 0
-    capsys.readouterr()
-    assert paired == orders
-
-
-@pytest.mark.parametrize("name", ["natural_cotangent_n2", "vector_field"])
-def test_unbuilt_product_behaves_like_a_built_one(name):
-    def fresh():
-        s = _demo_product(name)
-        assert s._C is None
-        return s
-
-    built = fresh()
-    assert built.C
-    assert fresh() == built and built == fresh()
-    for twin in (copy.copy(fresh()), copy.deepcopy(fresh()), pickle.loads(pickle.dumps(fresh()))):
-        assert twin == built and twin._jets is None
-    assert json.dumps(fresh().to_json(), sort_keys=True) == json.dumps(built.to_json(), sort_keys=True)
-    for k in range(built.order + 1):
-        assert fresh().truncate(k) == built.truncate(k)
-    s = fresh()
-    for attr in ("C", "order", "_C", "_jets"):
-        with pytest.raises(AttributeError):
-            setattr(s, attr, None)
-    assert s._C is None and s._jets is not None
 
 
 def _moyal_bump(left, right, order):
